@@ -65,28 +65,31 @@ def _restore_model_rngs(model, states: list[dict]) -> None:
 def save_trainer(trainer: AvgPipeTrainer, path: str | pathlib.Path) -> None:
     """Serialize an AvgPipe trainer's full training state to ``path``."""
     path = pathlib.Path(path)
+    framework = trainer.framework
     arrays: dict[str, np.ndarray] = {}
     manifest = {
         "format": _FORMAT_VERSION,
         "num_pipelines": trainer.num_pipelines,
-        "alpha": trainer.framework.alpha,
-        "queue_delay": trainer.framework.queue.delay,
-        "queue_now": trainer.framework.queue.now,
-        "update_normalization": trainer.framework.update_normalization,
+        "alpha": framework.alpha,
+        "queue_delay": framework.queue.delay,
+        "queue_now": framework.queue.now,
+        "update_normalization": framework.update_normalization,
         "optimizer_lrs": [opt.lr for opt in trainer.optimizers],
-        "alpha_auto": trainer.framework._alpha_auto,
+        "alpha_auto": framework._alpha_auto,
         "rng": [_model_rng_states(m) for m in trainer.models],
     }
     for i, model in enumerate(trainer.models):
         arrays.update(_flatten(f"model{i}", model.state_dict()))
-    arrays.update(_flatten("reference", trainer.framework.reference))
-    arrays.update(_flatten("accumulated", trainer.framework._accumulated))
-    manifest["received"] = trainer.framework._received
+    arrays.update(_flatten("reference", framework.reference))
+    # The accumulator and queued deltas are flat vectors in the framework's
+    # layout; they are stored per name, so the file format has no layout.
+    arrays.update(_flatten("accumulated", framework._split(framework._acc)))
+    manifest["received"] = framework._received
     # In-flight queue messages (deltas posted but not yet visible).
-    pending = list(trainer.framework.queue._pending)
+    pending = list(framework.queue._pending)
     manifest["queue_visible_at"] = [env.visible_at for env in pending]
     for j, env in enumerate(pending):
-        arrays.update(_flatten(f"queue{j}", env.payload))
+        arrays.update(_flatten(f"queue{j}", framework._split(env.payload)))
     for i, opt in enumerate(trainer.optimizers):
         opt_state = opt.state_dict()
         for slot, entry in opt_state["state"].items():
@@ -125,37 +128,28 @@ def load_trainer(
                 )
             while trainer.num_pipelines > ckpt_n:
                 trainer.evict_pipeline(trainer.num_pipelines - 1)
-        for i, model in enumerate(trainer.models):
-            prefix = f"model{i}/"
-            state = {
+        framework = trainer.framework
+
+        def section(prefix: str) -> dict[str, np.ndarray]:
+            return {
                 key[len(prefix):]: data[key] for key in data.files if key.startswith(prefix)
             }
-            model.load_state_dict(state)
-        ref_state = {
-            key[len("reference/"):]: data[key]
-            for key in data.files
-            if key.startswith("reference/")
-        }
-        for name, value in ref_state.items():
-            trainer.framework.reference[name] = value.copy()
-        for key in data.files:
-            if key.startswith("accumulated/"):
-                trainer.framework._accumulated[key[len("accumulated/"):]] = data[key].copy()
-        trainer.framework._received = manifest["received"]
+
+        for i, model in enumerate(trainer.models):
+            model.load_state_dict(section(f"model{i}/"))
+        for name, value in section("reference/").items():
+            framework.reference[name] = value.copy()
+        framework._join(section("accumulated/"), out=framework._acc)  # in place
+        framework._received = manifest["received"]
         # Rebuild the in-flight queue with its original visibility clock.
         from repro.core.messages import MessageQueue, _Envelope
 
         queue = MessageQueue(delay=manifest["queue_delay"], name="updates")
         queue._now = manifest["queue_now"]
         for j, visible_at in enumerate(manifest["queue_visible_at"]):
-            prefix = f"queue{j}/"
-            payload = {
-                key[len(prefix):]: data[key].copy()
-                for key in data.files
-                if key.startswith(prefix)
-            }
+            payload = framework._join(section(f"queue{j}/"))
             queue._pending.append(_Envelope(payload, visible_at))
-        trainer.framework.queue = queue
+        framework.queue = queue
         for i, opt in enumerate(trainer.optimizers):
             prefix = f"opt{i}/"
             entries: dict[int, dict] = {}
@@ -168,9 +162,9 @@ def load_trainer(
                     value.item() if value.ndim == 0 else value
                 )
             opt.load_state_dict({"lr": manifest["optimizer_lrs"][i], "state": entries})
-        trainer.framework.alpha = manifest["alpha"]
-        trainer.framework.update_normalization = manifest["update_normalization"]
-        trainer.framework._alpha_auto = manifest.get("alpha_auto", False)
+        framework.alpha = manifest["alpha"]
+        framework.update_normalization = manifest["update_normalization"]
+        framework._alpha_auto = manifest.get("alpha_auto", False)
         for model, states in zip(trainer.models, manifest.get("rng", [])):
             _restore_model_rngs(model, states)
     return trainer

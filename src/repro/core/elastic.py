@@ -43,50 +43,19 @@ StateDict = dict[str, np.ndarray]
 _RMS_BUCKETS = tuple(1e-8 * (2.0**i) for i in range(30))
 
 
-class _FlatDict(dict):
-    """A StateDict whose values are views into one flat float32 vector.
+def _param_dtype(models: Sequence[PipelineModel]) -> np.dtype:
+    """The single dtype shared by every parameter of ``models``.
 
-    Reads behave exactly like a plain dict of arrays.  The hot paths use
-    ``flat`` directly to run one fused sweep over all parameters instead
-    of one ufunc dispatch per parameter; any *rebinding* mutation drops
-    ``flat`` so a modified snapshot silently degrades to the per-name
-    path (in-place writes through the views stay coherent — they alias
-    the vector).
+    The flat round gathers all parameters into one workspace, so a mix
+    of dtypes has no faithful flat layout: it is rejected, not promoted.
     """
-
-    __slots__ = ("flat",)
-
-    def __init__(self, entries, flat: np.ndarray) -> None:
-        super().__init__(entries)
-        self.flat: np.ndarray | None = flat
-
-    def __setitem__(self, key, value):
-        self.flat = None
-        super().__setitem__(key, value)
-
-    def __delitem__(self, key):
-        self.flat = None
-        super().__delitem__(key)
-
-    def update(self, *args, **kwargs):
-        self.flat = None
-        super().update(*args, **kwargs)
-
-    def pop(self, *args):
-        self.flat = None
-        return super().pop(*args)
-
-    def popitem(self):
-        self.flat = None
-        return super().popitem()
-
-    def setdefault(self, key, default=None):
-        self.flat = None
-        return super().setdefault(key, default)
-
-    def clear(self):
-        self.flat = None
-        super().clear()
+    dtypes = {p.data.dtype for m in models for p in m.parameters()}
+    if len(dtypes) != 1:
+        raise TypeError(
+            "elastic averaging needs one parameter dtype across all models, "
+            f"got {sorted(str(d) for d in dtypes)}"
+        )
+    return dtypes.pop()
 
 
 class ElasticAveragingFramework:
@@ -140,19 +109,19 @@ class ElasticAveragingFramework:
             raise ValueError("parallel models have mismatched parameter structure")
         # Reference starts at the average of the parallel models.
         self.reference: StateDict = self._average_state()
-        self.queue: MessageQueue[StateDict] = MessageQueue(delay=queue_delay, name="updates")
+        #: flat Δ vectors in the layout of _rebuild_param_cache
+        self.queue: MessageQueue[np.ndarray] = MessageQueue(delay=queue_delay, name="updates")
         self._received = 0
-        # Parameter lists and per-name scratch buffers for the hot
-        # capture/commit/apply path.  Model structure is fixed between
-        # membership changes (all layers create their parameters in
-        # __init__), so the traversal is done once here and redone only
-        # in _discard_round.
+        # Model structure is fixed between membership changes (all layers
+        # create their parameters in __init__), so the flat layout is
+        # computed once here and redone only in _discard_round.
         self._rebuild_param_cache()
         #: optional repro.obs MetricRegistry: commit() publishes the RMS
         #: magnitude of each α-pull and reference_step() the RMS of each
-        #: applied reference update.  All telemetry is computed from
-        #: values the update rules produce anyway, so instrumented and
-        #: bare runs evolve the weights bitwise identically (tested).
+        #: applied reference update.  Telemetry is read off the flat
+        #: vectors *after* the arithmetic, so instrumented and bare runs
+        #: execute the same code and evolve the weights bitwise
+        #: identically (tested).
         self.registry = registry
 
     @property
@@ -211,6 +180,7 @@ class ElasticAveragingFramework:
         names = sorted(name for name, _ in model.named_parameters())
         if names != sorted(self.reference):
             raise ValueError("rejoining model has mismatched parameter structure")
+        _param_dtype([*self.models, model])
         if seed_from_reference:
             model.load_state_dict(self.reference)
         self.models.append(model)
@@ -226,181 +196,91 @@ class ElasticAveragingFramework:
         self._rebuild_param_cache()
 
     def _rebuild_param_cache(self) -> None:
-        """Flatten each model's parameter walk and allocate scratch.
+        """Fix the flat layout for the current membership; allocate scratch.
 
-        The scratch buffers hold the elementwise temporaries of the
-        dilution/apply arithmetic over the *concatenated* parameter
-        vector, so the hot path runs a handful of fused sweeps instead of
-        four ufunc dispatches per parameter.  Also (re)creates the
-        accumulator: when every reference entry is float32 and the models
-        agree on walk order, ``_accumulated`` becomes views into one flat
-        vector (``_acc_flat``) so arriving flat deltas accumulate in a
-        single add — rebuilding it here also resets the in-flight round.
+        The layout is model 0's parameter walk: every model's parameters
+        are gathered in that name order, so a flat vector (snapshot, Δ,
+        accumulator, gathered reference) means the same thing whichever
+        model produced it.  The data/keep workspaces carry the models'
+        single parameter dtype; the reference, its pull workspace and the
+        accumulator are float32.  The hot path's only fresh allocations
+        are the arrays that outlive a call (the queued Δ and the new
+        diluted / reference vectors).  Re-zeroing the accumulator here
+        also resets the in-flight round.
         """
-        self._param_lists = [list(m.named_parameters()) for m in self.models]
-        total = sum(v.size for v in self.reference.values())
-        # Five persistent flat workspaces (gathered data / before / ref and
-        # two elementwise temporaries): the hot path's only fresh
-        # allocations are the arrays that outlive the call (the queued Δ
-        # and the new diluted / reference vectors).
-        self._flat_bufs = tuple(np.empty(total, dtype=np.float32) for _ in range(5))
-        # Canonical flat layout: model 0's walk order.  The flat paths
-        # require every model to share it (delta vectors are laid out in
-        # the committing model's order) and an all-float32 reference.
-        names = [name for name, _ in self._param_lists[0]]
-        self._names = names
-        f32 = np.float32
-        flat_ok = (
-            set(names) == set(self.reference)
-            and all(
-                [n for n, _ in plist] == names for plist in self._param_lists[1:]
-            )
-            and all(v.dtype == f32 for v in self.reference.values())
-        )
-        if flat_ok:
-            acc_flat = np.zeros(total, dtype=f32)
-            acc: StateDict = {}
-            off = 0
-            for name in names:
-                ref = self.reference[name]
-                end = off + ref.size
-                acc[name] = acc_flat[off:end].reshape(ref.shape)
-                off = end
-            self._accumulated = acc
-            self._acc_flat: np.ndarray | None = acc_flat
-            # Identity fingerprints of the views: external code that
-            # *rebinds* an entry (checkpoint restore) breaks the aliasing,
-            # which _acc_views_valid detects before any flat accumulate.
-            self._acc_views = tuple(acc[name] for name in names)
-        else:
-            self._accumulated = {
-                k: np.zeros_like(v) for k, v in self.reference.items()
-            }
-            self._acc_flat = None
-            self._acc_views = ()
+        dtype = _param_dtype(self.models)
+        names = [name for name, _ in self.models[0].named_parameters()]
+        self._params = [
+            [params[name] for name in names]
+            for params in (dict(m.named_parameters()) for m in self.models)
+        ]
+        layout = []
+        off = 0
+        for name, p in zip(names, self._params[0]):
+            layout.append((name, off, off + p.data.size, p.data.shape))
+            off += p.data.size
+        self._layout = layout
+        self._data = np.empty(off, dtype=dtype)
+        self._keep = np.empty(off, dtype=dtype)
+        self._ref = np.empty(off, dtype=np.float32)
+        self._pull = np.empty(off, dtype=np.float32)
+        self._acc = np.zeros(off, dtype=np.float32)
 
-    def _acc_views_valid(self) -> bool:
-        acc = self._accumulated
-        return len(acc) == len(self._acc_views) and all(
-            acc.get(name) is view
-            for name, view in zip(self._names, self._acc_views)
+    def _split(self, flat: np.ndarray) -> StateDict:
+        """Per-name views of a flat vector laid out by the current layout."""
+        return {
+            name: flat[start:end].reshape(shape)
+            for name, start, end, shape in self._layout
+        }
+
+    def _join(self, state: Mapping[str, np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+        """Concatenate ``state`` in layout order (the inverse of :meth:`_split`)."""
+        return np.concatenate(
+            [state[name].ravel() for name, *_ in self._layout], out=out, casting="no"
         )
+
+    def _tracking(self) -> bool:
+        return self.registry is not None and self.registry.enabled
 
     # ------------------------------------------------------------------ #
     # pipeline-side steps
 
-    def capture(self, index: int) -> StateDict:
+    def capture(self, index: int) -> np.ndarray:
         """Snapshot model ``index`` before its optimizer step (step 1)."""
-        plist = self._param_lists[index]
-        f32 = np.float32
-        if all(p.data.dtype == f32 for _, p in plist):
-            # One concatenated copy plus per-name views: the same values
-            # as per-name copies, but commit() can consume the flat
-            # vector directly instead of re-gathering the snapshot.
-            flat = np.concatenate([p.data.ravel() for _, p in plist])
-            entries = []
-            off = 0
-            for name, p in plist:
-                end = off + p.data.size
-                entries.append((name, flat[off:end].reshape(p.data.shape)))
-                off = end
-            return _FlatDict(entries, flat)
-        return {name: p.data.copy() for name, p in plist}
+        return np.concatenate(
+            [p.data.ravel() for p in self._params[index]],
+            dtype=self._data.dtype,
+            casting="no",
+        )
 
-    def commit(self, index: int, before: Mapping[str, np.ndarray]) -> None:
-        """After the optimizer step: compute Δ, dilute, post (steps 2-3)."""
-        track = self.registry is not None and self.registry.enabled
+    def commit(self, index: int, before: np.ndarray) -> None:
+        """After the optimizer step: compute Δ, dilute, post (steps 2-3).
+
+        Δ and the dilution are elementwise, so running them over the
+        concatenated vectors is bitwise identical to a per-parameter
+        loop (the independent ``ElasticOracle`` checks exactly that).  A
+        parameter whose dtype drifted since the layout was fixed raises
+        ``TypeError`` at the gather.
+        """
         alpha = self.alpha
-        keep = 1.0 - alpha
-        reference = self.reference
-        plist = self._param_lists[index]
-        delta: StateDict = {}
-        f32 = np.float32
-        # Flat fast path.  Δ and the dilution are purely elementwise, so
-        # computing them over the concatenated parameter vector is bitwise
-        # identical to the per-parameter loop below — at a handful of
-        # ufunc dispatches total instead of four per parameter.  Requires
-        # uniform float32: a model whose optimizer promoted a weight to
-        # float64 must keep the per-parameter promoting expressions, bit
-        # for bit.  The dtype guard doubles as the gather pass.
-        fast = not track
-        if fast:
-            data_r = []
-            ref_r = []
-            for name, p in plist:
-                d = p.data
-                r = reference[name]
-                if d.dtype != f32 or r.dtype != f32:
-                    fast = False
-                    break
-                data_r.append(d.ravel())
-                ref_r.append(r.ravel())
-        if fast:
-            bflat = before.flat if type(before) is _FlatDict else None
-            before_r: list[np.ndarray] = []
-            if bflat is None:
-                for name, _ in plist:
-                    b = before[name]
-                    if b.dtype != f32:
-                        fast = False
-                        break
-                    before_r.append(b.ravel())
-        if fast:
-            b_data, b_before, b_ref, s0, s1 = self._flat_bufs
-            try:
-                data_flat = np.concatenate(data_r, out=b_data)
-                ref_flat = np.concatenate(ref_r, out=b_ref)
-                if bflat is not None and bflat.size == data_flat.size:
-                    before_flat = bflat
-                else:
-                    before_flat = np.concatenate(
-                        before_r or [before[name].ravel() for name, _ in plist],
-                        out=b_before,
-                    )
-                delta_flat = data_flat - before_flat
-                np.multiply(keep, data_flat, out=s0)
-                np.multiply(alpha, ref_flat, out=s1)
-                diluted_flat = np.add(s0, s1)
-            except ValueError:
-                # Stale workspaces (external surgery changed parameter
-                # sizes): same arithmetic over fresh concatenations.
-                data_flat = np.concatenate(data_r)
-                ref_flat = np.concatenate(ref_r)
-                if bflat is not None and bflat.size == data_flat.size:
-                    before_flat = bflat
-                else:
-                    before_flat = np.concatenate(
-                        before_r or [before[name].ravel() for name, _ in plist]
-                    )
-                delta_flat = data_flat - before_flat
-                diluted_flat = keep * data_flat + alpha * ref_flat
-            off = 0
-            for name, param in plist:
-                shape = param.data.shape
-                end = off + param.data.size
-                delta[name] = delta_flat[off:end].reshape(shape)
-                param.data = diluted_flat[off:end].reshape(shape)
-                off = end
-            self.queue.put(_FlatDict(delta, delta_flat))
-            return
-        pull_sq, size = 0.0, 0
-        for name, param in plist:
-            data = param.data
-            delta[name] = data - before[name]
-            # Step 2: dilute toward the (possibly stale) reference.
-            diluted = keep * data + alpha * reference[name]
-            if track:
-                move = diluted.astype(np.float64) - data
-                pull_sq += float((move**2).sum())
-                size += move.size
-            param.data = diluted
+        params = self._params[index]
+        data = np.concatenate([p.data.ravel() for p in params], out=self._data, casting="no")
+        ref = self._join(self.reference, out=self._ref)
+        delta = data - before
+        np.multiply(1.0 - alpha, data, out=self._keep)
+        # Step 2: dilute toward the (possibly stale) reference.
+        np.multiply(alpha, ref, out=self._pull)
+        diluted = self._keep + self._pull
+        for p, (_, start, end, shape) in zip(params, self._layout):
+            p.data = diluted[start:end].reshape(shape)
         self.queue.put(delta)
-        if track:
+        if self._tracking():
+            move = diluted.astype(np.float64) - data
             self.registry.counter("elastic.commits", model=index).inc()
             self.registry.histogram(
                 "elastic.pull_rms", buckets=_RMS_BUCKETS, model=index
-            ).observe(float(np.sqrt(pull_sq / max(size, 1))))
-            self.registry.gauge("elastic.alpha").set(self.alpha)
+            ).observe(float(np.sqrt(np.mean(move**2))))
+            self.registry.gauge("elastic.alpha").set(alpha)
 
     # ------------------------------------------------------------------ #
     # reference-side steps
@@ -410,88 +290,23 @@ class ElasticAveragingFramework:
 
         Returns True if the reference advanced this call.
         """
-        acc_flat = self._acc_flat
-        if acc_flat is not None and not self._acc_views_valid():
-            # External code rebound accumulator entries (checkpoint
-            # restore does).  The flat vector no longer backs the dict —
-            # drop it and stay on the per-name path until the next
-            # rebuild.
-            acc_flat = self._acc_flat = None
-            self._acc_views = ()
+        acc = self._acc
         for delta in self.queue.drain():
-            flat = delta.flat if type(delta) is _FlatDict else None
-            if acc_flat is not None and flat is not None and flat.size == acc_flat.size:
-                # Both sides laid out in self._names order (commit and
-                # _rebuild_param_cache share it): one add for the whole
-                # delta, bitwise identical per element to the loop below.
-                acc_flat += flat
-            else:
-                accumulated = self._accumulated
-                for name, value in delta.items():
-                    accumulated[name] += value
+            acc += delta
             self._received += 1
         if self._received < self.num_parallel:
             return False
-        track = self.registry is not None and self.registry.enabled
-        update_sq, size = 0.0, 0
         scale = 1.0 if self.update_normalization == "sum" else 1.0 / self.num_parallel
-        accumulated = self._accumulated
-        reference = self.reference
-        f32 = np.float32
-        names = self._names
-        if (
-            not track
-            and acc_flat is not None
-            and len(reference) == len(names)
-            and all(
-                (r := reference.get(name)) is not None and r.dtype == f32
-                for name in names
-            )
-        ):
-            # Flat fast path — same elementwise arithmetic as the loop
-            # below over the concatenated vectors (see commit()).  The
-            # accumulator is already flat; only the reference needs a
-            # gather.
-            try:
-                _b0, _b1, b_ref, s0, _s1 = self._flat_bufs
-                try:
-                    ref_flat = np.concatenate(
-                        [reference[name].ravel() for name in names], out=b_ref
-                    )
-                except ValueError:  # stale workspaces (external surgery)
-                    ref_flat = np.concatenate(
-                        [reference[name].ravel() for name in names]
-                    )
-                    if ref_flat.size != acc_flat.size:
-                        raise
-                applied_flat = np.multiply(scale, acc_flat, out=s0)
-                new_ref = ref_flat + applied_flat
-            except ValueError:
-                pass  # size drift vs the accumulator: composed loop below
-            else:
-                off = 0
-                for name in names:
-                    old = reference[name]
-                    end = off + old.size
-                    reference[name] = new_ref[off:end].reshape(old.shape)
-                    off = end
-                acc_flat[...] = 0.0
-                self._received = 0
-                return True
-        for name in reference:
-            acc = accumulated[name]
-            applied = scale * acc
-            if track:
-                update_sq += float((applied.astype(np.float64) ** 2).sum())
-                size += applied.size
-            reference[name] = reference[name] + applied
-            acc[...] = 0.0
+        applied = np.multiply(scale, acc, out=self._pull)
+        new_ref = self._join(self.reference, out=self._ref) + applied
+        self.reference.update(self._split(new_ref))
+        acc[...] = 0.0
         self._received = 0
-        if track:
+        if self._tracking():
             self.registry.counter("elastic.reference_updates").inc()
             self.registry.histogram(
                 "elastic.update_rms", buckets=_RMS_BUCKETS
-            ).observe(float(np.sqrt(update_sq / max(size, 1))))
+            ).observe(float(np.sqrt(np.mean(applied.astype(np.float64) ** 2))))
         return True
 
     def end_iteration(self) -> bool:

@@ -369,30 +369,29 @@ class AvgPipeTrainer(_TrainerBase):
 
         def epoch_fn(_: int) -> int:
             count = 0
-            pending: list[dict[str, np.ndarray]] = []
+            committed = 0  # pipelines that committed in the current round
             for batch in _batches(self.loader):
-                i = len(pending)
-                model, opt = self.models[i], self.optimizers[i]
+                i = committed
+                opt = self.optimizers[i]
                 before = self.framework.capture(i)
                 loss = self._compute_gradients(i, batch)
                 opt.clip_grad_norm(GRAD_CLIP)
                 opt.step()
-                pending.append(before)
                 self.framework.commit(i, before)
+                committed += 1
                 if telemetry is not None:
                     telemetry.record_loss(i, loss)
                     telemetry.record_samples(len(next(iter(batch.values()))))
-                if len(pending) == self.num_pipelines:
+                if committed == self.num_pipelines:
                     self.framework.end_iteration()
                     if telemetry is not None:
                         telemetry.record_round(self.framework)
-                    pending.clear()
+                    committed = 0
                 count += 1
-            if pending:  # ragged tail of the epoch
+            if committed:  # ragged tail of the epoch
                 self.framework.end_iteration()
                 if telemetry is not None:
                     telemetry.record_round(self.framework)
-                pending.clear()
             return count
 
         def evaluate() -> float:

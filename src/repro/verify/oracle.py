@@ -427,7 +427,6 @@ def elastic_equivalence_check(
     # average their constructors computed.
     for holder in (clone, oracle):
         holder.reference = {k: v.copy() for k, v in framework.reference.items()}
-        holder._accumulated = {k: np.zeros_like(v) for k, v in holder.reference.items()}
 
     for r in range(rounds):
         for i in range(len(clone.models)):

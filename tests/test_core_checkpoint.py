@@ -1,12 +1,23 @@
 """Checkpoint round-trips: a resumed run must continue bit-identically."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core.checkpoint import load_trainer, save_trainer
-from repro.core.trainer import AvgPipeTrainer
+from repro.core.trainer import GRAD_CLIP, AvgPipeTrainer, _batches
 
 from tests.test_core_trainers import tiny_awd_spec
+
+
+def _commit_one(trainer, pos, batch):
+    """One pipeline's local step and commit (trainer.train()'s inner loop)."""
+    before = trainer.framework.capture(pos)
+    trainer._compute_gradients(pos, batch)
+    trainer.optimizers[pos].clip_grad_norm(GRAD_CLIP)
+    trainer.optimizers[pos].step()
+    trainer.framework.commit(pos, before)
 
 
 def _step_epochs(trainer, epochs):
@@ -48,10 +59,46 @@ class TestCheckpointRoundTrip:
 
         # Note: the data loader reshuffles per epoch via its own counter,
         # which both paths advance identically (AWD loader is unshuffled),
-        # so weights must match exactly.
-        sf, sr = full.models[0].state_dict(), resumed.models[0].state_dict()
-        for k in sf:
-            assert np.allclose(sf[k], sr[k], atol=1e-6), k
+        # so every model and the reference must match bit for bit.
+        for mf, mr in zip(full.models, resumed.models):
+            sf, sr = mf.state_dict(), mr.state_dict()
+            for k in sf:
+                assert np.array_equal(sf[k], sr[k]), k
+        for k in full.framework.reference:
+            assert np.array_equal(full.framework.reference[k], resumed.framework.reference[k]), k
+
+    def test_save_load_save_is_byte_identical_with_inflight_round(self, tmp_path):
+        """A reload re-serializes to the same file: same array keys in the
+        same order, same dtypes and bytes, same manifest — with a
+        non-zero accumulator and a queued delta in flight."""
+        spec = tiny_awd_spec()
+        src = AvgPipeTrainer(spec, seed=0, max_epochs=1, num_pipelines=2, queue_delay=1)
+        src.train()
+        fw, batches = src.framework, iter(_batches(src.loader))
+        # Half a round: pipeline 0's delta has reached the accumulator
+        # (the epoch's ragged tail may already have left it there) and
+        # pipeline 1's is posted but not yet visible.
+        if fw._received == 0:
+            _commit_one(src, 0, next(batches))
+            assert not fw.end_iteration()
+        _commit_one(src, 1, next(batches))
+        assert fw._received == 1 and len(fw.queue) == 1
+        assert np.any(fw._acc != 0.0)
+
+        first, second = tmp_path / "a.npz", tmp_path / "b.npz"
+        save_trainer(src, first)
+        dst = AvgPipeTrainer(spec, seed=99, max_epochs=1, num_pipelines=2, queue_delay=1)
+        load_trainer(dst, first)
+        save_trainer(dst, second)
+
+        with np.load(first) as a, np.load(second) as b:
+            assert a.files == b.files
+            assert any(key.startswith("queue0/") for key in a.files)
+            for key in a.files:
+                assert a[key].dtype == b[key].dtype, key
+                assert a[key].tobytes() == b[key].tobytes(), key
+            manifest = lambda f: json.loads(bytes(f["__manifest__"]).decode("utf-8"))
+            assert manifest(a) == manifest(b)
 
     def test_optimizer_state_restored(self, tmp_path):
         spec = tiny_awd_spec()

@@ -84,12 +84,13 @@ class TestFrameworkInvariants:
             step_norms = []
             for i, (m, o) in enumerate(zip(models, opts)):
                 before = fw.capture(i)
+                start = m.state_dict()
                 m.zero_grad()
                 m.loss(batch(seed=10 * it + i)).backward()
                 o.step()
                 after = m.state_dict()
                 step_norms.append(
-                    max(np.abs(after[k] - before[k]).max() for k in before)
+                    max(np.abs(after[k] - start[k]).max() for k in start)
                 )
                 fw.commit(i, before)
             assert fw.end_iteration()
@@ -193,6 +194,43 @@ class TestFrameworkInvariants:
     def test_invalid_normalization_rejected(self):
         with pytest.raises(ValueError):
             ElasticAveragingFramework(make_models(1), update_normalization="median")
+
+    def test_mixed_parameter_dtypes_rejected(self):
+        """The flat round has one data dtype; a mix is an error, not a
+        silent promotion."""
+        models = make_models(2)
+        p = next(models[1].parameters())
+        p.data = p.data.astype(np.float64)
+        with pytest.raises(TypeError, match="one parameter dtype"):
+            ElasticAveragingFramework(models)
+
+    def test_add_model_with_other_dtype_rejected(self):
+        models = make_models(3)
+        fw = ElasticAveragingFramework(models[:2])
+        for p in models[2].parameters():
+            p.data = p.data.astype(np.float64)
+        with pytest.raises(TypeError, match="one parameter dtype"):
+            fw.add_model(models[2])
+        assert fw.num_parallel == 2
+        assert all(p.data.dtype == np.float64 for p in models[2].parameters())
+
+    def test_dtype_drift_after_layout_raises(self):
+        """A parameter promoted after the layout was fixed (e.g. by an
+        optimizer mixing in float64) fails the gather instead of being
+        averaged in a different precision."""
+        models = make_models(2)
+        fw = ElasticAveragingFramework(models)
+        before = fw.capture(0)
+        p = next(models[0].parameters())
+        p.data = p.data.astype(np.float64)
+        untouched = models[0].state_dict()
+        with pytest.raises(TypeError):
+            fw.commit(0, before)
+        with pytest.raises(TypeError):
+            fw.capture(0)
+        assert len(fw.queue) == 0
+        for k, v in models[0].state_dict().items():
+            assert v.dtype == untouched[k].dtype and np.array_equal(v, untouched[k])
 
     def test_reference_model_export(self):
         models = make_models(2)

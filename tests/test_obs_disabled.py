@@ -7,7 +7,8 @@ Three layers of the contract:
 * the sim executor produces identical measurements with and without a
   registry attached (and with the NULL registry);
 * the numeric trainer's loss trajectory and final weights are bitwise
-  identical with telemetry hooks installed vs absent.
+  identical with telemetry hooks installed vs absent, and the elastic
+  round stays so across membership changes and a checkpoint resume.
 """
 
 import numpy as np
@@ -121,3 +122,71 @@ def test_disabled_telemetry_records_nothing_through_the_trainer():
     )
     trainer.train()
     assert len(reg) == 0
+
+
+def test_elastic_rounds_bitwise_identical_with_registry_through_resize_and_resume(tmp_path):
+    """The elastic round runs the same code with a registry attached:
+    registry-on and registry-off frameworks, driven through identical
+    rounds across an evict, a rejoin and a checkpoint resume, keep
+    bitwise-equal models and references, and the counters see every
+    commit and every reference update exactly once."""
+    from repro.core.checkpoint import load_trainer, save_trainer
+    from repro.core.trainer import GRAD_CLIP, AvgPipeTrainer, _batches
+    from repro.resilience.chaos import tiny_chaos_spec
+
+    spec = tiny_chaos_spec()
+
+    def build(registry):
+        telemetry = TrainingTelemetry(registry) if registry is not None else None
+        return AvgPipeTrainer(spec, seed=3, num_pipelines=2, max_epochs=1, telemetry=telemetry)
+
+    def run_rounds(trainer, rounds):
+        batches = iter(_batches(trainer.loader))
+        for _ in range(rounds):
+            for pos in range(trainer.num_pipelines):
+                before = trainer.framework.capture(pos)
+                trainer._compute_gradients(pos, next(batches))
+                trainer.optimizers[pos].clip_grad_norm(GRAD_CLIP)
+                trainer.optimizers[pos].step()
+                trainer.framework.commit(pos, before)
+            assert trainer.framework.end_iteration()
+
+    def assert_identical(a, b):
+        assert len(a.models) == len(b.models)
+        for ma, mb in zip(a.models, b.models):
+            sa, sb = ma.state_dict(), mb.state_dict()
+            for k in sa:
+                assert np.array_equal(sa[k], sb[k]), k
+        for k, ref in a.framework.reference.items():
+            assert np.array_equal(ref, b.framework.reference[k]), k
+
+    registry = MetricRegistry()
+    bare, obs = build(None), build(registry)
+    commits = rounds = 0
+
+    def step(n):
+        nonlocal commits, rounds
+        for trainer in (bare, obs):
+            run_rounds(trainer, n)
+        commits += bare.num_pipelines * n
+        rounds += n
+        assert_identical(bare, obs)
+
+    step(3)
+    for trainer in (bare, obs):
+        trainer.evict_pipeline(1)
+    step(2)
+    for trainer in (bare, obs):
+        trainer.rejoin_pipeline()
+    step(2)
+    for name, trainer in (("bare", bare), ("obs", obs)):
+        save_trainer(trainer, tmp_path / f"{name}.npz")
+    bare, obs = build(None), build(registry)
+    load_trainer(bare, tmp_path / "bare.npz")
+    load_trainer(obs, tmp_path / "obs.npz")
+    assert_identical(bare, obs)
+    step(2)
+
+    total_commits = sum(inst.value for _, _, inst in registry.series("elastic.commits"))
+    assert total_commits == commits == 2 * 3 + 1 * 2 + 2 * 2 + 2 * 2
+    assert registry.value("elastic.reference_updates") == rounds == 9
