@@ -14,10 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.profiler import Profiler
 from repro.core.simcfg import SimCalibration
 from repro.core.trainer import (
-    AvgPipeTrainer,
     PipeDream2BWTrainer,
     PipeDreamTrainer,
     SyncTrainer,
@@ -104,21 +102,6 @@ def baseline_by_name(name: str) -> BaselineSystem:
         raise KeyError(f"unknown baseline {name!r}; available: {sorted(BASELINE_SYSTEMS)}") from None
 
 
-def _make_profiler(calibration: SimCalibration, schedule: Schedule) -> Profiler:
-    return Profiler(
-        layer_costs=calibration.layer_costs(),
-        partition=calibration.partition(),
-        schedule=schedule,
-        cluster_spec=calibration.cluster_spec(),
-        batch_size=calibration.batch_size,
-        activation_byte_scale=calibration.activation_byte_scale,
-        param_byte_scale=calibration.param_byte_scale,
-        stash_multiplier=calibration.stash_multiplier,
-        optimizer_state_factor=calibration.optimizer_state_factor,
-        with_reference_model=False,
-    )
-
-
 def choose_baseline_micro(
     system: BaselineSystem, calibration: SimCalibration, iterations: int = 2
 ) -> int:
@@ -130,7 +113,7 @@ def choose_baseline_micro(
         while calibration.batch_size % m != 0:  # Dapple pins M ~= K
             m -= 1
         return max(m, 1)
-    profiler = _make_profiler(calibration, system.schedule())
+    profiler = calibration.profiler(system.schedule(), with_reference_model=False)
     best_m, best_t = None, float("inf")
     for m in default_m_candidates(calibration.batch_size):
         result = profiler.run_setting(m, 1, iterations=iterations)
@@ -174,7 +157,7 @@ def simulate_baseline(
         )
         return runner.run(iterations=iterations)
     m = num_micro if num_micro is not None else choose_baseline_micro(system, calibration)
-    profiler = _make_profiler(calibration, system.schedule())
+    profiler = calibration.profiler(system.schedule(), with_reference_model=False)
     return profiler.run_setting(
         m, 1, iterations=iterations, record_utilization=record_utilization,
         registry=registry,

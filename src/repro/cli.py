@@ -65,7 +65,6 @@ def _cmd_plan_hetero(args: argparse.Namespace) -> int:
     profiling tuner on the heterogeneous spec with per-device memory
     budgets, and reports the full plan.
     """
-    from repro.core.profiler import Profiler
     from repro.core.simcfg import calibration_for
     from repro.core.tuner import ProfilingTuner
     from repro.schedules import AdvanceFPSchedule
@@ -75,17 +74,11 @@ def _cmd_plan_hetero(args: argparse.Namespace) -> int:
     cspec = cal.cluster_spec(args.hetero)
     costs = cal.layer_costs()
     partition, placement = cal.hetero_plan(args.hetero, costs)
-    profiler = Profiler(
-        layer_costs=costs,
+    profiler = cal.profiler(
+        AdvanceFPSchedule(2),
+        variant=args.hetero,
+        costs=costs,
         partition=partition,
-        schedule=AdvanceFPSchedule(2),
-        cluster_spec=cspec,
-        batch_size=cal.batch_size,
-        activation_byte_scale=cal.activation_byte_scale,
-        param_byte_scale=cal.param_byte_scale,
-        stash_multiplier=cal.stash_multiplier,
-        optimizer_state_factor=cal.optimizer_state_factor,
-        with_reference_model=True,
         placement=placement,
     )
     budget = args.memory_mib * MIB if args.memory_mib else None
@@ -216,20 +209,11 @@ def _print_figure(name: str, data) -> None:
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
     from repro.core.simcfg import calibration_for
-    from repro.core.profiler import Profiler
     from repro.schedules import schedule_by_name
 
     cal = calibration_for(args.workload)
-    profiler = Profiler(
-        layer_costs=cal.layer_costs(),
-        partition=cal.partition(),
-        schedule=schedule_by_name(args.schedule, advance=args.advance),
-        cluster_spec=cal.cluster_spec(),
-        batch_size=cal.batch_size,
-        activation_byte_scale=cal.activation_byte_scale,
-        param_byte_scale=cal.param_byte_scale,
-        stash_multiplier=cal.stash_multiplier,
-        optimizer_state_factor=cal.optimizer_state_factor,
+    profiler = cal.profiler(
+        schedule_by_name(args.schedule, advance=args.advance),
         activation_recompute=args.recompute,
     )
     result = profiler.run_setting(args.micro, args.pipelines, iterations=1, render_timeline=True)
@@ -358,7 +342,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _tune_profiler(args: argparse.Namespace):
     """The profiler `repro tune` measures against: uniform or hetero."""
-    from repro.core.profiler import Profiler
     from repro.core.simcfg import calibration_for
     from repro.schedules import AdvanceFPSchedule
 
@@ -366,19 +349,7 @@ def _tune_profiler(args: argparse.Namespace):
         from repro.experiments.fig18_19_tuning import variant_profiler
 
         return variant_profiler(args.workload, args.hetero)
-    cal = calibration_for(args.workload)
-    return Profiler(
-        layer_costs=cal.layer_costs(),
-        partition=cal.partition(),
-        schedule=AdvanceFPSchedule(2),
-        cluster_spec=cal.cluster_spec(),
-        batch_size=cal.batch_size,
-        activation_byte_scale=cal.activation_byte_scale,
-        param_byte_scale=cal.param_byte_scale,
-        stash_multiplier=cal.stash_multiplier,
-        optimizer_state_factor=cal.optimizer_state_factor,
-        with_reference_model=True,
-    )
+    return calibration_for(args.workload).profiler(AdvanceFPSchedule(2))
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:

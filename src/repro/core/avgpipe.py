@@ -63,17 +63,8 @@ class AvgPipe:
     # ------------------------------------------------------------------ #
 
     def _profiler(self, schedule) -> Profiler:
-        return Profiler(
-            layer_costs=self.layer_costs,
-            partition=self.partition,
-            schedule=schedule,
-            cluster_spec=self.calibration.cluster_spec(),
-            batch_size=self.calibration.batch_size,
-            activation_byte_scale=self.calibration.activation_byte_scale,
-            param_byte_scale=self.calibration.param_byte_scale,
-            stash_multiplier=self.calibration.stash_multiplier,
-            optimizer_state_factor=self.calibration.optimizer_state_factor,
-            with_reference_model=True,
+        return self.calibration.profiler(
+            schedule, costs=self.layer_costs, partition=self.partition
         )
 
     def plan(

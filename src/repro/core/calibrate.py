@@ -82,7 +82,6 @@ def run_calibration(
         choose_baseline_micro,
         simulate_baseline,
     )
-    from repro.core.profiler import Profiler
     from repro.schedules.base import AdvanceFPSchedule
 
     rows: list[CalibrationRow] = []
@@ -112,18 +111,7 @@ def run_calibration(
         rows.append(row)
         _publish(registry, row)
 
-    profiler = Profiler(
-        cal.layer_costs(),
-        cal.partition(),
-        AdvanceFPSchedule(2),
-        cal.cluster_spec(),
-        cal.batch_size,
-        activation_byte_scale=cal.activation_byte_scale,
-        param_byte_scale=cal.param_byte_scale,
-        stash_multiplier=cal.stash_multiplier,
-        optimizer_state_factor=cal.optimizer_state_factor,
-        with_reference_model=True,
-    )
+    profiler = cal.profiler(AdvanceFPSchedule(2))
     for m, n in avgpipe_settings:
         if cal.batch_size % m:
             continue

@@ -21,11 +21,15 @@ paper in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
+from repro.core.profiler import Profiler
+from repro.core.tuner import plan_for_spec
 from repro.graph.cost_model import LayerCost, model_costs
-from repro.graph.partitioner import Partition, partition_model, search_partition_placement
+from repro.graph.partitioner import Partition, partition_model
+from repro.graph.partitioner import search_partition_placement  # noqa: F401  (patched by benchmarks/e2e/spans.py)
 from repro.models.registry import WorkloadSpec, build_workload
+from repro.schedules.base import Schedule
 from repro.sim.cluster import ClusterSpec
 from repro.sim.device import UtilizationCurve
 from repro.sim.hetero import hetero_variant
@@ -97,33 +101,57 @@ class SimCalibration:
         costs: list[LayerCost] | None = None,
         with_memory_caps: bool = False,
     ) -> tuple[Partition, tuple[int, ...]]:
-        """Balanced partition + placement for a canned hetero variant.
+        """Partition + placement for a canned hetero variant.
 
-        Uses the same calibration constants as :meth:`partition` (byte
-        re-inflation, comm_weight 0.2) but against the variant's
-        per-device speeds and link matrix.  ``with_memory_caps`` adds the
-        variant's per-device capacities as DP feasibility caps, charging
-        each layer 3x its (re-inflated) parameter bytes.
+        :func:`~repro.core.tuner.plan_for_spec` with the same calibration
+        constants as :meth:`partition` (byte re-inflation, comm_weight
+        0.2) against the variant's per-device speeds and link matrix.
+        ``with_memory_caps`` adds the variant's per-device capacities as
+        DP feasibility caps, charging each layer 3x its (re-inflated)
+        parameter bytes.
+        """
+        cspec = self.cluster_spec(variant)
+        return plan_for_spec(
+            costs or self.layer_costs(),
+            cspec,
+            activation_byte_scale=self.activation_byte_scale,
+            param_byte_scale=self.param_byte_scale,
+            comm_weight=0.2,
+            memory_caps=cspec.memory_vector() if with_memory_caps else None,
+        )
+
+    def profiler(
+        self,
+        schedule: Schedule,
+        *,
+        variant: str | None = None,
+        costs: list[LayerCost] | None = None,
+        partition: Partition | None = None,
+        placement: tuple[int, ...] | None = None,
+        with_reference_model: bool = True,
+        activation_recompute: bool = False,
+    ) -> Profiler:
+        """A :class:`Profiler` carrying this calibration's constants.
+
+        ``variant`` picks the cluster (:meth:`cluster_spec`); ``costs``
+        and ``partition`` default to :meth:`layer_costs` and
+        :meth:`partition`.  Every other argument passes straight through.
         """
         costs = costs or self.layer_costs()
-        cspec = self.cluster_spec(variant)
-        matrix = [
-            [bw / self.activation_byte_scale for bw in row]
-            for row in cspec.bandwidth_matrix()
-        ]
-        part, perm, _ = search_partition_placement(
-            costs,
-            self.num_devices,
-            device_speeds=cspec.speed_vector(),
-            bandwidth_matrix=matrix,
-            memory_caps=cspec.memory_vector() if with_memory_caps else None,
-            flops_per_sec=cspec.peak_flops,
-            comm_weight=0.2,
-            layer_memory_bytes=[
-                3.0 * c.param_bytes * self.param_byte_scale for c in costs
-            ],
+        return Profiler(
+            layer_costs=costs,
+            partition=partition if partition is not None else self.partition(costs),
+            schedule=schedule,
+            cluster_spec=self.cluster_spec(variant),
+            batch_size=self.batch_size,
+            activation_byte_scale=self.activation_byte_scale,
+            param_byte_scale=self.param_byte_scale,
+            stash_multiplier=self.stash_multiplier,
+            optimizer_state_factor=self.optimizer_state_factor,
+            with_reference_model=with_reference_model,
+            activation_recompute=activation_recompute,
+            placement=placement,
         )
-        return part, perm
 
 
 SIM_CALIBRATIONS: dict[str, SimCalibration] = {

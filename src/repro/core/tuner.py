@@ -18,14 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.predictor import Prediction, Predictor, fits_memory
+from repro.core.predictor import Predictor
 from repro.core.profiler import Profile, Profiler
 from repro.graph.cost_model import LayerCost
-from repro.graph.partitioner import (
-    Partition,
-    partition_model,
-    search_partition_placement,
-)
+from repro.graph.partitioner import Partition, search_partition_placement
+from repro.graph.partitioner import partition_model  # noqa: F401  (patched by benchmarks/e2e/spans.py)
 from repro.sim.cluster import ClusterSpec
 
 __all__ = [
@@ -72,20 +69,22 @@ def plan_for_spec(
     memory_caps: Sequence[float] | None = None,
     history=None,
 ) -> tuple[Partition, tuple[int, ...]]:
-    """Partition + placement for a (possibly heterogeneous) cluster spec.
+    """Partition + placement for a cluster spec, uniform or not.
 
-    On a uniform spec this is exactly the legacy planner —
-    :func:`partition_model` against the inter-node bandwidth, straight-
-    chain placement — bit for bit.  On a heterogeneous spec it runs the
-    joint balanced-partition/placement search against the spec's
-    per-device speeds, link matrix and (optional) per-device memory caps.
+    Runs the joint partition/placement search against the spec's
+    per-device speeds, link matrix and (optional) per-device memory
+    caps, charging each layer 3x its parameter bytes.  A uniform spec is
+    the degenerate case: its link matrix prices every cut at the
+    inter-node bandwidth (the seed planner's pricing), all devices are
+    interchangeable, and the search runs one DP with the straight-chain
+    placement.  ``num_stages`` defaults to, and must equal, the spec's
+    device count.
 
     ``history`` (None, a :class:`~repro.tune.store.RunStore`, or a path)
     consults the run-history store: when records exist for this cluster
     and show the Eq.-8 model under-predicting measured peaks, the
-    per-layer memory charge is inflated by the learned headroom before
-    the placement search.  With no history — or no matching records —
-    the legacy expressions run unchanged, bit for bit.
+    per-layer memory charge is inflated by the learned headroom.  With
+    no history — or no matching records — the headroom is exactly 1.0.
     """
     k = num_stages if num_stages is not None else cluster_spec.num_devices
     headroom = 1.0
@@ -97,35 +96,20 @@ def plan_for_spec(
             as_store(history), cluster_fingerprint(cluster_spec)
         )
     if cluster_spec.is_uniform:
-        part = partition_model(
-            layer_costs,
-            k,
-            bandwidth_bytes_per_sec=cluster_spec.inter_node_bandwidth
-            / activation_byte_scale,
-            flops_per_sec=cluster_spec.peak_flops,
-            comm_weight=comm_weight,
-        )
-        return part, tuple(range(k))
-    matrix = [
-        [bw / activation_byte_scale for bw in row]
-        for row in cluster_spec.bandwidth_matrix()
-    ]
+        links = [[cluster_spec.inter_node_bandwidth] * k for _ in range(k)]
+    else:
+        links = cluster_spec.bandwidth_matrix()
     part, perm, _ = search_partition_placement(
         layer_costs,
         k,
         device_speeds=cluster_spec.speed_vector(),
-        bandwidth_matrix=matrix,
+        bandwidth_matrix=[[bw / activation_byte_scale for bw in row] for row in links],
         memory_caps=memory_caps,
         flops_per_sec=cluster_spec.peak_flops,
         comm_weight=comm_weight,
-        layer_memory_bytes=(
-            [3.0 * c.param_bytes * param_byte_scale for c in layer_costs]
-            if headroom == 1.0
-            else [
-                3.0 * c.param_bytes * param_byte_scale * headroom
-                for c in layer_costs
-            ]
-        ),
+        layer_memory_bytes=[
+            3.0 * c.param_bytes * param_byte_scale * headroom for c in layer_costs
+        ],
     )
     return part, perm
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.profiler import Profiler
 from repro.core.simcfg import calibration_for
 from repro.schedules import AFABSchedule, AdvanceFPSchedule, OneFOneBSchedule
 
@@ -36,21 +35,6 @@ class Fig17Row:
     oom: bool = False
 
 
-def _profiler(cal, schedule) -> Profiler:
-    return Profiler(
-        layer_costs=cal.layer_costs(),
-        partition=cal.partition(),
-        schedule=schedule,
-        cluster_spec=cal.cluster_spec(),
-        batch_size=cal.batch_size,
-        activation_byte_scale=cal.activation_byte_scale,
-        param_byte_scale=cal.param_byte_scale,
-        stash_multiplier=cal.stash_multiplier,
-        optimizer_state_factor=cal.optimizer_state_factor,
-        with_reference_model=True,
-    )
-
-
 def run_fig17(workloads: tuple[str, ...] = ("gnmt", "bert", "awd"), advance: int = 4) -> dict:
     """Regenerate the Figure-17 schedule ablation at N=1."""
     rows: list[Fig17Row] = []
@@ -63,7 +47,7 @@ def run_fig17(workloads: tuple[str, ...] = ("gnmt", "bert", "awd"), advance: int
             ("1F1B", OneFOneBSchedule(versions=1)),
             (f"advance-FP({adv})", AdvanceFPSchedule(adv)),
         ):
-            res = _profiler(cal, sched).run_setting(m, 1, iterations=3)
+            res = cal.profiler(sched).run_setting(m, 1, iterations=3)
             if res.oom is not None:
                 rows.append(Fig17Row(wl, label, None, None, None, None, oom=True))
                 continue

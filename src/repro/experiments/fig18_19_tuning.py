@@ -61,22 +61,6 @@ class TuningRow:
     time_per_batch: float
 
 
-def _profiler(workload: str) -> Profiler:
-    cal = calibration_for(workload)
-    return Profiler(
-        layer_costs=cal.layer_costs(),
-        partition=cal.partition(),
-        schedule=AdvanceFPSchedule(2),
-        cluster_spec=cal.cluster_spec(),
-        batch_size=cal.batch_size,
-        activation_byte_scale=cal.activation_byte_scale,
-        param_byte_scale=cal.param_byte_scale,
-        stash_multiplier=cal.stash_multiplier,
-        optimizer_state_factor=cal.optimizer_state_factor,
-        with_reference_model=True,
-    )
-
-
 @functools.lru_cache(maxsize=None)  # Figures 18 and 19 share one sweep
 def run_tuning(workloads: tuple[str, ...] = ("gnmt", "bert", "awd")) -> dict:
     """Run all four tuning strategies on every workload (cached)."""
@@ -99,9 +83,11 @@ def run_tuning(workloads: tuple[str, ...] = ("gnmt", "bert", "awd")) -> dict:
                 )
             )
 
-        add(TraversalTuner(_profiler(wl), limit).tune(n_candidates=n_candidates))
-        add(ProfilingTuner(_profiler(wl), limit).tune(n_candidates=n_candidates))
-        guide = GuidelineTuner(_profiler(wl), limit)
+        add(TraversalTuner(cal.profiler(AdvanceFPSchedule(2)), limit).tune(
+            n_candidates=n_candidates))
+        add(ProfilingTuner(cal.profiler(AdvanceFPSchedule(2)), limit).tune(
+            n_candidates=n_candidates))
+        guide = GuidelineTuner(cal.profiler(AdvanceFPSchedule(2)), limit)
         add(guide.tune("max-num", n_candidates=n_candidates))
         add(guide.tune("max-size", n_candidates=n_candidates))
     return {"rows": rows}
@@ -158,17 +144,11 @@ def variant_profiler(workload: str, variant: str) -> Profiler:
     costs = cal.layer_costs()
     partition, placement = cal.hetero_plan(variant, costs, with_memory_caps=True)
     identity = placement == tuple(range(partition.num_stages))
-    return Profiler(
-        layer_costs=costs,
+    return cal.profiler(
+        AdvanceFPSchedule(2),
+        variant=variant,
+        costs=costs,
         partition=partition,
-        schedule=AdvanceFPSchedule(2),
-        cluster_spec=cal.cluster_spec(variant),
-        batch_size=cal.batch_size,
-        activation_byte_scale=cal.activation_byte_scale,
-        param_byte_scale=cal.param_byte_scale,
-        stash_multiplier=cal.stash_multiplier,
-        optimizer_state_factor=cal.optimizer_state_factor,
-        with_reference_model=True,
         placement=None if identity else placement,
     )
 

@@ -7,12 +7,12 @@ planning strategies:
 * ``uniform-partition`` — the seed planner: :func:`partition_model`
   computed as if the cluster were uniform, straight-chain placement.
   This is what a heterogeneity-blind tuner would deploy.
-* ``balanced`` — BaPipe-style :func:`partition_balanced` against the
-  variant's per-device speeds and per-link bandwidths, still
+* ``balanced`` — the BaPipe-style :func:`partition_model` DP against
+  the variant's per-device speeds and per-link bandwidths, still
   straight-chain (stage k on device k).
 * ``balanced+placement`` — the joint search
   (:func:`search_partition_placement`): every stage->device permutation
-  re-runs the balanced DP and the cheapest plan wins (Luo et al.,
+  re-runs the DP and the cheapest plan wins (Luo et al.,
   arXiv:2204.10562).
 
 The headline quantity is simulated batch time per strategy and the
@@ -26,9 +26,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from repro.core.profiler import Profiler
 from repro.core.simcfg import SimCalibration, calibration_for
-from repro.graph.partitioner import Partition, partition_balanced
+from repro.graph.partitioner import Partition, partition_model
 from repro.schedules import AdvanceFPSchedule
 from repro.sim.hetero import hetero_variant_names
 
@@ -63,7 +62,7 @@ def plan_strategies(
     ]
     # identity-placement slot bandwidths: the link into stage k is k-1 -> k
     chain_bw = [float("inf")] + [matrix[i - 1][i] for i in range(1, k)]
-    balanced = partition_balanced(
+    balanced = partition_model(
         costs,
         k,
         device_speeds=cspec.speed_vector(),
@@ -88,17 +87,11 @@ def _simulate(
     num_micro: int,
     iterations: int,
 ) -> float:
-    profiler = Profiler(
-        layer_costs=costs,
+    profiler = cal.profiler(
+        AdvanceFPSchedule(2),
+        variant=variant,
+        costs=costs,
         partition=partition,
-        schedule=AdvanceFPSchedule(2),
-        cluster_spec=cal.cluster_spec(variant),
-        batch_size=cal.batch_size,
-        activation_byte_scale=cal.activation_byte_scale,
-        param_byte_scale=cal.param_byte_scale,
-        stash_multiplier=cal.stash_multiplier,
-        optimizer_state_factor=cal.optimizer_state_factor,
-        with_reference_model=True,
         placement=placement,
     )
     result = profiler.run_setting(num_micro, 1, iterations=iterations)

@@ -11,11 +11,9 @@ from repro.graph.cost_model import LayerCost, model_costs, profile_layer_costs
 from repro.graph.partitioner import (
     Partition,
     balanced_bottleneck,
-    partition_balanced,
     partition_model,
     partition_uniform,
     search_partition_placement,
-    search_placement,
     stage_memory_bytes,
     stage_spans,
 )
@@ -26,11 +24,9 @@ __all__ = [
     "profile_layer_costs",
     "Partition",
     "partition_model",
-    "partition_balanced",
     "partition_uniform",
     "stage_spans",
     "balanced_bottleneck",
     "stage_memory_bytes",
-    "search_placement",
     "search_partition_placement",
 ]

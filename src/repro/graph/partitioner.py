@@ -9,19 +9,23 @@ for a straight chain (no replication, as the paper uses it) the
 recurrence is
 
     T(j, k) = min over i < j of max( T(i, k-1),
-                                     comm(i),
-                                     sum_{l in (i, j]} compute(l) )
+                                     comm_k(i) + compute(i, j] / speed_k )
 
-where ``comm(i)`` is the activation traffic of the cut after layer i.
-A brute-force enumerator in the tests certifies optimality on small
+where ``comm_k(i)`` is the activation traffic of the cut after layer i
+priced at the bandwidth of the link into stage k.  A uniform cluster is
+the degenerate case (unit speeds, one bandwidth, no memory caps).  A
+brute-force enumerator in the tests certifies optimality on small
 instances.
+
+:func:`search_partition_placement` adds the stage->device placement on
+top: it re-runs the DP per candidate permutation, visiting one placement
+per orbit of interchangeable devices.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,12 +34,10 @@ from repro.graph.cost_model import LayerCost
 __all__ = [
     "Partition",
     "partition_model",
-    "partition_balanced",
     "partition_uniform",
     "stage_spans",
     "balanced_bottleneck",
     "stage_memory_bytes",
-    "search_placement",
     "search_partition_placement",
 ]
 
@@ -76,89 +78,6 @@ def stage_spans(partition: Partition) -> list[tuple[int, int]]:
     return [partition.span(k) for k in range(partition.num_stages)]
 
 
-def bottleneck_time(
-    costs: Sequence[LayerCost],
-    boundaries: Sequence[int],
-    bandwidth_bytes_per_sec: float,
-    sample_rate: float = 1.0,
-) -> float:
-    """Steady-state bottleneck of a candidate partition (per sample)."""
-    worst = 0.0
-    k_stages = len(boundaries) - 1
-    for k in range(k_stages):
-        lo, hi = boundaries[k], boundaries[k + 1]
-        compute = sum(c.flops_per_sample for c in costs[lo:hi]) * sample_rate
-        comm = 0.0
-        if k > 0:  # receive cost of the stage's input cut
-            comm = costs[lo - 1].activation_bytes_per_sample / bandwidth_bytes_per_sec
-        worst = max(worst, compute + comm)
-    return worst
-
-
-def partition_model(
-    costs: Sequence[LayerCost],
-    num_stages: int,
-    bandwidth_bytes_per_sec: float = 1e9 / 8,
-    flops_per_sec: float = 1.0,
-    comm_weight: float = 0.5,
-) -> Partition:
-    """Optimal contiguous K-stage partition via the PipeDream DP.
-
-    ``flops_per_sec`` converts the cost model's flops into time so compute
-    and communication are in common units; the default treats flops as
-    already-normalized time (useful with profiled costs).
-
-    ``comm_weight`` discounts the input-cut communication added to a
-    stage's service time: schedules overlap part of each transfer with
-    compute, so pricing it fully makes the DP hoard layers on stage 0
-    (which pays no input cut) and unbalances compute.  0.5 reflects the
-    roughly-half-exposed transfers the simulator shows for 1F1B.
-    """
-    n = len(costs)
-    if num_stages <= 0:
-        raise ValueError(f"num_stages must be positive, got {num_stages}")
-    if num_stages > n:
-        raise ValueError(f"cannot split {n} layers into {num_stages} stages")
-
-    compute = np.array([c.flops_per_sample / flops_per_sec for c in costs])
-    prefix = np.concatenate([[0.0], np.cumsum(compute)])
-    comm_after = comm_weight * np.array(
-        [c.activation_bytes_per_sample / bandwidth_bytes_per_sec for c in costs]
-    )
-
-    # dp[k][j] = best bottleneck for first j layers in k stages.  A
-    # stage's steady-state service time is its compute plus the (receive)
-    # communication of its input cut — modelling them additively, as
-    # PipeDream's planner does, also breaks ties toward balanced compute
-    # when a slow interconnect would otherwise make every cut look equal.
-    inf = float("inf")
-    dp = np.full((num_stages + 1, n + 1), inf)
-    choice = np.full((num_stages + 1, n + 1), -1, dtype=int)
-    dp[0][0] = 0.0
-    for k in range(1, num_stages + 1):
-        for j in range(k, n + 1):
-            # last stage covers layers (i, j]; i ranges over k-1 .. j-1
-            for i in range(k - 1, j):
-                if dp[k - 1][i] == inf:
-                    continue
-                stage_compute = prefix[j] - prefix[i]
-                cut_comm = comm_after[i - 1] if i > 0 else 0.0
-                candidate = max(dp[k - 1][i], stage_compute + cut_comm)
-                if candidate < dp[k][j]:
-                    dp[k][j] = candidate
-                    choice[k][j] = i
-    if dp[num_stages][n] == inf:
-        raise RuntimeError("partition DP failed to find a feasible cut")
-
-    boundaries = [n]
-    j = n
-    for k in range(num_stages, 0, -1):
-        j = int(choice[k][j])
-        boundaries.append(j)
-    boundaries.reverse()
-    return Partition(boundaries=tuple(boundaries))
-
-
 def _layer_memory(
     costs: Sequence[LayerCost],
     layer_memory_bytes: Sequence[float] | None,
@@ -193,24 +112,22 @@ def stage_memory_bytes(
     ]
 
 
-def _cut_bandwidth(
-    bandwidth_bytes_per_sec: float | Sequence[float],
-    stage: int,
-    num_stages: int,
-) -> float:
-    """Bandwidth of the cut feeding ``stage`` (1-based over cuts)."""
+def _stage_bandwidths(
+    bandwidth_bytes_per_sec: float | Sequence[float], num_stages: int
+) -> list[float]:
+    """Per-stage input-link bandwidths; a scalar prices every cut alike."""
     if isinstance(bandwidth_bytes_per_sec, (int, float)):
-        return float(bandwidth_bytes_per_sec)
+        return [bandwidth_bytes_per_sec] * num_stages
     if len(bandwidth_bytes_per_sec) != num_stages:
         raise ValueError(
             f"per-stage bandwidth needs {num_stages} entries "
             f"(entry k = link into stage k; entry 0 unused), "
             f"got {len(bandwidth_bytes_per_sec)}"
         )
-    return float(bandwidth_bytes_per_sec[stage])
+    return list(bandwidth_bytes_per_sec)
 
 
-def partition_balanced(
+def partition_model(
     costs: Sequence[LayerCost],
     num_stages: int,
     *,
@@ -221,31 +138,38 @@ def partition_balanced(
     memory_caps: Sequence[float] | None = None,
     layer_memory_bytes: Sequence[float] | None = None,
 ) -> Partition:
-    """BaPipe-style balanced partition over (possibly) unequal devices.
+    """Optimal contiguous K-stage partition via the PipeDream DP.
 
-    Generalizes :func:`partition_model` three ways:
+    ``flops_per_sec`` converts the cost model's flops into time so compute
+    and communication are in common units; the default treats flops as
+    already-normalized time (useful with profiled costs).
 
-    * ``device_speeds[k]`` scales stage k's compute time by 1/speed — a
-      half-speed device makes its stage twice as expensive, so the DP
-      gives it proportionally fewer layers (arXiv:2012.12544);
+    ``comm_weight`` discounts the input-cut communication added to a
+    stage's service time: schedules overlap part of each transfer with
+    compute, so pricing it fully makes the DP hoard layers on stage 0
+    (which pays no input cut) and unbalances compute.  0.5 reflects the
+    roughly-half-exposed transfers the simulator shows for 1F1B.
+
+    Three inputs describe unequal devices (BaPipe, arXiv:2012.12544):
+
+    * ``device_speeds[k]`` divides stage k's compute time, so a slow
+      device is handed proportionally fewer layers (default: all 1.0,
+      and IEEE ``x / 1.0`` is exact);
     * ``bandwidth_bytes_per_sec`` may be per-stage: entry k is the
       bandwidth of the link *into* stage k (entry 0 is unused since
       stage 0 pays no input cut);
     * ``memory_caps[k]`` bounds the resident bytes of stage k
       (:func:`stage_memory_bytes`); candidates that overflow a cap are
       infeasible rather than merely expensive.
-
-    On a *uniform* call — ``device_speeds=None``, scalar bandwidth, no
-    caps — every float operation and loop order matches
-    :func:`partition_model` exactly, so the result is bitwise identical
-    (the differential tests pin this).
     """
     n = len(costs)
     if num_stages <= 0:
         raise ValueError(f"num_stages must be positive, got {num_stages}")
     if num_stages > n:
         raise ValueError(f"cannot split {n} layers into {num_stages} stages")
-    if device_speeds is not None:
+    if device_speeds is None:
+        speeds = [1.0] * num_stages
+    else:
         if len(device_speeds) != num_stages:
             raise ValueError(
                 f"device_speeds has {len(device_speeds)} entries "
@@ -253,71 +177,66 @@ def partition_balanced(
             )
         if any(s <= 0 for s in device_speeds):
             raise ValueError(f"device speeds must be positive: {device_speeds}")
-    if memory_caps is not None and len(memory_caps) != num_stages:
-        raise ValueError(
-            f"memory_caps has {len(memory_caps)} entries for {num_stages} stages"
-        )
+        speeds = list(device_speeds)
+    bandwidths = _stage_bandwidths(bandwidth_bytes_per_sec, num_stages)
+    inf = float("inf")
+    if memory_caps is None:
+        caps = [inf] * num_stages
+        mem_prefix = [0.0] * (n + 1)
+    else:
+        if len(memory_caps) != num_stages:
+            raise ValueError(
+                f"memory_caps has {len(memory_caps)} entries for {num_stages} stages"
+            )
+        caps = list(memory_caps)
+        mem = _layer_memory(costs, layer_memory_bytes)
+        mem_prefix = np.concatenate([[0.0], np.cumsum(mem)]).tolist()
 
     compute = np.array([c.flops_per_sample / flops_per_sec for c in costs])
-    prefix = np.concatenate([[0.0], np.cumsum(compute)])
-    uniform_bw = isinstance(bandwidth_bytes_per_sec, (int, float))
-    if uniform_bw:
-        comm_after = comm_weight * np.array(
-            [c.activation_bytes_per_sample / bandwidth_bytes_per_sec for c in costs]
-        )
-    else:
-        # validate the shape up front even though values are read per-k
-        _cut_bandwidth(bandwidth_bytes_per_sec, num_stages - 1, num_stages)
-    mem = None
-    mem_prefix = None
-    if memory_caps is not None:
-        mem = _layer_memory(costs, layer_memory_bytes)
-        mem_prefix = np.concatenate([[0.0], np.cumsum(mem)])
+    prefix = np.concatenate([[0.0], np.cumsum(compute)]).tolist()
+    acts = [c.activation_bytes_per_sample for c in costs]
 
-    inf = float("inf")
-    dp = np.full((num_stages + 1, n + 1), inf)
-    choice = np.full((num_stages + 1, n + 1), -1, dtype=int)
+    # dp[k][j] = best bottleneck for first j layers in k stages.  A
+    # stage's steady-state service time is its compute plus the (receive)
+    # communication of its input cut — modelling them additively, as
+    # PipeDream's planner does, also breaks ties toward balanced compute
+    # when a slow interconnect would otherwise make every cut look equal.
+    dp = [[inf] * (n + 1) for _ in range(num_stages + 1)]
+    choice = [[-1] * (n + 1) for _ in range(num_stages + 1)]
     dp[0][0] = 0.0
     for k in range(1, num_stages + 1):
-        speed = 1.0 if device_speeds is None else device_speeds[k - 1]
+        speed, cap, prev = speeds[k - 1], caps[k - 1], dp[k - 1]
+        # comm[i]: input cut of a stage whose first layer is i (stage 1
+        # can only start at layer 0, which pays no cut)
+        if k == 1:
+            comm = [0.0] * n
+        else:
+            bandwidth = bandwidths[k - 1]
+            comm = [0.0] + [comm_weight * (a / bandwidth) for a in acts[:-1]]
         for j in range(k, n + 1):
+            # last stage covers layers (i, j]; i ranges over k-1 .. j-1
+            best, best_i = inf, -1
+            prefix_j, mem_j = prefix[j], mem_prefix[j]
             for i in range(k - 1, j):
-                if dp[k - 1][i] == inf:
+                before = prev[i]
+                if before == inf or mem_j - mem_prefix[i] > cap:
                     continue
-                if (
-                    mem_prefix is not None
-                    and mem_prefix[j] - mem_prefix[i] > memory_caps[k - 1]
-                ):
-                    continue
-                stage_compute = prefix[j] - prefix[i]
-                if device_speeds is not None:
-                    stage_compute = stage_compute / speed
-                if i > 0:
-                    if uniform_bw:
-                        cut_comm = comm_after[i - 1]
-                    else:
-                        cut_comm = comm_weight * (
-                            costs[i - 1].activation_bytes_per_sample
-                            / _cut_bandwidth(
-                                bandwidth_bytes_per_sec, k - 1, num_stages
-                            )
-                        )
-                else:
-                    cut_comm = 0.0
-                candidate = max(dp[k - 1][i], stage_compute + cut_comm)
-                if candidate < dp[k][j]:
-                    dp[k][j] = candidate
-                    choice[k][j] = i
+                service = (prefix_j - prefix[i]) / speed + comm[i]
+                candidate = service if service > before else before
+                if candidate < best:
+                    best, best_i = candidate, i
+            dp[k][j] = best
+            choice[k][j] = best_i
     if dp[num_stages][n] == inf:
         raise RuntimeError(
-            "balanced partition DP found no feasible cut "
+            "partition DP found no feasible cut "
             "(memory caps too tight for a contiguous K-stage split)"
         )
 
     boundaries = [n]
     j = n
     for k in range(num_stages, 0, -1):
-        j = int(choice[k][j])
+        j = choice[k][j]
         boundaries.append(j)
     boundaries.reverse()
     return Partition(boundaries=tuple(boundaries))
@@ -333,8 +252,9 @@ def balanced_bottleneck(
     comm_weight: float = 0.5,
 ) -> float:
     """Max per-stage service time of a candidate partition under the
-    same cost model :func:`partition_balanced` optimizes."""
+    same cost model :func:`partition_model` optimizes."""
     k_stages = len(boundaries) - 1
+    bandwidths = _stage_bandwidths(bandwidth_bytes_per_sec, k_stages)
     worst = 0.0
     for k in range(k_stages):
         lo, hi = boundaries[k], boundaries[k + 1]
@@ -344,8 +264,7 @@ def balanced_bottleneck(
         cut_comm = 0.0
         if k > 0:
             cut_comm = comm_weight * (
-                costs[lo - 1].activation_bytes_per_sample
-                / _cut_bandwidth(bandwidth_bytes_per_sec, k, k_stages)
+                costs[lo - 1].activation_bytes_per_sample / bandwidths[k]
             )
         worst = max(worst, stage_compute + cut_comm)
     return worst
@@ -373,68 +292,67 @@ def _slot_views(
     return slot_speeds, slot_bw, slot_caps
 
 
-def _candidate_placements(
-    num_stages: int, max_exhaustive: int
-) -> "itertools.chain | list":
-    identity = tuple(range(num_stages))
-    if num_stages <= max_exhaustive:
-        # identity comes first for sorted input, so strict-< keeps it on ties
-        return itertools.permutations(range(num_stages))
-    return [identity]
-
-
-def search_placement(
-    costs: Sequence[LayerCost],
-    boundaries: Sequence[int],
-    *,
+def _device_groups(
     device_speeds: Sequence[float],
     bandwidth_matrix: Sequence[Sequence[float]],
-    flops_per_sec: float = 1.0,
-    comm_weight: float = 0.5,
-    max_exhaustive: int = 7,
-) -> tuple[tuple[int, ...], float]:
-    """Best stage->device permutation for a *fixed* partition.
+    memory_caps: Sequence[float] | None,
+) -> list[int]:
+    """Group label (its smallest member) of every device.
 
-    Returns ``(placement, bottleneck)`` where ``placement[k]`` is the
-    device hosting stage k.  Ties keep the identity (straight chain).
-    For K > ``max_exhaustive`` a greedy pairwise-swap descent from the
-    identity replaces exhaustive enumeration.
+    Devices a and b are interchangeable when swapping their labels
+    changes nothing the DP reads: equal speed, equal cap (when caps are
+    given) and every off-diagonal link bandwidth preserved.  Such swaps
+    compose, so interchangeability is an equivalence relation.
     """
-    k_stages = len(boundaries) - 1
+    d = len(device_speeds)
 
-    def evaluate(placement: Sequence[int]) -> float:
-        slot_speeds, slot_bw, _ = _slot_views(
-            placement, device_speeds, bandwidth_matrix, None
-        )
-        return balanced_bottleneck(
-            costs,
-            boundaries,
-            device_speeds=slot_speeds,
-            bandwidth_bytes_per_sec=slot_bw,
-            flops_per_sec=flops_per_sec,
-            comm_weight=comm_weight,
+    def swapped(x: int, a: int, b: int) -> int:
+        return b if x == a else a if x == b else x
+
+    def interchangeable(a: int, b: int) -> bool:
+        if device_speeds[a] != device_speeds[b]:
+            return False
+        if memory_caps is not None and memory_caps[a] != memory_caps[b]:
+            return False
+        return all(
+            bandwidth_matrix[swapped(i, a, b)][swapped(j, a, b)]
+            == bandwidth_matrix[i][j]
+            for i in range(d)
+            for j in range(d)
+            if i != j
         )
 
-    best = tuple(range(k_stages))
-    best_time = evaluate(best)
-    if k_stages <= max_exhaustive:
-        for perm in itertools.permutations(range(k_stages)):
-            t = evaluate(perm)
-            if t < best_time:
-                best, best_time = tuple(perm), t
-    else:
-        improved = True
-        while improved:
-            improved = False
-            for a in range(k_stages):
-                for b in range(a + 1, k_stages):
-                    cand = list(best)
-                    cand[a], cand[b] = cand[b], cand[a]
-                    t = evaluate(cand)
-                    if t < best_time:
-                        best, best_time = tuple(cand), t
-                        improved = True
-    return best, best_time
+    group = list(range(d))
+    for b in range(d):
+        for a in range(b):
+            if group[a] == a and interchangeable(a, b):
+                group[b] = a
+                break
+    return group
+
+
+def _orbit_placements(group: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """One placement per orbit, in lexicographic order.
+
+    Swapping interchangeable devices gives a placement with the same DP
+    inputs, hence the same cut and bottleneck.  Each orbit is visited
+    once, through its member in which every group's devices appear in
+    ascending order — its lexicographically first member, i.e. the one
+    a strict-``<`` scan over all permutations would keep.
+    """
+    d = len(group)
+
+    def extend(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if len(prefix) == d:
+            yield prefix
+            return
+        tried = set()
+        for device in range(d):
+            if device not in prefix and group[device] not in tried:
+                tried.add(group[device])
+                yield from extend(prefix + (device,))
+
+    return extend(())
 
 
 def search_partition_placement(
@@ -451,28 +369,42 @@ def search_partition_placement(
 ) -> tuple[Partition, tuple[int, ...], float]:
     """Joint partition + placement search (Luo et al., arXiv:2204.10562).
 
-    For every candidate stage->device permutation, re-runs the balanced
-    DP against that placement's slot speeds, link bandwidths and memory
+    For every candidate stage->device permutation, re-runs the DP
+    against that placement's slot speeds, link bandwidths and memory
     caps, and keeps the placement whose *optimal* partition has the
-    smallest bottleneck.  Ties keep the identity placement, so on a
-    uniform cluster this degenerates to
-    ``(partition_model(...), (0, 1, ..., K-1))``.
+    smallest bottleneck.  Candidates are scanned in lexicographic order
+    with a strict ``<``, so ties keep the identity.  Permutations that
+    only swap interchangeable devices are skipped (see
+    :func:`_orbit_placements`): on a uniform cluster every device is
+    interchangeable and the search runs exactly one DP.  Above
+    ``max_exhaustive`` stages only the identity is tried.
 
     Returns ``(partition, placement, bottleneck)``.
     """
-    if len(device_speeds) != num_stages:
+    k = num_stages
+    if len(device_speeds) != k:
         raise ValueError(
-            f"device_speeds has {len(device_speeds)} entries for {num_stages} stages"
+            f"device_speeds has {len(device_speeds)} entries for {k} stages"
         )
+    if len(bandwidth_matrix) != k or any(len(row) != k for row in bandwidth_matrix):
+        raise ValueError(f"bandwidth_matrix must be {k}x{k}")
+    if memory_caps is not None and len(memory_caps) != k:
+        raise ValueError(f"memory_caps has {len(memory_caps)} entries for {k} stages")
+    if k <= max_exhaustive:
+        candidates = _orbit_placements(
+            _device_groups(device_speeds, bandwidth_matrix, memory_caps)
+        )
+    else:
+        candidates = [tuple(range(k))]
     best: tuple[Partition, tuple[int, ...], float] | None = None
-    for perm in _candidate_placements(num_stages, max_exhaustive):
+    for perm in candidates:
         slot_speeds, slot_bw, slot_caps = _slot_views(
             perm, device_speeds, bandwidth_matrix, memory_caps
         )
         try:
-            part = partition_balanced(
+            part = partition_model(
                 costs,
-                num_stages,
+                k,
                 device_speeds=slot_speeds,
                 bandwidth_bytes_per_sec=slot_bw,
                 flops_per_sec=flops_per_sec,
@@ -491,7 +423,7 @@ def search_partition_placement(
             comm_weight=comm_weight,
         )
         if best is None or t < best[2]:
-            best = (part, tuple(perm), t)
+            best = (part, perm, t)
     if best is None:
         raise RuntimeError(
             "no placement admits a memory-feasible balanced partition"

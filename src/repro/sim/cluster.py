@@ -18,10 +18,13 @@ fields make it heterogeneous:
   the class-derived parameters of specific directed links (a congested
   or mis-cabled path).
 
-Uniform specs take exactly the code paths they always did — no
-multiplication by 1.0, no override lookup on a hit-less dict — so every
-golden, oracle and benchmark built on uniform clusters is bit-for-bit
-unchanged.  Canned heterogeneous shapes live in :mod:`repro.sim.hetero`.
+A uniform spec is the degenerate heterogeneous one: its speeds are all
+1.0 and IEEE multiplication by 1.0 is exact, so uniform clusters take
+the same code paths and stay bit-for-bit what they were before these
+fields existed.  The planner keeps one difference, in data only: it
+prices every cut of a uniform spec at ``inter_node_bandwidth`` (the
+seed planner's pricing).  Canned heterogeneous shapes live in
+:mod:`repro.sim.hetero`.
 """
 
 from __future__ import annotations
@@ -119,10 +122,8 @@ class ClusterSpec:
         return 1.0 if self.device_speed is None else self.device_speed[device]
 
     def peak_flops_of(self, device: int) -> float:
-        """Effective peak of one device (no arithmetic on uniform specs)."""
-        if self.device_speed is None:
-            return self.peak_flops
-        return self.peak_flops * self.device_speed[device]
+        """Effective peak of one device."""
+        return self.peak_flops * self.speed_of(device)
 
     def memory_bytes_of(self, device: int) -> int:
         if self.device_memory_bytes is None:

@@ -95,24 +95,12 @@ def tune_fuzz_configs(count: int, seed: int = 0) -> list[TuneFuzzConfig]:
 def _harness(workload: str):
     """The fixed analytic side every case ranks against (cached)."""
     from repro.core.predictor import Predictor
-    from repro.core.profiler import Profiler
     from repro.core.simcfg import calibration_for
     from repro.schedules import AdvanceFPSchedule
     from repro.tune.store import tuner_context
 
     cal = calibration_for(workload)
-    profiler = Profiler(
-        layer_costs=cal.layer_costs(),
-        partition=cal.partition(),
-        schedule=AdvanceFPSchedule(2),
-        cluster_spec=cal.cluster_spec(),
-        batch_size=cal.batch_size,
-        activation_byte_scale=cal.activation_byte_scale,
-        param_byte_scale=cal.param_byte_scale,
-        stash_multiplier=cal.stash_multiplier,
-        optimizer_state_factor=cal.optimizer_state_factor,
-        with_reference_model=True,
-    )
+    profiler = cal.profiler(AdvanceFPSchedule(2))
     predictor = Predictor(profiler.profile(iterations=4))
     context = tuner_context(profiler, workload=workload)
     return profiler, predictor, context, float(cal.memory_capacity_bytes)

@@ -1,6 +1,6 @@
 """Partitioner: DP optimality (vs brute force), structure, fallbacks,
-and the balanced/heterogeneous generalization's differential + property
-suites (balanced == PipeDream DP bitwise on uniform input)."""
+the heterogeneous inputs' property suites, the orbit-pruned placement
+search (vs an exhaustive reference) and the single plan_for_spec path."""
 
 import itertools
 
@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.graph.partitioner as partitioner
+from repro.core.simcfg import calibration_for
+from repro.core.tuner import plan_for_spec
 from repro.graph import LayerCost, Partition, partition_model, partition_uniform
 from repro.graph.partitioner import (
     balanced_bottleneck,
-    bottleneck_time,
-    partition_balanced,
     search_partition_placement,
-    search_placement,
     stage_memory_bytes,
 )
+from repro.sim.cluster import ClusterSpec
 
 
 def costs_from(flops, acts=None, params=None):
@@ -132,11 +133,16 @@ def _objective(costs, boundaries, bandwidth, comm_weight=0.5):
 class TestBottleneckTime:
     def test_single_stage_is_total_compute(self):
         costs = costs_from([10, 20, 30])
-        assert bottleneck_time(costs, [0, 3], 1e9) == pytest.approx(60)
+        t = balanced_bottleneck(
+            costs, [0, 3], bandwidth_bytes_per_sec=1e9, comm_weight=1.0
+        )
+        assert t == pytest.approx(60)
 
     def test_includes_receive_comm(self):
         costs = costs_from([10, 10], acts=[1000, 10])
-        t = bottleneck_time(costs, [0, 1, 2], bandwidth_bytes_per_sec=100.0)
+        t = balanced_bottleneck(
+            costs, [0, 1, 2], bandwidth_bytes_per_sec=100.0, comm_weight=1.0
+        )
         assert t == pytest.approx(10 + 1000 / 100.0)
 
 
@@ -155,7 +161,8 @@ def _random_costs(rng, n):
 
 
 class TestBalancedDifferential:
-    """On uniform input the balanced DP must BE the PipeDream DP, bitwise."""
+    """Uniform inputs spelled out per stage must give the scalar-input cut
+    bitwise: the uniform planner feeds the DP exactly these forms."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -175,21 +182,21 @@ class TestBalancedDifferential:
             costs, k, bandwidth_bytes_per_sec=bandwidth,
             flops_per_sec=flops_per_sec, comm_weight=comm_weight,
         )
-        balanced = partition_balanced(
-            costs, k, bandwidth_bytes_per_sec=bandwidth,
+        per_stage = partition_model(
+            costs, k, bandwidth_bytes_per_sec=[float("inf")] + [bandwidth] * (k - 1),
             flops_per_sec=flops_per_sec, comm_weight=comm_weight,
         )
-        assert balanced.boundaries == reference.boundaries
+        assert per_stage.boundaries == reference.boundaries
 
     def test_unit_speeds_are_bitwise_identical(self):
         # x / 1.0 == x in IEEE-754, so explicit unit speeds change nothing.
         rng = np.random.default_rng(3)
         costs = _random_costs(rng, 12)
         reference = partition_model(costs, 4, bandwidth_bytes_per_sec=1e8)
-        balanced = partition_balanced(
+        unit = partition_model(
             costs, 4, device_speeds=[1.0] * 4, bandwidth_bytes_per_sec=1e8
         )
-        assert balanced.boundaries == reference.boundaries
+        assert unit.boundaries == reference.boundaries
 
     def test_uniform_joint_search_degenerates_to_identity(self):
         rng = np.random.default_rng(11)
@@ -231,7 +238,7 @@ class TestBalancedProperties:
         if k > n:
             return
         costs, speeds, matrix = _hetero_instance(seed, n, k)
-        part = partition_balanced(
+        part = partition_model(
             costs, k, device_speeds=speeds, bandwidth_bytes_per_sec=1e8,
             flops_per_sec=1e6,
         )
@@ -252,7 +259,7 @@ class TestBalancedProperties:
         # generous-but-binding caps: each stage gets 40..120% of the mean
         caps = [total / k * float(rng.uniform(0.4, 1.2)) + 3.0 * max(c.param_bytes for c in costs) for _ in range(k)]
         try:
-            part = partition_balanced(
+            part = partition_model(
                 costs, k, device_speeds=speeds, bandwidth_bytes_per_sec=1e8,
                 flops_per_sec=1e6, memory_caps=caps,
             )
@@ -267,7 +274,7 @@ class TestBalancedProperties:
         if k > n:
             return
         costs, speeds, _ = _hetero_instance(seed, n, k)
-        balanced = partition_balanced(
+        balanced = partition_model(
             costs, k, device_speeds=speeds, bandwidth_bytes_per_sec=1e8,
             flops_per_sec=1e6,
         )
@@ -292,11 +299,6 @@ class TestBalancedProperties:
             flops_per_sec=1e6,
         )
         assert sorted(perm) == list(range(k))
-        fixed_perm, fixed_t = search_placement(
-            costs, part.boundaries, device_speeds=speeds,
-            bandwidth_matrix=matrix, flops_per_sec=1e6,
-        )
-        assert sorted(fixed_perm) == list(range(k))
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(5, 10), k=st.integers(2, 5), seed=st.integers(0, 100_000))
@@ -309,7 +311,7 @@ class TestBalancedProperties:
             flops_per_sec=1e6,
         )
         chain_bw = [float("inf")] + [matrix[i - 1][i] for i in range(1, k)]
-        identity_part = partition_balanced(
+        identity_part = partition_model(
             costs, k, device_speeds=speeds,
             bandwidth_bytes_per_sec=chain_bw, flops_per_sec=1e6,
         )
@@ -321,7 +323,7 @@ class TestBalancedProperties:
 
     def test_slow_device_gets_fewer_layers(self):
         costs = costs_from([100.0] * 8, acts=[1.0] * 8)
-        part = partition_balanced(
+        part = partition_model(
             costs, 4, device_speeds=[1.0, 1.0, 0.25, 1.0],
             bandwidth_bytes_per_sec=1e12, flops_per_sec=1.0,
         )
@@ -343,16 +345,186 @@ class TestBalancedProperties:
     def test_infeasible_caps_raise(self):
         costs = costs_from([10.0] * 6, params=[1000] * 6)
         with pytest.raises(RuntimeError):
-            partition_balanced(
+            partition_model(
                 costs, 3, memory_caps=[1.0, 1.0, 1.0],
             )
 
     def test_speed_length_mismatch_raises(self):
         with pytest.raises(ValueError):
-            partition_balanced(costs_from([1, 2, 3]), 2, device_speeds=[1.0])
+            partition_model(costs_from([1, 2, 3]), 2, device_speeds=[1.0])
 
     def test_per_stage_bandwidth_length_mismatch_raises(self):
         with pytest.raises(ValueError):
-            partition_balanced(
+            partition_model(
                 costs_from([1, 2, 3]), 2, bandwidth_bytes_per_sec=[1.0, 2.0, 3.0]
+            )
+
+
+def _exhaustive_search(costs, k, speeds, matrix, caps, **kw):
+    """Reference search: every permutation in order, strict ``<``."""
+    best = None
+    for perm in itertools.permutations(range(k)):
+        slot_speeds = [speeds[d] for d in perm]
+        slot_bw = [float("inf")] + [matrix[perm[s - 1]][perm[s]] for s in range(1, k)]
+        slot_caps = None if caps is None else [caps[d] for d in perm]
+        try:
+            part = partition_model(
+                costs, k, device_speeds=slot_speeds,
+                bandwidth_bytes_per_sec=slot_bw, memory_caps=slot_caps, **kw,
+            )
+        except RuntimeError:
+            continue
+        t = balanced_bottleneck(
+            costs, part.boundaries, device_speeds=slot_speeds,
+            bandwidth_bytes_per_sec=slot_bw, **kw,
+        )
+        if best is None or t < best[2]:
+            best = (part, perm, t)
+    return best
+
+
+@st.composite
+def _tied_clusters(draw):
+    """Small clusters with many interchangeable devices: two speeds, two
+    caps, a nodes x gpus_per_node link layout plus a few overrides."""
+    nodes = draw(st.integers(1, 3))
+    per_node = draw(st.integers(1, 3))
+    k = nodes * per_node
+    if not 2 <= k <= 6:
+        k, nodes, per_node = 4, 2, 2
+    n = draw(st.integers(k, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 100_000)))
+    costs = _random_costs(rng, n)
+    speeds = draw(st.lists(st.sampled_from([0.5, 1.0]), min_size=k, max_size=k))
+    caps = None
+    if draw(st.booleans()):
+        total = sum(3.0 * c.param_bytes for c in costs)
+        caps = draw(st.lists(
+            st.sampled_from([total / k * 1.5, total]), min_size=k, max_size=k
+        ))
+    matrix = [
+        [
+            float("inf") if i == j
+            else 1e9 if i // per_node == j // per_node
+            else 1e8
+            for j in range(k)
+        ]
+        for i in range(k)
+    ]
+    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
+    for i, j in draw(st.lists(st.sampled_from(pairs), max_size=2)):
+        matrix[i][j] = 2e7
+    return costs, k, speeds, matrix, caps
+
+
+class TestOrbitPruning:
+    """Skipping orbits of interchangeable devices keeps the exhaustive
+    winner bit for bit: cut, placement and bottleneck."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(instance=_tied_clusters(), comm_weight=st.sampled_from([0.2, 0.5]))
+    def test_pruned_search_matches_exhaustive(self, instance, comm_weight):
+        costs, k, speeds, matrix, caps = instance
+        kw = dict(flops_per_sec=1e6, comm_weight=comm_weight)
+        reference = _exhaustive_search(costs, k, speeds, matrix, caps, **kw)
+        if reference is None:
+            with pytest.raises(RuntimeError):
+                search_partition_placement(
+                    costs, k, device_speeds=speeds, bandwidth_matrix=matrix,
+                    memory_caps=caps, **kw,
+                )
+            return
+        part, perm, t = search_partition_placement(
+            costs, k, device_speeds=speeds, bandwidth_matrix=matrix,
+            memory_caps=caps, **kw,
+        )
+        assert part.boundaries == reference[0].boundaries
+        assert perm == reference[1]
+        assert t.hex() == reference[2].hex()
+
+    def _count_dp_runs(self, monkeypatch):
+        runs = []
+        dp = partitioner.partition_model
+
+        def counted(*args, **kwargs):
+            runs.append(1)
+            return dp(*args, **kwargs)
+
+        monkeypatch.setattr(partitioner, "partition_model", counted)
+        return runs
+
+    def test_uniform_matrix_runs_one_dp(self, monkeypatch):
+        runs = self._count_dp_runs(monkeypatch)
+        matrix = [[float("inf") if i == j else 1e8 for j in range(6)] for i in range(6)]
+        _, perm, _ = search_partition_placement(
+            _random_costs(np.random.default_rng(5), 12), 6,
+            device_speeds=[1.0] * 6, bandwidth_matrix=matrix,
+        )
+        assert perm == tuple(range(6))
+        assert len(runs) == 1
+
+    @pytest.mark.parametrize(
+        "variant,expected", [("mixed-gen", 180), ("straggler-node", 180), ("asym-links", 360)]
+    )
+    def test_calibrated_variants_prune_orbits(self, monkeypatch, variant, expected):
+        cal = calibration_for("gnmt")
+        costs = cal.layer_costs()
+        runs = self._count_dp_runs(monkeypatch)
+        cal.hetero_plan(variant, costs, with_memory_caps=True)
+        assert len(runs) == expected  # of 6! = 720 permutations
+
+
+class TestSearchValidation:
+    def _args(self, k=3):
+        matrix = [[float("inf") if i == j else 1e8 for j in range(k)] for i in range(k)]
+        return costs_from([1.0] * 6), matrix
+
+    def test_short_bandwidth_matrix_raises(self):
+        costs, matrix = self._args()
+        with pytest.raises(ValueError, match="bandwidth_matrix"):
+            search_partition_placement(
+                costs, 3, device_speeds=[1.0] * 3, bandwidth_matrix=matrix[:2]
+            )
+        with pytest.raises(ValueError, match="bandwidth_matrix"):
+            search_partition_placement(
+                costs, 3, device_speeds=[1.0] * 3,
+                bandwidth_matrix=[row[:2] for row in matrix],
+            )
+
+    def test_extra_memory_caps_raise(self):
+        costs, matrix = self._args()
+        with pytest.raises(ValueError, match="memory_caps"):
+            search_partition_placement(
+                costs, 3, device_speeds=[1.0] * 3, bandwidth_matrix=matrix,
+                memory_caps=[1e9] * 4,
+            )
+
+
+class TestPlanForSpec:
+    @pytest.mark.parametrize("workload", ["gnmt", "bert", "awd"])
+    def test_uniform_spec_is_the_calibrated_partition(self, workload):
+        cal = calibration_for(workload)
+        costs = cal.layer_costs()
+        got = plan_for_spec(
+            costs, cal.cluster_spec(),
+            activation_byte_scale=cal.activation_byte_scale, comm_weight=0.2,
+        )
+        assert got == (cal.partition(costs), tuple(range(cal.num_devices)))
+
+    def test_memory_caps_bind_on_uniform_spec(self):
+        # the uncapped cut (0, 2, 4) puts 3030 bytes on stage 1
+        costs = costs_from([1e6] * 4, acts=[10.0] * 4, params=[10, 10, 10, 1000])
+        spec = ClusterSpec(nodes=2, gpus_per_node=1)
+        assert plan_for_spec(costs, spec)[0].boundaries == (0, 2, 4)
+        part, _ = plan_for_spec(costs, spec, memory_caps=[3000.0, 3000.0])
+        assert part.boundaries == (0, 3, 4)
+        assert stage_memory_bytes(costs, part.boundaries) == [90.0, 3000.0]
+
+    def test_infeasible_caps_raise_on_uniform_spec(self):
+        cal = calibration_for("awd")
+        with pytest.raises(RuntimeError):
+            plan_for_spec(
+                cal.layer_costs(), cal.cluster_spec(),
+                param_byte_scale=cal.param_byte_scale,
+                memory_caps=[1.15 * 2**20] * cal.num_devices,
             )

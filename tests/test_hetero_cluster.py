@@ -68,7 +68,7 @@ class TestClusterSpecAccessors:
         assert spec.is_uniform
         assert spec.speed_vector() == (1.0,) * 4
         assert spec.memory_vector() == (spec.memory_bytes,) * 4
-        # uniform peak_flops_of is a passthrough, not a multiply-by-one
+        # multiplying by the uniform speed 1.0 is exact
         assert spec.peak_flops_of(3) == spec.peak_flops
         assert spec.link_params(0, 1) == (
             spec.intra_node_bandwidth,
@@ -188,7 +188,7 @@ class TestUniformBitIdentity:
             device_speed=(1.0,) * base.num_devices,
             device_memory_bytes=(base.memory_bytes,) * base.num_devices,
         )
-        assert not explicit.is_uniform  # takes the heterogeneous code path
+        assert not explicit.is_uniform  # explicit per-device vectors of the same values
         t_base, mem_base = self._run(base, None)
         t_explicit, mem_explicit = self._run(explicit, tuple(range(base.num_devices)))
         assert t_base == t_explicit  # bitwise, not approx
