@@ -11,28 +11,32 @@ systems is purely how weights evolve:
   per-micro-batch updates applied with a delay of K-1 steps (the version
   skew weight stashing induces).  This is the staleness that costs
   PipeDream statistical efficiency on AWD in Figure 14.
-* :class:`PipeDream2BWTrainer` — gradient accumulated over the batch but
-  applied one batch late (2BW's bounded staleness).
+* :class:`PipeDream2BWTrainer` — gradient of the whole batch applied one
+  batch late (2BW's bounded staleness): PipeDream with a delay of one
+  and a single micro-batch.
 * :class:`AvgPipeTrainer` — the elastic-averaging framework: N parallel
   models each consume their own batch per iteration, local optimizer
   step, elastic dilution against the (async) reference, reference update
-  once all N arrive.  Evaluation reads the reference model.
+  once all N arrive.  Evaluation reads the reference model.  Its
+  ``step`` / ``end_round`` / ``evaluate`` are the one implementation of
+  the round; the chaos harness and the scheduler cross-check drive them
+  too.
 
-Every trainer shares one loop skeleton so the comparison is apples to
-apples: same loaders, same seeds, same gradient clipping, same
-per-epoch evaluation.
+Every trainer runs the one epoch loop in ``_TrainerBase.train`` and
+supplies only its per-batch update and its evaluation, so the comparison
+is apples to apples: same loaders, same seeds, same gradient clipping,
+same per-epoch evaluation.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
 from repro.core.elastic import ElasticAveragingFramework
-from repro.models.pipeline_model import PipelineModel
+from repro.data import dataset
 from repro.models.registry import WorkloadSpec
 
 __all__ = [
@@ -62,11 +66,14 @@ class TrainResult:
         return self.metric_history[-1] if self.metric_history else float("nan")
 
 
-def _batches(loader) -> Iterable[dict[str, np.ndarray]]:
-    return loader if isinstance(loader, list) else iter(loader)
-
-
 class _TrainerBase:
+    """The epoch loop every system shares.
+
+    Subclasses supply the per-batch update (:meth:`_update`) and the
+    metric (:meth:`evaluate`); :meth:`_reset` sets up state that lives
+    for one :meth:`train` call and :meth:`_end_epoch` closes an epoch.
+    """
+
     system = "base"
 
     def __init__(self, spec: WorkloadSpec, seed: int = 0, max_epochs: int = 40) -> None:
@@ -74,19 +81,30 @@ class _TrainerBase:
         self.seed = seed
         self.max_epochs = max_epochs
 
-    def train(self) -> TrainResult:
+    def _reset(self) -> None:
+        pass
+
+    def _update(self, batch: dict[str, np.ndarray]) -> None:
         raise NotImplementedError
 
-    def _loop(self, epoch_fn, evaluate_fn) -> TrainResult:
-        """Shared epoch loop: run, evaluate, stop at target."""
+    def _end_epoch(self) -> None:
+        pass
+
+    def evaluate(self) -> float:
+        return self.spec.evaluate(self.model)
+
+    def train(self) -> TrainResult:
+        """Run up to ``max_epochs`` epochs, evaluating after each; stop at target."""
+        self._reset()
         history: list[float] = []
         iterations = 0
         reached = False
-        epochs = 0
-        for epoch in range(self.max_epochs):
-            iterations += epoch_fn(epoch)
-            epochs = epoch + 1
-            metric = evaluate_fn()
+        for _ in range(self.max_epochs):
+            for batch in self.loader:
+                self._update(batch)
+                iterations += 1
+            self._end_epoch()
+            metric = self.evaluate()
             history.append(metric)
             if self.spec.target_reached(metric):
                 reached = True
@@ -95,8 +113,8 @@ class _TrainerBase:
             system=self.system,
             workload=self.spec.name,
             reached_target=reached,
-            epochs_to_target=epochs,
-            epochs_run=epochs,
+            epochs_to_target=len(history),
+            epochs_run=len(history),
             iterations=iterations,
             metric_history=history,
         )
@@ -113,18 +131,11 @@ class SyncTrainer(_TrainerBase):
         self.optimizer = spec.make_optimizer(self.model)
         self.loader = spec.make_train_loader(spec.batch_size, seed)
 
-    def train(self) -> TrainResult:
-        def epoch_fn(_: int) -> int:
-            count = 0
-            for batch in _batches(self.loader):
-                self.model.zero_grad()
-                self.model.loss(batch).backward()
-                self.optimizer.clip_grad_norm(GRAD_CLIP)
-                self.optimizer.step()
-                count += 1
-            return count
-
-        return self._loop(epoch_fn, lambda: self.spec.evaluate(self.model))
+    def _update(self, batch: dict[str, np.ndarray]) -> None:
+        self.model.zero_grad()
+        self.model.loss(batch).backward()
+        self.optimizer.clip_grad_norm(GRAD_CLIP)
+        self.optimizer.step()
 
 
 class PipeDreamTrainer(_TrainerBase):
@@ -132,8 +143,9 @@ class PipeDreamTrainer(_TrainerBase):
 
     The pipeline applies the update computed from weights that are
     ``delay`` micro-batch steps old; ``delay = K - 1`` models a K-stage
-    PipeDream.  Implemented via a gradient FIFO: the gradient computed at
-    step t is applied at step t + delay.
+    PipeDream.  Implemented via a gradient FIFO, fresh on every
+    :meth:`train` call: the gradient computed at step t is applied at
+    step t + delay.
     """
 
     system = "pipedream"
@@ -153,75 +165,36 @@ class PipeDreamTrainer(_TrainerBase):
         self.delay = (num_stages or spec.paper_devices) - 1
         self.num_micro = num_micro
 
-    def train(self) -> TrainResult:
-        params = list(self.model.parameters())
-        fifo: deque[list[np.ndarray]] = deque()
+    def _reset(self) -> None:
+        self._params = list(self.model.parameters())
+        self._fifo: deque[list[np.ndarray]] = deque()
 
-        def apply_delayed() -> None:
-            grads = fifo.popleft()
-            for p, g in zip(params, grads):
-                p.grad = g
-            self.optimizer.clip_grad_norm(GRAD_CLIP)
-            self.optimizer.step()
-            for p in params:
-                p.grad = None
-
-        def epoch_fn(_: int) -> int:
-            count = 0
-            for batch in _batches(self.loader):
-                micros = _split_batch(batch, self.num_micro)
-                for micro in micros:
-                    self.model.zero_grad()
-                    self.model.loss(micro).backward()
-                    fifo.append([
-                        p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-                        for p in params
-                    ])
-                    if len(fifo) > self.delay:
-                        apply_delayed()
-                count += 1
-            return count
-
-        return self._loop(epoch_fn, lambda: self.spec.evaluate(self.model))
+    def _update(self, batch: dict[str, np.ndarray]) -> None:
+        params, fifo = self._params, self._fifo
+        for micro in dataset.split_microbatches(batch, self.num_micro):
+            self.model.zero_grad()
+            self.model.loss(micro).backward()
+            fifo.append([
+                p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
+                for p in params
+            ])
+            if len(fifo) > self.delay:
+                for p, g in zip(params, fifo.popleft()):
+                    p.grad = g
+                self.optimizer.clip_grad_norm(GRAD_CLIP)
+                self.optimizer.step()
+                for p in params:
+                    p.grad = None
 
 
-class PipeDream2BWTrainer(_TrainerBase):
-    """Batch gradient applied one batch late (2BW bounded staleness)."""
+class PipeDream2BWTrainer(PipeDreamTrainer):
+    """2BW's bounded staleness: the batch gradient applied one batch late,
+    i.e. PipeDream with a delay of one and a single micro-batch."""
 
     system = "pipedream-2bw"
 
     def __init__(self, spec: WorkloadSpec, seed: int = 0, max_epochs: int = 40) -> None:
-        super().__init__(spec, seed, max_epochs)
-        self.model = spec.build_model().seed(seed)
-        self.optimizer = spec.make_optimizer(self.model)
-        self.loader = spec.make_train_loader(spec.batch_size, seed)
-
-    def train(self) -> TrainResult:
-        params = list(self.model.parameters())
-        pending: list[np.ndarray] | None = None
-
-        def epoch_fn(_: int) -> int:
-            nonlocal pending
-            count = 0
-            for batch in _batches(self.loader):
-                self.model.zero_grad()
-                self.model.loss(batch).backward()
-                fresh = [
-                    p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-                    for p in params
-                ]
-                if pending is not None:
-                    for p, g in zip(params, pending):
-                        p.grad = g
-                    self.optimizer.clip_grad_norm(GRAD_CLIP)
-                    self.optimizer.step()
-                    for p in params:
-                        p.grad = None
-                pending = fresh
-                count += 1
-            return count
-
-        return self._loop(epoch_fn, lambda: self.spec.evaluate(self.model))
+        super().__init__(spec, seed, max_epochs, num_stages=2, num_micro=1)
 
 
 class AvgPipeTrainer(_TrainerBase):
@@ -344,72 +317,62 @@ class AvgPipeTrainer(_TrainerBase):
         self.num_pipelines += 1
         return index
 
-    def _compute_gradients(self, i: int, batch: dict) -> float:
-        """Whole-model or faithful stage-sliced backward for model ``i``.
+    # ------------------------------------------------------------------ #
+    # the AvgPipe round (§3.2); train(), the chaos harness and the
+    # scheduler cross-check all drive these three methods
 
-        Returns the batch loss (mean over micro-batches in the faithful
-        path) — telemetry reads it; callers are free to ignore it.
+    def step(self, pos: int, batch: dict[str, np.ndarray]) -> float:
+        """Pipeline ``pos``'s local step on ``batch``, committed to the round.
+
+        Captures the pre-step weights, runs the whole-model or faithful
+        stage-sliced backward, clips, steps the optimizer and posts the
+        elastic Δ.  Returns the batch loss (mean over micro-batches in the
+        faithful path).
         """
-        model = self.models[i]
+        before = self.framework.capture(pos)
         if self.runners is None:
+            model = self.models[pos]
             model.zero_grad()
-            loss = model.loss(batch)
-            loss.backward()
-            return float(loss.item())
-        from repro.data.dataset import split_microbatches
+            out = model.loss(batch)
+            out.backward()
+            loss = float(out.item())
+        else:
+            micros = dataset.split_microbatches(batch, self.num_micro)
+            loss = self.runners[pos].run_batch(micros)
+        opt = self.optimizers[pos]
+        opt.clip_grad_norm(GRAD_CLIP)
+        opt.step()
+        self.framework.commit(pos, before)
+        if self.telemetry is not None:
+            self.telemetry.record_loss(pos, loss)
+            self.telemetry.record_samples(len(next(iter(batch.values()))))
+        return loss
 
-        size = len(next(iter(batch.values())))
-        m = self.num_micro
-        while size % m != 0:
-            m -= 1
-        return self.runners[i].run_batch(split_microbatches(batch, max(m, 1)))
+    def end_round(self) -> None:
+        """Close the round: the reference applies the committed deltas."""
+        self.framework.end_iteration()
+        if self.telemetry is not None:
+            self.telemetry.record_round(self.framework)
 
-    def train(self) -> TrainResult:
-        telemetry = self.telemetry
+    def evaluate(self) -> float:
+        """The metric of the reference model."""
+        self.framework.reference_model(self.eval_template)
+        metric = self.spec.evaluate(self.eval_template)
+        if self.telemetry is not None:
+            self.telemetry.record_eval(self.spec.metric_name, metric)
+        return metric
 
-        def epoch_fn(_: int) -> int:
-            count = 0
-            committed = 0  # pipelines that committed in the current round
-            for batch in _batches(self.loader):
-                i = committed
-                opt = self.optimizers[i]
-                before = self.framework.capture(i)
-                loss = self._compute_gradients(i, batch)
-                opt.clip_grad_norm(GRAD_CLIP)
-                opt.step()
-                self.framework.commit(i, before)
-                committed += 1
-                if telemetry is not None:
-                    telemetry.record_loss(i, loss)
-                    telemetry.record_samples(len(next(iter(batch.values()))))
-                if committed == self.num_pipelines:
-                    self.framework.end_iteration()
-                    if telemetry is not None:
-                        telemetry.record_round(self.framework)
-                    committed = 0
-                count += 1
-            if committed:  # ragged tail of the epoch
-                self.framework.end_iteration()
-                if telemetry is not None:
-                    telemetry.record_round(self.framework)
-            return count
+    def _reset(self) -> None:
+        self._pos = 0  # pipelines that committed in the current round
 
-        def evaluate() -> float:
-            self.framework.reference_model(self.eval_template)
-            metric = self.spec.evaluate(self.eval_template)
-            if telemetry is not None:
-                telemetry.record_eval(self.spec.metric_name, metric)
-            return metric
+    def _update(self, batch: dict[str, np.ndarray]) -> None:
+        self.step(self._pos, batch)
+        self._pos += 1
+        if self._pos == self.num_pipelines:
+            self.end_round()
+            self._pos = 0
 
-        return self._loop(epoch_fn, evaluate)
-
-
-def _split_batch(batch: dict[str, np.ndarray], num_micro: int) -> list[dict[str, np.ndarray]]:
-    size = len(next(iter(batch.values())))
-    num_micro = max(1, min(num_micro, size))
-    edges = np.linspace(0, size, num_micro + 1, dtype=int)
-    return [
-        {k: v[lo:hi] for k, v in batch.items()}
-        for lo, hi in zip(edges[:-1], edges[1:])
-        if hi > lo
-    ]
+    def _end_epoch(self) -> None:
+        if self._pos:  # ragged tail of the epoch
+            self.end_round()
+            self._pos = 0

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.trainer import GRAD_CLIP, AvgPipeTrainer, _batches
+from repro.core.trainer import AvgPipeTrainer
 from repro.resilience.detector import (
     FailureReport,
     HeartbeatDetector,
@@ -416,8 +416,12 @@ def _train_rounds(
 ) -> _NumericsRun:
     """The trainer's epoch loop, instrumented for chaos.
 
-    Identical to :meth:`AvgPipeTrainer.train` when no fault fires (the
-    baseline runs through this same loop).  A ``pipeline_crash`` makes
+    Each batch is one :meth:`AvgPipeTrainer.step` and each round closes
+    with :meth:`AvgPipeTrainer.end_round`; the fault, heartbeat and
+    checkpoint logic sits around those calls.  When no fault fires the
+    run equals :meth:`AvgPipeTrainer.train` bit for bit
+    (``tests/test_resilience_chaos.py::test_fault_free_rounds_match_the_trainer``),
+    and the baseline runs through this same loop.  A ``pipeline_crash`` makes
     pipeline ``crash_id`` stop consuming batches and posting deltas from
     round ``crash_round``; a ``blackout`` reseeds *every* model at
     ``crash_round`` (a device crash kills a stage of each pipeline) and
@@ -470,7 +474,7 @@ def _train_rounds(
 
     def end_round() -> None:
         nonlocal rnd
-        trainer.framework.end_iteration()
+        trainer.end_round()
         rnd += 1
         for report in heartbeat.check():
             dead = report.target
@@ -495,17 +499,11 @@ def _train_rounds(
 
     for epoch in range(epochs):
         pending = 0
-        for batch in _batches(trainer.loader):
+        for batch in trainer.loader:
             maybe_fault()
             alive = [i for i in live if i not in crashed]
             ident = alive[pending % len(alive)]
-            pos = live.index(ident)
-            before = trainer.framework.capture(pos)
-            trainer._compute_gradients(pos, batch)
-            opt = trainer.optimizers[pos]
-            opt.clip_grad_norm(GRAD_CLIP)
-            opt.step()
-            trainer.framework.commit(pos, before)
+            trainer.step(live.index(ident), batch)
             heartbeat.beat(ident, rnd)
             pending += 1
             if pending >= len(alive):
@@ -524,8 +522,7 @@ def _train_rounds(
         if pending:
             pending = 0
             end_round()
-        trainer.framework.reference_model(trainer.eval_template)
-        run.history.append(spec.evaluate(trainer.eval_template))
+        run.history.append(trainer.evaluate())
     run.final_loss = run.history[-1]
     run.rounds = rnd
     return run

@@ -31,6 +31,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.core.tuner import ProfilingTuner, TuningOutcome
 from repro.resilience.detector import FailureReport
@@ -122,7 +123,7 @@ class RestartFromCheckpoint(RecoveryPolicy):
 
         load_trainer(trainer, self.path, allow_resize=self.allow_resize)
         return {
-            "checkpoint": str(self.path),
+            "checkpoint": Path(self.path).name,
             "num_pipelines": trainer.num_pipelines,
             "alpha": trainer.framework.alpha,
         }

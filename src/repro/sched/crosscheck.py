@@ -29,11 +29,12 @@ numerics cross-check clean against the elastic oracle".
 
 from __future__ import annotations
 
+import itertools
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.trainer import GRAD_CLIP, AvgPipeTrainer, _batches
+from repro.core.trainer import AvgPipeTrainer
 
 from repro.sched.job import Job
 from repro.sched.scheduler import SchedResult
@@ -58,25 +59,13 @@ class CrosscheckResult:
         return self.divergence <= self.tolerance
 
 
-def _train_round(trainer: AvgPipeTrainer, batch_iter) -> None:
-    """One synchronous round: each pipeline trains one batch, commits its
-    delta, then the reference applies the round (trainer.train()'s inner
-    loop, without the epoch machinery)."""
+def _train_round(trainer: AvgPipeTrainer) -> None:
+    """One synchronous round: each pipeline steps on one batch (the tiny
+    corpus's first batches, cycled), then the reference applies the round."""
+    batches = itertools.cycle(trainer.loader)
     for pos in range(trainer.num_pipelines):
-        batch = next(batch_iter)
-        before = trainer.framework.capture(pos)
-        trainer._compute_gradients(pos, batch)
-        opt = trainer.optimizers[pos]
-        opt.clip_grad_norm(GRAD_CLIP)
-        opt.step()
-        trainer.framework.commit(pos, before)
-    trainer.framework.end_iteration()
-
-
-def _batch_stream(trainer: AvgPipeTrainer):
-    """Endless deterministic batch iterator over the tiny corpus."""
-    while True:
-        yield from _batches(trainer.loader)
+        trainer.step(pos, next(batches))
+    trainer.end_round()
 
 
 def _clamp(n: int) -> int:
@@ -97,7 +86,6 @@ def crosscheck_job(job: Job, seed: int = 0, tolerance: float = _TOLERANCE) -> Cr
     if first_kind != "admit":
         raise ValueError(f"job {job.job_id} trajectory starts with {first_kind!r}")
     trainer = AvgPipeTrainer(spec, seed=seed, num_pipelines=first_n, max_epochs=1)
-    batches = _batch_stream(trainer)
     events = 0
     with tempfile.TemporaryDirectory(prefix="sched-crosscheck-") as tmp:
         checkpoint = Path(tmp) / "preempt.npz"
@@ -135,8 +123,7 @@ def crosscheck_job(job: Job, seed: int = 0, tolerance: float = _TOLERANCE) -> Cr
                 raise ValueError(f"job {job.job_id}: unknown event {kind!r}")
             events += 1
             if pending_resume_from is None:
-                batches = _batch_stream(trainer)
-                _train_round(trainer, batches)
+                _train_round(trainer)
         if pending_resume_from is not None:
             raise ValueError(f"job {job.job_id}: trajectory ends preempted")
         divergence = elastic_equivalence_check(

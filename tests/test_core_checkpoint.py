@@ -6,18 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.checkpoint import load_trainer, save_trainer
-from repro.core.trainer import GRAD_CLIP, AvgPipeTrainer, _batches
+from repro.core.trainer import AvgPipeTrainer
 
 from tests.test_core_trainers import tiny_awd_spec
-
-
-def _commit_one(trainer, pos, batch):
-    """One pipeline's local step and commit (trainer.train()'s inner loop)."""
-    before = trainer.framework.capture(pos)
-    trainer._compute_gradients(pos, batch)
-    trainer.optimizers[pos].clip_grad_norm(GRAD_CLIP)
-    trainer.optimizers[pos].step()
-    trainer.framework.commit(pos, before)
 
 
 def _step_epochs(trainer, epochs):
@@ -74,14 +65,14 @@ class TestCheckpointRoundTrip:
         spec = tiny_awd_spec()
         src = AvgPipeTrainer(spec, seed=0, max_epochs=1, num_pipelines=2, queue_delay=1)
         src.train()
-        fw, batches = src.framework, iter(_batches(src.loader))
+        fw, batches = src.framework, iter(src.loader)
         # Half a round: pipeline 0's delta has reached the accumulator
         # (the epoch's ragged tail may already have left it there) and
         # pipeline 1's is posted but not yet visible.
         if fw._received == 0:
-            _commit_one(src, 0, next(batches))
+            src.step(0, next(batches))
             assert not fw.end_iteration()
-        _commit_one(src, 1, next(batches))
+        src.step(1, next(batches))
         assert fw._received == 1 and len(fw.queue) == 1
         assert np.any(fw._acc != 0.0)
 

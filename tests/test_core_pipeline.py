@@ -239,16 +239,18 @@ class TestFaithfulAvgPipeTrainer:
             for key in s1:
                 assert np.allclose(s1[key], s2[key], atol=3e-5), key
 
-    def test_faithful_mode_handles_ragged_micro_counts(self):
+    def test_faithful_mode_rejects_ragged_micro_counts(self):
+        """A batch that M does not divide is an error, not a silent
+        fall-back to fewer micro-batches."""
         from repro.core.trainer import AvgPipeTrainer
         from tests.test_core_trainers import tiny_awd_spec
 
-        spec = tiny_awd_spec(batch_size=6)  # 6 samples: num_micro=4 -> falls to 3
+        spec = tiny_awd_spec(batch_size=6)  # 6 samples do not split into 4
         model_layers = spec.build_model().layers
         partition = partition_uniform(len(model_layers), 2)
         trainer = AvgPipeTrainer(
             spec, seed=0, max_epochs=1, num_pipelines=2,
             partition=partition, num_micro=4,
         )
-        result = trainer.train()
-        assert np.isfinite(result.final_metric)
+        with pytest.raises(ValueError, match="not divisible into 4"):
+            trainer.train()

@@ -8,7 +8,6 @@ from repro.core.trainer import (
     PipeDream2BWTrainer,
     PipeDreamTrainer,
     SyncTrainer,
-    _split_batch,
 )
 from repro.models.registry import WorkloadSpec
 from repro.models import AWDConfig, build_awd_lstm
@@ -54,20 +53,6 @@ def tiny_awd_spec(target=0.0, batch_size=8) -> WorkloadSpec:
         batch_size=batch_size,
         paper_devices=4,
     )
-
-
-class TestSplitBatch:
-    def test_even(self):
-        micros = _split_batch({"x": np.arange(8)}, 4)
-        assert [len(m["x"]) for m in micros] == [2, 2, 2, 2]
-
-    def test_uneven_keeps_all_samples(self):
-        micros = _split_batch({"x": np.arange(10)}, 4)
-        assert sum(len(m["x"]) for m in micros) == 10
-
-    def test_more_micro_than_samples(self):
-        micros = _split_batch({"x": np.arange(2)}, 8)
-        assert len(micros) == 2
 
 
 class TestSyncTrainer:
@@ -125,6 +110,20 @@ class TestPipeDream2BW:
     def test_trains(self):
         result = PipeDream2BWTrainer(tiny_awd_spec(), seed=0, max_epochs=3).train()
         assert result.metric_history[-1] <= result.metric_history[0] + 0.1
+
+    def test_is_pipedream_at_one_batch_delay(self):
+        """2BW's bounded staleness is PipeDream's delayed update with a
+        delay of one batch and one micro-batch: histories, weights and
+        iteration counts match bit for bit, across repeated train() calls."""
+        spec = tiny_awd_spec()
+        bw = PipeDream2BWTrainer(spec, seed=0, max_epochs=2)
+        pd = PipeDreamTrainer(spec, seed=0, max_epochs=2, num_stages=2, num_micro=1)
+        for _ in range(2):
+            rb, rp = bw.train(), pd.train()
+            assert [m.hex() for m in rb.metric_history] == [m.hex() for m in rp.metric_history]
+            assert rb.iterations == rp.iterations
+            sb, sp = bw.model.state_dict(), pd.model.state_dict()
+            assert all(sb[k].tobytes() == sp[k].tobytes() for k in sb)
 
 
 class TestAvgPipeTrainer:

@@ -131,7 +131,7 @@ def test_elastic_rounds_bitwise_identical_with_registry_through_resize_and_resum
     bitwise-equal models and references, and the counters see every
     commit and every reference update exactly once."""
     from repro.core.checkpoint import load_trainer, save_trainer
-    from repro.core.trainer import GRAD_CLIP, AvgPipeTrainer, _batches
+    from repro.core.trainer import AvgPipeTrainer
     from repro.resilience.chaos import tiny_chaos_spec
 
     spec = tiny_chaos_spec()
@@ -141,15 +141,11 @@ def test_elastic_rounds_bitwise_identical_with_registry_through_resize_and_resum
         return AvgPipeTrainer(spec, seed=3, num_pipelines=2, max_epochs=1, telemetry=telemetry)
 
     def run_rounds(trainer, rounds):
-        batches = iter(_batches(trainer.loader))
+        batches = iter(trainer.loader)
         for _ in range(rounds):
             for pos in range(trainer.num_pipelines):
-                before = trainer.framework.capture(pos)
-                trainer._compute_gradients(pos, next(batches))
-                trainer.optimizers[pos].clip_grad_norm(GRAD_CLIP)
-                trainer.optimizers[pos].step()
-                trainer.framework.commit(pos, before)
-            assert trainer.framework.end_iteration()
+                trainer.step(pos, next(batches))
+            trainer.end_round()
 
     def assert_identical(a, b):
         assert len(a.models) == len(b.models)
@@ -190,3 +186,4 @@ def test_elastic_rounds_bitwise_identical_with_registry_through_resize_and_resum
     total_commits = sum(inst.value for _, _, inst in registry.series("elastic.commits"))
     assert total_commits == commits == 2 * 3 + 1 * 2 + 2 * 2 + 2 * 2
     assert registry.value("elastic.reference_updates") == rounds == 9
+    assert registry.value("train.rounds") == rounds

@@ -56,6 +56,33 @@ class TestSmokeScenario:
         assert again.to_dict() == smoke.to_dict()
 
 
+@pytest.mark.parametrize("name", sorted(set(SCENARIOS) - {"smoke"}))
+def test_deterministic_in_the_seed(name):
+    """Every other scenario's report depends only on (scenario, seed):
+    two runs serialize to the same bytes, checkpoint location included."""
+    first, again = (
+        json.dumps(run_scenario(name, seed=0).to_dict(), indent=2, default=float)
+        for _ in range(2)
+    )
+    assert first == again
+
+
+def test_fault_free_rounds_match_the_trainer():
+    """Without a fault, the chaos loop is the trainer's loop: the same
+    metric history and the same reference, bit for bit."""
+    from repro.core.trainer import AvgPipeTrainer
+    from repro.resilience.chaos import _train_rounds, tiny_chaos_spec
+
+    spec = tiny_chaos_spec()
+    run = _train_rounds(spec, 0, 3, 3)
+    trainer = AvgPipeTrainer(spec, seed=0, num_pipelines=3, max_epochs=3)
+    result = trainer.train()
+    assert [m.hex() for m in run.history] == [m.hex() for m in result.metric_history]
+    ours, theirs = run.trainer.framework.reference, trainer.framework.reference
+    assert ours.keys() == theirs.keys()
+    assert all(ours[k].tobytes() == theirs[k].tobytes() for k in ours)
+
+
 def test_unknown_scenario_rejected():
     with pytest.raises(ValueError, match="unknown scenario"):
         run_scenario("meteor-strike")
