@@ -229,16 +229,14 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Run the verification subsystem: sanitizer, oracle, fuzzer."""
     from repro.verify import (
+        AXES,
         VERIFIED_SCHEDULES,
         check_schedule,
-        check_trace_causality,
         corrupt_schedule,
-        fuzz_configs,
-        inject_causality_violation,
+        inject_causality_case,
+        run_axis,
         run_differential_sweep,
-        run_fuzz,
     )
-    from repro.verify.fuzz import build_runner
 
     failures = 0
 
@@ -271,67 +269,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"ORACLE diverged beyond {args.tol}: {r}")
     print(f"oracle: {len(reports)} differential checks, worst |delta| = {worst:.3g}")
 
-    # ---- fuzzer + causality -------------------------------------------- #
-    if args.fuzz > 0:
-        results = run_fuzz(args.fuzz, seed=args.seed)
-        spans = sum(r.spans_checked for r in results)
-        ooms = sum(r.oomed for r in results)
-        for r in results:
-            for p in r.problems:
+    # ---- fuzz axes: one draw -> audit loop ---------------------------- #
+    for axis in AXES:
+        count = getattr(args, axis.name.replace("-", "_"))
+        if count is None:
+            count = axis.quick if args.quick else axis.full
+        if count <= 0:
+            continue
+        findings = run_axis(axis, count, seed=args.seed)
+        for f in findings:
+            for p in f.problems:
                 failures += 1
-                print(f"FUZZ {r.config.describe()}: {p}")
-        print(f"fuzz: {len(results)} configs ({ooms} predicted OOM), {spans} trace spans checked")
-
-    # ---- scheduler fuzzer (job-arrival axis) --------------------------- #
-    sched_count = args.sched_fuzz if args.sched_fuzz is not None else (3 if args.quick else 9)
-    if sched_count > 0:
-        from repro.verify import run_sched_fuzz
-
-        sresults = run_sched_fuzz(sched_count, seed=args.seed)
-        done = sum(r.jobs_completed for r in sresults)
-        rejected = sum(r.jobs_rejected for r in sresults)
-        preempts = sum(r.preemptions for r in sresults)
-        resizes = sum(r.resizes for r in sresults)
-        for r in sresults:
-            for p in r.problems:
-                failures += 1
-                print(f"SCHED-FUZZ {r.config.describe()}: {p}")
-        print(f"sched-fuzz: {len(sresults)} clusters ({done} jobs completed, "
-              f"{rejected} rejected, {preempts} preemptions, {resizes} resizes)")
-
-    # ---- run-store fuzzer (learned-tuner history axis) ------------------ #
-    tune_count = args.tune_fuzz if args.tune_fuzz is not None else (2 if args.quick else 5)
-    if tune_count > 0:
-        from repro.verify import run_tune_fuzz
-
-        tresults = run_tune_fuzz(tune_count, seed=args.seed)
-        loaded = sum(r.records_loaded for r in tresults)
-        applied = sum(1 for r in tresults if r.residual_applied)
-        for r in tresults:
-            for p in r.problems:
-                failures += 1
-                print(f"TUNE-FUZZ {r.config.describe()}: {p}")
-        print(f"tune-fuzz: {len(tresults)} stores ({loaded} records, "
-              f"{applied} residual-ranked, {len(tresults) - applied} analytic fallback)")
+                print(f"{axis.name.upper()} {f.config.describe()}: {p}")
+        print(f"{axis.name}: {axis.summarize(findings)}")
 
     if args.inject == "causality":
-        cfg = next(
-            c for c in fuzz_configs(50, seed=args.seed)
-            if c.memory_regime == "fits" and c.num_stages >= 2
-        )
-        runner, bundle = build_runner(cfg)
-        runner.run(iterations=cfg.iterations)
-        print("inject:", inject_causality_violation(runner.trace))
-        streams = [
-            bundle.schedule.stage_ops(k, bundle.num_stages, cfg.num_micro)
-            for k in range(bundle.num_stages)
-        ]
-        problems = check_trace_causality(
-            runner.trace, streams, cfg.num_micro, cfg.iterations, cfg.num_pipelines
-        )
-        for p in problems:
+        note, finding = inject_causality_case(seed=args.seed)
+        print("inject:", note)
+        for p in finding.problems:
             failures += 1
-            print(f"CAUSALITY {cfg.describe()}: {p}")
+            print(f"CAUSALITY {finding.config.describe()}: {p}")
 
     if failures:
         print(f"verify: FAILED with {failures} violation(s)")

@@ -1,6 +1,6 @@
 """Differential-testing & schedule-verification subsystem.
 
-Three coordinated safety nets over the schedule / executor / trainer
+Coordinated safety nets over the schedule / executor / trainer
 stack (see ``docs/verification.md``):
 
 * :mod:`repro.verify.oracle` — a sequential oracle with explicit
@@ -9,16 +9,19 @@ stack (see ``docs/verification.md``):
 * :mod:`repro.verify.invariants` — a static sanitizer for any
   :class:`~repro.schedules.base.Schedule`'s op streams plus the analytic
   memory model;
-* :mod:`repro.verify.fuzz` — a seeded config fuzzer driving the event
-  simulator with a trace causality checker and an OOM-iff-predicted
-  cross-check;
-* :mod:`repro.verify.fuzz_sched` — a seeded job-arrival fuzzer driving
-  the :mod:`repro.sched` multi-job scheduler and auditing admission,
-  memory caps, device-time conservation, and determinism;
-* :mod:`repro.verify.fuzz_tune` — a seeded run-store fuzzer feeding the
-  :mod:`repro.tune` learned predictor corrupted histories (duplicates,
-  stale cluster fingerprints, OOM-flagged records) and auditing
-  crash-freedom and analytic-fallback correctness.
+* :mod:`repro.verify.fuzz` — one seeded draw -> audit protocol over
+  three fuzz axes (:data:`~repro.verify.fuzz.AXES`), each case audited
+  into a :class:`~repro.verify.fuzz.Finding`:
+
+  - ``fuzz`` drives the event simulator with a trace causality checker
+    and an OOM-iff-predicted cross-check;
+  - ``sched-fuzz`` (:mod:`repro.verify.fuzz_sched`) drives the
+    :mod:`repro.sched` multi-job scheduler and audits admission, memory
+    caps, device-time conservation, and determinism;
+  - ``tune-fuzz`` (:mod:`repro.verify.fuzz_tune`) feeds the
+    :mod:`repro.tune` learned predictor corrupted histories (duplicates,
+    stale cluster fingerprints, OOM-flagged records) and audits
+    crash-freedom and analytic-fallback correctness.
 
 ``repro verify`` on the CLI runs all of them.
 """
@@ -48,28 +51,22 @@ from repro.verify.oracle import (
     toy_batch,
 )
 from repro.verify.fuzz import (
+    AXES,
+    SCHED_AXIS,
+    SIM_AXIS,
+    TUNE_AXIS,
+    Axis,
+    Finding,
     FuzzConfig,
-    FuzzResult,
     check_trace_causality,
     fuzz_configs,
+    inject_causality_case,
     inject_causality_violation,
-    run_fuzz,
-    run_fuzz_case,
+    run_axis,
+    run_case,
 )
-from repro.verify.fuzz_sched import (
-    SchedFuzzConfig,
-    SchedFuzzResult,
-    run_sched_fuzz,
-    run_sched_fuzz_case,
-    sched_fuzz_configs,
-)
-from repro.verify.fuzz_tune import (
-    TuneFuzzConfig,
-    TuneFuzzResult,
-    run_tune_fuzz,
-    run_tune_fuzz_case,
-    tune_fuzz_configs,
-)
+from repro.verify.fuzz_sched import SchedFuzzConfig, sched_fuzz_configs
+from repro.verify.fuzz_tune import TuneFuzzConfig, tune_fuzz_configs
 
 __all__ = [
     "Violation",
@@ -92,21 +89,21 @@ __all__ = [
     "run_async_oracle",
     "make_toy_model",
     "toy_batch",
+    "Axis",
+    "AXES",
+    "SIM_AXIS",
+    "SCHED_AXIS",
+    "TUNE_AXIS",
+    "Finding",
+    "run_axis",
+    "run_case",
     "FuzzConfig",
-    "FuzzResult",
     "fuzz_configs",
-    "run_fuzz",
-    "run_fuzz_case",
     "check_trace_causality",
+    "inject_causality_case",
     "inject_causality_violation",
     "SchedFuzzConfig",
-    "SchedFuzzResult",
     "sched_fuzz_configs",
-    "run_sched_fuzz",
-    "run_sched_fuzz_case",
     "TuneFuzzConfig",
-    "TuneFuzzResult",
     "tune_fuzz_configs",
-    "run_tune_fuzz",
-    "run_tune_fuzz_case",
 ]

@@ -1,24 +1,30 @@
-"""Seeded config fuzzer + trace causality checker for the simulator.
+"""One fuzz protocol: seeded draw -> audit over three axes.
 
-The event engine is where races hide: one generator process per
-(pipeline, stage) walks its op stream, and correctness rests on every
-span starting only after its data dependencies completed.  This module
-re-derives those dependencies from the schedule's op streams and checks
-them against the *recorded trace* — a causality detector that needs no
-knowledge of the engine's internals — and cross-checks the memory
-ledger's OOM behaviour against the sanitizer's analytic model
-(:func:`repro.verify.invariants.predict_peak_memory`).
-
-:func:`fuzz_configs` draws random (schedule, stages, micro-batches,
-pipelines, placement, memory-budget) configurations from a seeded stream
+Every axis draws configurations from a seeded stream
 (:mod:`repro.utils.seeding`), so a fuzz budget is exactly reproducible
-from its seed; ``repro verify --fuzz N`` runs N of them.
+from its seed, and audits each one into a :class:`Finding` — a list of
+problems plus integer tallies.  :data:`AXES` is the table ``repro
+verify`` loops over and :func:`run_axis` the one loop; an audit that
+raises becomes a ``raised <Type>: <msg>`` problem on its case.
+
+* ``fuzz`` (this module) — the simulator.  The event engine is where
+  races hide: one generator process per (pipeline, stage) walks its op
+  stream, and correctness rests on every span starting only after its
+  data dependencies completed.  The audit re-derives those dependencies
+  from the schedule's op streams and checks them against the *recorded
+  trace*, and cross-checks the memory ledger's OOM behaviour against the
+  analytic model (:func:`repro.verify.invariants.predict_peak_memory`).
+* ``sched-fuzz`` (:mod:`repro.verify.fuzz_sched`) — the multi-job
+  scheduler's control-plane invariants.
+* ``tune-fuzz`` (:mod:`repro.verify.fuzz_tune`) — the learned tuner's
+  run-store contracts.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from repro.schedules import (
     AFABSchedule,
@@ -34,22 +40,49 @@ from repro.schedules.base import Schedule
 from repro.sim import ClusterSpec, Simulator, make_cluster
 from repro.sim.trace import SpanKind, TraceRecorder, _Span
 from repro.utils.seeding import derive_rng
-from repro.verify.invariants import check_schedule, predict_peak_memory
+from repro.verify.fuzz_sched import audit_sched, sched_fuzz_configs
+from repro.verify.fuzz_tune import audit_tune, tune_fuzz_configs
+from repro.verify.invariants import MemoryPrediction, check_schedule, predict_peak_memory
 
 __all__ = [
+    "AXES",
+    "Axis",
+    "Finding",
     "FuzzConfig",
-    "FuzzResult",
-    "fuzz_configs",
-    "build_runner",
+    "SCHED_AXIS",
+    "SIM_AXIS",
+    "SimRun",
+    "TUNE_AXIS",
+    "audit_sim",
     "check_trace_causality",
+    "fuzz_configs",
+    "inject_causality_case",
     "inject_causality_violation",
-    "run_fuzz_case",
-    "run_fuzz",
+    "run_axis",
+    "run_case",
+    "run_config",
 ]
 
 #: Timestamps are simulator floats; dependencies are honoured when the
 #: consumer starts no earlier than the producer finished, up to rounding.
 TIME_EPS = 1e-9
+
+
+@dataclass
+class Finding:
+    """Outcome of one fuzz case on any axis.
+
+    ``tallies`` holds the axis's integer counters (OOMs, jobs completed,
+    records loaded, ...), which :meth:`Axis.summarize` sums per axis.
+    """
+
+    config: Any
+    problems: list[str] = field(default_factory=list)
+    tallies: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return not self.problems
 
 
 # ---------------------------------------------------------------------- #
@@ -170,7 +203,7 @@ def fuzz_configs(count: int, seed: int = 0) -> list[FuzzConfig]:
 
 
 # ---------------------------------------------------------------------- #
-# building the simulated system for one config
+# building and running the simulated system for one config
 
 
 def _draw_costs(cfg: FuzzConfig, num_stages: int) -> StageCosts:
@@ -183,8 +216,32 @@ def _draw_costs(cfg: FuzzConfig, num_stages: int) -> StageCosts:
     )
 
 
-def build_runner(cfg: FuzzConfig) -> tuple[PipelineSimRunner, "MemoryPredictionBundle"]:
-    """Instantiate the simulated cluster + runner for one fuzz config.
+@dataclass
+class SimRun:
+    """One fuzz config built and run on the simulator."""
+
+    cfg: FuzzConfig
+    runner: PipelineSimRunner
+    result: Any
+    prediction: MemoryPrediction
+    capacity: int | tuple[int, ...]  # per-device on heterogeneous draws
+    schedule: Schedule
+    num_stages: int
+
+    def causality(self) -> list[str]:
+        """Check the recorded trace against the schedule's op streams."""
+        cfg = self.cfg
+        streams = [
+            self.schedule.stage_ops(k, self.num_stages, cfg.num_micro)
+            for k in range(self.num_stages)
+        ]
+        return check_trace_causality(
+            self.runner.trace, streams, cfg.num_micro, cfg.iterations, cfg.num_pipelines
+        )
+
+
+def run_config(cfg: FuzzConfig) -> SimRun:
+    """Build the simulated cluster + runner for one fuzz config and run it.
 
     The memory budget is derived from the analytic model so every case
     lands in a *determinate* regime: "fits" sets capacity at the upper
@@ -194,19 +251,15 @@ def build_runner(cfg: FuzzConfig) -> tuple[PipelineSimRunner, "MemoryPredictionB
     construction.
     """
     schedule = cfg.make_schedule()
+    num_devices = num_stages = cfg.num_stages
     if cfg.placement == "chimera":
-        num_devices = cfg.num_stages
-        device_map = chimera_device_map(cfg.num_stages)
-        num_stages = cfg.num_stages
+        device_map = chimera_device_map(num_devices)
     elif cfg.placement == "interleaved":
-        num_devices = cfg.num_stages
         row = interleaved_device_map(num_devices, cfg.virtual_factor)
         device_map = [list(row) for _ in range(cfg.num_pipelines)]
         num_stages = num_devices * cfg.virtual_factor
     else:
-        num_devices = cfg.num_stages
-        device_map = [list(range(cfg.num_stages)) for _ in range(cfg.num_pipelines)]
-        num_stages = cfg.num_stages
+        device_map = [list(range(num_devices)) for _ in range(cfg.num_pipelines)]
 
     costs = _draw_costs(cfg, num_stages)
     prediction = predict_peak_memory(
@@ -240,7 +293,6 @@ def build_runner(cfg: FuzzConfig) -> tuple[PipelineSimRunner, "MemoryPredictionB
                 else int(prediction.upper[d]) + 1
                 for d in range(num_devices)
             )
-    effective_capacity = device_memory if device_memory is not None else int(capacity)
 
     sim = Simulator()
     cluster = make_cluster(
@@ -265,21 +317,15 @@ def build_runner(cfg: FuzzConfig) -> tuple[PipelineSimRunner, "MemoryPredictionB
         device_map=device_map,
         activation_recompute=cfg.activation_recompute,
     )
-    bundle = MemoryPredictionBundle(
+    return SimRun(
+        cfg=cfg,
+        runner=runner,
+        result=runner.run(iterations=cfg.iterations),
         prediction=prediction,
-        capacity=effective_capacity,
+        capacity=device_memory if device_memory is not None else int(capacity),
         schedule=schedule,
         num_stages=num_stages,
     )
-    return runner, bundle
-
-
-@dataclass
-class MemoryPredictionBundle:
-    prediction: object
-    capacity: "int | tuple[int, ...]"  # per-device on heterogeneous draws
-    schedule: Schedule
-    num_stages: int
 
 
 # ---------------------------------------------------------------------- #
@@ -393,73 +439,114 @@ def inject_causality_violation(trace: TraceRecorder) -> str:
 
 
 # ---------------------------------------------------------------------- #
-# running cases
+# the simulator axis
 
 
-@dataclass
-class FuzzResult:
-    """Outcome of one fuzz case."""
-
-    config: FuzzConfig
-    problems: list[str] = field(default_factory=list)
-    oomed: bool = False
-    spans_checked: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def describe(self) -> str:
-        status = "ok" if self.ok else f"{len(self.problems)} problem(s)"
-        mem = "oom" if self.oomed else "fit"
-        return f"{self.config.describe()} -> {mem}, {self.spans_checked} spans, {status}"
-
-
-def run_fuzz_case(cfg: FuzzConfig) -> FuzzResult:
+def audit_sim(cfg: FuzzConfig, out: Finding) -> None:
     """Execute one config and check schedule, memory and causality."""
-    result = FuzzResult(config=cfg)
-    runner, bundle = build_runner(cfg)
-    schedule, num_stages = bundle.schedule, bundle.num_stages
-
-    static = check_schedule(schedule, num_stages, cfg.num_micro)
-    result.problems.extend(f"static: {v}" for v in static)
-
-    res = runner.run(iterations=cfg.iterations)
-    result.oomed = res.oom is not None
-
-    prediction, capacity = bundle.prediction, bundle.capacity
-    if prediction.must_fit(capacity) and result.oomed:
-        result.problems.append(
+    run = run_config(cfg)
+    out.problems.extend(
+        f"static: {v}" for v in check_schedule(run.schedule, run.num_stages, cfg.num_micro)
+    )
+    res, prediction, capacity = run.result, run.prediction, run.capacity
+    oomed = res.oom is not None
+    out.tallies.update(
+        oom=int(oomed), spans=0 if oomed else len(run.runner.trace.compute_spans())
+    )
+    if prediction.must_fit(capacity) and oomed:
+        out.problems.append(
             f"memory: model guarantees fit under capacity {capacity} "
             f"(upper={prediction.upper}) but executor raised {res.oom!r}"
         )
-    if prediction.must_oom(capacity) and not result.oomed:
-        result.problems.append(
+    if prediction.must_oom(capacity) and not oomed:
+        out.problems.append(
             f"memory: model guarantees OOM under capacity {capacity} "
             f"(lower={prediction.lower}) but the run completed"
         )
-    if not result.oomed:
-        peaks = tuple(res.peak_memory)
+    if not oomed:
         for dev, (peak, lo, hi) in enumerate(
-            zip(peaks, prediction.lower, prediction.upper)
+            zip(res.peak_memory, prediction.lower, prediction.upper)
         ):
             if not lo <= peak <= hi:
-                result.problems.append(
+                out.problems.append(
                     f"memory: device {dev} peaked at {peak}, outside model bounds [{lo}, {hi}]"
                 )
-        streams = [
-            schedule.stage_ops(k, num_stages, cfg.num_micro) for k in range(num_stages)
-        ]
-        result.spans_checked = len(runner.trace.compute_spans())
-        result.problems.extend(
-            f"causality: {p}"
-            for p in check_trace_causality(
-                runner.trace, streams, cfg.num_micro, cfg.iterations, cfg.num_pipelines
-            )
-        )
-    return result
+        out.problems.extend(f"causality: {p}" for p in run.causality())
 
 
-def run_fuzz(count: int, seed: int = 0) -> list[FuzzResult]:
-    """Run a reproducible fuzz budget; results in config order."""
-    return [run_fuzz_case(cfg) for cfg in fuzz_configs(count, seed=seed)]
+def inject_causality_case(seed: int = 0) -> tuple[str, Finding]:
+    """Run the first fitting config, tamper with its trace, re-check it.
+
+    Backs ``repro verify --inject causality``: returns the tampering note
+    and a finding whose problems the causality checker must fill.
+    """
+    cfg = next(
+        c for c in fuzz_configs(50, seed=seed)
+        if c.memory_regime == "fits" and c.num_stages >= 2
+    )
+    run = run_config(cfg)
+    note = inject_causality_violation(run.runner.trace)
+    return note, Finding(cfg, run.causality())
+
+
+# ---------------------------------------------------------------------- #
+# the protocol: one axis table, one draw -> audit loop
+
+
+@dataclass(frozen=True)
+class Axis:
+    """One fuzz axis: how to draw its configs and audit one of them.
+
+    ``audit(cfg, finding)`` records problems and tallies on the finding;
+    ``summary`` is formatted over the summed tallies plus ``count``, the
+    number of cases run (a tally no case reached reads 0).  ``full`` /
+    ``quick`` are the default counts.
+    """
+
+    name: str
+    draw: Callable[[int, int], list]
+    audit: Callable[[Any, Finding], None]
+    summary: str
+    full: int
+    quick: int
+
+    def summarize(self, findings: Sequence[Finding]) -> str:
+        totals: Counter = Counter(count=len(findings))
+        for f in findings:
+            totals.update(f.tallies)
+        return self.summary.format_map(totals)
+
+
+SIM_AXIS = Axis(
+    "fuzz", fuzz_configs, audit_sim,
+    "{count} configs ({oom} predicted OOM), {spans} trace spans checked",
+    full=25, quick=25,
+)
+SCHED_AXIS = Axis(
+    "sched-fuzz", sched_fuzz_configs, audit_sched,
+    "{count} clusters ({completed} jobs completed, {rejected} rejected, "
+    "{preemptions} preemptions, {resizes} resizes)",
+    full=9, quick=3,
+)
+TUNE_AXIS = Axis(
+    "tune-fuzz", tune_fuzz_configs, audit_tune,
+    "{count} stores ({records} records, {residual} residual-ranked, "
+    "{fallback} analytic fallback)",
+    full=5, quick=2,
+)
+AXES = (SIM_AXIS, SCHED_AXIS, TUNE_AXIS)
+
+
+def run_case(axis: Axis, cfg: Any) -> Finding:
+    """Audit one drawn config; a crashing audit becomes a problem line."""
+    out = Finding(cfg)
+    try:
+        axis.audit(cfg, out)
+    except Exception as exc:
+        out.problems.append(f"raised {type(exc).__name__}: {exc}")
+    return out
+
+
+def run_axis(axis: Axis, count: int, seed: int = 0) -> list[Finding]:
+    """Run a reproducible budget of one axis; findings in draw order."""
+    return [run_case(axis, cfg) for cfg in axis.draw(count, seed)]

@@ -1,11 +1,12 @@
 """Seeded fuzzing of the multi-job scheduler (the job-arrival axis).
 
-Extends the ``repro.verify`` fuzzer family with randomized *cluster
-scheduling* configurations: cluster shape, job count, arrival intensity,
-policy, and a memory regime ("roomy" fits everything; "tight" rejects
-the wide jobs; "uneven" gives half the devices small capacities so
-grants become placement-sensitive).  Each case runs the deterministic
-scheduler end to end and audits the control-plane invariants:
+The ``sched-fuzz`` axis of the :mod:`repro.verify.fuzz` protocol draws
+randomized *cluster scheduling* configurations: cluster shape, job
+count, arrival intensity, policy, and a memory regime ("roomy" fits
+everything; "tight" rejects the wide jobs; "uneven" gives half the
+devices small capacities so grants become placement-sensitive).  Each
+case runs the deterministic scheduler end to end and audits the
+control-plane invariants:
 
 * **no starvation** — every submitted job reaches a terminal state, and
   every non-rejected job completes with all its work accounted;
@@ -15,20 +16,25 @@ scheduler end to end and audits the control-plane invariants:
 * **device-time conservation** — the cluster's busy-device-seconds
   integral equals the sum of per-job device-seconds;
 * **occupancy hygiene** — no device double-granted, none owned at the
-  end (scheduler-internal, surfaced as :class:`SchedulerError`);
+  end (scheduler-internal: a :class:`SchedulerError` the protocol
+  reports as a ``raised`` problem);
 * **determinism** — the same config re-run produces a byte-identical
   event log.
 
-``repro verify --sched-fuzz N`` runs N cases per policy rotation.
+``repro verify --sched-fuzz N`` runs N cases through the policy rotation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.utils.seeding import derive_rng
 
-__all__ = ["SchedFuzzConfig", "SchedFuzzResult", "sched_fuzz_configs", "run_sched_fuzz_case", "run_sched_fuzz"]
+if TYPE_CHECKING:
+    from repro.verify.fuzz import Finding
+
+__all__ = ["SchedFuzzConfig", "sched_fuzz_configs", "audit_sched"]
 
 MIB = 2**20
 GIB = 2**30
@@ -58,20 +64,6 @@ class SchedFuzzConfig:
             f"ia={self.mean_interarrival:.2f}s mem={self.memory_regime}"
             f"{' slow' if self.slow_devices else ''}"
         )
-
-
-@dataclass
-class SchedFuzzResult:
-    config: SchedFuzzConfig
-    problems: list[str] = field(default_factory=list)
-    jobs_completed: int = 0
-    jobs_rejected: int = 0
-    preemptions: int = 0
-    resizes: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
 
 
 def sched_fuzz_configs(count: int, seed: int = 0) -> list[SchedFuzzConfig]:
@@ -152,25 +144,20 @@ def _run_once(cfg: SchedFuzzConfig):
     return scheduler, scheduler.run()
 
 
-def run_sched_fuzz_case(cfg: SchedFuzzConfig) -> SchedFuzzResult:
+def audit_sched(cfg: SchedFuzzConfig, out: Finding) -> None:
     """Run one configuration and audit every invariant."""
     from repro.sched.job import JobState
-    from repro.sched.scheduler import SchedulerError
 
-    out = SchedFuzzResult(config=cfg)
-    try:
-        scheduler, result = _run_once(cfg)
-    except SchedulerError as exc:
-        out.problems.append(f"scheduler invariant violated: {exc}")
-        return out
-
+    scheduler, result = _run_once(cfg)
     reg = result.registry
-    out.jobs_completed = len(result.completed)
-    out.jobs_rejected = len(result.rejected)
-    out.preemptions = int(reg.value("sched.jobs", event="preempted"))
-    out.resizes = int(
-        reg.value("sched.resize", direction="grow")
-        + reg.value("sched.resize", direction="shrink")
+    out.tallies.update(
+        completed=len(result.completed),
+        rejected=len(result.rejected),
+        preemptions=int(reg.value("sched.jobs", event="preempted")),
+        resizes=int(
+            reg.value("sched.resize", direction="grow")
+            + reg.value("sched.resize", direction="shrink")
+        ),
     )
 
     # --- no starvation ------------------------------------------------- #
@@ -216,9 +203,3 @@ def run_sched_fuzz_case(cfg: SchedFuzzConfig) -> SchedFuzzResult:
     _, again = _run_once(cfg)
     if again.log_text() != result.log_text():
         out.problems.append("event log differs between identical runs")
-
-    return out
-
-
-def run_sched_fuzz(count: int, seed: int = 0) -> list[SchedFuzzResult]:
-    return [run_sched_fuzz_case(cfg) for cfg in sched_fuzz_configs(count, seed=seed)]

@@ -1,13 +1,14 @@
 """Seeded fuzzing of the learned-tuner run store (the history axis).
 
-Extends the ``repro.verify`` fuzzer family with randomized *run-history*
-contents fed to the learned predictor: duplicated records, repeated
-measurements of one config, records from stale cluster fingerprints or
-foreign workloads, OOM-flagged records (up to the whole grid), and the
-empty store.  Each case audits the contracts the learned layer makes:
+The ``tune-fuzz`` axis of the :mod:`repro.verify.fuzz` protocol feeds
+randomized *run-history* contents to the learned predictor: duplicated
+records, repeated measurements of one config, records from stale
+cluster fingerprints or foreign workloads, OOM-flagged records (up to
+the whole grid), and the empty store.  Each case audits the contracts the learned layer makes:
 
 * **crash-freedom** — ``LearnedPredictor.best_setting`` always returns a
-  decision over the candidate grid, whatever the store holds;
+  decision over the candidate grid, whatever the store holds (a raise
+  is reported by the protocol as a ``raised`` problem);
 * **fallback correctness** — an empty store (and a store with no usable
   records for the context) reproduces the analytic winner and the
   analytic prediction list exactly, with ``residual_applied`` False;
@@ -26,17 +27,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.utils.seeding import derive_rng
 
-__all__ = [
-    "TuneFuzzConfig",
-    "TuneFuzzResult",
-    "tune_fuzz_configs",
-    "run_tune_fuzz_case",
-    "run_tune_fuzz",
-]
+if TYPE_CHECKING:
+    from repro.verify.fuzz import Finding
+
+__all__ = ["TuneFuzzConfig", "tune_fuzz_configs", "audit_tune"]
 
 _MUTATIONS = ("empty", "duplicates", "stale-cluster", "oom-flagged", "mixed")
 
@@ -59,18 +58,6 @@ class TuneFuzzConfig:
             f"tune[{self.index}] mutation={self.mutation} "
             f"records={self.num_records} workload={self.workload}"
         )
-
-
-@dataclass
-class TuneFuzzResult:
-    config: TuneFuzzConfig
-    problems: list[str] = field(default_factory=list)
-    records_loaded: int = 0
-    residual_applied: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
 
 
 def tune_fuzz_configs(count: int, seed: int = 0) -> list[TuneFuzzConfig]:
@@ -156,24 +143,17 @@ def _fuzz_records(cfg: TuneFuzzConfig, predictor, context) -> list:
     return records
 
 
-def run_tune_fuzz_case(cfg: TuneFuzzConfig) -> TuneFuzzResult:
+def audit_tune(cfg: TuneFuzzConfig, out: Finding) -> None:
     """Build the fuzzed store and audit every learned-layer contract."""
     from repro.core.predictor import fits_memory
     from repro.core.tuner import _stage_memory_limits
     from repro.tune.residual import LearnedPredictor, ResidualModel, select_records
-    from repro.tune.store import RunStore, StoreError, TuneRecord
+    from repro.tune.store import RunStore, TuneRecord
 
-    out = TuneFuzzResult(config=cfg)
     _profiler, predictor, context, limit = _harness(cfg.workload)
     limits = _stage_memory_limits(_profiler, limit)
-
-    try:
-        records = _fuzz_records(cfg, predictor, context)
-        store = RunStore.from_records(records)
-    except StoreError as exc:
-        out.problems.append(f"store rejected its own synthesized records: {exc}")
-        return out
-    out.records_loaded = len(store)
+    store = RunStore.from_records(_fuzz_records(cfg, predictor, context))
+    out.tallies["records"] = len(store)
 
     # --- round-trip + merge hygiene -------------------------------------- #
     for record in store.records():
@@ -201,12 +181,11 @@ def run_tune_fuzz_case(cfg: TuneFuzzConfig) -> TuneFuzzResult:
             predictor, store=store, context=context, workload=cfg.workload
         ).best_setting(m_cands, n_cands, limits)
 
-    try:
-        decision = decide()
-    except Exception as exc:  # crash-freedom is the contract under test
-        out.problems.append(f"best_setting raised {type(exc).__name__}: {exc}")
-        return out
-    out.residual_applied = decision.residual_applied
+    decision = decide()
+    out.tallies.update(
+        residual=int(decision.residual_applied),
+        fallback=int(not decision.residual_applied),
+    )
 
     winner = decision.winner
     if (winner.m, winner.n) not in {(m, n) for m in m_cands for n in n_cands}:
@@ -267,9 +246,3 @@ def run_tune_fuzz_case(cfg: TuneFuzzConfig) -> TuneFuzzResult:
                     out.problems.append(
                         f"correction({m}, {n}) depends on record order"
                     )
-
-    return out
-
-
-def run_tune_fuzz(count: int, seed: int = 0) -> list[TuneFuzzResult]:
-    return [run_tune_fuzz_case(cfg) for cfg in tune_fuzz_configs(count, seed=seed)]

@@ -25,7 +25,7 @@ from repro.core.simcfg import calibration_for
 from repro.experiments.hetero_clusters import STRATEGY_ORDER, run_hetero
 from repro.schedules import AdvanceFPSchedule
 from repro.sim import ClusterSpec, hetero_variant, hetero_variant_names
-from repro.verify.fuzz import fuzz_configs, run_fuzz_case
+from repro.verify.fuzz import SIM_AXIS, fuzz_configs, run_case
 
 
 class TestClusterSpecValidation:
@@ -291,9 +291,9 @@ class TestFuzzerHetero:
             configs,
             lambda c: c.hetero in ("memory", "both") and c.memory_regime == "oom",
         )
-        result = run_fuzz_case(cfg)
+        result = run_case(SIM_AXIS, cfg)
         assert result.ok, result.problems
-        assert result.oomed
+        assert result.tallies["oom"] == 1
 
     def test_hetero_speeds_fit_case_completes(self):
         configs = fuzz_configs(60, seed=7)
@@ -301,6 +301,6 @@ class TestFuzzerHetero:
             configs,
             lambda c: c.hetero == "speeds" and c.memory_regime == "fits",
         )
-        result = run_fuzz_case(cfg)
+        result = run_case(SIM_AXIS, cfg)
         assert result.ok, result.problems
-        assert not result.oomed
+        assert result.tallies["oom"] == 0

@@ -1,50 +1,30 @@
-"""The run-store fuzzer axis: configs, contract audits, CLI wiring."""
+"""The run-store fuzzer axis: contract audits and CLI wiring.
+
+Draw determinism and the zero-count switch are checked for every axis
+in ``tests/test_verify_fuzz.py``."""
 
 import dataclasses
 
-import pytest
-
-from repro.verify import (
-    run_tune_fuzz,
-    run_tune_fuzz_case,
-    tune_fuzz_configs,
-)
-from repro.verify.fuzz_tune import _MUTATIONS
-
-
-def test_configs_are_deterministic_and_rotate_mutations():
-    a = tune_fuzz_configs(10, seed=0)
-    b = tune_fuzz_configs(10, seed=0)
-    assert a == b
-    assert [c.mutation for c in a] == list(_MUTATIONS) * 2
-    assert tune_fuzz_configs(10, seed=1) != a
-    for cfg in a:
-        if cfg.mutation == "empty":
-            assert cfg.num_records == 0
-        else:
-            assert 1 <= cfg.num_records <= 12
+from repro.verify import TUNE_AXIS, run_axis, run_case, tune_fuzz_configs
 
 
 def test_fuzz_cases_hold_all_contracts():
     """One full rotation of every mutation kind: crash-freedom, fallback
     correctness, OOM vetoes, round-trips, and determinism all clean."""
-    results = run_tune_fuzz(10, seed=0)
+    results = run_axis(TUNE_AXIS, 10, seed=0)
     assert len(results) == 10
     for r in results:
         assert r.ok, f"{r.config.describe()}: {r.problems}"
     # the batch must exercise both sides of the fallback
-    assert any(r.residual_applied for r in results), "no store residual-ranked"
-    assert any(
-        not r.residual_applied for r in results
-    ), "no store fell back to analytic"
+    assert any(r.tallies["residual"] for r in results), "no store residual-ranked"
+    assert any(r.tallies["fallback"] for r in results), "no store fell back to analytic"
 
 
 def test_empty_mutation_reports_analytic_fallback():
     cfg = next(c for c in tune_fuzz_configs(5, seed=0) if c.mutation == "empty")
-    result = run_tune_fuzz_case(cfg)
+    result = run_case(TUNE_AXIS, cfg)
     assert result.ok, result.problems
-    assert result.records_loaded == 0
-    assert not result.residual_applied
+    assert result.tallies == {"records": 0, "residual": 0, "fallback": 1}
 
 
 def test_oom_mutation_still_decides():
@@ -53,9 +33,9 @@ def test_oom_mutation_still_decides():
     cfg = next(
         c for c in tune_fuzz_configs(5, seed=0) if c.mutation == "oom-flagged"
     )
-    result = run_tune_fuzz_case(cfg)
+    result = run_case(TUNE_AXIS, cfg)
     assert result.ok, result.problems
-    assert result.records_loaded > 0
+    assert result.tallies["records"] > 0
 
 
 def test_detects_order_dependent_residual_fit(monkeypatch):
@@ -81,7 +61,7 @@ def test_detects_order_dependent_residual_fit(monkeypatch):
     for cfg in tune_fuzz_configs(10, seed=0):
         if cfg.mutation == "empty":
             continue
-        result = run_tune_fuzz_case(cfg)
+        result = run_case(TUNE_AXIS, cfg)
         flagged.extend(result.problems)
         if flagged:
             break
@@ -96,13 +76,3 @@ def test_cli_verify_runs_the_tune_axis(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "tune-fuzz: 5 stores" in out
-
-
-def test_cli_verify_tune_axis_can_be_disabled(capsys):
-    from repro.cli import main
-
-    code = main(["verify", "--quick", "--fuzz", "0", "--sched-fuzz", "0",
-                 "--tune-fuzz", "0"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "tune-fuzz" not in out
