@@ -131,11 +131,10 @@ class ElasticAveragingFramework:
     # ------------------------------------------------------------------ #
     # elastic resize (repro.resilience): evict / rejoin pipelines
 
-    def resize(self, keep: Sequence[int] | int, alpha: float | None = None) -> None:
+    def resize(self, keep: Sequence[int], alpha: float | None = None) -> None:
         """Shrink to a subset of the parallel models and renormalize α.
 
-        ``keep`` is either the new pipeline count N′ (the first N′ models
-        survive) or an explicit list of surviving indices.  If the
+        ``keep`` lists the surviving indices (N′ of them).  If the
         framework was constructed with the automatic α = 1/N, α becomes
         1/N′; an explicitly chosen α is kept unless ``alpha`` overrides it.
 
@@ -147,8 +146,6 @@ class ElasticAveragingFramework:
         semantics-preserving: survivors keep pulling toward the same
         center, now with weight 1/N′.
         """
-        if isinstance(keep, int):
-            keep = list(range(keep))
         keep = list(keep)
         if not keep:
             raise ValueError("resize needs at least one surviving model")
@@ -163,14 +160,8 @@ class ElasticAveragingFramework:
             self.alpha = 1.0 / len(self.models)
         self._discard_round()
 
-    def remove_model(self, index: int) -> None:
-        """Evict one parallel model (a crashed pipeline)."""
-        if len(self.models) == 1:
-            raise ValueError("cannot evict the last parallel model")
-        self.resize([i for i in range(len(self.models)) if i != index])
-
-    def add_model(self, model: PipelineModel, seed_from_reference: bool = True) -> int:
-        """Re-admit a pipeline; by default it restarts from the reference.
+    def add_model(self, model: PipelineModel) -> int:
+        """Re-admit a pipeline; it restarts from the reference.
 
         Seeding from the reference is what keeps a rejoin invisible to the
         center: the newcomer's first dilution is a no-op and its first
@@ -181,8 +172,7 @@ class ElasticAveragingFramework:
         if names != sorted(self.reference):
             raise ValueError("rejoining model has mismatched parameter structure")
         _param_dtype([*self.models, model])
-        if seed_from_reference:
-            model.load_state_dict(self.reference)
+        model.load_state_dict(self.reference)
         self.models.append(model)
         if self._alpha_auto:
             self.alpha = 1.0 / len(self.models)

@@ -155,10 +155,6 @@ class StageRuntime:
             if leaf.requires_grad
         }
 
-    @property
-    def in_flight(self) -> int:
-        return len(self._stash)
-
 
 class PipelinedRunner:
     """Drives a whole pipeline through a schedule's op streams.

@@ -8,7 +8,7 @@ equally-sized micro-batches the way GPipe/AvgPipe feed a pipeline.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -44,9 +44,6 @@ class ArrayDataset(Dataset):
 
     def __getitem__(self, index: int) -> dict[str, np.ndarray]:
         return {k: v[index] for k, v in self.arrays.items()}
-
-    def subset(self, indices: np.ndarray) -> "ArrayDataset":
-        return ArrayDataset(**{k: v[indices] for k, v in self.arrays.items()})
 
 
 class DataLoader:

@@ -49,14 +49,6 @@ def _token_mapping(vocab_size: int, rng: np.random.Generator) -> np.ndarray:
     return rng.permutation(vocab_size)
 
 
-def _reorder(tokens: np.ndarray) -> np.ndarray:
-    """Swap adjacent pairs: [a b c d e] -> [b a d c e]."""
-    out = tokens.copy()
-    limit = (len(tokens) // 2) * 2
-    out[0:limit:2], out[1:limit:2] = tokens[1:limit:2], tokens[0:limit:2]
-    return out
-
-
 def make_translation_dataset(config: TranslationConfig) -> tuple[ArrayDataset, ArrayDataset, Vocab]:
     """Build (train, validation) datasets plus the shared vocabulary.
 
@@ -107,6 +99,7 @@ def make_translation_dataset(config: TranslationConfig) -> tuple[ArrayDataset, A
 
 
 def _reorder_rows(tokens: np.ndarray) -> np.ndarray:
+    """Swap adjacent columns per row: [a b c d e] -> [b a d c e]."""
     out = tokens.copy()
     limit = (tokens.shape[1] // 2) * 2
     out[:, 0:limit:2], out[:, 1:limit:2] = tokens[:, 1:limit:2], tokens[:, 0:limit:2]

@@ -1,13 +1,13 @@
 """Layer-cost modelling and pipeline-stage partitioning.
 
 The paper reuses PipeDream's partitioner (§6); this package implements it:
-:mod:`cost_model` profiles/annotates per-layer compute, activation and
-parameter costs, and :mod:`partitioner` runs the PipeDream dynamic program
+:mod:`cost_model` annotates per-layer compute, activation and parameter
+costs, and :mod:`partitioner` runs the PipeDream dynamic program
 that cuts the layer chain into K stages minimizing the pipeline's
 bottleneck (max per-stage) time including activation communication.
 """
 
-from repro.graph.cost_model import LayerCost, model_costs, profile_layer_costs
+from repro.graph.cost_model import LayerCost, model_costs
 from repro.graph.partitioner import (
     Partition,
     balanced_bottleneck,
@@ -21,7 +21,6 @@ from repro.graph.partitioner import (
 __all__ = [
     "LayerCost",
     "model_costs",
-    "profile_layer_costs",
     "Partition",
     "partition_model",
     "partition_uniform",

@@ -1,12 +1,8 @@
 """Per-layer cost annotations.
 
-Two sources, cross-checked in tests:
-
-* **analytic** — each :class:`PipelineLayer` reports
-  ``flops_per_sample`` / ``activation_floats_per_sample`` from its shape
-  arithmetic (the way Megatron/PipeDream cost models are written down);
-* **profiled** — :func:`profile_layer_costs` times real forward passes
-  per layer on a probe micro-batch, the way PipeDream's profiler does.
+Costs are analytic: each :class:`PipelineLayer` reports
+``flops_per_sample`` / ``activation_floats_per_sample`` from its shape
+arithmetic (the way Megatron/PipeDream cost models are written down).
 
 The partitioner and the cluster simulator both consume
 :class:`LayerCost` rows, so a single annotation drives stage balancing,
@@ -15,16 +11,11 @@ simulated compute durations, link traffic and memory ledgers.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Mapping
-
-import numpy as np
 
 from repro.models.pipeline_model import PipelineModel
-from repro.tensor import Tensor, no_grad
 
-__all__ = ["LayerCost", "model_costs", "profile_layer_costs"]
+__all__ = ["LayerCost", "model_costs"]
 
 BYTES_PER_FLOAT = 4
 
@@ -56,45 +47,3 @@ def model_costs(model: PipelineModel) -> list[LayerCost]:
             )
         )
     return costs
-
-
-def profile_layer_costs(
-    model: PipelineModel,
-    probe_batch: Mapping[str, np.ndarray],
-    repeats: int = 3,
-) -> list[LayerCost]:
-    """Measure per-layer forward wall time and real bundle sizes.
-
-    Returns :class:`LayerCost` rows where ``flops_per_sample`` is replaced
-    by *seconds* per sample (a rate-consistent stand-in: the partitioner
-    only compares ratios).  Used by tests to validate that the analytic
-    annotations rank layers the same way real execution does.
-    """
-    batch_size = len(next(iter(probe_batch.values())))
-    rows: list[LayerCost] = []
-    with no_grad():
-        bundle: dict = dict(probe_batch)
-        for i, layer in enumerate(model.layers):
-            start = time.perf_counter()
-            for _ in range(repeats):
-                out = layer(dict(bundle))
-            elapsed = (time.perf_counter() - start) / repeats
-            bundle = out
-            act_bytes = _bundle_bytes(bundle)
-            rows.append(
-                LayerCost(
-                    name=f"{model.name}.layer{i}.{type(layer).__name__}",
-                    flops_per_sample=elapsed / batch_size,
-                    activation_bytes_per_sample=act_bytes / batch_size,
-                    param_bytes=layer.parameter_bytes(),
-                )
-            )
-    return rows
-
-
-def _bundle_bytes(bundle: Mapping) -> float:
-    total = 0
-    for value in bundle.values():
-        data = value.data if isinstance(value, Tensor) else np.asarray(value)
-        total += data.nbytes
-    return float(total)

@@ -63,12 +63,6 @@ class Partition:
     def num_stages(self) -> int:
         return len(self.boundaries) - 1
 
-    def stage_of_layer(self, layer: int) -> int:
-        for k in range(self.num_stages):
-            if self.boundaries[k] <= layer < self.boundaries[k + 1]:
-                return k
-        raise IndexError(f"layer {layer} outside partition {self.boundaries}")
-
     def span(self, stage: int) -> tuple[int, int]:
         return self.boundaries[stage], self.boundaries[stage + 1]
 
@@ -142,7 +136,7 @@ def partition_model(
 
     ``flops_per_sec`` converts the cost model's flops into time so compute
     and communication are in common units; the default treats flops as
-    already-normalized time (useful with profiled costs).
+    already-normalized time.
 
     ``comm_weight`` discounts the input-cut communication added to a
     stage's service time: schedules overlap part of each transfer with

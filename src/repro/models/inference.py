@@ -18,7 +18,7 @@ from repro.models.gnmt import DecoderWithAttention, EncoderLSTMLayer, OutputProj
 from repro.models.pipeline_model import PipelineModel
 from repro.tensor import no_grad
 
-__all__ = ["greedy_decode", "beam_search_decode"]
+__all__ = ["greedy_decode"]
 
 
 def _split_layers(model: PipelineModel):
@@ -72,79 +72,3 @@ def greedy_decode(model: PipelineModel, src: np.ndarray, max_len: int | None = N
                 break
     model.train()
     return np.stack(outputs, axis=1)
-
-
-def beam_search_decode(
-    model: PipelineModel,
-    src: np.ndarray,
-    beam_width: int = 4,
-    max_len: int | None = None,
-    length_penalty: float = 0.6,
-) -> np.ndarray:
-    """Beam-search translation of ``src`` (B, S) int tokens.
-
-    Standard length-normalized beam search (GNMT's alpha-penalty with the
-    usual 0.6 default): hypotheses are scored by
-    ``sum(log p) / ((5 + len) / 6) ** alpha``.  Returns (B, T) tokens
-    padded with PAD after EOS.  Greedy decoding is ``beam_width = 1`` up
-    to tie-breaking.
-    """
-    if beam_width < 1:
-        raise ValueError(f"beam_width must be >= 1, got {beam_width}")
-    encoder, decoders, projection = _split_layers(model)
-    src = np.asarray(src)
-    if src.ndim != 2:
-        raise ValueError(f"src must be (B, S), got shape {src.shape}")
-    max_len = max_len or src.shape[1]
-
-    model.eval()
-    results = []
-    with no_grad():
-        bundle: dict = {"src": src, "tgt_in": None, "tgt_out": None}
-        for layer in encoder:
-            bundle = layer(bundle)
-        enc_out_all = bundle["enc_out"]
-
-        def lp(length: int) -> float:
-            return ((5.0 + length) / 6.0) ** length_penalty
-
-        for b in range(src.shape[0]):
-            enc_out = enc_out_all[b : b + 1]
-            # Each hypothesis: (tokens tuple without BOS, logprob, finished)
-            beams: list[tuple[tuple[int, ...], float, bool]] = [((), 0.0, False)]
-            for _ in range(max_len):
-                if all(done for _, _, done in beams):
-                    break
-                candidates: list[tuple[tuple[int, ...], float, bool]] = []
-                for tokens, score, done in beams:
-                    if done:
-                        candidates.append((tokens, score, True))
-                        continue
-                    prefix = np.array([[BOS, *tokens]], dtype=np.int64)
-                    dec_bundle: dict = {"enc_out": enc_out, "tgt_in": prefix}
-                    for layer in decoders:
-                        dec_bundle = layer(dec_bundle)
-                    logits = projection(dec_bundle)["logits"].data[0, -1, :]
-                    shifted = logits - logits.max()
-                    log_probs = shifted - np.log(np.exp(shifted).sum())
-                    top = np.argsort(log_probs)[-beam_width:]
-                    for token in top:
-                        candidates.append(
-                            (tokens + (int(token),), score + float(log_probs[token]),
-                             int(token) == EOS)
-                        )
-                candidates.sort(key=lambda c: c[1] / lp(max(len(c[0]), 1)), reverse=True)
-                beams = candidates[:beam_width]
-            best = max(beams, key=lambda c: c[1] / lp(max(len(c[0]), 1)))
-            results.append(list(best[0]))
-
-    model.train()
-    out = np.full((src.shape[0], max_len), PAD, dtype=np.int64)
-    for i, tokens in enumerate(results):
-        trimmed = tokens[:max_len]
-        out[i, : len(trimmed)] = trimmed
-        # Normalize: everything after the first EOS is padding.
-        hits = np.where(out[i] == EOS)[0]
-        if len(hits):
-            out[i, hits[0] + 1 :] = PAD
-    return out

@@ -20,7 +20,7 @@ The last layer must be a loss head producing a scalar ``"loss"`` entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -114,9 +114,6 @@ class PipelineModel:
         for _, p in self.named_parameters():
             yield p
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def parameter_bytes(self) -> int:
         return sum(p.data.nbytes for p in self.parameters())
 
@@ -151,18 +148,6 @@ class PipelineModel:
             if value.shape != param.shape:
                 raise ValueError(f"{name}: shape {value.shape} != {param.shape}")
             param.data = np.array(value, dtype=param.dtype, copy=True)
-
-    # ------------------------------------------------------------------ #
-    # cost introspection
-
-    def layer_flops(self) -> list[float]:
-        return [layer.flops_per_sample() for layer in self.layers]
-
-    def layer_activation_floats(self) -> list[float]:
-        return [layer.activation_floats_per_sample() for layer in self.layers]
-
-    def layer_param_bytes(self) -> list[int]:
-        return [layer.parameter_bytes() for layer in self.layers]
 
     def __len__(self) -> int:
         return len(self.layers)

@@ -1,46 +1,35 @@
 """Neural-network layers over the autograd engine.
 
 Mirrors the slice of ``torch.nn`` that the paper's three workloads (GNMT,
-BERT, AWD-LSTM) require, plus the container/introspection machinery the
-pipeline partitioner and elastic-averaging runtime rely on:
-
-* ``Module.state_dict`` / ``load_state_dict`` — weight versioning
-  (PipeDream stashing, PipeDream-2BW double buffering) and elastic
-  averaging both operate on flat state dicts.
-* ``Sequential`` exposes an ordered layer list the partitioner cuts into
-  pipeline stages.
+BERT, AWD-LSTM) require, plus the introspection machinery the
+elastic-averaging runtime relies on: ``Module.state_dict`` /
+``load_state_dict`` — weight versioning (PipeDream stashing,
+PipeDream-2BW double buffering) and elastic averaging both operate on
+flat state dicts.  The recurrent models step :class:`LSTMCell` over time
+themselves and join the steps with ``stack``.
 """
 
 from repro.nn.module import Module, Parameter
-from repro.nn.container import Sequential, ModuleList
 from repro.nn.linear import Linear
 from repro.nn.embedding import Embedding
 from repro.nn.normalization import LayerNorm
 from repro.nn.dropout import Dropout, WeightDrop
-from repro.nn.activations import ReLU, GELU, Tanh
-from repro.nn.recurrent import LSTMCell, LSTM
+from repro.nn.activations import Tanh
+from repro.nn.recurrent import LSTMCell
 from repro.nn.attention import MultiHeadAttention
 from repro.nn.transformer import TransformerEncoderLayer, PositionalEncoding
-from repro.nn.loss import CrossEntropyLoss, MSELoss
 
 __all__ = [
     "Module",
     "Parameter",
-    "Sequential",
-    "ModuleList",
     "Linear",
     "Embedding",
     "LayerNorm",
     "Dropout",
     "WeightDrop",
-    "ReLU",
-    "GELU",
     "Tanh",
     "LSTMCell",
-    "LSTM",
     "MultiHeadAttention",
     "TransformerEncoderLayer",
     "PositionalEncoding",
-    "CrossEntropyLoss",
-    "MSELoss",
 ]

@@ -1,23 +1,11 @@
-"""Activation layers (module wrappers around the functional forms)."""
+"""Activation layer (module wrapper around the functional form)."""
 
 from __future__ import annotations
 
 from repro.nn.module import Module
-from repro.tensor import Tensor, gelu, relu, tanh
+from repro.tensor import Tensor, tanh
 
-__all__ = ["ReLU", "GELU", "Tanh"]
-
-
-class ReLU(Module):
-    """Module wrapper around :func:`repro.tensor.relu`."""
-    def forward(self, x: Tensor) -> Tensor:
-        return relu(x)
-
-
-class GELU(Module):
-    """Module wrapper around :func:`repro.tensor.gelu`."""
-    def forward(self, x: Tensor) -> Tensor:
-        return gelu(x)
+__all__ = ["Tanh"]
 
 
 class Tanh(Module):

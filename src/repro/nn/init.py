@@ -1,17 +1,10 @@
-"""Weight initializers (Xavier/Kaiming/uniform), all taking an explicit RNG."""
+"""Weight initializers (Kaiming/uniform/normal), all taking an explicit RNG."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "kaiming_uniform", "uniform", "normal", "zeros_"]
-
-
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot uniform init: bound = gain * sqrt(6 / (fan_in + fan_out))."""
-    fan_in, fan_out = _fans(shape)
-    bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+__all__ = ["kaiming_uniform", "uniform", "normal"]
 
 
 def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
@@ -29,11 +22,6 @@ def uniform(shape: tuple[int, ...], rng: np.random.Generator, bound: float) -> n
 def normal(shape: tuple[int, ...], rng: np.random.Generator, std: float = 0.02) -> np.ndarray:
     """Gaussian init with the given standard deviation."""
     return (rng.standard_normal(shape) * std).astype(np.float32)
-
-
-def zeros_(shape: tuple[int, ...]) -> np.ndarray:
-    """All-zeros initializer."""
-    return np.zeros(shape, dtype=np.float32)
 
 
 def _fans(shape: tuple[int, ...]) -> tuple[int, int]:

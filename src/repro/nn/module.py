@@ -54,10 +54,6 @@ class Module:
             self._modules[name] = value
         object.__setattr__(self, name, value)
 
-    def register_module(self, name: str, module: "Module") -> None:
-        self._modules[name] = module
-        object.__setattr__(self, name, module)
-
     # ------------------------------------------------------------------ #
     # traversal
 
@@ -75,9 +71,6 @@ class Module:
         yield self
         for child in self._modules.values():
             yield from child.modules()
-
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
 
     def parameter_bytes(self) -> int:
         return sum(p.data.nbytes for p in self.parameters())

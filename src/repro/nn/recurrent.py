@@ -1,10 +1,10 @@
-"""LSTM layers (the GNMT and AWD-LSTM building block).
+"""The LSTM cell (the GNMT and AWD-LSTM building block).
 
 The cell computes the four gates in one fused matmul per input/hidden pair
 — ``gates = x @ W_ih^T + h @ W_hh^T + b`` — which keeps arithmetic
-intensity high per the HPC guides (one big GEMM instead of four small
-ones).  The sequence loop is unavoidable; everything inside it is
-vectorized over the batch.
+intensity high (one big GEMM instead of four small ones).  The models run
+the sequence loop themselves (one cell step per time step, then
+``stack``); everything inside a step is vectorized over the batch.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.nn.module import Module, Parameter
 from repro.tensor import Tensor, zeros
 from repro.tensor.functional import lstm_cell
 
-__all__ = ["LSTMCell", "LSTM"]
+__all__ = ["LSTMCell"]
 
 
 class LSTMCell(Module):
@@ -46,47 +46,3 @@ class LSTMCell(Module):
 
     def __repr__(self) -> str:
         return f"LSTMCell(in={self.input_size}, hidden={self.hidden_size})"
-
-
-class LSTM(Module):
-    """Unidirectional single-layer LSTM over (T, B, D) sequences."""
-
-    def __init__(self, input_size: int, hidden_size: int) -> None:
-        super().__init__()
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        self.cell = LSTMCell(input_size, hidden_size)
-
-    def forward(
-        self, x: Tensor, state: tuple[Tensor, Tensor] | None = None
-    ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        """Returns (outputs stacked over time, final (h, c))."""
-        if x.ndim != 3:
-            raise ValueError(f"LSTM expects (T, B, D) input, got shape {x.shape}")
-        seq_len, batch, _ = x.shape
-        if state is None:
-            state = self.cell.init_state(batch)
-        h, c = state
-        cell = self.cell
-        # Write each step's output straight into the preallocated stacked
-        # buffer instead of stack()-ing T tensors at the end; the joining
-        # node keeps stack's exact split backward, so outputs and grads are
-        # bitwise identical to the composed form (tested).
-        steps: list[Tensor] = []
-        out_buf: np.ndarray | None = None
-        for t in range(seq_len):
-            h, c = cell(x[t], (h, c))
-            if out_buf is None:
-                out_buf = np.empty((seq_len, *h.shape), dtype=h.dtype)
-            out_buf[t] = h.data
-            steps.append(h)
-
-        def backward(g: np.ndarray):
-            pieces = np.split(g, seq_len, axis=0)
-            return tuple(p.squeeze(axis=0) for p in pieces)
-
-        outputs = Tensor._make(out_buf, tuple(steps), backward, "stack")
-        return outputs, (h, c)
-
-    def __repr__(self) -> str:
-        return f"LSTM(in={self.input_size}, hidden={self.hidden_size})"

@@ -30,11 +30,7 @@ from repro.obs.report import (
     sched_telemetry,
     tuner_telemetry,
 )
-from repro.obs.telemetry import (
-    ClusterTelemetrySampler,
-    TrainingTelemetry,
-    publish_cluster,
-)
+from repro.obs.telemetry import TrainingTelemetry
 from repro.obs.trace_export import TraceExporter
 
 __all__ = [
@@ -46,8 +42,6 @@ __all__ = [
     "DEFAULT_TIME_BUCKETS",
     "TraceExporter",
     "TrainingTelemetry",
-    "ClusterTelemetrySampler",
-    "publish_cluster",
     "RunReport",
     "build_run_report",
     "sched_telemetry",

@@ -1,29 +1,19 @@
-"""Training and cluster telemetry publishers.
+"""Training telemetry publisher.
 
-Two layers, matching the two clocks in the stack:
-
-* :class:`TrainingTelemetry` — the numeric trainer's per-iteration
-  telemetry: loss per pipeline, averaging divergence ‖x_i − x̃‖ and the
-  elastic α-pull magnitude (published by
-  :class:`~repro.core.elastic.ElasticAveragingFramework` itself), round
-  counters and per-epoch evaluation metrics.  Every hook is read-only on
-  trainer state, so instrumented and uninstrumented runs are bitwise
-  identical — a negative-path test asserts this.
-
-* :func:`publish_cluster` / :class:`ClusterTelemetrySampler` — simulator
-  cluster state (device frozen/capacity/slowdown, memory high-water
-  marks, link partitions) published into a registry as gauges.  The
-  sampler is a simulator process polling on the sim clock, which gives
-  :class:`~repro.resilience.detector.HeartbeatDetector` an optional path
-  that reads telemetry from the registry instead of touching raw
-  resources.
+:class:`TrainingTelemetry` is the numeric trainer's per-iteration
+telemetry: loss per pipeline, averaging divergence ‖x_i − x̃‖ and the
+elastic α-pull magnitude (published by
+:class:`~repro.core.elastic.ElasticAveragingFramework` itself), round
+counters and per-epoch evaluation metrics.  Every hook is read-only on
+trainer state, so instrumented and uninstrumented runs are bitwise
+identical — a negative-path test asserts this.
 """
 
 from __future__ import annotations
 
 from repro.obs.registry import MetricRegistry
 
-__all__ = ["TrainingTelemetry", "publish_cluster", "ClusterTelemetrySampler"]
+__all__ = ["TrainingTelemetry"]
 
 #: loss values live in a few nats; linear buckets resolve 0.05 steps.
 LOSS_BUCKETS: tuple[float, ...] = tuple(0.05 * i for i in range(1, 241))
@@ -64,76 +54,3 @@ class TrainingTelemetry:
 
     def record_samples(self, n: int) -> None:
         self.registry.counter("train.samples").inc(n)
-
-
-# --------------------------------------------------------------------- #
-# simulator cluster telemetry
-
-
-def publish_cluster(registry: MetricRegistry, cluster) -> None:
-    """Publish one snapshot of device/link/memory state as gauges.
-
-    Gauge catalog (all labeled; see docs/observability.md):
-
-    * ``sim.device.frozen{device}`` — 1.0 while the compute resource is
-      frozen (a crashed device), else 0.0;
-    * ``sim.device.capacity{device}`` / ``sim.device.nominal_capacity`` —
-      current vs nominal service rate (their ratio exposes stragglers);
-    * ``sim.device.utilization{device}`` — instantaneous granted demand;
-    * ``sim.mem.used_bytes{device}`` / ``sim.mem.peak_bytes{device}`` and
-      per-tag ``sim.mem.tag_peak_bytes{device,tag}`` high-water marks;
-    * ``sim.link.partitioned{src,dst}`` — 1.0 while severed.
-    """
-    if not registry.enabled:
-        return
-    for device in cluster.devices:
-        device.publish_telemetry(registry)
-    for (src, dst), link in sorted(cluster._links.items()):
-        registry.gauge("sim.link.partitioned", src=src, dst=dst).set(
-            1.0 if link.partitioned else 0.0
-        )
-
-
-class ClusterTelemetrySampler:
-    """A sim process that republishes cluster telemetry every ``interval``.
-
-    Mirrors the detector's polling discipline (same clock, bounded poll
-    count) so a detector consuming the registry sees state at most one
-    sampling interval stale — the realistic failure-detection setup,
-    where the detector watches a metrics bus rather than the hardware.
-    """
-
-    def __init__(
-        self,
-        sim,
-        cluster,
-        registry: MetricRegistry,
-        interval: float = 1.0,
-        max_polls: int = 100_000,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError("sampling interval must be positive")
-        self.sim = sim
-        self.cluster = cluster
-        self.registry = registry
-        self.interval = interval
-        self.max_polls = max_polls
-        self._stopped = False
-        self._process = None
-
-    def start(self) -> None:
-        if self._process is not None:
-            raise RuntimeError("sampler already started")
-        publish_cluster(self.registry, self.cluster)  # t=0 baseline
-        self._process = self.sim.process(self._run(), name="obs.sampler")
-
-    def stop(self) -> None:
-        self._stopped = True
-
-    def _run(self):
-        for _ in range(self.max_polls):
-            yield self.sim.timeout(self.interval, name="obs.sample")
-            if self._stopped:
-                return
-            publish_cluster(self.registry, self.cluster)
-            self.registry.counter("obs.samples").inc()

@@ -15,7 +15,6 @@ from repro.optim.adamw import AdamW
 from repro.optim.adagrad import Adagrad
 from repro.optim.asgd import ASGD
 from repro.optim.easgd import EASGD
-from repro.optim.lr_scheduler import ConstantLR, StepLR, WarmupLinearLR
 
 __all__ = [
     "Optimizer",
@@ -25,7 +24,4 @@ __all__ = [
     "Adagrad",
     "ASGD",
     "EASGD",
-    "ConstantLR",
-    "StepLR",
-    "WarmupLinearLR",
 ]

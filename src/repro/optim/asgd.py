@@ -1,9 +1,8 @@
 """Averaged SGD [Polyak & Juditsky 1992] — used by the AWD-LSTM workload.
 
-Maintains a running tail average of the iterates from step ``t0`` onward;
-``swap_averaged()`` / ``swap_back()`` exchange live weights with the
-Polyak average for evaluation, mirroring how the AWD-LSTM recipe validates
-on the averaged weights.
+Maintains a running tail average of the iterates from step ``t0`` onward
+in the optimizer state (``ax``), so it is checkpointed with the rest of
+the state.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ __all__ = ["ASGD"]
 
 
 class ASGD(Optimizer):
-    """SGD with a Polyak tail average, swappable in for evaluation."""
+    """SGD with a Polyak tail average kept in the optimizer state."""
     def __init__(self, params, lr: float, t0: int = 0, weight_decay: float = 0.0) -> None:
         super().__init__(params, lr)
         if t0 < 0:
@@ -24,11 +23,8 @@ class ASGD(Optimizer):
         self.t0 = t0
         self.weight_decay = weight_decay
         self._step_count = 0
-        self._swapped = False
 
     def step(self) -> None:
-        if self._swapped:
-            raise RuntimeError("step() while averaged weights are swapped in")
         self._step_count += 1
         for p in self.params:
             if p.grad is None:
@@ -46,25 +42,3 @@ class ASGD(Optimizer):
                     st["ax_count"] = int(st["ax_count"]) + 1
                     ax: np.ndarray = st["ax"]  # type: ignore[assignment]
                     ax += (p.data - ax) / st["ax_count"]
-
-    def swap_averaged(self) -> None:
-        """Swap the Polyak averages into the live parameters (for eval)."""
-        if self._swapped:
-            raise RuntimeError("averaged weights already swapped in")
-        for p in self.params:
-            st = self._get_state(p)
-            if "ax" in st:
-                live = p.data.copy()
-                p.data = st["ax"].copy()  # type: ignore[union-attr]
-                st["_live"] = live
-        self._swapped = True
-
-    def swap_back(self) -> None:
-        """Restore live weights after :meth:`swap_averaged`."""
-        if not self._swapped:
-            raise RuntimeError("swap_back() without a prior swap_averaged()")
-        for p in self.params:
-            st = self._get_state(p)
-            if "_live" in st:
-                p.data = st.pop("_live")  # type: ignore[assignment]
-        self._swapped = False

@@ -54,12 +54,11 @@ class HeartbeatDetector:
         self,
         sim: Simulator,
         runner,
-        cluster: Cluster | None = None,
+        cluster: Cluster,
         interval: float = 1.0,
         miss_threshold: float = 3.0,
         straggler_factor: float | None = None,
         max_polls: int = 100_000,
-        telemetry=None,
     ) -> None:
         if interval <= 0:
             raise ValueError("heartbeat interval must be positive")
@@ -72,13 +71,6 @@ class HeartbeatDetector:
         self.miss_threshold = miss_threshold
         self.straggler_factor = straggler_factor
         self.max_polls = max_polls
-        #: optional repro.obs MetricRegistry.  When set, device and link
-        #: state is read from the ``sim.device.*`` / ``sim.link.*``
-        #: gauges a ClusterTelemetrySampler keeps fresh, instead of
-        #: polling the cluster's raw resources — the realistic setup
-        #: where a detector watches a metrics bus, at the price of one
-        #: sampling interval of staleness.  ``cluster`` may then be None.
-        self.telemetry = telemetry
         self.reports: list[FailureReport] = []
         self._reported: set[tuple[str, int]] = set()
         self._stopped = False
@@ -93,10 +85,6 @@ class HeartbeatDetector:
         """Stop polling; the monitor process exits on its next wake-up."""
         self._stopped = True
 
-    @property
-    def crashed_pipelines(self) -> list[int]:
-        return [r.target for r in self.reports if r.kind == "pipeline_crash"]
-
     # ------------------------------------------------------------------ #
 
     def _monitor(self):
@@ -106,57 +94,23 @@ class HeartbeatDetector:
                 return
             self._poll()
 
-    def _observe(self) -> list[tuple[int, bool, float, float]] :
-        """Per-device (index, frozen, capacity, nominal) observations,
-        from the registry gauges when telemetry is attached, else from
-        the cluster's raw resources."""
-        if self.telemetry is not None:
-            out = []
-            for _, labels, gauge in self.telemetry.series("sim.device.frozen"):
-                device = int(labels["device"])
-                out.append((
-                    device,
-                    gauge.value > 0.0,
-                    self.telemetry.value("sim.device.capacity", device=device),
-                    self.telemetry.value("sim.device.nominal_capacity", device=device),
-                ))
-            return sorted(out)
-        if self.cluster is None:
-            return []
-        return [
-            (d.index, d.compute.frozen, d.compute.capacity, d.compute.nominal_capacity)
-            for d in self.cluster.devices
-        ]
-
-    def _observe_links(self) -> list[tuple[int, int]]:
-        """Severed (src, dst) link pairs, from either telemetry source."""
-        if self.telemetry is not None:
-            return sorted(
-                (int(labels["src"]), int(labels["dst"]))
-                for _, labels, gauge in self.telemetry.series("sim.link.partitioned")
-                if gauge.value > 0.0
-            )
-        if self.cluster is None:
-            return []
-        return [
-            (src, dst)
-            for (src, dst), link in self.cluster._links.items()
-            if link.partitioned
-        ]
-
     def _poll(self) -> None:
         now = self.sim.now
         frozen_devices = []
         severed_links = []
-        for src, dst in self._observe_links():
+        for (src, dst), link in self.cluster._links.items():
+            if not link.partitioned:
+                continue
             severed_links.append((src, dst))
             self._report(
                 "link_partition",
                 src,
                 f"link {src}->{dst} unreachable (telemetry)",
             )
-        for device, frozen, capacity, nominal in self._observe():
-            if frozen:
+        for d in self.cluster.devices:
+            device = d.index
+            capacity, nominal = d.compute.capacity, d.compute.nominal_capacity
+            if d.compute.frozen:
                 frozen_devices.append(device)
                 self._report(
                     "device_crash",

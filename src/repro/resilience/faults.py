@@ -83,19 +83,6 @@ class FaultEvent:
             "factor": self.factor,
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "FaultEvent":
-        target = d["target"]
-        if isinstance(target, (list, tuple)):
-            target = (int(target[0]), int(target[1]))
-        return FaultEvent(
-            kind=d["kind"],
-            at=float(d["at"]),
-            target=target,
-            duration=None if d.get("duration") is None else float(d["duration"]),
-            factor=float(d.get("factor", 1.0)),
-        )
-
 
 @dataclass
 class FaultPlan:
@@ -112,13 +99,6 @@ class FaultPlan:
 
     def to_dict(self) -> dict:
         return {"seed": self.seed, "events": [e.to_dict() for e in self.events]}
-
-    @staticmethod
-    def from_dict(d: dict) -> "FaultPlan":
-        return FaultPlan(
-            events=[FaultEvent.from_dict(e) for e in d.get("events", [])],
-            seed=d.get("seed"),
-        )
 
     @staticmethod
     def random(

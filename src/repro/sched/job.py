@@ -149,10 +149,6 @@ class Job:
         return max(0.0, self.spec.total_batches - self.batches_done)
 
     @property
-    def is_active(self) -> bool:
-        return self.state in (JobState.RUNNING, JobState.RESIZING)
-
-    @property
     def is_terminal(self) -> bool:
         return self.state in (JobState.DONE, JobState.REJECTED)
 

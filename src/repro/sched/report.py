@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 from repro.utils.tables import format_table
 
-from repro.sched.job import Job, JobState
 from repro.sched.scheduler import SchedResult
 
 __all__ = ["SchedVerdict", "render_jobs", "render_summary", "render_compare", "render_report"]
@@ -213,8 +212,3 @@ def render_report(verdict: SchedVerdict) -> str:
         f"{verdict.baseline.policy}: {detail}.\n"
     )
     return "\n".join(parts)
-
-
-def terminal_states(jobs: list[Job]) -> bool:
-    """True when every job reached a terminal state (no starvation)."""
-    return all(j.state in (JobState.DONE, JobState.REJECTED) for j in jobs)

@@ -6,9 +6,9 @@ queues, so chains are placeable independently — the "embarrassingly
 parallel between rounds" structure of §3.2).  For one chain the planner:
 
 * cuts the job's model into K stages with :func:`repro.core.plan_for_spec`
-  against a sub-spec of the granted devices (uniform grants take the
-  legacy partition DP bit-for-bit; speed-heterogeneous grants take the
-  balanced partition + placement search);
+  against a sub-spec of the granted devices — one joint partition and
+  placement search for every grant, of which a uniform grant is the
+  degenerate case (one DP, straight-chain placement);
 * builds an *analytic* :class:`~repro.core.profiler.Profile` at the
   job's own (M, 1) setting — per-stage compute from the cost model
   against each granted device's effective flops, per-stage transfer

@@ -46,10 +46,6 @@ class AdaptiveAdvanceController:
         if self.memory_limit_bytes <= 0:
             raise ValueError("memory limit must be positive")
 
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
     def observe(self, batch_time: float, peak_memory_bytes: float) -> int:
         """Feed one iteration's measurements; returns the advance to use
         for the *next* iteration (Algorithm 1 lines 9-10)."""

@@ -195,9 +195,6 @@ class Cluster:
             )
         return self._links[key]
 
-    def is_cross_node(self, src: int, dst: int) -> bool:
-        return self.devices[src].node != self.devices[dst].node
-
     @property
     def num_devices(self) -> int:
         return len(self.devices)

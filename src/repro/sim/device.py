@@ -125,8 +125,8 @@ class Device:
         }
 
     def publish_telemetry(self, registry) -> None:
-        """Mirror :meth:`telemetry` into registry gauges (see the gauge
-        catalog in :func:`repro.obs.telemetry.publish_cluster`)."""
+        """Mirror :meth:`telemetry` into registry gauges (the gauge
+        catalog is in docs/observability.md)."""
         registry.gauge("sim.device.frozen", device=self.index).set(
             1.0 if self.compute.frozen else 0.0
         )

@@ -176,12 +176,6 @@ class Simulator:
     def _note_cancel(self) -> None:
         self._tombstones += 1
 
-    def _should_compact(self) -> bool:
-        return (
-            self._tombstones > _COMPACT_MIN_TOMBSTONES
-            and self._tombstones * 2 > len(self._heap)
-        )
-
     def _compact(self) -> None:
         """Drop tombstoned entries and re-heapify (linear time).
 
@@ -201,7 +195,7 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         while heap:
-            # Inlined _should_compact(): this check runs once per pop.
+            # Compact once tombstones outnumber live entries (checked per pop).
             if self._tombstones > _COMPACT_MIN_TOMBSTONES and self._tombstones * 2 > len(heap):
                 self._compact()
                 heap = self._heap
@@ -236,7 +230,7 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         while not process.triggered:
-            # Inlined _should_compact(): this check runs once per pop.
+            # Compact once tombstones outnumber live entries (checked per pop).
             if self._tombstones > _COMPACT_MIN_TOMBSTONES and self._tombstones * 2 > len(heap):
                 self._compact()
                 heap = self._heap

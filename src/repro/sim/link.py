@@ -39,7 +39,6 @@ class Link:
         self.pipe = SharedResource(
             sim, capacity=bandwidth_bytes_per_sec, name=name or f"link{src}->{dst}"
         )
-        self._degradation = 1.0
         # Event names for the default transfer label, composed once: every
         # pipeline send pays this path, and the strings never change.
         self._xfer_done_name = f"{self.pipe.name}.xfer"
@@ -47,10 +46,6 @@ class Link:
 
     # ------------------------------------------------------------------ #
     # fault hooks (repro.resilience)
-
-    @property
-    def degradation(self) -> float:
-        return self._degradation
 
     @property
     def partitioned(self) -> bool:
@@ -62,7 +57,6 @@ class Link:
         down from this instant."""
         if factor < 1.0:
             raise ValueError(f"degradation factor must be >= 1, got {factor}")
-        self._degradation = factor
         self.pipe.set_capacity(self.bandwidth / factor)
 
     def sever(self) -> None:
@@ -71,7 +65,6 @@ class Link:
 
     def heal(self) -> None:
         """Undo :meth:`sever` and any degradation; stalled bytes resume."""
-        self._degradation = 1.0
         self.pipe.set_capacity(self.bandwidth)
         self.pipe.unfreeze()
 
@@ -99,7 +92,3 @@ class Link:
         gate.add_callback(start)
         self.sim.schedule(self.latency, gate)
         return done
-
-    def transfer_time_alone(self, nbytes: float) -> float:
-        """Analytic time for a contention-free transfer (used by tuner)."""
-        return self.latency + nbytes / self.bandwidth

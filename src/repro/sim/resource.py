@@ -24,7 +24,6 @@ finisher.  Stale completion events are recognized by generation counters.
 from __future__ import annotations
 
 import heapq
-from typing import Callable
 
 from repro.sim.events import Event, Simulator
 
@@ -68,7 +67,6 @@ class SharedResource:
         self._tick_cb = self._on_tick_event
         # (time, total_granted_demand) steps for utilization traces.
         self.utilization_steps: list[tuple[float, float]] = [(0.0, 0.0)]
-        self._observers: list[Callable[[float, float], None]] = []
 
     # ------------------------------------------------------------------ #
 
@@ -96,10 +94,6 @@ class SharedResource:
         """Total granted demand right now (the utilization in [0, 1])."""
         total = sum(t.demand for t in self._active)
         return min(total, 1.0)
-
-    def add_observer(self, fn: Callable[[float, float], None]) -> None:
-        """``fn(time, utilization)`` on every utilization change."""
-        self._observers.append(fn)
 
     # ------------------------------------------------------------------ #
     # fault hooks (repro.resilience): service-rate changes mid-flight
@@ -173,8 +167,6 @@ class SharedResource:
                 steps = self.utilization_steps
                 if abs(util - steps[-1][1]) > 1e-12:
                     steps.append((self.sim.now, util))
-                    for fn in self._observers:
-                        fn(self.sim.now, util)
                 self._generation += 1
                 if self._frozen:
                     return
@@ -221,8 +213,6 @@ class SharedResource:
         util = 0.0 if self._frozen else (total_demand if total_demand <= 1.0 else 1.0)
         if abs(util - self.utilization_steps[-1][1]) > 1e-12 or not active:
             self.utilization_steps.append((self.sim.now, util))
-            for fn in self._observers:
-                fn(self.sim.now, util)
 
         self._generation += 1
         if not active or self._frozen:
@@ -253,15 +243,8 @@ class SharedResource:
 
     # ------------------------------------------------------------------ #
 
-    def busy_time(self, horizon: float | None = None) -> float:
-        """Integral of time with utilization > 0 up to ``horizon``."""
-        return self._integrate(lambda u: 1.0 if u > 0 else 0.0, horizon)
-
     def utilization_integral(self, horizon: float | None = None) -> float:
         """Integral of the utilization curve (compute volume / capacity)."""
-        return self._integrate(lambda u: u, horizon)
-
-    def _integrate(self, weight: Callable[[float], float], horizon: float | None) -> float:
         end = self.sim.now if horizon is None else horizon
         total = 0.0
         steps = self.utilization_steps
@@ -269,5 +252,5 @@ class SharedResource:
             t_next = steps[i + 1][0] if i + 1 < len(steps) else end
             t_next = min(t_next, end)
             if t_next > t:
-                total += (t_next - t) * weight(u)
+                total += (t_next - t) * u
         return total

@@ -11,7 +11,6 @@ step functions.
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,7 +122,7 @@ class TraceRecorder:
             if span.device != device:
                 continue
             if span.kind in (SpanKind.FAULT, SpanKind.RECOVERY):
-                continue  # annotation windows, not device work (see fault_spans)
+                continue  # fault / recovery annotation windows, not device work
             duration = span.end - span.start
             if span.kind in (SpanKind.FWD, SpanKind.BWD):
                 out["gpu"] += duration
@@ -160,21 +159,6 @@ class TraceRecorder:
             else:
                 d["sync"] += duration
         return out
-
-    def fault_spans(self) -> list[_Span]:
-        """Injected fault / recovery annotation windows (repro.resilience)."""
-        return [s for s in self.spans if s.kind in (SpanKind.FAULT, SpanKind.RECOVERY)]
-
-    def idle_time(self, device: int) -> float:
-        d = self.time_decomposition(device)
-        return d["com"] + d["bub"]
-
-    def device_busy_interval(self, device: int) -> tuple[float, float]:
-        starts = [s.start for s in self.spans if s.device == device]
-        ends = [s.end for s in self.spans if s.device == device]
-        if not starts:
-            return (0.0, 0.0)
-        return (min(starts), max(ends))
 
     # ------------------------------------------------------------------ #
     # utilization (from the device compute resources)

@@ -16,7 +16,7 @@ engine supplies the *numerics* (so elastic averaging, stale weights and
 optimizer coupling behave exactly as in a real framework).
 """
 
-from repro.tensor.tensor import Tensor, no_grad, tensor, zeros, ones, full, arange
+from repro.tensor.tensor import Tensor, no_grad, zeros, ones, full, arange
 from repro.tensor.functional import (
     assert_preserves_dtype,
     cat,
@@ -42,7 +42,6 @@ from repro.tensor.gradcheck import gradcheck
 __all__ = [
     "Tensor",
     "no_grad",
-    "tensor",
     "zeros",
     "ones",
     "full",

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "tensor", "zeros", "ones", "full", "arange"]
+__all__ = ["Tensor", "no_grad", "zeros", "ones", "full", "arange"]
 
 DEFAULT_DTYPE = np.float32
 
@@ -134,10 +134,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def is_leaf(self) -> bool:
-        return self._backward_fn is None
-
     def __len__(self) -> int:
         return len(self.data)
 
@@ -151,13 +147,6 @@ class Tensor:
 
     def _item_err(self):
         raise ValueError(f"item() on tensor of size {self.data.size}")
-
-    def numpy(self) -> np.ndarray:
-        """The underlying ndarray (a view; callers must not mutate)."""
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=self.requires_grad)
@@ -508,11 +497,6 @@ class Tensor:
 
 # ---------------------------------------------------------------------- #
 # constructors
-
-
-def tensor(data: Any, requires_grad: bool = False, dtype=None) -> Tensor:
-    """Construct a Tensor from array-like data."""
-    return Tensor(_as_array(data, dtype=dtype), requires_grad=requires_grad)
 
 
 def zeros(*shape: int, requires_grad: bool = False, dtype=DEFAULT_DTYPE) -> Tensor:

@@ -142,10 +142,6 @@ class ResidualModel:
             records_used=len(records),
         )
 
-    @property
-    def trained(self) -> bool:
-        return bool(self.exact) or bool(self.oom)
-
     def known_oom(self, m: int, n: int) -> bool:
         """A record measured this exact setting out-of-memory."""
         return (m, n) in self.oom

@@ -321,14 +321,6 @@ class RunStore:
                 raise StoreCorruptError(f"{path}:{lineno}: {exc}") from exc
 
     @classmethod
-    def load(cls, path: str | os.PathLike) -> "RunStore":
-        """Load an existing store file (must exist)."""
-        path = Path(path)
-        if not path.exists():
-            raise StoreError(f"no run store at {path}")
-        return cls(path)
-
-    @classmethod
     def from_records(cls, records: Sequence[TuneRecord]) -> "RunStore":
         store = cls()
         store._records = list(records)
@@ -350,14 +342,6 @@ class RunStore:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a") as fh:
                 fh.write(record.to_line() + "\n")
-
-    def save(self, path: str | os.PathLike) -> Path:
-        """Write every record as one canonical line (byte-stable)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        text = "".join(r.to_line() + "\n" for r in self._records)
-        path.write_text(text)
-        return path
 
     def merge(self, other: "RunStore") -> "RunStore":
         """Line-set union in canonical order: commutative, idempotent."""

@@ -1,16 +1,13 @@
-"""Shared utilities: deterministic seeding, run statistics, table/Gantt rendering."""
+"""Shared utilities: deterministic seeding, speedup statistics, table/Gantt rendering."""
 
-from repro.utils.seeding import SeedSequence, derive_rng, set_global_seed
-from repro.utils.stats import RunningMean, RunningStat, geometric_mean, speedup
+from repro.utils.seeding import derive_rng, set_global_seed
+from repro.utils.stats import geometric_mean, speedup
 from repro.utils.tables import format_table
 from repro.utils.timeline_render import render_gantt
 
 __all__ = [
-    "SeedSequence",
     "derive_rng",
     "set_global_seed",
-    "RunningMean",
-    "RunningStat",
     "geometric_mean",
     "speedup",
     "format_table",

@@ -11,11 +11,10 @@ experiments where systems are compared at fixed seeds.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SeedSequence", "derive_rng", "set_global_seed"]
+__all__ = ["derive_rng", "set_global_seed"]
 
 _GLOBAL_SEED: int = 0
 
@@ -48,25 +47,3 @@ def derive_rng(*tags: str | int, seed: int | None = None) -> np.random.Generator
     """
     base = _GLOBAL_SEED if seed is None else int(seed)
     return np.random.default_rng(_mix(base, *tags))
-
-
-@dataclass
-class SeedSequence:
-    """A spawnable seed tree.
-
-    ``SeedSequence(7).child("pipeline", 0).rng()`` gives the pipeline-0
-    stream; children are independent of each other and of the parent.
-    """
-
-    seed: int
-    path: tuple[str | int, ...] = field(default_factory=tuple)
-
-    def child(self, *tags: str | int) -> "SeedSequence":
-        return SeedSequence(self.seed, self.path + tags)
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(_mix(self.seed, *self.path))
-
-    def integer(self) -> int:
-        """A deterministic 63-bit integer for APIs that want an int seed."""
-        return _mix(self.seed, *self.path) & ((1 << 63) - 1)

@@ -3,63 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-__all__ = ["RunningMean", "RunningStat", "geometric_mean", "speedup"]
-
-
-@dataclass
-class RunningMean:
-    """Streaming arithmetic mean (Welford-style, no stored samples)."""
-
-    count: int = 0
-    mean: float = 0.0
-
-    def update(self, value: float) -> None:
-        self.count += 1
-        self.mean += (value - self.mean) / self.count
-
-    def merge(self, other: "RunningMean") -> None:
-        if other.count == 0:
-            return
-        total = self.count + other.count
-        self.mean += (other.mean - self.mean) * (other.count / total)
-        self.count = total
-
-
-class RunningStat:
-    """Streaming mean/variance/min/max via Welford's algorithm."""
-
-    __slots__ = ("count", "mean", "_m2", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def update(self, value: float) -> None:
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / (self.count - 1) if self.count > 1 else 0.0
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"RunningStat(count={self.count}, mean={self.mean:.4g}, "
-            f"std={self.std:.4g}, min={self.min:.4g}, max={self.max:.4g})"
-        )
+__all__ = ["geometric_mean", "speedup"]
 
 
 def geometric_mean(values: list[float] | tuple[float, ...]) -> float:

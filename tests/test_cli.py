@@ -120,7 +120,7 @@ class TestTune:
         out = capsys.readouterr().out
         assert code == 0
         assert "fingerprint" in out and "measured ms/batch" in out
-        assert len(RunStore.load(store)) == 1
+        assert len(RunStore(store)) == 1
 
     def test_predict_empty_store_expect_identical_passes(self, tmp_path, capsys):
         code = main(["tune", "predict", "awd",

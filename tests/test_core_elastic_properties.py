@@ -274,7 +274,7 @@ def _fresh_probe_model(seed=0):
 
 
 def test_add_model_seeds_newcomer_from_reference_bitwise():
-    """The default rejoin restarts the newcomer at the reference exactly,
+    """A rejoin restarts the newcomer at the reference exactly,
     so its first dilution is a no-op and its first delta is measured from
     the center."""
     framework, _ = make_framework(2)
@@ -283,15 +283,6 @@ def test_add_model_seeds_newcomer_from_reference_bitwise():
     assert index == 2
     for name, p in newcomer.named_parameters():
         np.testing.assert_array_equal(p.data, framework.reference[name])
-
-
-def test_add_model_keeps_weights_when_not_seeding():
-    framework, _ = make_framework(2)
-    newcomer = _fresh_probe_model(seed=99)
-    stale = {k: v.copy() for k, v in newcomer.state_dict().items()}
-    framework.add_model(newcomer, seed_from_reference=False)
-    for k, v in newcomer.state_dict().items():
-        np.testing.assert_array_equal(v, stale[k])
 
 
 def test_add_model_rejects_mismatched_structure():

@@ -238,12 +238,6 @@ class TestLMCorpus:
 
 
 class TestArrayDatasetSubset:
-    def test_subset_selects_rows(self):
-        ds = ArrayDataset(x=np.arange(10), y=np.arange(10) * 2)
-        sub = ds.subset(np.array([1, 3, 5]))
-        assert len(sub) == 3
-        assert np.array_equal(sub.arrays["y"], [2, 6, 10])
-
     def test_getitem_returns_row_dict(self):
         ds = ArrayDataset(x=np.arange(6).reshape(3, 2))
         row = ds[1]

@@ -1,10 +1,10 @@
 """Bitwise gates for the fused hot-path ops.
 
-Every fused kernel in ``repro.tensor.functional`` (and the buffer-reuse
-``LSTM.forward``) replaced a composed Tensor-op chain *without changing a
-single bit of output*.  These tests pin that contract: forward values and
-every gradient must be bit-identical (``np.array_equal``, NaN-safe) to
-the composed reference, in both float32 and float64.
+Every fused kernel in ``repro.tensor.functional`` replaced a composed
+Tensor-op chain *without changing a single bit of output*.  These tests
+pin that contract: forward values and every gradient must be
+bit-identical (``np.array_equal``, NaN-safe) to the composed reference,
+in both float32 and float64.
 """
 
 import numpy as np
@@ -194,43 +194,3 @@ def test_attention_matches_composed_bitwise(dtype, use_mask, p):
     _bits_equal("dq", q1.grad, q2.grad)
     _bits_equal("dk", k1.grad, k2.grad)
     _bits_equal("dv", v1.grad, v2.grad)
-
-
-# --------------------------------------------------------------------- #
-# LSTM.forward: preallocated stacked buffer vs stack()-of-steps
-
-
-def test_lstm_forward_matches_stack_of_steps_bitwise():
-    from repro.nn.recurrent import LSTM
-
-    T, B, D, H = 7, 4, 6, 5
-    rng = np.random.default_rng(4)
-    xv = rng.standard_normal((T, B, D)).astype(np.float32)
-    g = rng.standard_normal((T, B, H)).astype(np.float32)
-
-    def run(composed: bool):
-        lstm = LSTM(D, H).seed(11)
-        x = Tensor(xv.copy(), requires_grad=True)
-        if composed:
-            # The form LSTM.forward replaced: step the cell and stack().
-            h, c = lstm.cell.init_state(B)
-            steps = []
-            for t in range(T):
-                h, c = lstm.cell(x[t], (h, c))
-                steps.append(h)
-            out = F.stack(steps, axis=0)
-        else:
-            out, (h, c) = lstm(x)
-        out.backward(g)
-        grads = {name: p.grad for name, p in lstm.named_parameters()}
-        return out.data, h.data, c.data, x.grad, grads
-
-    o1, h1, c1, gx1, gp1 = run(composed=True)
-    o2, h2, c2, gx2, gp2 = run(composed=False)
-    _bits_equal("outputs", o1, o2)
-    _bits_equal("h_final", h1, h2)
-    _bits_equal("c_final", c1, c2)
-    _bits_equal("dx", gx1, gx2)
-    assert gp1.keys() == gp2.keys() and gp1
-    for name in gp1:
-        _bits_equal(f"d{name}", gp1[name], gp2[name])

@@ -1,9 +1,11 @@
 """Model zoo: bundle flow, shapes, cost annotations, trainability signals."""
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.graph import model_costs, profile_layer_costs
+from repro.graph import model_costs
 from repro.models import (
     AWDConfig,
     BertConfig,
@@ -16,6 +18,7 @@ from repro.models import (
 )
 from repro.models.registry import WORKLOADS
 from repro.optim import Adam
+from repro.tensor import no_grad
 
 
 SMALL_GNMT = GNMTConfig(vocab_size=16, embed_dim=8, hidden_dim=12, encoder_layers=3,
@@ -109,7 +112,15 @@ class TestCostAnnotations:
             "tgt_out": np.random.default_rng(2).integers(4, 32, size=(16, 12)),
         }
         analytic = [c.flops_per_sample for c in model_costs(model)]
-        profiled = [c.flops_per_sample for c in profile_layer_costs(model, batch, repeats=8)]
+        profiled = []
+        with no_grad():
+            bundle = dict(batch)
+            for layer in model.layers:
+                start = time.perf_counter()
+                for _ in range(8):
+                    out = layer(dict(bundle))
+                profiled.append(time.perf_counter() - start)
+                bundle = out
         heavy_analytic = int(np.argmax(analytic))
         # The analytically-heaviest layer is among the top-3 measured
         # (wall-clock profiling is noisy on a loaded CI machine; what

@@ -75,68 +75,3 @@ class TestGreedyDecode:
             opt.step()
         after = score()
         assert after > before + 1.0
-
-
-class TestBeamSearch:
-    def test_beam_one_matches_greedy_tokens(self):
-        from repro.models.inference import beam_search_decode
-
-        model = build_gnmt(CFG).seed(5)
-        src = np.random.default_rng(6).integers(4, 16, size=(3, 7))
-        greedy = greedy_decode(model, src, max_len=7)
-        beam1 = beam_search_decode(model, src, beam_width=1, max_len=7, length_penalty=0.0)
-        # Pad greedy to the same width for comparison.
-        padded = np.full_like(beam1, 0)
-        padded[:, : greedy.shape[1]] = greedy
-        assert np.array_equal(padded, beam1)
-
-    def test_wider_beam_never_scores_worse(self):
-        """Beam search maximizes the length-normalized log-prob: a wider
-        beam's chosen hypothesis can't score below greedy's."""
-        from repro.models.inference import beam_search_decode
-        from repro.tensor import no_grad
-
-        model = build_gnmt(CFG).seed(7)
-        src = np.random.default_rng(8).integers(4, 16, size=(4, 7))
-
-        def score(tokens_row):
-            from repro.data.vocab import BOS, PAD
-            toks = [int(t) for t in tokens_row if t != PAD]
-            if not toks:
-                return -np.inf
-            prefix = np.array([[BOS, *toks[:-1]]], dtype=np.int64)
-            with no_grad():
-                bundle = {"src": src[:1], "tgt_in": None, "tgt_out": None}
-                enc_layers = [l for l in model.layers[:-1]]
-                b = {"src": src[:1], "tgt_in": prefix, "tgt_out": None}
-                out = dict(b)
-                for layer in model.layers[:-1]:
-                    out = layer(out)
-                logits = out["logits"].data[0]
-            total = 0.0
-            for t, tok in enumerate(toks):
-                row = logits[t] - logits[t].max()
-                total += float(row[tok] - np.log(np.exp(row).sum()))
-            return total / ((5 + len(toks)) / 6.0) ** 0.6
-
-        greedy = greedy_decode(model, src[:1], max_len=7)
-        beam = beam_search_decode(model, src[:1], beam_width=4, max_len=7)
-        assert score(beam[0]) >= score(greedy[0]) - 1e-6
-
-    def test_invalid_width(self):
-        from repro.models.inference import beam_search_decode
-
-        with pytest.raises(ValueError):
-            beam_search_decode(build_gnmt(CFG), np.zeros((1, 7), dtype=np.int64), beam_width=0)
-
-    def test_padding_after_eos(self):
-        from repro.data.vocab import EOS, PAD
-        from repro.models.inference import beam_search_decode
-
-        model = build_gnmt(CFG).seed(9)
-        src = np.random.default_rng(10).integers(4, 16, size=(4, 7))
-        out = beam_search_decode(model, src, beam_width=3, max_len=7)
-        for row in out:
-            hits = np.where(row == EOS)[0]
-            if len(hits):
-                assert np.all(row[hits[0] + 1:] == PAD)

@@ -6,9 +6,10 @@ same example on every run)."""
 import numpy as np
 import pytest
 
-from repro.nn import Dropout, LSTM, LSTMCell, LayerNorm, MultiHeadAttention
-from repro.tensor import gradcheck, tensor
+from repro.nn import Dropout, LSTMCell, LayerNorm, MultiHeadAttention
+from repro.tensor import gradcheck, stack
 from repro.utils.seeding import derive_rng
+from tests.tensors import tensor
 
 
 def _f64(module):
@@ -53,9 +54,20 @@ class TestAttentionGradients:
 
 class TestRecurrentGradients:
     def test_lstm_full_sequence_input_gradient(self):
-        lstm = _f64(LSTM(3, 4))
-        x = _input((3, 2, 3), "lstm-seq")  # (T, B, D)
-        assert gradcheck(lambda t: lstm(t)[0], [x])
+        """The form the recurrent models run: step the cell over time,
+        then stack the hidden states (``WeightDroppedLSTMLayer``)."""
+        cell = _f64(LSTMCell(3, 4))
+        x = _input((2, 3, 3), "lstm-seq")  # (B, T, D)
+
+        def run(t):
+            h, c = cell.init_state(t.shape[0])
+            outs = []
+            for step in range(t.shape[1]):
+                h, c = cell(t[:, step, :], (h, c))
+                outs.append(h)
+            return stack(outs, axis=1)
+
+        assert gradcheck(run, [x])
 
     def test_lstm_cell_hidden_state_gradient(self):
         cell = _f64(LSTMCell(3, 4))

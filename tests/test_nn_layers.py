@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.nn import Dropout, Embedding, LayerNorm, Linear, WeightDrop, LSTMCell
-from repro.tensor import Tensor, gradcheck, tensor
+from repro.tensor import Tensor, gradcheck
+from tests.tensors import tensor
 
 
 class TestLinear:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.nn import LSTM, LSTMCell, MultiHeadAttention, PositionalEncoding, TransformerEncoderLayer
-from repro.tensor import Tensor, gradcheck, tensor
+from repro.nn import LSTMCell, MultiHeadAttention, PositionalEncoding, TransformerEncoderLayer
+from repro.tensor import Tensor, gradcheck
+from tests.tensors import tensor
 
 
 def _f64(module):
@@ -44,30 +45,6 @@ class TestLSTMCell:
         cell = LSTMCell(3, 5)
         with pytest.raises(ValueError):
             cell(Tensor(np.zeros((1, 4), np.float32)), cell.init_state(1))
-
-
-class TestLSTM:
-    def test_sequence_output_shape(self):
-        lstm = LSTM(3, 6)
-        out, (h, c) = lstm(Tensor(np.zeros((7, 2, 3), np.float32)))
-        assert out.shape == (7, 2, 6)
-        assert h.shape == (2, 6)
-
-    def test_final_state_equals_last_output(self):
-        lstm = LSTM(3, 6)
-        out, (h, _) = lstm(Tensor(np.random.rand(5, 2, 3).astype(np.float32)))
-        assert np.allclose(out.data[-1], h.data)
-
-    def test_rejects_2d_input(self):
-        with pytest.raises(ValueError):
-            LSTM(3, 6)(Tensor(np.zeros((5, 3), np.float32)))
-
-    def test_state_carrying_changes_output(self):
-        lstm = LSTM(3, 6)
-        x = Tensor(np.random.rand(4, 2, 3).astype(np.float32))
-        out1, state = lstm(x)
-        out2, _ = lstm(x, state)
-        assert not np.allclose(out1.data, out2.data)
 
 
 class TestMultiHeadAttention:

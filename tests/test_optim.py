@@ -4,9 +4,9 @@ and the EASGD baseline's coupling invariants."""
 import numpy as np
 import pytest
 
-from repro.nn import Linear, Sequential
+from repro.nn import Linear
 from repro.nn.module import Parameter
-from repro.optim import ASGD, SGD, Adagrad, Adam, AdamW, ConstantLR, EASGD, StepLR, WarmupLinearLR
+from repro.optim import ASGD, SGD, Adagrad, Adam, AdamW, EASGD
 from repro.tensor import Tensor
 
 
@@ -148,25 +148,8 @@ class TestASGD:
             p.grad = np.array([g], dtype=np.float32)
             opt.step()
             trajectory.append(float(p.data[0]))
-        opt.swap_averaged()
-        assert np.allclose(p.data, [np.mean(trajectory)], atol=1e-6)
-        opt.swap_back()
+        assert np.allclose(opt.state[id(p)]["ax"], [np.mean(trajectory)], atol=1e-6)
         assert np.allclose(p.data, [trajectory[-1]])
-
-    def test_step_while_swapped_raises(self):
-        p = make_param([0.0])
-        opt = ASGD([p], lr=0.5)
-        p.grad = np.array([1.0], dtype=np.float32)
-        opt.step()
-        opt.swap_averaged()
-        with pytest.raises(RuntimeError):
-            opt.step()
-
-    def test_double_swap_raises(self):
-        p = make_param([0.0])
-        opt = ASGD([p], lr=0.5)
-        with pytest.raises(RuntimeError):
-            opt.swap_back()
 
 
 class TestClipGradNorm:
@@ -185,39 +168,10 @@ class TestClipGradNorm:
         assert np.allclose(p.grad, [0.5])
 
 
-class TestSchedulers:
-    def test_constant(self):
-        opt = SGD([make_param([1.0])], lr=0.1)
-        sched = ConstantLR(opt)
-        for _ in range(5):
-            sched.step()
-        assert opt.lr == pytest.approx(0.1)
-
-    def test_step_lr_decays(self):
-        opt = SGD([make_param([1.0])], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        lrs = []
-        for _ in range(4):
-            sched.step()
-            lrs.append(opt.lr)
-        assert lrs == pytest.approx([1.0, 0.1, 0.1, 0.01])
-
-    def test_warmup_then_decay(self):
-        opt = SGD([make_param([1.0])], lr=1.0)
-        sched = WarmupLinearLR(opt, warmup_steps=2, total_steps=6)
-        lrs = []
-        for _ in range(6):
-            sched.step()
-            lrs.append(round(opt.lr, 4))
-        assert lrs[0] < lrs[1]  # warming up
-        assert lrs[-1] == pytest.approx(0.0)
-        assert max(lrs) <= 1.0
-
-
 class TestEASGD:
     def _models(self, n=3):
-        models = [Sequential(Linear(4, 4, bias=False)) for _ in range(n)]
-        center = Sequential(Linear(4, 4, bias=False))
+        models = [Linear(4, 4, bias=False) for _ in range(n)]
+        center = Linear(4, 4, bias=False)
         base = center.state_dict()
         for m in models:
             m.load_state_dict(base)

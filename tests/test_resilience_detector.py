@@ -46,7 +46,6 @@ class TestHeartbeatDetector:
         assert report.detected_at > fault_at
         # Silence threshold + at most one full polling period of slack.
         assert report.detected_at - fault_at <= interval * (miss + 2)
-        assert list(detector.crashed_pipelines) == [1]
 
     def test_frozen_device_reported_as_device_crash_not_silence(self):
         interval = calibrated_interval()
@@ -65,6 +64,9 @@ class TestHeartbeatDetector:
         # Straight-chain placement: the dead device explains every
         # pipeline's silence, so no pipeline is (wrongly) declared dead.
         assert "pipeline_crash" not in kinds
+        report = next(r for r in detector.reports if r.kind == "device_crash")
+        assert report.target == 1
+        assert "frozen" in report.evidence
 
     def test_straggler_reported_with_observed_severity(self):
         interval = calibrated_interval()
@@ -113,6 +115,11 @@ class TestHeartbeatDetector:
         kinds = {r.kind for r in detector.reports}
         assert "link_partition" in kinds
         assert "pipeline_crash" not in kinds
+
+    def test_cluster_is_required(self):
+        sim, cluster, runner = make_setup()
+        with pytest.raises(TypeError):
+            HeartbeatDetector(sim, runner, interval=1.0)
 
     def test_each_failure_reported_once(self):
         interval = calibrated_interval()

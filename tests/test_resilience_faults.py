@@ -1,5 +1,7 @@
 """Fault plans and injection: seeded, deterministic, exact mid-flight."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -53,7 +55,10 @@ class TestFaultEvent:
 
     def test_dict_round_trip(self):
         event = FaultEvent("link_degrade", 2.5, (0, 1), duration=1.0, factor=3.0)
-        assert FaultEvent.from_dict(event.to_dict()) == event
+        d = event.to_dict()
+        assert d == {"kind": "link_degrade", "at": 2.5, "target": [0, 1],
+                     "duration": 1.0, "factor": 3.0}
+        assert json.loads(json.dumps(d)) == d
 
 
 class TestFaultPlan:
@@ -66,9 +71,9 @@ class TestFaultPlan:
 
     def test_dict_round_trip(self):
         plan = FaultPlan.random(seed=3, horizon=10.0, num_pipelines=3, num_devices=4)
-        again = FaultPlan.from_dict(plan.to_dict())
-        assert again.events == plan.events
-        assert again.seed == plan.seed
+        d = json.loads(json.dumps(plan.to_dict()))
+        assert d["events"] == [e.to_dict() for e in plan.events]
+        assert d["seed"] == plan.seed
 
     def test_random_is_deterministic_in_the_seed(self):
         a = FaultPlan.random(seed=7, horizon=10.0, num_pipelines=3, num_devices=4,
@@ -149,7 +154,8 @@ class TestFaultInjector:
         ]))
         runner.run(iterations=6)
         injector.finalize()
-        fault_spans = runner.trace.fault_spans()
+        fault_spans = [s for s in runner.trace.spans
+                       if s.kind in (SpanKind.FAULT, SpanKind.RECOVERY)]
         assert len(fault_spans) == 2
         assert all(s.kind is SpanKind.FAULT for s in fault_spans)
         # Equation-1 accounting models healthy execution only.

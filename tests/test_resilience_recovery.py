@@ -30,6 +30,11 @@ def _probe_model():
     return PipelineModel(layers=[_Probe()], name="probe")
 
 
+def _without(framework, victim):
+    """Survivor indices after evicting ``victim``."""
+    return [i for i in range(framework.num_parallel) if i != victim]
+
+
 def _ref_copy(framework):
     return {k: v.copy() for k, v in framework.reference.items()}
 
@@ -42,7 +47,7 @@ class TestResize:
     def test_auto_alpha_renormalizes(self):
         framework, _ = make_framework(4, alpha=None)
         assert framework.alpha == pytest.approx(1 / 4)
-        framework.resize(3)
+        framework.resize([0, 1, 2])
         assert framework.alpha == pytest.approx(1 / 3)
         framework.resize([0, 2])
         assert framework.alpha == pytest.approx(1 / 2)
@@ -50,7 +55,7 @@ class TestResize:
 
     def test_explicit_alpha_is_kept(self):
         framework, _ = make_framework(4, alpha=0.2)
-        framework.resize(2)
+        framework.resize([0, 1])
         assert framework.alpha == 0.2
         framework.resize([0], alpha=0.9)
         assert framework.alpha == 0.9
@@ -63,9 +68,6 @@ class TestResize:
             framework.resize([0, 0])
         with pytest.raises(ValueError, match="out of range"):
             framework.resize([0, 5])
-        with pytest.raises(ValueError, match="cannot evict the last"):
-            f1, _ = make_framework(1)
-            f1.remove_model(0)
 
     def test_resize_discards_the_in_flight_round(self):
         framework, models = make_framework(3, alpha=None)
@@ -74,7 +76,7 @@ class TestResize:
             p.data = p.data + np.float32(1.0)
         framework.commit(0, before)
         ref0 = _ref_copy(framework)
-        framework.remove_model(0)
+        framework.resize(_without(framework, 0))
         # The posted delta came from the victim under N=3 normalization;
         # ending a round now must not fold it into the reference.
         framework.end_iteration()
@@ -91,7 +93,7 @@ def test_alpha_reciprocal_fixed_point_survives_resize(n, drop):
     """All survivors at the reference with zero updates: a round after an
     eviction must change nothing, exactly as at the original N."""
     framework, _ = make_framework(n, alpha=None)
-    framework.remove_model(drop)
+    framework.resize(_without(framework, drop))
     assert framework.alpha == pytest.approx(1 / (n - 1))
     ref0 = _ref_copy(framework)
     states0 = [m.state_dict() for m in framework.models]
@@ -134,7 +136,7 @@ def test_conservation_identity_survives_resize(updates, victim, seed):
     }
     models[victim].load_state_dict(victim_state)
     framework = ElasticAveragingFramework(models, alpha=None, queue_delay=0)
-    framework.remove_model(victim)
+    framework.resize(_without(framework, victim))
     survivors = framework.models
 
     post_opt_total: dict[str, np.ndarray] = {}
@@ -163,7 +165,7 @@ class TestEvictThenRejoin:
             apply_updates(framework, models,
                           [np.float32(u) for u in rng.uniform(-1, 1, size=3)])
         ref0 = _ref_copy(framework)
-        framework.remove_model(1)
+        framework.resize(_without(framework, 1))
         framework.add_model(_probe_model())
         assert framework.num_parallel == 3
         assert framework.alpha == pytest.approx(1 / 3)
@@ -174,7 +176,7 @@ class TestEvictThenRejoin:
         framework, models = make_framework(3, alpha=None)
         apply_updates(framework, models, [np.float32(u) for u in (0.5, -0.25, 1.0)])
         newcomer = _probe_model()
-        framework.remove_model(2)
+        framework.resize(_without(framework, 2))
         framework.add_model(newcomer)
         for name, value in newcomer.state_dict().items():
             np.testing.assert_array_equal(value, framework.reference[name])
@@ -186,7 +188,7 @@ class TestEvictThenRejoin:
         framework, _ = make_framework(3, alpha=None)
         ref0 = _ref_copy(framework)
         apply_updates(framework, framework.models, [np.float32(0.0)] * 3)
-        framework.remove_model(0)
+        framework.resize(_without(framework, 0))
         framework.add_model(_probe_model())
         apply_updates(framework, framework.models, [np.float32(0.0)] * 3)
         for name in ref0:

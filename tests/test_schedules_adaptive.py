@@ -24,13 +24,13 @@ class TestObserve:
         ctl.observe(9.0, 150.0)  # 1 -> 2
         result = ctl.observe(9.0, 200.0)  # not faster: back to 1, stop
         assert result == 1
-        assert ctl.stopped
+        assert ctl._stopped
 
     def test_stops_and_rolls_back_at_memory_limit(self):
         ctl = controller(memory_limit_bytes=120.0)
         ctl.observe(10.0, 100.0)  # 0 -> 1 (mem ok)
         result = ctl.observe(9.0, 130.0)  # faster but over limit -> roll back
-        assert ctl.stopped
+        assert ctl._stopped
         assert result == 0  # never settle on an over-budget advance
 
     def test_capped_at_num_micro(self):
@@ -39,13 +39,13 @@ class TestObserve:
         ctl.observe(9.0, 1.0)
         result = ctl.observe(8.0, 1.0)
         assert result <= 2
-        assert ctl.stopped
+        assert ctl._stopped
 
     def test_threshold_filters_noise(self):
         ctl = controller(improvement_threshold=0.05)
         ctl.observe(10.0, 1.0)
         result = ctl.observe(9.9, 1.0)  # only 1% faster: treated as flat
-        assert ctl.stopped
+        assert ctl._stopped
         assert result == 0
 
     def test_observations_after_stop_are_inert(self):

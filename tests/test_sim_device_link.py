@@ -106,7 +106,9 @@ class TestLink:
     def test_transfer_time_alone(self):
         sim = Simulator()
         link = Link(sim, 0, 1, bandwidth_bytes_per_sec=50.0, latency_sec=0.1)
-        assert link.transfer_time_alone(100.0) == pytest.approx(2.1)
+        link.transfer(100.0)
+        sim.run()
+        assert sim.now == pytest.approx(2.1)  # latency + bytes / bandwidth
 
     def test_invalid_params(self):
         sim = Simulator()
@@ -131,8 +133,8 @@ class TestCluster:
         fast = cluster.link(0, 1)
         slow = cluster.link(1, 2)
         assert fast.bandwidth > slow.bandwidth * 10
-        assert cluster.is_cross_node(1, 2)
-        assert not cluster.is_cross_node(0, 1)
+        assert cluster.devices[1].node != cluster.devices[2].node
+        assert cluster.devices[0].node == cluster.devices[1].node
 
     def test_links_cached(self):
         sim = Simulator()
@@ -162,7 +164,6 @@ class TestTraceRecorder:
         trace.record(1, 0.0, 9.0, SpanKind.FWD, "1")
         d = trace.time_decomposition(0)
         assert d == {"gpu": 3.0, "com": 0.5, "bub": 0.5, "sync": 0.0}
-        assert trace.idle_time(0) == pytest.approx(1.0)
 
     def test_invalid_span_rejected(self):
         trace = TraceRecorder()

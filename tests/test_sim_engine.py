@@ -231,7 +231,8 @@ class TestProcessorSharing:
         sim.process(proc(0.0))
         sim.process(proc(5.0))
         sim.run()
-        assert res.busy_time(sim.now) == pytest.approx(2.0)  # two disjoint 1s tasks
+        # two disjoint 1 s tasks at full demand: busy time = utilization integral
+        assert res.utilization_integral(sim.now) == pytest.approx(2.0)
 
 
 class TestMemoryLedger:

@@ -11,9 +11,10 @@ one regression test here: float32 in, float32 out, float32 gradients.
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, assert_preserves_dtype, tensor
+from repro.tensor import Tensor, assert_preserves_dtype
 from repro.tensor import functional as F
 from repro.tensor.tensor import DEFAULT_DTYPE
+from tests.tensors import tensor
 
 
 def _t(*shape, seed=0, grad=True):

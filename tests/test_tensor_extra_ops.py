@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, gradcheck, no_grad, tensor
+from repro.tensor import Tensor, gradcheck, no_grad
+from tests.tensors import tensor
 
 
 def _rand(*shape, seed=0):
@@ -102,10 +103,9 @@ class TestAutogradCorners:
         assert np.allclose(a.grad, [2.0])
         assert b.grad is None
 
-    def test_copy_preserves_flag_detach_drops_it(self):
+    def test_copy_preserves_flag(self):
         a = tensor([1.0], requires_grad=True)
         assert a.copy().requires_grad
-        assert not a.detach().requires_grad
 
     def test_getitem_with_tensor_index(self):
         a = tensor([1.0, 2.0, 3.0], requires_grad=True)

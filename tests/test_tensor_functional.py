@@ -19,9 +19,9 @@ from repro.tensor import (
     softmax,
     stack,
     tanh,
-    tensor,
     where,
 )
+from tests.tensors import tensor
 
 
 def _rand(*shape, seed=0):

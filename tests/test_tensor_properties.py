@@ -9,8 +9,9 @@ round-trips, linearity of backward).
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.tensor import Tensor, gradcheck, softmax, tensor
+from repro.tensor import Tensor, gradcheck, softmax
 from repro.tensor.tensor import _unbroadcast
+from tests.tensors import tensor
 
 shapes = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)
 

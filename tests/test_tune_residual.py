@@ -98,7 +98,7 @@ class TestResidualModelFallbacks:
 
     def test_untrained_model_is_identity(self):
         model = ResidualModel.fit([])
-        assert not model.trained
+        assert not model.exact and not model.oom
         assert model.correction(4, 2) == 1.0
 
     def test_corrections_clip(self):

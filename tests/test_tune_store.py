@@ -84,10 +84,10 @@ class TestRoundTrip:
             store.append(make_record(m=m, measured=0.5 + 0.01 * i))
         first = path.read_bytes()
 
-        reloaded = RunStore.load(path)
+        reloaded = RunStore(path)
         assert reloaded.records() == store.records()
-        resaved = reloaded.save(tmp_path / "resaved.jsonl")
-        assert resaved.read_bytes() == first
+        resaved = "".join(r.to_line() + "\n" for r in reloaded.records())
+        assert resaved.encode() == first
 
     def test_record_line_round_trip(self):
         record = make_record()
@@ -103,7 +103,7 @@ class TestRoundTrip:
         assert len(store) == 0 and not path.exists()
         store.append(make_record())
         assert path.exists()
-        assert len(RunStore.load(path)) == 1
+        assert len(RunStore(path)) == 1
 
 
 class TestFingerprints:
@@ -177,8 +177,8 @@ class TestMerge:
     def test_merge_output_is_byte_stable(self, tmp_path):
         a = RunStore.from_records([make_record(m=2), make_record(m=1)])
         b = RunStore.from_records([make_record(m=4)])
-        one = a.merge(b).save(tmp_path / "one.jsonl").read_bytes()
-        other = b.merge(a).save(tmp_path / "two.jsonl").read_bytes()
+        one = [r.to_line() for r in a.merge(b).records()]
+        other = [r.to_line() for r in b.merge(a).records()]
         assert one == other
 
 
@@ -190,7 +190,7 @@ class TestCorruption:
         text = path.read_text()
         path.write_text(text[: len(text) // 2])
         with pytest.raises(StoreCorruptError):
-            RunStore.load(path)
+            RunStore(path)
 
     def test_tampered_fingerprint_raises(self, tmp_path):
         path = tmp_path / "runs.jsonl"
@@ -198,7 +198,7 @@ class TestCorruption:
         payload["fingerprint"] = "0" * 16
         path.write_text(canonical_json(payload) + "\n")
         with pytest.raises(StoreCorruptError, match="fingerprint"):
-            RunStore.load(path)
+            RunStore(path)
 
     def test_tampered_field_raises(self, tmp_path):
         """Editing a field invalidates the claimed fingerprint."""
@@ -207,7 +207,7 @@ class TestCorruption:
         payload["m"] = 16
         path.write_text(canonical_json(payload) + "\n")
         with pytest.raises(StoreCorruptError):
-            RunStore.load(path)
+            RunStore(path)
 
     def test_unknown_and_missing_fields_raise(self):
         good = make_record().to_payload()
@@ -235,13 +235,13 @@ class TestCorruption:
         path = tmp_path / "runs.jsonl"
         path.write_text(make_record().to_line() + "\n" + "{not json\n")
         with pytest.raises(StoreCorruptError, match=r"runs\.jsonl:2"):
-            RunStore.load(path)
+            RunStore(path)
 
     def test_blank_line_raises(self, tmp_path):
         path = tmp_path / "runs.jsonl"
         path.write_text(make_record().to_line() + "\n\n")
         with pytest.raises(StoreCorruptError, match="blank"):
-            RunStore.load(path)
+            RunStore(path)
 
 
 class TestAsStore:
