@@ -54,15 +54,22 @@ class Profile:
     #: which ranks settings correctly on saturating hardware.
     curve: UtilizationCurve | None = None
 
+    def __post_init__(self) -> None:
+        # Python-float copies of the knots: the predictor walks them one
+        # element at a time, where ndarray indexing costs more than the math.
+        self._phi_knots = [
+            (times.tolist(), values.tolist())
+            for times, values in zip(self.phi_times, self.phi_values)
+        ]
+
     def phi_integral_over(self, k: int, scale: float) -> float:
         """``integral of max(scale * phi_k(t) - 1, 0) dt`` per batch."""
-        times, values = self.phi_times[k], self.phi_values[k]
+        times, values = self._phi_knots[k]
         total = 0.0
-        for i in range(len(times)):
-            t_next = times[i + 1] if i + 1 < len(times) else times[-1]
-            dt = t_next - times[i]
+        for t, t_next, value in zip(times, times[1:], values):
+            dt = t_next - t
             if dt > 0:
-                total += dt * max(scale * values[i] - 1.0, 0.0)
+                total += dt * max(scale * value - 1.0, 0.0)
         return total
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.models.pipeline_model import ActivationBundle, PipelineLayer, PipelineModel
 from repro.nn import Dropout, Embedding, Linear, LSTMCell, WeightDrop
-from repro.tensor import cross_entropy, stack
+from repro.tensor import cross_entropy, lstm_sequence
 
 __all__ = ["AWDConfig", "build_awd_lstm"]
 
@@ -55,25 +55,24 @@ class LMEmbedding(PipelineLayer):
 
 
 class WeightDroppedLSTMLayer(PipelineLayer):
-    """LSTM layer with DropConnect on its recurrent weights."""
+    """LSTM layer with DropConnect on its recurrent weights: one
+    ``lstm_sequence`` node per layer, one mask per time step."""
     def __init__(self, cfg: AWDConfig, layer_index: int) -> None:
         super().__init__()
         self.cfg = cfg
         in_dim = cfg.embed_dim if layer_index == 0 else cfg.hidden_dim
         self.in_dim = in_dim
         cell = LSTMCell(in_dim, cfg.hidden_dim)
-        self.wrapped = WeightDrop(cell, ["weight_hh"], p=cfg.weight_drop)
+        self.wrapped = WeightDrop(cell, "weight_hh", p=cfg.weight_drop)
 
     def forward(self, bundle: ActivationBundle) -> ActivationBundle:
         x = bundle["hidden"]  # (B, T, D)
         cell: LSTMCell = self.wrapped.inner  # type: ignore[assignment]
-        h, c = cell.init_state(x.shape[0])
-        outs = []
-        for t in range(x.shape[1]):
-            h, c = self.wrapped(x[:, t, :], (h, c))
-            outs.append(h)
         out = dict(bundle)
-        out["hidden"] = stack(outs, axis=1)
+        out["hidden"] = lstm_sequence(
+            x, cell.weight_ih, cell.weight_hh, cell.bias, cell.hidden_size,
+            hh_masked=self.wrapped.masked(x.shape[1]),
+        )
         return out
 
     def flops_per_sample(self) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 from repro.data.vocab import PAD
 from repro.models.pipeline_model import ActivationBundle, PipelineLayer, PipelineModel
 from repro.nn import Dropout, Embedding, Linear, LSTMCell
-from repro.tensor import Tensor, cross_entropy, softmax, stack, tanh
+from repro.tensor import Tensor, cross_entropy, lstm_sequence, softmax, stack, tanh
 
 __all__ = ["GNMTConfig", "build_gnmt"]
 
@@ -82,13 +82,10 @@ class EncoderLSTMLayer(PipelineLayer):
 
     def forward(self, bundle: ActivationBundle) -> ActivationBundle:
         x = bundle[self.in_key]  # (B, S, D)
-        batch = x.shape[0]
-        h, c = self.cell.init_state(batch)
-        outs = []
-        for t in range(x.shape[1]):
-            h, c = self.cell(x[:, t, :], (h, c))
-            outs.append(h)
-        seq = stack(outs, axis=1)  # (B, S, H)
+        cell = self.cell
+        seq = lstm_sequence(  # (B, S, H)
+            x, cell.weight_ih, cell.weight_hh, cell.bias, cell.hidden_size
+        )
         out = dict(bundle)
         out["enc_out"] = seq + x if self.residual else seq
         out.pop("src_emb", None)

@@ -5,8 +5,9 @@ BERT, AWD-LSTM) require, plus the introspection machinery the
 elastic-averaging runtime relies on: ``Module.state_dict`` /
 ``load_state_dict`` — weight versioning (PipeDream stashing,
 PipeDream-2BW double buffering) and elastic averaging both operate on
-flat state dicts.  The recurrent models step :class:`LSTMCell` over time
-themselves and join the steps with ``stack``.
+flat state dicts.  :class:`LSTMCell` holds the recurrent weights; the
+GNMT decoder steps it over time, the other recurrent layers run it
+through the whole-sequence kernel ``lstm_sequence``.
 """
 
 from repro.nn.module import Module, Parameter

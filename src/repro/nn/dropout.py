@@ -27,41 +27,39 @@ class Dropout(Module):
 
 
 class WeightDrop(Module):
-    """DropConnect on the recurrent weights of a wrapped module.
+    """DropConnect on one recurrent weight of a wrapped module.
 
     This is the "weight-dropped" part of AWD-LSTM [Merity et al. 2018]:
-    before each forward in training mode, the named weight matrices are
-    replaced by masked copies.  The mask is resampled per call.
+    in training mode every time step sees its own masked copy of the
+    named weight.  The wrapper keeps ``inner`` in the module tree (its
+    parameters stay ``<name>.inner.*`` in the state dict) and draws the
+    masks; the layer hands them to the sequence kernel.
     """
 
-    def __init__(self, inner: Module, weight_names: list[str], p: float = 0.5) -> None:
+    def __init__(self, inner: Module, weight_name: str, p: float = 0.5) -> None:
         super().__init__()
         if not 0.0 <= p < 1.0:
             raise ValueError(f"weight-drop p must be in [0, 1), got {p}")
+        if weight_name not in dict(inner.named_parameters()):
+            raise KeyError(f"WeightDrop: {weight_name!r} not found in inner module parameters")
         self.inner = inner
-        self.weight_names = list(weight_names)
+        self.weight_name = weight_name
         self.p = p
-        params = dict(inner.named_parameters())
-        for name in self.weight_names:
-            if name not in params:
-                raise KeyError(f"WeightDrop: {name!r} not found in inner module parameters")
 
-    def forward(self, *args, **kwargs):
-        if self.training and self.p > 0.0:
-            params = dict(self.inner.named_parameters())
-            originals: dict[str, np.ndarray] = {}
-            keep = 1.0 - self.p
-            for name in self.weight_names:
-                param = params[name]
-                originals[name] = param.data
-                mask = (self._rng.random(param.shape) < keep).astype(param.dtype) / keep
-                param.data = param.data * mask
-            try:
-                return self.inner(*args, **kwargs)
-            finally:
-                for name, data in originals.items():
-                    params[name].data = data
-        return self.inner(*args, **kwargs)
+    def masked(self, steps: int) -> np.ndarray | None:
+        """``steps`` masked copies of the weight, shape (steps, *weight.shape).
+
+        None in eval mode or at p == 0, where every step uses the weight
+        itself.  All masks come from one ``rng.random((steps, *shape))``
+        call, which yields the same values, and leaves the generator in the
+        same state, as one draw per step.
+        """
+        if not self.training or self.p == 0.0:
+            return None
+        weight = getattr(self.inner, self.weight_name)
+        keep = 1.0 - self.p
+        mask = (self._rng.random((steps, *weight.shape)) < keep).astype(weight.dtype) / keep
+        return weight.data * mask
 
     def __repr__(self) -> str:
-        return f"WeightDrop(p={self.p}, weights={self.weight_names})"
+        return f"WeightDrop(p={self.p}, weight={self.weight_name!r})"

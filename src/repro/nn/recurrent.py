@@ -2,9 +2,11 @@
 
 The cell computes the four gates in one fused matmul per input/hidden pair
 — ``gates = x @ W_ih^T + h @ W_hh^T + b`` — which keeps arithmetic
-intensity high (one big GEMM instead of four small ones).  The models run
-the sequence loop themselves (one cell step per time step, then
-``stack``); everything inside a step is vectorized over the batch.
+intensity high (one big GEMM instead of four small ones).  The GNMT
+decoder steps the cell itself, since attention sits between steps; the
+AWD layers and the GNMT encoder hand the cell's weights to the
+whole-sequence kernel ``lstm_sequence``.  Everything inside a step is
+vectorized over the batch.
 """
 
 from __future__ import annotations

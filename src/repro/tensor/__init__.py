@@ -16,7 +16,7 @@ engine supplies the *numerics* (so elastic averaging, stale weights and
 optimizer coupling behave exactly as in a real framework).
 """
 
-from repro.tensor.tensor import Tensor, no_grad, zeros, ones, full, arange
+from repro.tensor.tensor import Tensor, no_grad, zeros, full
 from repro.tensor.functional import (
     assert_preserves_dtype,
     cat,
@@ -28,6 +28,7 @@ from repro.tensor.functional import (
     linear,
     log_softmax,
     lstm_cell,
+    lstm_sequence,
     nll_loss,
     relu,
     scaled_dot_attention,
@@ -43,9 +44,7 @@ __all__ = [
     "Tensor",
     "no_grad",
     "zeros",
-    "ones",
     "full",
-    "arange",
     "cat",
     "stack",
     "where",
@@ -62,6 +61,7 @@ __all__ = [
     "nll_loss",
     "linear",
     "lstm_cell",
+    "lstm_sequence",
     "scaled_dot_attention",
     "assert_preserves_dtype",
     "gradcheck",

@@ -9,6 +9,8 @@ by ``tests/test_tensor_functional.py`` including numerical gradcheck.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +34,7 @@ __all__ = [
     "where",
     "linear",
     "lstm_cell",
+    "lstm_sequence",
     "scaled_dot_attention",
     "assert_preserves_dtype",
 ]
@@ -260,8 +263,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Fused ``x @ weight.T + bias`` (the Linear layer kernel).
 
     ``x`` must be at least 2-d; ``weight`` is (out, in).  The transposed
-    weight view is captured at call time, which keeps DropConnect-style
-    temporary masking (WeightDrop) working exactly like the composed form.
+    weight view is captured at call time, as in the composed form.
     """
     w_tap = _transpose_tap(weight)
     wT = w_tap.data
@@ -303,8 +305,7 @@ def lstm_cell(
     as a child node of ``h_next`` whose backward stashes the incoming cell
     gradient; reverse topological order guarantees the stash happens
     before ``h_next``'s backward consumes it.  Weight transpose views are
-    captured at call time (WeightDrop compatibility, as in the composed
-    form).
+    captured at call time, as in the composed form.
     """
     hs = hidden_size
     wih_tap = _transpose_tap(weight_ih)
@@ -383,6 +384,89 @@ def lstm_cell(
 
     c_t = Tensor._make(c_next, (h_t,), backward_c, "lstm_cell_c")
     return h_t, c_t
+
+
+def lstm_sequence(
+    x: Tensor,
+    weight_ih: Tensor,
+    weight_hh: Tensor,
+    bias: Tensor,
+    hidden_size: int,
+    hh_masked: np.ndarray | None = None,
+) -> Tensor:
+    """Fused LSTM layer over a (B, T, D) sequence: one graph node.
+
+    Runs :func:`lstm_cell`'s arithmetic for every step from zero state and
+    returns the (B, T, hidden) stack of hidden states; the backward does
+    the whole BPTT in one closure.  Outputs and gradients are bitwise
+    those of the unrolled chain ``x[:, t]`` -> ``lstm_cell`` -> ``stack``:
+    the gradient sums keep that chain's engine order (``W_ih`` and
+    ``bias`` newest step first, ``W_hh`` oldest first) and the zero-add
+    on each hidden-state gradient.  ``dx[:, t]`` is assigned directly: the
+    chain's slice scatters add zeros to it, but a matmul output is never
+    ``-0.0``, so those adds change no bit.  ``hh_masked`` holds one
+    (DropConnect-masked) copy of ``weight_hh`` per step, shape (T, 4H, H);
+    the gradient with respect to those copies is summed into
+    ``weight_hh`` as it is, not multiplied by the mask, which is the
+    update rule the pinned AWD trajectories were trained with.
+    """
+    hs = hidden_size
+    xd = x.data
+    steps = xd.shape[1]
+    wihT = weight_ih.data.T
+    whh = [weight_hh.data] * steps if hh_masked is None else list(hh_masked)
+    zero = np.zeros((xd.shape[0], hs), xd.dtype)
+    # h_seq[t] / c_seq[t] are step t's incoming state.
+    h_seq, c_seq, saved = [zero], [zero], []
+    for t in range(steps):
+        gates = (xd[:, t] @ wihT + h_seq[t] @ whh[t].T) + bias.data
+        # One sigmoid over the whole gate block: elementwise it is the
+        # per-slice i/f/o calls, bit for bit.
+        act = _sigmoid_raw(gates)
+        g = np.tanh(gates[:, 2 * hs : 3 * hs])
+        c_seq.append(act[:, hs : 2 * hs] * c_seq[t] + act[:, :hs] * g)
+        tc = np.tanh(c_seq[-1])
+        h_seq.append(act[:, 3 * hs :] * tc)
+        saved.append((act, g, tc))
+    out = np.stack(h_seq[1:], axis=1)
+
+    def backward(g_out: np.ndarray):
+        dx = np.empty_like(xd) if x.requires_grad else None
+        dwih, dwhh, db = [], [], []  # per-step terms, newest step first
+        dh = gc_next = None
+        for t in range(steps - 1, -1, -1):
+            act, g, tc = saved[t]
+            i, f, o = act[:, :hs], act[:, hs : 2 * hs], act[:, 3 * hs :]
+            gh = g_out[:, t]
+            if dh is not None:
+                # h_t's three engine contributions: the stack slice, the
+                # next step's dh and a zero from the c_t node.
+                gh = (gh + dh) + 0.0
+            gc = (gh * o) * (1.0 - tc * tc)
+            if gc_next is not None:
+                gc = gc_next + gc
+            dgates = np.empty_like(act)
+            dgates[:, :hs] = (gc * g) * i * (1.0 - i)
+            dgates[:, hs : 2 * hs] = (gc * c_seq[t]) * f * (1.0 - f)
+            dgates[:, 2 * hs : 3 * hs] = (gc * i) * (1.0 - g * g)
+            dgates[:, 3 * hs :] = (gh * tc) * o * (1.0 - o)
+            if dx is not None:
+                dx[:, t] = dgates @ weight_ih.data
+            if t > 0:  # the zero initial state takes no gradient
+                dh = dgates @ whh[t]
+                gc_next = gc * f
+            dwih.append(np.swapaxes(xd[:, t], -1, -2) @ dgates)
+            dwhh.append(np.swapaxes(h_seq[t], -1, -2) @ dgates)
+            db.append(_unbroadcast(dgates, bias.shape))
+        # Each term is a fresh array, so the folds add in place.
+        return (
+            dx,
+            reduce(operator.iadd, dwih).T,
+            reduce(operator.iadd, dwhh[::-1]).T,
+            reduce(operator.iadd, db),
+        )
+
+    return Tensor._make(out, (x, weight_ih, weight_hh, bias), backward, "lstm_sequence")
 
 
 def scaled_dot_attention(

@@ -25,7 +25,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "zeros", "ones", "full", "arange"]
+__all__ = ["Tensor", "no_grad", "zeros", "full"]
 
 DEFAULT_DTYPE = np.float32
 
@@ -364,18 +364,9 @@ class Tensor:
         out = np.log(self.data)
         return Tensor._make(out, (self,), lambda g: (g / self.data,), "log")
 
-    def sqrt(self) -> "Tensor":
-        out = np.sqrt(self.data)
-        return Tensor._make(out, (self,), lambda g: (g * 0.5 / out,), "sqrt")
-
     def abs(self) -> "Tensor":
         out = np.abs(self.data)
         return Tensor._make(out, (self,), lambda g: (g * np.sign(self.data),), "abs")
-
-    def clip(self, lo: float, hi: float) -> "Tensor":
-        out = np.clip(self.data, lo, hi)
-        mask = (self.data >= lo) & (self.data <= hi)
-        return Tensor._make(out, (self,), lambda g: (g * mask,), "clip")
 
     # ------------------------------------------------------------------ #
     # reductions
@@ -440,10 +431,6 @@ class Tensor:
         out = self.data.transpose(axes)
         return Tensor._make(out, (self,), lambda g: (g.transpose(inverse),), "transpose")
 
-    def swapaxes(self, a: int, b: int) -> "Tensor":
-        out = np.swapaxes(self.data, a, b)
-        return Tensor._make(out, (self,), lambda g: (np.swapaxes(g, a, b),), "swapaxes")
-
     @property
     def T(self) -> "Tensor":
         return self.transpose()
@@ -477,10 +464,6 @@ class Tensor:
         out = np.expand_dims(self.data, axis)
         return Tensor._make(out, (self,), lambda g: (g.reshape(self.shape),), "unsqueeze")
 
-    def broadcast_to(self, shape: tuple[int, ...]) -> "Tensor":
-        out = np.broadcast_to(self.data, shape)
-        return Tensor._make(out.copy(), (self,), lambda g: (_unbroadcast(g, self.shape),), "bcast")
-
     # ------------------------------------------------------------------ #
     # comparison helpers (non-differentiable, return plain arrays)
 
@@ -504,16 +487,6 @@ def zeros(*shape: int, requires_grad: bool = False, dtype=DEFAULT_DTYPE) -> Tens
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
 
 
-def ones(*shape: int, requires_grad: bool = False, dtype=DEFAULT_DTYPE) -> Tensor:
-    """A one-filled Tensor of the given shape."""
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
-
-
 def full(shape: tuple[int, ...], value: float, requires_grad: bool = False, dtype=DEFAULT_DTYPE) -> Tensor:
     """A constant-filled Tensor of the given shape."""
     return Tensor(np.full(shape, value, dtype=dtype), requires_grad=requires_grad)
-
-
-def arange(*args: int, dtype=DEFAULT_DTYPE) -> Tensor:
-    """Like numpy.arange, as a Tensor."""
-    return Tensor(np.arange(*args, dtype=dtype))

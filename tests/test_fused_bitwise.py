@@ -194,3 +194,215 @@ def test_attention_matches_composed_bitwise(dtype, use_mask, p):
     _bits_equal("dq", q1.grad, q2.grad)
     _bits_equal("dk", k1.grad, k2.grad)
     _bits_equal("dv", v1.grad, v2.grad)
+
+
+# --------------------------------------------------------------------- #
+# lstm_sequence: one node per layer vs the unrolled lstm_cell chain
+
+
+def _bytes_equal(name, a, b):
+    """Stricter than ``_bits_equal``: the sign of zero and the memory
+    layout count too (a gradient's layout fixes the order later
+    reductions, such as the clipping norm, sum it in)."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape, name
+    assert a.strides == b.strides, f"{name}: strides {a.strides} != {b.strides}"
+    assert a.tobytes() == b.tobytes(), name
+
+
+def _sequence_fixture(dtype, B, T, D=5, H=4, seed=7):
+    rng = np.random.default_rng(seed)
+    masks = (rng.random((T, 4 * H, H)) < 0.7).astype(dtype) / 0.7
+    return {
+        "x": rng.standard_normal((B, T, D)).astype(dtype),
+        "wih": rng.standard_normal((4 * H, D)).astype(dtype),
+        "whh": rng.standard_normal((4 * H, H)).astype(dtype),
+        "bias": rng.standard_normal((4 * H,)).astype(dtype),
+        "masks": masks,
+        "g": rng.standard_normal((B, T, H)).astype(dtype),
+        "H": H,
+    }
+
+
+def _unrolled_sequence(x, wih, whh, bias, hs, hh_masked=None):
+    """The per-step reference chain: slice, cell, stack; a masked
+    ``W_hh`` is swapped into the parameter for its own step."""
+    h = Tensor(np.zeros((x.shape[0], hs), np.float32))
+    c = Tensor(np.zeros((x.shape[0], hs), np.float32))
+    original = whh.data
+    outs = []
+    for t in range(x.shape[1]):
+        if hh_masked is not None:
+            whh.data = hh_masked[t]
+        h, c = F.lstm_cell(x[:, t, :], h, c, wih, whh, bias, hs)
+        whh.data = original
+        outs.append(h)
+    return F.stack(outs, axis=1)
+
+
+def _run_sequence(fix, fused, masked):
+    x, wih, whh, bias = (
+        Tensor(fix[k].copy(), requires_grad=True) for k in ("x", "wih", "whh", "bias")
+    )
+    hh_masked = fix["whh"] * fix["masks"] if masked else None
+    fn = F.lstm_sequence if fused else _unrolled_sequence
+    out = fn(x, wih, whh, bias, fix["H"], hh_masked)
+    out.backward(fix["g"])
+    return out.data, x.grad, wih.grad, whh.grad, bias.grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("B,T", [(3, 6), (3, 1), (1, 6)])
+def test_lstm_sequence_matches_unrolled_cells_bitwise(dtype, masked, B, T):
+    fix = _sequence_fixture(dtype, B, T)
+    ref = _run_sequence(fix, fused=False, masked=masked)
+    got = _run_sequence(fix, fused=True, masked=masked)
+    for name, a, b in zip(("out", "dx", "dwih", "dwhh", "db"), ref, got):
+        _bytes_equal(name, a, b)
+
+
+def test_lstm_sequence_is_one_node_with_the_weight_parents():
+    fix = _sequence_fixture(np.float32, 2, 4)
+    x, wih, whh, bias = (
+        Tensor(fix[k], requires_grad=True) for k in ("x", "wih", "whh", "bias")
+    )
+    out = F.lstm_sequence(x, wih, whh, bias, fix["H"])
+    assert out._op == "lstm_sequence"
+    assert out._parents == (x, wih, whh, bias)
+
+
+def test_lstm_sequence_builds_no_node_under_no_grad():
+    from repro.tensor import no_grad
+
+    fix = _sequence_fixture(np.float32, 2, 4)
+    x, wih, whh, bias = (
+        Tensor(fix[k], requires_grad=True) for k in ("x", "wih", "whh", "bias")
+    )
+    with no_grad():
+        out = F.lstm_sequence(x, wih, whh, bias, fix["H"])
+    assert not out.requires_grad and out._parents == () and out._op == ""
+    _bytes_equal("no_grad out", out.data, F.lstm_sequence(x, wih, whh, bias, fix["H"]).data)
+
+
+# --------------------------------------------------------------------- #
+# WeightDrop: one batched draw per layer vs one draw per step
+
+
+def _weight_drop(p=0.3, seed=5):
+    from repro.nn import LSTMCell, WeightDrop
+
+    wd = WeightDrop(LSTMCell(3, 4), "weight_hh", p=p)
+    wd._rng = np.random.default_rng(seed)
+    return wd
+
+
+def test_batched_mask_draw_matches_per_step_draws():
+    wd, T = _weight_drop(), 6
+    weight = wd.inner.weight_hh
+    rng = np.random.default_rng(5)
+    keep = 1.0 - wd.p
+    per_step = [
+        weight.data * ((rng.random(weight.shape) < keep).astype(weight.dtype) / keep)
+        for _ in range(T)
+    ]
+    batched = wd.masked(T)
+    for t in range(T):
+        _bytes_equal(f"mask[{t}]", per_step[t], batched[t])
+    assert wd._rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_eval_mode_draws_no_mask():
+    wd = _weight_drop()
+    before = wd._rng.bit_generator.state
+    wd.eval()
+    assert wd.masked(6) is None
+    assert wd._rng.bit_generator.state == before
+
+
+# --------------------------------------------------------------------- #
+# The two recurrent layers vs the per-step loop they used to run
+
+
+def _awd_layer(dtype, weight_drop):
+    from repro.models.awd_lstm import AWDConfig, WeightDroppedLSTMLayer
+
+    cfg = AWDConfig(embed_dim=5, hidden_dim=4, bptt=6, weight_drop=weight_drop)
+    layer = WeightDroppedLSTMLayer(cfg, 0)
+    for p in layer.parameters():
+        p.data = p.data.astype(dtype)
+    layer.wrapped._rng = np.random.default_rng(3)
+    return layer
+
+
+def _awd_per_step(layer, x):
+    """``WeightDroppedLSTMLayer.forward`` as a per-step loop: one mask
+    draw and one masked cell step per time step."""
+    wd = layer.wrapped
+    cell = wd.inner
+    masked = None
+    if wd.training and wd.p > 0.0:
+        keep = 1.0 - wd.p
+        masked = [
+            cell.weight_hh.data
+            * ((wd._rng.random(cell.weight_hh.shape) < keep).astype(cell.weight_hh.dtype) / keep)
+            for _ in range(x.shape[1])
+        ]
+    return _unrolled_sequence(
+        x, cell.weight_ih, cell.weight_hh, cell.bias, cell.hidden_size, masked
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_drop", [0.0, 0.4])
+@pytest.mark.parametrize("training", [True, False])
+def test_awd_layer_matches_per_step_loop(dtype, weight_drop, training):
+    fix = _sequence_fixture(dtype, 3, 6)
+    results = []
+    for fused in (False, True):
+        layer = _awd_layer(dtype, weight_drop)
+        layer.train(training)
+        x = Tensor(fix["x"].copy(), requires_grad=True)
+        if fused:
+            out = layer({"hidden": x})["hidden"]
+        else:
+            out = _awd_per_step(layer, x)
+        out.backward(fix["g"])
+        results.append(
+            [out.data, x.grad] + [p.grad for p in layer.parameters()]
+            + [layer.wrapped._rng.bit_generator.state]
+        )
+    ref, got = results
+    assert ref[-1] == got[-1]  # same generator state: same number of draws
+    for k, (a, b) in enumerate(zip(ref[:-1], got[:-1])):
+        _bytes_equal(f"awd[{k}]", a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layer_index", [0, 1])
+def test_gnmt_encoder_layer_matches_per_step_loop(dtype, layer_index):
+    from repro.models.gnmt import EncoderLSTMLayer, GNMTConfig
+
+    cfg = GNMTConfig(embed_dim=4, hidden_dim=4, src_len=6)
+    fix = _sequence_fixture(dtype, 3, 6, D=4)
+    key = "src_emb" if layer_index == 0 else "enc_out"
+    results = []
+    for fused in (False, True):
+        layer = EncoderLSTMLayer(cfg, layer_index)
+        for p in layer.parameters():
+            p.data = p.data.astype(dtype)
+        x = Tensor(fix["x"].copy(), requires_grad=True)
+        if fused:
+            out = layer({key: x})["enc_out"]
+        else:
+            cell = layer.cell
+            out = _unrolled_sequence(
+                x, cell.weight_ih, cell.weight_hh, cell.bias, cell.hidden_size
+            )
+            if layer.residual:
+                out = out + x
+        out.backward(fix["g"])
+        results.append([out.data, x.grad] + [p.grad for p in layer.parameters()])
+    for k, (a, b) in enumerate(zip(*results)):
+        _bytes_equal(f"gnmt[{k}]", a, b)

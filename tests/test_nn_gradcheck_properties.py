@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Dropout, LSTMCell, LayerNorm, MultiHeadAttention
-from repro.tensor import gradcheck, stack
+from repro.tensor import gradcheck, lstm_sequence, stack
 from repro.utils.seeding import derive_rng
 from tests.tensors import tensor
 
@@ -54,8 +54,8 @@ class TestAttentionGradients:
 
 class TestRecurrentGradients:
     def test_lstm_full_sequence_input_gradient(self):
-        """The form the recurrent models run: step the cell over time,
-        then stack the hidden states (``WeightDroppedLSTMLayer``)."""
+        """A cell stepped over time, then the hidden states stacked (the
+        GNMT decoder's form)."""
         cell = _f64(LSTMCell(3, 4))
         x = _input((2, 3, 3), "lstm-seq")  # (B, T, D)
 
@@ -68,6 +68,18 @@ class TestRecurrentGradients:
             return stack(outs, axis=1)
 
         assert gradcheck(run, [x])
+
+    def test_lstm_sequence_gradients(self):
+        """The whole-sequence kernel the AWD layers and the GNMT encoder
+        run: input and every weight."""
+        cell = _f64(LSTMCell(3, 4))
+        x = _input((2, 4, 3), "lstm-sequence")  # (B, T, D)
+
+        def run(t, _w):
+            return lstm_sequence(t, cell.weight_ih, cell.weight_hh, cell.bias, 4)
+
+        for weight in (cell.weight_ih, cell.weight_hh, cell.bias):
+            assert gradcheck(run, [x, weight])
 
     def test_lstm_cell_hidden_state_gradient(self):
         cell = _f64(LSTMCell(3, 4))

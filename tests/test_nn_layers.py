@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Dropout, Embedding, LayerNorm, Linear, WeightDrop, LSTMCell
-from repro.tensor import Tensor, gradcheck
+from repro.tensor import Tensor, gradcheck, lstm_sequence
 from tests.tensors import tensor
 
 
@@ -84,30 +84,33 @@ class TestLayerNorm:
 class TestWeightDrop:
     def _make(self, p):
         cell = LSTMCell(4, 4)
-        return WeightDrop(cell, ["weight_hh"], p=p), cell
+        return WeightDrop(cell, "weight_hh", p=p), cell
 
     def test_eval_mode_keeps_weights(self):
         wd, cell = self._make(0.5)
         wd.eval()
         original = cell.weight_hh.data.copy()
-        state = cell.init_state(2)
-        wd(Tensor(np.random.rand(2, 4).astype(np.float32)), state)
+        assert wd.masked(3) is None
         assert np.array_equal(cell.weight_hh.data, original)
 
     def test_training_restores_weights_after_call(self):
+        # The masked copies are new arrays; the parameter is never swapped.
         wd, cell = self._make(0.5)
         original = cell.weight_hh.data.copy()
-        wd(Tensor(np.random.rand(2, 4).astype(np.float32)), cell.init_state(2))
+        masked = wd.masked(3)
+        assert masked.shape == (3, *original.shape)
         assert np.array_equal(cell.weight_hh.data, original)
 
     def test_unknown_weight_name_raises(self):
         with pytest.raises(KeyError):
-            WeightDrop(LSTMCell(4, 4), ["nope"], p=0.5)
+            WeightDrop(LSTMCell(4, 4), "nope", p=0.5)
 
     def test_gradients_flow_to_masked_weight(self):
         wd, cell = self._make(0.4)
-        h, c = wd(Tensor(np.random.rand(2, 4).astype(np.float32)), cell.init_state(2))
-        (h.sum() + c.sum()).backward()
+        x = Tensor(np.random.rand(2, 3, 4).astype(np.float32))
+        out = lstm_sequence(x, cell.weight_ih, cell.weight_hh, cell.bias, 4,
+                            hh_masked=wd.masked(3))
+        out.sum().backward()
         assert cell.weight_hh.grad is not None
 
 

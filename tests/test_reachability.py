@@ -77,12 +77,20 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+#: module aliases whose attributes name library calls, never our code
+FOREIGN_MODULES = ("np", "json", "math")
+
+
 def collect_references(tree, path, references) -> None:
-    """Append (file, line) of every name and attribute use in ``tree``."""
+    """Append (file, line) of every name and attribute use in ``tree``,
+    except attributes of :data:`FOREIGN_MODULES` (``np.clip`` does not
+    reach ``Tensor.clip``)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             references[node.id].append((path, node.lineno))
         elif isinstance(node, ast.Attribute):
+            if isinstance(node.value, ast.Name) and node.value.id in FOREIGN_MODULES:
+                continue
             references[node.attr].append((path, node.lineno))
 
 

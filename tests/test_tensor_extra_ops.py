@@ -18,20 +18,10 @@ class TestElementwiseExtras:
                    requires_grad=True, dtype=np.float64)
         assert gradcheck(lambda t: t.exp().log(), [x])
 
-    def test_sqrt(self):
-        x = tensor(np.abs(np.random.default_rng(1).standard_normal(5)) + 0.5,
-                   requires_grad=True, dtype=np.float64)
-        assert gradcheck(lambda t: t.sqrt(), [x])
-
     def test_abs_gradient_sign(self):
         x = tensor([-2.0, 3.0], requires_grad=True)
         x.abs().sum().backward()
         assert np.allclose(x.grad, [-1.0, 1.0])
-
-    def test_clip_blocks_gradient_outside_range(self):
-        x = tensor([-5.0, 0.5, 5.0], requires_grad=True)
-        x.clip(-1.0, 1.0).sum().backward()
-        assert np.allclose(x.grad, [0.0, 1.0, 0.0])
 
     def test_pow_rejects_tensor_exponent(self):
         x = tensor([2.0], requires_grad=True)
@@ -66,14 +56,6 @@ class TestReductionsExtras:
 
 
 class TestShapeExtras:
-    def test_swapaxes_gradcheck(self):
-        assert gradcheck(lambda t: t.swapaxes(0, 2) * 2.0, [_rand(2, 3, 4, seed=6)])
-
-    def test_broadcast_to_sums_gradient(self):
-        x = tensor([1.0, 2.0], requires_grad=True)
-        x.broadcast_to((3, 2)).sum().backward()
-        assert np.allclose(x.grad, [3.0, 3.0])
-
     def test_transpose_explicit_axes(self):
         x = _rand(2, 3, 4, seed=7)
         assert x.transpose(2, 0, 1).shape == (4, 2, 3)
