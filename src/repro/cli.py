@@ -10,7 +10,7 @@
     python -m repro chaos --scenario smoke    # fault injection + recovery
     python -m repro sched --scenario smoke --policy fair  # multi-job elastic scheduler
     python -m repro report --out obs_out      # instrumented run + Chrome trace
-    python -m repro bench --suite smoke       # hot-path benchmarks -> BENCH_<n>.json
+    python -m repro bench --suite tensor      # fused-op micro-benchmarks -> BENCH_<n>.json
     python -m repro calibrate gnmt            # simulator calibration matrix
 
 Every command prints plain-text tables (no plotting dependencies) and is
@@ -541,7 +541,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the hot-path benchmark suite; optionally compare a baseline."""
+    """Run the micro-benchmark suite; optionally compare a baseline."""
     import json
 
     from repro.obs.bench import (
@@ -569,8 +569,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     if args.list:
         for bench in select_suite("full"):
-            smoke = "smoke" if bench.smoke else "full-only"
-            print(f"{bench.name:24s} [{bench.group}, {smoke}] {bench.params}")
+            print(f"{bench.name:24s} [{bench.group}] {bench.params}")
         print(f"suites: {', '.join(suite_names())}")
         return 0
 
@@ -597,26 +596,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(exc.args[0])
         return 2
 
-    registry = None
-    if args.calibrate:
-        from repro.core.calibrate import run_calibration
-        from repro.core.simcfg import SIM_CALIBRATIONS, calibration_for
-        from repro.obs import MetricRegistry
-
-        registry = MetricRegistry()
-        for name in sorted(SIM_CALIBRATIONS):
-            run_calibration(calibration_for(name), registry=registry)
-        print(f"calibrated {len(SIM_CALIBRATIONS)} workloads "
-              f"({sum(1 for _ in registry.series(prefix='calibrate.'))} gauges "
-              "recorded into the fingerprint)")
-
-    results, registry, exporter = run_suite(
+    results = run_suite(
         benches,
         repeats=args.repeats,
         warmup=args.warmup,
         seed=args.seed,
-        registry=registry,
-        record_trace=args.trace is not None,
         progress=lambda r: print(
             f"  {r.name:24s} median {r.median * 1e3:9.3f} ms  "
             f"peak {r.alloc_peak_bytes / 1024:9.1f} KiB"
@@ -624,15 +608,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     print()
     print(render_results(results, title=f"repro bench — suite '{args.suite}'"))
-    payload = to_payload(
-        results, args.suite, args.repeats, args.warmup, args.seed, registry
-    )
+    payload = to_payload(results, args.suite, args.repeats, args.warmup, args.seed)
     if not args.no_write:
         path = write_payload(payload, args.out)
         print(f"\nwrote {path} ({len(results)} benchmarks)")
-    if args.trace is not None:
-        exporter.write(args.trace)
-        print(f"wrote {args.trace} (one span per timed repeat)")
 
     if args.compare is not None:
         with open(args.compare) as fh:
@@ -825,9 +804,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory for trace.json / run_report.{json,md}")
     p.set_defaults(fn=_cmd_report)
 
-    p = sub.add_parser("bench", help="hot-path benchmark suite -> BENCH_<n>.json")
+    p = sub.add_parser("bench", help="fused-op and trace-export micro-benchmarks "
+                                      "-> BENCH_<n>.json")
     p.add_argument("--suite", default="full",
-                   help="full, smoke, or a group name (see --list)")
+                   help="full or a group name (see --list)")
     p.add_argument("--repeats", type=int, default=5, help="timed repeats per benchmark")
     p.add_argument("--warmup", type=int, default=1, help="untimed warmup runs")
     p.add_argument("--seed", type=int, default=0)
@@ -853,11 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "a cross-machine gate wants them split)")
     p.add_argument("--report-only", action="store_true",
                    help="print the comparison but never fail the exit code")
-    p.add_argument("--trace", default=None, metavar="TRACE.json",
-                   help="also export one Chrome-trace span per timed repeat")
-    p.add_argument("--calibrate", action="store_true",
-                   help="run the calibration matrix first and record its "
-                        "calibrate.* gauges in the environment fingerprint")
     p.add_argument("--list", action="store_true",
                    help="list benchmarks and suites, then exit")
     p.set_defaults(fn=_cmd_bench)

@@ -2,9 +2,8 @@
 workload's simulated cluster, so the :mod:`repro.core.simcfg` constants
 can be tuned against the paper's reported regimes.
 
-This used to be an orphan script (``scripts/calibrate.py``); it is now a
-library (and the ``repro calibrate`` CLI command) whose measured numbers
-are published as ``calibrate.*`` registry gauges:
+It is a library and the ``repro calibrate`` CLI command, whose measured
+numbers are published as ``calibrate.*`` registry gauges:
 
 * ``calibrate.batch_ms{workload,system}`` — simulated milliseconds per
   batch for each feasible system/setting;
@@ -12,9 +11,7 @@ are published as ``calibrate.*`` registry gauges:
 * ``calibrate.util{workload,system}`` — average GPU utilization;
 * ``calibrate.oom{workload,system}`` — 1.0 when the setting OOMs.
 
-``repro bench`` records any ``calibrate.*`` gauges present in the
-registry it is handed into the BENCH_<n>.json environment fingerprint,
-so a benchmark trajectory carries the calibration that produced it.
+``repro calibrate --json`` prints the gauge snapshot.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from repro.graph.cost_model import LayerCost
 from repro.graph.partitioner import Partition
 from repro.schedules.base import Schedule
 from repro.schedules.executor import PipelineSimRunner, SimIterationResult, StageCosts
-from repro.sim.cluster import Cluster, ClusterSpec, make_cluster
+from repro.sim.cluster import Cluster, ClusterSpec
 from repro.sim.device import UtilizationCurve
 from repro.sim.events import Simulator
 
@@ -124,6 +124,34 @@ class Profiler:
     def _stage_device(self, stage: int) -> int:
         return stage if self.placement is None else self.placement[stage]
 
+    def _runner(
+        self, m: int, n: int, record_utilization: bool = False, registry=None
+    ) -> PipelineSimRunner:
+        """A runner at (m, n) on a fresh simulated cluster."""
+        cluster = Cluster(Simulator(), self.cluster_spec)
+        stage_costs = StageCosts.from_partition(
+            self.layer_costs,
+            self.partition,
+            mb_size=self.batch_size / m,
+            activation_byte_scale=self.activation_byte_scale,
+            param_byte_scale=self.param_byte_scale,
+            stash_multiplier=self.stash_multiplier,
+        )
+        return PipelineSimRunner(
+            cluster,
+            self.schedule,
+            stage_costs,
+            num_micro=m,
+            mb_size=self.batch_size / m,
+            num_pipelines=n,
+            with_reference_model=self.with_reference_model,
+            optimizer_state_factor=self.optimizer_state_factor,
+            record_utilization=record_utilization,
+            device_map=self._device_map(n),
+            activation_recompute=self.activation_recompute,
+            registry=registry,
+        )
+
     def run_setting(
         self,
         m: int,
@@ -140,30 +168,7 @@ class Profiler:
         """
         if self.batch_size % m != 0:
             raise ValueError(f"batch {self.batch_size} not divisible by M={m}")
-        sim = Simulator()
-        cluster = Cluster(sim, self.cluster_spec)
-        stage_costs = StageCosts.from_partition(
-            self.layer_costs,
-            self.partition,
-            mb_size=self.batch_size / m,
-            activation_byte_scale=self.activation_byte_scale,
-            param_byte_scale=self.param_byte_scale,
-            stash_multiplier=self.stash_multiplier,
-        )
-        runner = PipelineSimRunner(
-            cluster,
-            self.schedule,
-            stage_costs,
-            num_micro=m,
-            mb_size=self.batch_size / m,
-            num_pipelines=n,
-            with_reference_model=self.with_reference_model,
-            optimizer_state_factor=self.optimizer_state_factor,
-            record_utilization=record_utilization,
-            device_map=self._device_map(n),
-            activation_recompute=self.activation_recompute,
-            registry=registry,
-        )
+        runner = self._runner(m, n, record_utilization, registry)
         return runner.run(iterations=iterations, render_timeline=render_timeline)
 
     def profile(self, m: int | None = None, n: int = 1, iterations: int = 4) -> Profile:
@@ -173,29 +178,7 @@ class Profiler:
             m = 1
             while self.batch_size % (m * 2) == 0 and self.batch_size // (m * 2) >= 2:
                 m *= 2
-        sim = Simulator()
-        cluster = Cluster(sim, self.cluster_spec)
-        stage_costs = StageCosts.from_partition(
-            self.layer_costs,
-            self.partition,
-            mb_size=self.batch_size / m,
-            activation_byte_scale=self.activation_byte_scale,
-            param_byte_scale=self.param_byte_scale,
-            stash_multiplier=self.stash_multiplier,
-        )
-        runner = PipelineSimRunner(
-            cluster,
-            self.schedule,
-            stage_costs,
-            num_micro=m,
-            mb_size=self.batch_size / m,
-            num_pipelines=n,
-            with_reference_model=self.with_reference_model,
-            optimizer_state_factor=self.optimizer_state_factor,
-            record_utilization=False,
-            device_map=self._device_map(n),
-            activation_recompute=self.activation_recompute,
-        )
+        runner = self._runner(m, n)
         result = runner.run(iterations=iterations)
         if result.oom is not None:
             raise result.oom
@@ -206,7 +189,7 @@ class Profiler:
         devices = [self._stage_device(k) for k in range(K)]
         phi_times, phi_values = [], []
         for dev in devices:
-            steps = cluster.devices[dev].compute.utilization_steps
+            steps = runner.cluster.devices[dev].compute.utilization_steps
             phi_times.append(np.array([t for t, _ in steps]) / iterations)
             phi_values.append(np.array([u for _, u in steps]))
         return Profile(

@@ -228,6 +228,14 @@ class AvgPipeTrainer(_TrainerBase):
         super().__init__(spec, seed, max_epochs)
         if num_pipelines < 1:
             raise ValueError("num_pipelines must be >= 1")
+        if schedule is not None and not schedule.sync_at_batch_end:
+            # An async schedule updates (and zeroes) each stage's
+            # gradients per micro-batch; the round's one optimizer step
+            # per batch would then see none.
+            raise ValueError(
+                f"AvgPipeTrainer needs a synchronous schedule; "
+                f"{schedule.name!r} updates per micro-batch"
+            )
         #: optional repro.obs TrainingTelemetry.  Every hook below is
         #: read-only on trainer state, so runs with and without telemetry
         #: produce bitwise-identical weights and metric histories (the

@@ -1,39 +1,32 @@
-"""Hot-path benchmark harness (``repro bench``).
+"""Micro-benchmark harness (``repro bench``).
 
-The paper's contribution is a *performance* argument (Equations 1-8
-predict throughput, Figures 11-19 measure it), so the reproduction needs
-to observe its own speed the same way it observes its numerics: with a
-tracked, regression-gated trajectory.  This module provides
+The paper's claim is end to end (time to target, Figures 11 and 14), and
+``benchmarks/e2e/`` measures it: five workloads, each run's wall time
+split into layer spans.  This harness keeps only what that benchmark
+cannot measure:
+
+* the fused autograd kernels (``tensor.lstm_cell``, ``tensor.attention``,
+  ``tensor.linear``), whose peak allocation is deterministic, so CI can
+  gate it tightly against a baseline recorded on another machine;
+* ``trace.export``, the Chrome-trace export no e2e workload runs.
+
+The module provides
 
 * :class:`Benchmark` / :func:`run_benchmark` — one deterministic, seeded
   measurement: ``warmup`` untimed runs, ``repeats`` timed runs
   (median/IQR over ``time.perf_counter``), plus one profiled run under
   :mod:`tracemalloc` recording peak allocated bytes, net retained bytes
   and the net allocated-block delta;
-* :func:`bench_catalog` — the curated suite over the Tier-1-critical hot
-  paths: an autograd forward+backward step on each registered model
-  (gnmt/bert/awd), the :mod:`repro.sim.events` loop at large K·M·N,
-  executor schedule generation for every schedule in
-  ``repro.verify.VERIFIED_SCHEDULES``, one elastic averaging round,
-  a checkpoint-v2 save/load round-trip, and Chrome-trace export;
+* :func:`bench_catalog` — the four entries above;
 * :func:`write_payload` — results land as ``BENCH_<n>.json`` at the repo
   root (auto-numbered) with an environment fingerprint
-  (python/platform/git sha/package version/calibration constants);
+  (python/platform/git sha/package version/calibration constants), which
+  ``benchmarks/e2e`` stamps into its own results too;
 * :func:`compare_payloads` — per-benchmark delta verdicts against a
   baseline file; a run *regresses* when its median wall time or peak
   allocation exceeds the baseline by more than ``threshold`` (25 %
   default), which is what gives ``repro bench --compare`` its non-zero
   exit code.
-
-Every timed repeat is also mirrored into a ``bench.wall_seconds``
-:class:`~repro.obs.registry.MetricRegistry` histogram and (optionally) a
-:class:`~repro.sim.trace.TraceRecorder` span, so a bench run is
-inspectable in Perfetto through the existing
-:class:`~repro.obs.trace_export.TraceExporter` like any other run.
-
-Instrumentation is observation-only: benchmark thunks run the exact same
-code paths Tier-1 exercises, and a bitwise-identity test pins that the
-harness changes nothing about what it measures.
 """
 
 from __future__ import annotations
@@ -45,7 +38,6 @@ import platform
 import re
 import statistics
 import subprocess
-import sys
 import time
 import tracemalloc
 from dataclasses import dataclass, field
@@ -54,7 +46,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.obs.registry import MetricRegistry
 from repro.utils.tables import format_table
 
 __all__ = [
@@ -84,10 +75,6 @@ SCHEMA = "repro.obs.bench/v1"
 #: default regression threshold: 25 % on median wall time or peak bytes
 DEFAULT_THRESHOLD = 0.25
 
-#: exponential wall-clock buckets: 10 µs .. ~80 s (real seconds, not the
-#: simulated-time span of DEFAULT_TIME_BUCKETS)
-BENCH_TIME_BUCKETS: tuple[float, ...] = tuple(1e-5 * (2.0**i) for i in range(24))
-
 _BENCH_FILE = re.compile(r"^BENCH_(\d+)\.json$")
 
 
@@ -101,15 +88,13 @@ class Benchmark:
 
     ``setup(seed)`` builds all fixtures and returns the zero-argument
     thunk the runner times; everything expensive that is *not* the hot
-    path under measurement belongs in setup.  ``smoke`` marks benchmarks
-    cheap enough for the CI smoke suite.
+    path under measurement belongs in setup.
     """
 
     name: str
     group: str
     setup: Callable[[int], Callable[[], object]]
     params: dict = field(default_factory=dict)
-    smoke: bool = True
 
 
 @dataclass
@@ -177,17 +162,12 @@ def run_benchmark(
     repeats: int = 5,
     warmup: int = 1,
     seed: int = 0,
-    registry: MetricRegistry | None = None,
-    trace=None,
-    trace_origin: float | None = None,
-    clock: Callable[[], float] = time.perf_counter,
 ) -> BenchResult:
     """Measure one benchmark: warmup, timed repeats, one profiled run.
 
     The allocation profile runs *after* the timed repeats (tracemalloc
     slows allocation several-fold, so mixing the two would poison the
-    wall-clock numbers).  ``trace``/``trace_origin`` let a suite record
-    each timed repeat as a span on a shared recorder.
+    wall-clock numbers).
     """
     if repeats < 1:
         raise ValueError(f"need at least one timed repeat, got {repeats}")
@@ -198,26 +178,10 @@ def run_benchmark(
         thunk()
 
     times: list[float] = []
-    hist = None
-    if registry is not None:
-        hist = registry.histogram(
-            "bench.wall_seconds", buckets=BENCH_TIME_BUCKETS, benchmark=bench.name
-        )
-    for i in range(repeats):
-        t0 = clock()
+    for _ in range(repeats):
+        t0 = time.perf_counter()
         thunk()
-        t1 = clock()
-        times.append(t1 - t0)
-        if hist is not None:
-            hist.observe(t1 - t0)
-        if trace is not None:
-            from repro.sim.trace import SpanKind
-
-            origin = trace_origin if trace_origin is not None else 0.0
-            trace.record(
-                0, t0 - origin, t1 - origin, SpanKind.SYNC,
-                label=bench.name, micro=i,
-            )
+        times.append(time.perf_counter() - t0)
 
     tracemalloc.start()
     before = tracemalloc.take_snapshot()
@@ -230,7 +194,7 @@ def run_benchmark(
     net_blocks = sum(
         stat.count_diff for stat in after.compare_to(before, "filename")
     )
-    result = BenchResult(
+    return BenchResult(
         name=bench.name,
         group=bench.group,
         params=dict(bench.params),
@@ -242,193 +206,10 @@ def run_benchmark(
         alloc_net_blocks=net_blocks,
         check=value if isinstance(value, (bool, int, float)) else None,
     )
-    if registry is not None:
-        registry.gauge("bench.alloc_peak_bytes", benchmark=bench.name).set(
-            result.alloc_peak_bytes
-        )
-        registry.gauge("bench.alloc_net_bytes", benchmark=bench.name).set(
-            result.alloc_net_bytes
-        )
-        registry.counter("bench.runs").inc()
-    return result
 
 
 # --------------------------------------------------------------------- #
-# curated suite: the Tier-1-critical hot paths
-
-
-def _model_step_bench(workload: str, batch_cap: int, smoke: bool) -> Benchmark:
-    def setup(seed: int) -> Callable[[], object]:
-        from repro.models.registry import build_workload
-
-        spec = build_workload(workload)
-        model = spec.build_model()
-        loader = spec.make_train_loader(spec.batch_size, seed)
-        batch = next(iter(loader))
-        batch = {k: v[:batch_cap] for k, v in batch.items()}
-
-        def step() -> float:
-            model.zero_grad()
-            loss = model.loss(batch)
-            loss.backward()
-            return float(loss.item())
-
-        return step
-
-    return Benchmark(
-        name=f"model.step.{workload}",
-        group="models",
-        setup=setup,
-        params={"workload": workload, "batch": batch_cap},
-        smoke=smoke,
-    )
-
-
-def _sim_events_bench(num_stages: int, num_micro: int, num_pipelines: int) -> Benchmark:
-    def setup(seed: int) -> Callable[[], object]:
-        from repro.schedules import AdvanceFPSchedule, PipelineSimRunner, StageCosts
-        from repro.sim import Simulator
-        from repro.sim.cluster import ClusterSpec, make_cluster
-
-        del seed  # fully deterministic: fixed costs, no RNG
-        costs = StageCosts(
-            fwd_flops=tuple(1e9 for _ in range(num_stages)),
-            act_out_bytes=tuple(1e6 for _ in range(num_stages)),
-            stash_bytes=tuple(6e6 for _ in range(num_stages)),
-            param_bytes=tuple(int(4e6) for _ in range(num_stages)),
-        )
-
-        def run() -> float:
-            sim = Simulator()
-            cluster = make_cluster(
-                sim,
-                num_stages,
-                spec=ClusterSpec(
-                    nodes=num_stages, gpus_per_node=1, memory_bytes=1 << 50
-                ),
-            )
-            runner = PipelineSimRunner(
-                cluster,
-                AdvanceFPSchedule(advance=2),
-                costs,
-                num_micro=num_micro,
-                mb_size=4.0,
-                num_pipelines=num_pipelines,
-            )
-            return runner.run(iterations=1).batch_time
-
-        return run
-
-    return Benchmark(
-        name="sim.events.large",
-        group="sim",
-        setup=setup,
-        params={"K": num_stages, "M": num_micro, "N": num_pipelines},
-    )
-
-
-#: (K, M) grid every schedule-generation benchmark walks
-_SCHED_GRID: tuple[tuple[int, int], ...] = ((4, 16), (8, 32), (8, 64))
-_SCHED_INNER_LOOPS = 10
-
-
-def _sched_gen_bench(schedule_name: str) -> Benchmark:
-    def setup(seed: int) -> Callable[[], object]:
-        from repro.verify import VERIFIED_SCHEDULES
-
-        del seed
-        factory = VERIFIED_SCHEDULES[schedule_name]
-
-        def gen() -> int:
-            total = 0
-            for _ in range(_SCHED_INNER_LOOPS):
-                schedule = factory()
-                for num_stages, num_micro in _SCHED_GRID:
-                    for stage in range(num_stages):
-                        total += len(schedule.stage_ops(stage, num_stages, num_micro))
-                        schedule.stash_bound(stage, num_stages, num_micro)
-            return total
-
-        return gen
-
-    return Benchmark(
-        name=f"sched.gen.{schedule_name}",
-        group="sched",
-        setup=setup,
-        params={
-            "schedule": schedule_name,
-            "grid": [list(g) for g in _SCHED_GRID],
-            "loops": _SCHED_INNER_LOOPS,
-        },
-    )
-
-
-def _elastic_round_bench(num_pipelines: int = 3) -> Benchmark:
-    def setup(seed: int) -> Callable[[], object]:
-        from repro.core.elastic import ElasticAveragingFramework
-        from repro.models.registry import build_workload
-
-        spec = build_workload("awd")
-        models = [spec.build_model() for _ in range(num_pipelines)]
-        framework = ElasticAveragingFramework(models, queue_delay=1)
-        rng = np.random.default_rng(seed)
-        nudges = [
-            {name: rng.standard_normal(p.data.shape).astype(np.float32) * 1e-3
-             for name, p in model.named_parameters()}
-            for model in models
-        ]
-
-        def round_() -> bool:
-            # One full §3.2 iteration: each pipeline takes a (synthetic)
-            # optimizer step, dilutes toward the reference and posts its
-            # delta; the reference process then drains and applies.
-            for i in range(framework.num_parallel):
-                before = framework.capture(i)
-                for name, param in framework.models[i].named_parameters():
-                    param.data = param.data + nudges[i][name]
-                framework.commit(i, before)
-            return framework.end_iteration()
-
-        return round_
-
-    return Benchmark(
-        name="elastic.round",
-        group="core",
-        setup=setup,
-        params={"workload": "awd", "N": num_pipelines},
-    )
-
-
-def _checkpoint_bench() -> Benchmark:
-    def setup(seed: int) -> Callable[[], object]:
-        import tempfile
-
-        from repro.core.checkpoint import load_trainer, save_trainer
-        from repro.core.trainer import AvgPipeTrainer
-        from repro.resilience.chaos import tiny_chaos_spec
-
-        spec = tiny_chaos_spec()
-        source = AvgPipeTrainer(spec, seed=seed, num_pipelines=2, max_epochs=1)
-        target = AvgPipeTrainer(spec, seed=seed + 1, num_pipelines=2, max_epochs=1)
-        # The TemporaryDirectory lives in this closure; when the suite
-        # drops the thunk the finalizer removes it.
-        tmp = tempfile.TemporaryDirectory(prefix="repro_bench_ckpt_")
-        path = os.path.join(tmp.name, "ckpt.npz")
-
-        def roundtrip() -> str:
-            save_trainer(source, path)
-            load_trainer(target, path)
-            assert tmp  # keep the directory alive as long as the thunk
-            return path
-
-        return roundtrip
-
-    return Benchmark(
-        name="checkpoint.roundtrip",
-        group="core",
-        setup=setup,
-        params={"workload": "tiny-awd-chaos", "N": 2, "format": 2},
-    )
+# catalog: the fused-op allocation gate and trace export
 
 
 def _trace_export_bench(num_stages: int = 4, num_micro: int = 16, num_pipelines: int = 2) -> Benchmark:
@@ -546,33 +327,20 @@ def _tensor_op_bench(op: str) -> Benchmark:
 
 
 def bench_catalog() -> list[Benchmark]:
-    """The curated hot-path suite, in run order."""
-    from repro.verify import VERIFIED_SCHEDULES
-
-    benches: list[Benchmark] = [
-        # gnmt/bert steps are the two expensive ones — full-suite only.
-        _model_step_bench("gnmt", batch_cap=32, smoke=False),
-        _model_step_bench("bert", batch_cap=32, smoke=False),
-        _model_step_bench("awd", batch_cap=40, smoke=True),
-        _sim_events_bench(num_stages=8, num_micro=64, num_pipelines=4),
-    ]
-    benches.extend(_sched_gen_bench(name) for name in VERIFIED_SCHEDULES)
-    benches.extend([
+    """The benchmark catalog, in run order."""
+    return [
         _tensor_op_bench("lstm_cell"),
         _tensor_op_bench("attention"),
         _tensor_op_bench("linear"),
-        _elastic_round_bench(),
-        _checkpoint_bench(),
         _trace_export_bench(),
-    ])
-    return benches
+    ]
 
 
 def suite_names(catalog: Sequence[Benchmark] | None = None) -> list[str]:
-    """Valid ``--suite`` values: full, smoke, and every group name."""
+    """Valid ``--suite`` values: full and every group name."""
     catalog = bench_catalog() if catalog is None else catalog
     groups = sorted({b.group for b in catalog})
-    return ["full", "smoke", *groups]
+    return ["full", *groups]
 
 
 def select_suite(
@@ -582,8 +350,6 @@ def select_suite(
     catalog = bench_catalog() if catalog is None else catalog
     if suite == "full":
         return list(catalog)
-    if suite == "smoke":
-        return [b for b in catalog if b.smoke]
     chosen = [b for b in catalog if b.group == suite]
     if not chosen:
         raise KeyError(
@@ -601,43 +367,16 @@ def run_suite(
     repeats: int = 5,
     warmup: int = 1,
     seed: int = 0,
-    registry: MetricRegistry | None = None,
-    record_trace: bool = False,
     progress: Callable[[BenchResult], None] | None = None,
-):
-    """Run ``benches`` in order; returns ``(results, registry, exporter)``.
-
-    ``exporter`` is a :class:`TraceExporter` over one span per timed
-    repeat (``None`` unless ``record_trace``), so a bench run can be
-    opened in Perfetto next to any simulator trace.
-    """
-    registry = MetricRegistry() if registry is None else registry
-    trace = None
-    origin = time.perf_counter()
-    if record_trace:
-        from repro.sim.trace import TraceRecorder
-
-        trace = TraceRecorder()
+) -> list[BenchResult]:
+    """Run ``benches`` in order and return their results."""
     results: list[BenchResult] = []
     for bench in benches:
-        result = run_benchmark(
-            bench,
-            repeats=repeats,
-            warmup=warmup,
-            seed=seed,
-            registry=registry,
-            trace=trace,
-            trace_origin=origin,
-        )
+        result = run_benchmark(bench, repeats=repeats, warmup=warmup, seed=seed)
         results.append(result)
         if progress is not None:
             progress(result)
-    exporter = None
-    if trace is not None:
-        from repro.obs.trace_export import TraceExporter
-
-        exporter = TraceExporter(trace, num_devices=1)
-    return results, registry, exporter
+    return results
 
 
 def _git_sha() -> str | None:
@@ -662,18 +401,16 @@ def _package_version() -> str:
         return "unknown"
 
 
-def fingerprint(registry: MetricRegistry | None = None) -> dict:
+def fingerprint() -> dict:
     """Environment identity stamped into every BENCH_<n>.json.
 
-    Includes the static simulator calibration constants, and — when a
-    registry holding ``calibrate.*`` gauges is passed (``repro calibrate``
-    publishes them) — the *measured* calibration numbers too, so a
-    trajectory records what machine and what constants produced it.
+    Includes the static simulator calibration constants, so a trajectory
+    records what machine and what constants produced it.
     """
     from repro.core.simcfg import SIM_CALIBRATIONS
 
     MIB = 2**20
-    fp = {
+    return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
@@ -692,17 +429,6 @@ def fingerprint(registry: MetricRegistry | None = None) -> dict:
             for name, cal in SIM_CALIBRATIONS.items()
         },
     }
-    if registry is not None:
-        gauges = {}
-        for name, labels, inst in registry.series(prefix="calibrate."):
-            key = name
-            if labels:
-                key += "{" + ",".join(f"{k}={v}" for k, v in sorted(labels.items())) + "}"
-            # OOM settings measure as inf; keep the JSON strictly valid.
-            gauges[key] = inst.value if math.isfinite(inst.value) else None
-        if gauges:
-            fp["calibration_gauges"] = gauges
-    return fp
 
 
 def to_payload(
@@ -711,7 +437,6 @@ def to_payload(
     repeats: int,
     warmup: int,
     seed: int,
-    registry: MetricRegistry | None = None,
 ) -> dict:
     """The BENCH_<n>.json document for one suite run."""
     return {
@@ -721,7 +446,7 @@ def to_payload(
         "warmup": warmup,
         "seed": seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "environment": fingerprint(registry),
+        "environment": fingerprint(),
         "benchmarks": [r.to_dict() for r in results],
     }
 
@@ -840,8 +565,9 @@ def compare_payloads(
     A benchmark regresses when its median wall time or its peak
     allocation exceeds the baseline's by more than ``threshold``
     (relative).  Benchmarks present in only one payload are reported but
-    never count as regressions — a smoke run compared against a full
-    baseline must not fail on coverage alone.
+    never count as regressions — a one-group run compared against a full
+    baseline, or a baseline holding since-deleted entries, must not fail
+    on coverage alone.
 
     ``time_threshold`` overrides ``threshold`` for the wall-time check
     only.  Peak allocation is deterministic (array sizes, not clocks),

@@ -239,6 +239,21 @@ class TestFaithfulAvgPipeTrainer:
             for key in s1:
                 assert np.allclose(s1[key], s2[key], atol=3e-5), key
 
+    def test_rejects_async_schedule(self):
+        """The AvgPipe round steps each pipeline's optimizer once per
+        batch; an asynchronous schedule zeroes every stage's gradients
+        after each micro-batch, so that step would see none."""
+        from repro.core.trainer import AvgPipeTrainer
+        from tests.test_core_trainers import tiny_awd_spec
+
+        spec = tiny_awd_spec()
+        partition = partition_uniform(len(spec.build_model().layers), 2)
+        with pytest.raises(ValueError, match="synchronous"):
+            AvgPipeTrainer(
+                spec, seed=0, max_epochs=1, num_pipelines=2,
+                partition=partition, num_micro=2, schedule=PipeDreamSchedule(),
+            )
+
     def test_faithful_mode_rejects_ragged_micro_counts(self):
         """A batch that M does not divide is an error, not a silent
         fall-back to fewer micro-batches."""
