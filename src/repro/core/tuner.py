@@ -16,7 +16,7 @@ quantity Figure 19 compares.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.predictor import Predictor
 from repro.core.profiler import Profile, Profiler
@@ -24,6 +24,9 @@ from repro.graph.cost_model import LayerCost
 from repro.graph.partitioner import Partition, search_partition_placement
 from repro.graph.partitioner import partition_model  # noqa: F401  (patched by benchmarks/e2e/spans.py)
 from repro.sim.cluster import ClusterSpec
+
+if TYPE_CHECKING:
+    from repro.tune.store import RunStore
 
 __all__ = [
     "TuningOutcome",
@@ -67,7 +70,6 @@ def plan_for_spec(
     param_byte_scale: float = 1.0,
     comm_weight: float = 0.5,
     memory_caps: Sequence[float] | None = None,
-    history=None,
 ) -> tuple[Partition, tuple[int, ...]]:
     """Partition + placement for a cluster spec, uniform or not.
 
@@ -79,22 +81,8 @@ def plan_for_spec(
     interchangeable, and the search runs one DP with the straight-chain
     placement.  ``num_stages`` defaults to, and must equal, the spec's
     device count.
-
-    ``history`` (None, a :class:`~repro.tune.store.RunStore`, or a path)
-    consults the run-history store: when records exist for this cluster
-    and show the Eq.-8 model under-predicting measured peaks, the
-    per-layer memory charge is inflated by the learned headroom.  With
-    no history — or no matching records — the headroom is exactly 1.0.
     """
     k = num_stages if num_stages is not None else cluster_spec.num_devices
-    headroom = 1.0
-    if history is not None:
-        from repro.tune.residual import learned_memory_headroom
-        from repro.tune.store import as_store, cluster_fingerprint
-
-        headroom = learned_memory_headroom(
-            as_store(history), cluster_fingerprint(cluster_spec)
-        )
     if cluster_spec.is_uniform:
         links = [[cluster_spec.inter_node_bandwidth] * k for _ in range(k)]
     else:
@@ -107,9 +95,7 @@ def plan_for_spec(
         memory_caps=memory_caps,
         flops_per_sec=cluster_spec.peak_flops,
         comm_weight=comm_weight,
-        layer_memory_bytes=[
-            3.0 * c.param_bytes * param_byte_scale * headroom for c in layer_costs
-        ],
+        layer_memory_bytes=[3.0 * c.param_bytes * param_byte_scale for c in layer_costs],
     )
     return part, perm
 
@@ -164,26 +150,23 @@ class ProfilingTuner:
     heterogeneous cluster; it is reordered into stage order through the
     profiler's placement before the feasibility check.
 
-    ``history`` (None, a :class:`~repro.tune.store.RunStore`, or a path)
-    enables the learned layer: recorded runs matching this profiler's
-    configuration re-rank the candidate grid by residual-corrected time
-    (:class:`~repro.tune.residual.LearnedPredictor`).  With no history
-    or no matching records the analytic path runs unchanged, bit for
-    bit — same calls, same winner, same outcome fields.
+    ``history`` (None or a :class:`~repro.tune.store.RunStore`) enables
+    the learned layer; this is the only tuner that reads run history.
+    Recorded runs matching this profiler's configuration re-rank the
+    candidate grid by residual-corrected time
+    (:class:`~repro.tune.residual.LearnedPredictor`).  With no history or
+    no matching records the decision is the analytic one, bit for bit —
+    same calls, same winner.
     """
     def __init__(
         self,
         profiler: Profiler,
         memory_limit_bytes: float | Sequence[float],
-        history=None,
+        history: RunStore | None = None,
         workload: str = "",
     ) -> None:
         self.profiler = profiler
         self.memory_limit = memory_limit_bytes
-        if history is not None:
-            from repro.tune.store import as_store
-
-            history = as_store(history)
         self.history = history
         self.workload = workload
 
@@ -200,40 +183,25 @@ class ProfilingTuner:
         profile: Profile = self.profiler.profile(iterations=profile_iterations)
         predictor = Predictor(profile)
         limits = _stage_memory_limits(self.profiler, self.memory_limit)
-        if self.history is None:
-            winner, predictions = predictor.best_setting(
-                m_candidates, n_candidates, limits
-            )
-            records_consulted = 0
-            residual_applied = False
-            analytic_setting = None
-            predicted_time = winner.batch_time
-        else:
-            from repro.tune.residual import LearnedPredictor
-            from repro.tune.store import tuner_context
+        # deferred: repro.tune imports repro.core
+        from repro.tune.residual import LearnedPredictor
+        from repro.tune.store import tuner_context
 
-            decision = LearnedPredictor(
-                predictor,
-                store=self.history,
-                context=tuner_context(self.profiler, workload=self.workload),
-                workload=self.workload,
-            ).best_setting(m_candidates, n_candidates, limits)
-            winner = decision.winner
-            predictions = decision.predictions
-            records_consulted = decision.records_consulted
-            residual_applied = decision.residual_applied
-            analytic_setting = (
-                decision.analytic_winner.m,
-                decision.analytic_winner.n,
-            )
-            predicted_time = decision.corrected.get(
-                (winner.m, winner.n), winner.batch_time
-            )
+        context = (
+            None
+            if self.history is None
+            else tuner_context(self.profiler, workload=self.workload)
+        )
+        decision = LearnedPredictor(
+            predictor, store=self.history, context=context, workload=self.workload
+        ).best_setting(m_candidates, n_candidates, limits)
+        winner = decision.winner
+        predicted_time = decision.corrected.get((winner.m, winner.n), winner.batch_time)
         measured, _ = _measure(self.profiler, winner.m, winner.n)
         if registry is not None:
-            registry.gauge("tune.records_consulted").set(records_consulted)
+            registry.gauge("tune.records_consulted").set(decision.records_consulted)
             registry.gauge("tune.residual_applied").set(
-                1.0 if residual_applied else 0.0
+                1.0 if decision.residual_applied else 0.0
             )
             registry.gauge("tune.predicted_batch_time").set(predicted_time)
             # per-batch, same unit as the Eq.-1 prediction (an iteration
@@ -245,12 +213,12 @@ class ProfilingTuner:
             n=winner.n,
             tuning_cost=profile.profiling_cost,
             measured_batch_time=measured,
-            details=predictions,
+            details=decision.predictions,
             partition=self.profiler.partition.boundaries,
             placement=self.profiler.placement,
-            records_consulted=records_consulted,
-            residual_applied=residual_applied,
-            analytic_setting=analytic_setting,
+            records_consulted=decision.records_consulted,
+            residual_applied=decision.residual_applied,
+            analytic_setting=(decision.analytic_winner.m, decision.analytic_winner.n),
             predicted_batch_time=predicted_time,
         )
 

@@ -16,7 +16,7 @@ reference, so the natural recovery ladder is
 * :class:`RestartFromCheckpoint` — for correlated failures (a device
   crash takes a stage of *every* pipeline): reload the last full
   checkpoint, including the averaging clock and per-module RNG streams,
-  optionally shrinking to the checkpoint's N (``allow_resize``).
+  resizing to the checkpoint's N when it differs from the live one.
 * :class:`RetunePlan` — stragglers don't kill anyone; they change the
   performance model.  Re-invoke the profiling tuner against a cluster
   spec degraded by the observed slowdown to re-pick (M, N).
@@ -114,14 +114,13 @@ class RestartFromCheckpoint(RecoveryPolicy):
     name = "restart"
     handles_kinds = ("device_crash",)
 
-    def __init__(self, path, allow_resize: bool = True) -> None:
+    def __init__(self, path) -> None:
         self.path = path
-        self.allow_resize = allow_resize
 
     def apply(self, trainer, report: FailureReport) -> dict:
         from repro.core.checkpoint import load_trainer
 
-        load_trainer(trainer, self.path, allow_resize=self.allow_resize)
+        load_trainer(trainer, self.path, allow_resize=True)
         return {
             "checkpoint": Path(self.path).name,
             "num_pipelines": trainer.num_pipelines,
@@ -144,12 +143,6 @@ class RetunePlan(RecoveryPolicy):
 
     When the report names no valid device (target out of range), the
     whole cluster degrades uniformly — the pre-heterogeneity behavior.
-
-    ``history`` (None, a :class:`~repro.tune.store.RunStore`, or a path)
-    forwards the tuner run store so the re-pick consults recorded runs
-    of this workload — the degraded cluster is exactly the held-out-spec
-    case the transfer tier covers.  With None the re-tune is bit-for-bit
-    the analytic one, including the returned details dict.
     """
 
     name = "retune"
@@ -161,15 +154,11 @@ class RetunePlan(RecoveryPolicy):
         memory_limit_bytes: float,
         m_candidates: list[int] | None = None,
         n_candidates: list[int] | None = None,
-        history=None,
-        workload: str = "",
     ) -> None:
         self.profiler = profiler
         self.memory_limit_bytes = memory_limit_bytes
         self.m_candidates = m_candidates
         self.n_candidates = n_candidates
-        self.history = history
-        self.workload = workload
         self.last_outcome: TuningOutcome | None = None
 
     def apply(self, trainer, report: FailureReport) -> dict:
@@ -192,7 +181,6 @@ class RetunePlan(RecoveryPolicy):
             num_stages=self.profiler.partition.num_stages,
             activation_byte_scale=self.profiler.activation_byte_scale,
             param_byte_scale=self.profiler.param_byte_scale,
-            history=self.history,
         )
         repartitioned = (
             partition.boundaries != self.profiler.partition.boundaries
@@ -204,15 +192,10 @@ class RetunePlan(RecoveryPolicy):
         degraded_profiler.placement = (
             placement if placement != tuple(range(partition.num_stages)) else None
         )
-        tuner = ProfilingTuner(
-            degraded_profiler,
-            self.memory_limit_bytes,
-            history=self.history,
-            workload=self.workload,
-        )
+        tuner = ProfilingTuner(degraded_profiler, self.memory_limit_bytes)
         outcome = tuner.tune(self.m_candidates, self.n_candidates)
         self.last_outcome = outcome
-        details = {
+        return {
             "slowdown": report.severity,
             "m": outcome.m,
             "n": outcome.n,
@@ -221,10 +204,6 @@ class RetunePlan(RecoveryPolicy):
             "placement": placement,
             "repartitioned": repartitioned,
         }
-        if self.history is not None:
-            details["records_consulted"] = outcome.records_consulted
-            details["residual_applied"] = outcome.residual_applied
-        return details
 
 
 class RecoveryManager:

@@ -75,15 +75,8 @@ __all__ = [
 ]
 
 
-def run_scenario(
-    scenario: str, policy: str, seed: int = 0, history=None
-) -> SchedResult:
-    """Convenience: build the canned scenario and run one policy.
-
-    ``history`` forwards a tuner run store to admission planning; with
-    None (the default) or an empty store the run is bit-identical to the
-    analytic path.
-    """
+def run_scenario(scenario: str, policy: str, seed: int = 0) -> SchedResult:
+    """Convenience: build the canned scenario and run one policy."""
     from repro.obs.registry import MetricRegistry
 
     spec, jobs = build_scenario(scenario, seed)
@@ -94,7 +87,6 @@ def run_scenario(
         registry=MetricRegistry(),
         scenario=scenario,
         seed=seed,
-        history=history,
     )
     return scheduler.run()
 

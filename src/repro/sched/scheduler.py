@@ -161,7 +161,6 @@ class ClusterScheduler:
         registry: MetricRegistry | None = None,
         scenario: str = "custom",
         seed: int = 0,
-        history=None,
     ) -> None:
         from repro.sched.policies import make_policy
 
@@ -171,7 +170,7 @@ class ClusterScheduler:
         self.registry = registry if registry is not None else MetricRegistry()
         self.scenario = scenario
         self.seed = seed
-        self.planner = JobPlanner(spec, history=history)
+        self.planner = JobPlanner(spec)
         self.occupancy = _Occupancy(spec.num_devices)
         self.queue: list[Job] = []  # QUEUED + PREEMPTED, awaiting (re-)admission
         self.running: list[Job] = []

@@ -88,25 +88,11 @@ class ChainPlan:
 
 
 class JobPlanner:
-    """Plans chains for jobs on one shared cluster spec.
+    """Plans chains for jobs on one shared cluster spec."""
 
-    ``history`` (None, a :class:`~repro.tune.store.RunStore`, or a path)
-    lets admission consult the learned tuner: recorded runs of the same
-    workload family at the same stage count correct the Eq.-1 service
-    time of each planned chain.  Footprints and the :attr:`ChainPlan.fits`
-    predicate stay purely analytic — the fuzzer audits them against the
-    granted caps — and with no history or no matching records the plan
-    is bit-for-bit the analytic one.
-    """
-
-    def __init__(self, spec: ClusterSpec, history=None) -> None:
+    def __init__(self, spec: ClusterSpec) -> None:
         self.spec = spec
         self._cache: dict[tuple, ChainPlan] = {}
-        if history is not None:
-            from repro.tune.store import as_store
-
-            history = as_store(history)
-        self.history = history
 
     # ------------------------------------------------------------------ #
 
@@ -271,21 +257,13 @@ class JobPlanner:
             curve=None,
         )
         prediction = Predictor(profile).predict(M, 1)
-        batch_time = prediction.batch_time
-        if self.history is not None and len(self.history) > 0:
-            from repro.tune.residual import ResidualModel
-
-            records = self.history.matching_workload(family, K)
-            if records:
-                model = ResidualModel.fit(records)
-                batch_time = model.correction(M, 1) * batch_time
         return ChainPlan(
             family=family,
             num_micro=M,
             devices=devices,
             stage_devices=stage_devices,
             boundaries=partition.boundaries,
-            batch_time=batch_time,
+            batch_time=prediction.batch_time,
             footprints=prediction.f_total,
             caps=tuple(spec.memory_bytes_of(d) for d in stage_devices),
             with_reference=with_reference,

@@ -376,8 +376,7 @@ def lstm_cell(
     )
 
     def backward_c(g_in: np.ndarray):
-        # Copied because the arena may recycle g_in once this node is done.
-        ctx["gc"] = g_in.copy()
+        ctx["gc"] = g_in
         # Zero (not None) so a loss reaching only c_next still drives
         # backward_h, which is where the stashed cell gradient is spent.
         return (np.zeros_like(h_next),)

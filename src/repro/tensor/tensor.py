@@ -197,64 +197,21 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
 
-        # Gradient accumulation arena.  Buffers the engine allocated itself
-        # ("owned") are accumulated into in place and recycled through a
-        # (shape, dtype)-keyed free pool once their node is processed, so a
-        # deep graph reuses a handful of ndarrays instead of allocating one
-        # per accumulation.  Arrays handed to us by backward closures are
-        # never mutated (they may alias forward activations or each other);
-        # a buffer is only donated to the pool when no closure result stored
-        # this round can alias it.  The accumulation order and arithmetic
-        # (left-to-right pairwise adds) are unchanged, so gradients are
-        # bitwise identical to the allocate-per-add engine.
         grads: dict[int, np.ndarray] = {id(self): grad}
-        owned: set[int] = set()
-        pool: dict[tuple[tuple[int, ...], Any], list[np.ndarray]] = {}
         for node in reversed(order):
-            nid = id(node)
-            node_grad = grads.pop(nid, None)
+            node_grad = grads.pop(id(node), None)
             if node_grad is None:
                 continue
-            reusable = nid in owned
-            if reusable:
-                owned.discard(nid)
             if node._backward_fn is None:
-                if node.grad is None:
-                    node.grad = node_grad  # escapes to the leaf: never pooled
-                else:
-                    node.grad = node.grad + node_grad
-                    if reusable:
-                        pool.setdefault(
-                            (node_grad.shape, node_grad.dtype), []
-                        ).append(node_grad)
+                node.grad = node_grad if node.grad is None else node.grad + node_grad
                 continue
             parent_grads = node._backward_fn(node_grad)
-            shared = False
             for parent, pgrad in zip(node._parents, parent_grads):
                 if pgrad is None or not parent.requires_grad:
                     continue
                 pgrad = np.asarray(pgrad, dtype=parent.data.dtype)
-                key = id(parent)
-                cur = grads.get(key)
-                if cur is None:
-                    grads[key] = pgrad
-                    if reusable and not shared:
-                        shared = np.may_share_memory(node_grad, pgrad)
-                elif key in owned:
-                    cur += pgrad  # in-place add into an arena-owned buffer
-                else:
-                    free = pool.get((cur.shape, cur.dtype))
-                    if free:
-                        buf = free.pop()
-                        np.add(cur, pgrad, out=buf)
-                        grads[key] = buf
-                    else:
-                        grads[key] = cur + pgrad
-                    owned.add(key)
-            if reusable and not shared:
-                pool.setdefault((node_grad.shape, node_grad.dtype), []).append(
-                    node_grad
-                )
+                cur = grads.get(id(parent))
+                grads[id(parent)] = pgrad if cur is None else cur + pgrad
 
     # ------------------------------------------------------------------ #
     # arithmetic

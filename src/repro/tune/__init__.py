@@ -9,9 +9,11 @@ from a single short profile.  This package closes the loop across runs:
 * :mod:`repro.tune.residual` — a deterministic residual model over that
   history which corrects and re-ranks the analytic predictions.
 
-With an empty store every consumer — ``ProfilingTuner``,
-``plan_for_spec``, RetunePlan, the sched admission planner — falls back
-to the analytic path bitwise-identically (tested).
+:class:`~repro.core.tuner.ProfilingTuner` is the one tuner or planner
+that reads the store; with an empty store its decision is the analytic
+one, bitwise-identically (tested).  The planner, the scheduler and the
+straggler re-tune stay purely analytic.  Records still carry the
+``cluster`` fingerprint, kept for provenance.
 """
 
 from repro.tune.residual import (
@@ -22,7 +24,6 @@ from repro.tune.residual import (
     ResidualModel,
     TuneDecision,
     features,
-    learned_memory_headroom,
     select_records,
 )
 from repro.tune.store import (
@@ -32,7 +33,6 @@ from repro.tune.store import (
     StoreCorruptError,
     StoreError,
     TuneRecord,
-    as_store,
     canonical_json,
     cluster_fingerprint,
     config_fingerprint,
@@ -49,7 +49,6 @@ __all__ = [
     "TuneRecord",
     "RunStore",
     "RunContext",
-    "as_store",
     "canonical_json",
     "config_fingerprint",
     "cluster_fingerprint",
@@ -65,5 +64,4 @@ __all__ = [
     "TuneDecision",
     "LearnedPredictor",
     "select_records",
-    "learned_memory_headroom",
 ]

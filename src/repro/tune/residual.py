@@ -46,7 +46,6 @@ __all__ = [
     "TuneDecision",
     "LearnedPredictor",
     "select_records",
-    "learned_memory_headroom",
 ]
 
 #: distinct (M, N) points needed before the least-squares surface is
@@ -202,37 +201,6 @@ def select_records(
     if transfer:
         return transfer, "transfer"
     return (), "none"
-
-
-def learned_memory_headroom(store: RunStore | None, cluster: str) -> float:
-    """Median measured/predicted *peak-memory* ratio on this cluster.
-
-    Used by :func:`repro.core.tuner.plan_for_spec` to inflate the
-    per-layer memory charge when history shows the analytic Eq.-8 model
-    under-predicts real peaks on this cluster.  Clipped to [1, 2]: the
-    learned layer may only get *more* conservative about memory — a
-    deflating correction could admit a plan that history proved to OOM.
-    Returns exactly 1.0 with no matching records.
-    """
-    if store is None:
-        return 1.0
-    ratios = sorted(
-        r.measured_peak_bytes / r.predicted_peak_bytes
-        for r in store.matching_cluster(cluster)
-        if not r.oom
-        and r.measured_peak_bytes is not None
-        and r.measured_peak_bytes > 0
-        and r.predicted_peak_bytes > 0
-    )
-    if not ratios:
-        return 1.0
-    mid = len(ratios) // 2
-    median = (
-        ratios[mid]
-        if len(ratios) % 2
-        else (ratios[mid - 1] + ratios[mid]) / 2.0
-    )
-    return float(min(max(median, 1.0), 2.0))
 
 
 # --------------------------------------------------------------------- #

@@ -16,8 +16,8 @@ line, so
 
 Fingerprints come in three granularities, coarse to fine:
 
-* ``cluster`` — the :class:`~repro.sim.cluster.ClusterSpec` alone (used
-  by :func:`repro.core.tuner.plan_for_spec`'s learned memory headroom);
+* ``cluster`` — the :class:`~repro.sim.cluster.ClusterSpec` alone (no
+  lookup tier reads it; it is kept in each record for provenance);
 * ``context`` — cluster + schedule + partition + batch size + byte
   scales, i.e. everything *except* the parallelism degrees (the learned
   predictor's exact-match tier);
@@ -45,7 +45,6 @@ __all__ = [
     "TuneRecord",
     "RunStore",
     "RunContext",
-    "as_store",
     "canonical_json",
     "config_fingerprint",
     "cluster_fingerprint",
@@ -366,25 +365,6 @@ class RunStore:
         return tuple(
             r for r in self._records if r.workload == workload and r.k == k
         )
-
-    def matching_cluster(self, cluster: str) -> tuple[TuneRecord, ...]:
-        return tuple(r for r in self._records if r.cluster == cluster)
-
-
-def as_store(history) -> RunStore | None:
-    """Coerce a ``history=`` argument: None, a RunStore, or a path.
-
-    A path that does not exist yet yields an *empty* path-bound store —
-    the learned layer then falls back to the analytic path bitwise and
-    the first append creates the file.
-    """
-    if history is None or isinstance(history, RunStore):
-        return history
-    if isinstance(history, (str, os.PathLike)):
-        return RunStore(history)
-    raise StoreError(
-        f"history must be None, a RunStore, or a path, got {type(history)}"
-    )
 
 
 # --------------------------------------------------------------------- #

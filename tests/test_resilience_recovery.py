@@ -325,3 +325,20 @@ class TestRecoveryManager:
         assert policy.last_outcome is not None
         # The original profiler's cluster model is untouched.
         assert profiler.cluster_spec is spec
+
+    def test_retune_details_are_deterministic_and_analytic(self):
+        from tests.test_core_predictor import make_profiler
+
+        profiler = make_profiler()
+        report = FailureReport("straggler", 1, detected_at=1.0, severity=2.0)
+        first = RetunePlan(
+            profiler, 64 * 2**30, m_candidates=[1, 2], n_candidates=[1]
+        ).apply(None, report)
+        again = RetunePlan(
+            profiler, 64 * 2**30, m_candidates=[1, 2], n_candidates=[1]
+        ).apply(None, report)
+        assert first == again
+        assert set(first) == {
+            "slowdown", "m", "n", "measured_batch_time",
+            "boundaries", "placement", "repartitioned",
+        }

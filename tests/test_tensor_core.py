@@ -191,6 +191,29 @@ class TestAutogradMachinery:
         (a * 3).sum().backward()
         assert np.allclose(a.grad, [5.0])
 
+    def test_backward_never_writes_into_a_closure_result(self):
+        # One ndarray handed to two parents, each of which receives a
+        # second contribution: accumulation must not add into it.
+        shared = np.array([1.0, 2.0], dtype=np.float32)
+        snapshot = shared.copy()
+        a = tensor([0.5, 0.5], requires_grad=True)
+        b = tensor([0.25, 0.25], requires_grad=True)
+        x, y = a * 1.0, b * 1.0
+        pair = Tensor._make(x.data + y.data, (x, y), lambda g: (shared, shared), "pair")
+        (pair.sum() + (x * 2.0).sum() + (y * 3.0).sum()).backward()
+        np.testing.assert_array_equal(shared, snapshot)
+        np.testing.assert_array_equal(a.grad, [3.0, 4.0])
+        np.testing.assert_array_equal(b.grad, [4.0, 5.0])
+
+    def test_second_backward_leaves_held_grad_unchanged(self):
+        a = tensor([1.0, 2.0], requires_grad=True)
+        (a * 2.0).sum().backward()
+        held = a.grad
+        snapshot = held.copy()
+        (a * 3.0).sum().backward()
+        np.testing.assert_array_equal(held, snapshot)
+        np.testing.assert_array_equal(a.grad, [5.0, 5.0])
+
     def test_zero_grad(self):
         a = tensor([1.0], requires_grad=True)
         (a * 2).sum().backward()

@@ -1,61 +1,14 @@
 """Empty-store bitwise-identity: the learned layer must be invisible
 until records exist.
 
-With ``history=None`` or an empty :class:`~repro.tune.store.RunStore`,
-every consumer — ``plan_for_spec``, ``ProfilingTuner``, the sched
-admission planner (and through it the whole scheduler event log and the
-``sched_smoke.txt`` golden), and RetunePlan — must produce *byte-equal*
-results to the pre-learned code paths.  These tests difference each
-consumer against its no-history invocation and the checked-in golden.
+``ProfilingTuner`` is the one consumer of run history.  With
+``history=None`` or an empty :class:`~repro.tune.store.RunStore` it must
+produce *byte-equal* outcomes to the analytic decision.
 """
 
-import dataclasses
-
-import pytest
-
-from repro.core.simcfg import calibration_for
-from repro.core.tuner import ProfilingTuner, plan_for_spec
-from repro.sched import (
-    SchedVerdict,
-    build_scenario,
-    ClusterScheduler,
-    JobPlanner,
-    crosscheck_result,
-    render_report,
-)
+from repro.core.tuner import ProfilingTuner
 from repro.tune.store import RunStore
 from tests.test_core_predictor import make_profiler
-from tests.test_sched_golden import GOLDEN, render_sched_smoke
-
-
-class TestPlanForSpec:
-    def _args(self, variant=None):
-        cal = calibration_for("awd")
-        return cal.layer_costs(), cal.cluster_spec(variant)
-
-    def test_uniform_identical(self):
-        costs, spec = self._args()
-        base = plan_for_spec(costs, spec)
-        for history in (None, RunStore()):
-            part, perm = plan_for_spec(costs, spec, history=history)
-            assert part.boundaries == base[0].boundaries
-            assert perm == base[1]
-
-    def test_hetero_identical(self):
-        costs, spec = self._args("mixed-gen")
-        caps = list(spec.memory_vector())
-        base = plan_for_spec(costs, spec, memory_caps=caps)
-        for history in (None, RunStore()):
-            part, perm = plan_for_spec(costs, spec, memory_caps=caps, history=history)
-            assert part.boundaries == base[0].boundaries
-            assert perm == base[1]
-
-    def test_empty_path_store_identical(self, tmp_path):
-        costs, spec = self._args("straggler-node")
-        base = plan_for_spec(costs, spec)
-        part, perm = plan_for_spec(costs, spec, history=tmp_path / "none.jsonl")
-        assert part.boundaries == base[0].boundaries
-        assert perm == base[1]
 
 
 class TestProfilingTuner:
@@ -74,136 +27,3 @@ class TestProfilingTuner:
             assert outcome.details == base.details
             assert outcome.records_consulted == 0
             assert not outcome.residual_applied
-
-
-class TestSchedAdmission:
-    def test_chain_plans_identical(self):
-        spec, _jobs = build_scenario("smoke", 0)
-        base = JobPlanner(spec)
-        learned = JobPlanner(spec, history=RunStore())
-        devices = tuple(range(4))
-        a = base.plan_chain("awd", 4, 4, devices, with_reference=True)
-        b = learned.plan_chain("awd", 4, 4, devices, with_reference=True)
-        assert dataclasses.asdict(a) == dataclasses.asdict(b)
-
-    def test_event_logs_identical(self):
-        spec, jobs = build_scenario("smoke", 0)
-        base = ClusterScheduler(spec, jobs, "fifo", scenario="smoke", seed=0)
-        base_result = base.run()
-        spec2, jobs2 = build_scenario("smoke", 0)
-        learned = ClusterScheduler(
-            spec2, jobs2, "fifo", scenario="smoke", seed=0, history=RunStore()
-        )
-        learned_result = learned.run()
-        assert base.log == learned.log
-        assert base_result.makespan == learned_result.makespan
-
-    def test_sched_smoke_golden_identical_with_empty_store(self, monkeypatch):
-        """The full golden render, with every scheduler run handed an
-        empty store, must equal the checked-in byte-pinned artifact."""
-        import repro.sched as sched
-
-        original = sched.ClusterScheduler
-
-        class StoreInjected(original):
-            def __init__(self, *args, **kwargs):
-                kwargs.setdefault("history", RunStore())
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(sched, "ClusterScheduler", StoreInjected)
-        fifo = sched.run_scenario("smoke", "fifo", seed=0)
-        fair = sched.run_scenario("smoke", "fair", seed=0)
-        verdict = SchedVerdict(
-            baseline=fifo,
-            candidate=fair,
-            crosschecks=crosscheck_result(fair, seed=0),
-        )
-        fresh = render_report(verdict).rstrip("\n") + "\n"
-        assert fresh == GOLDEN.read_text()
-
-
-class TestRetunePlan:
-    def test_details_dict_identical_without_history(self):
-        from repro.resilience.detector import FailureReport
-        from repro.resilience.recovery import RetunePlan
-
-        profiler = make_profiler()
-        report = FailureReport(
-            kind="straggler", target=1, detected_at=1.0, severity=2.0
-        )
-        base = RetunePlan(profiler, 64 * 2**30, m_candidates=[1, 2], n_candidates=[1])
-        base_details = base.apply(None, report)
-        again = RetunePlan(
-            profiler, 64 * 2**30, m_candidates=[1, 2], n_candidates=[1]
-        ).apply(None, report)
-        assert base_details == again
-        assert "records_consulted" not in base_details
-
-    def test_empty_store_adds_audit_keys_but_same_decision(self):
-        from repro.resilience.detector import FailureReport
-        from repro.resilience.recovery import RetunePlan
-
-        profiler = make_profiler()
-        report = FailureReport(
-            kind="straggler", target=1, detected_at=1.0, severity=2.0
-        )
-        base = RetunePlan(
-            profiler, 64 * 2**30, m_candidates=[1, 2], n_candidates=[1]
-        ).apply(None, report)
-        learned = RetunePlan(
-            profiler,
-            64 * 2**30,
-            m_candidates=[1, 2],
-            n_candidates=[1],
-            history=RunStore(),
-            workload="awd",
-        ).apply(None, report)
-        assert learned["records_consulted"] == 0
-        assert learned["residual_applied"] is False
-        for key, value in base.items():
-            assert learned[key] == value
-
-
-class TestSchedCorrectionActive:
-    """The flip side of the identity suite: with a record matching the
-    chain's (workload, K), admission's Eq.-1 service time scales by the
-    exact measured/predicted ratio (footprints stay analytic)."""
-
-    def test_matching_record_scales_service_time(self):
-        from repro.tune.store import TuneRecord
-
-        spec, jobs = build_scenario("smoke", 0)
-        family, k, m = "awd", 2, 8  # a shape the smoke scenario admits
-        devices = tuple(range(k))
-        base = JobPlanner(spec).plan_chain(family, k, m, devices,
-                                           with_reference=False)
-        record = TuneRecord(
-            context="x" * 16, cluster="y" * 16, workload=family,
-            schedule="advance_fp(2)", k=k, m=m, n=1,
-            predicted_batch_time=base.batch_time,
-            predicted_peak_bytes=1.0,
-            measured_batch_time=base.batch_time * 1.5,
-            measured_peak_bytes=1.0,
-        )
-        learned = JobPlanner(
-            spec, history=RunStore.from_records([record])
-        ).plan_chain(family, k, m, devices, with_reference=False)
-        assert learned.batch_time == pytest.approx(base.batch_time * 1.5)
-        assert learned.footprints == base.footprints  # admission stays analytic
-
-    def test_wrong_stage_count_record_is_ignored(self):
-        from repro.tune.store import TuneRecord
-
-        spec, jobs = build_scenario("smoke", 0)
-        record = TuneRecord(
-            context="x" * 16, cluster="y" * 16, workload="awd",
-            schedule="advance_fp(2)", k=4, m=8, n=1,
-            predicted_batch_time=0.1, predicted_peak_bytes=1.0,
-            measured_batch_time=0.15, measured_peak_bytes=1.0,
-        )
-        base = JobPlanner(spec).plan_chain("awd", 2, 8, (0, 1),
-                                           with_reference=False)
-        learned = JobPlanner(
-            spec, history=RunStore.from_records([record])
-        ).plan_chain("awd", 2, 8, (0, 1), with_reference=False)
-        assert dataclasses.asdict(learned) == dataclasses.asdict(base)

@@ -4,8 +4,7 @@ The decisive properties: corrections are exactly the measured/predicted
 ratio on seen settings (so a learned ranking of seen configs is a
 measured ranking — never worse than analytic), estimation degrades
 gracefully (least squares → k-NN → 1.0) and deterministically (no RNG
-anywhere), OOM records veto their setting, and the memory headroom is
-inflate-only.
+anywhere), and OOM records veto their setting.
 """
 
 import math
@@ -19,7 +18,6 @@ from repro.tune.residual import (
     LearnedPredictor,
     ResidualModel,
     features,
-    learned_memory_headroom,
     select_records,
 )
 from repro.tune.store import RunStore, tuner_context
@@ -152,33 +150,6 @@ class TestSelectRecords:
         store = RunStore.from_records([make_record(workload="bert", k=2)])
         records, tier = select_records(store, ctx, "awd")
         assert tier == "none" and records == ()
-
-
-class TestMemoryHeadroom:
-    def test_median_ratio_clipped_inflate_only(self):
-        records = [
-            make_record(m=m, cluster="c", measured_peak_bytes=r * 1.0e9)
-            for m, r in ((1, 0.5), (2, 1.5), (4, 3.0))
-        ]
-        store = RunStore.from_records(records)
-        assert learned_memory_headroom(store, "c") == pytest.approx(1.5)
-
-    def test_underprediction_never_deflates(self):
-        store = RunStore.from_records(
-            [make_record(cluster="c", measured_peak_bytes=0.5e9)]
-        )
-        assert learned_memory_headroom(store, "c") == 1.0
-
-    def test_clip_at_two(self):
-        store = RunStore.from_records(
-            [make_record(cluster="c", measured_peak_bytes=5.0e9)]
-        )
-        assert learned_memory_headroom(store, "c") == 2.0
-
-    def test_no_store_or_no_match_is_exactly_one(self):
-        assert learned_memory_headroom(None, "c") == 1.0
-        store = RunStore.from_records([make_record(cluster="other")])
-        assert learned_memory_headroom(store, "c") == 1.0
 
 
 class TestLearnedPredictor:

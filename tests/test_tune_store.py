@@ -20,9 +20,7 @@ from repro.tune.store import (
     STORE_VERSION,
     RunStore,
     StoreCorruptError,
-    StoreError,
     TuneRecord,
-    as_store,
     canonical_json,
     cluster_fingerprint,
     config_fingerprint,
@@ -101,6 +99,7 @@ class TestRoundTrip:
         path = tmp_path / "sub" / "runs.jsonl"
         store = RunStore(path)
         assert len(store) == 0 and not path.exists()
+        assert store.path == path
         store.append(make_record())
         assert path.exists()
         assert len(RunStore(path)) == 1
@@ -242,23 +241,6 @@ class TestCorruption:
         path.write_text(make_record().to_line() + "\n\n")
         with pytest.raises(StoreCorruptError, match="blank"):
             RunStore(path)
-
-
-class TestAsStore:
-    def test_none_passes_through(self):
-        assert as_store(None) is None
-
-    def test_store_passes_through(self):
-        store = RunStore()
-        assert as_store(store) is store
-
-    def test_missing_path_yields_empty_bound_store(self, tmp_path):
-        store = as_store(tmp_path / "new.jsonl")
-        assert isinstance(store, RunStore) and len(store) == 0
-
-    def test_bad_type_raises(self):
-        with pytest.raises(StoreError):
-            as_store(42)
 
 
 class TestRecordRun:
