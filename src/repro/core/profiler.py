@@ -128,6 +128,8 @@ class Profiler:
         self, m: int, n: int, record_utilization: bool = False, registry=None
     ) -> PipelineSimRunner:
         """A runner at (m, n) on a fresh simulated cluster."""
+        if self.batch_size % m != 0:
+            raise ValueError(f"batch {self.batch_size} not divisible by M={m}")
         cluster = Cluster(Simulator(), self.cluster_spec)
         stage_costs = StageCosts.from_partition(
             self.layer_costs,
@@ -166,8 +168,6 @@ class Profiler:
         ``registry`` (a repro.obs MetricRegistry) is handed to the
         runner, which mirrors spans and end-of-run footprints into it.
         """
-        if self.batch_size % m != 0:
-            raise ValueError(f"batch {self.batch_size} not divisible by M={m}")
         runner = self._runner(m, n, record_utilization, registry)
         return runner.run(iterations=iterations, render_timeline=render_timeline)
 

@@ -9,8 +9,6 @@ by ``tests/test_tensor_functional.py`` including numerical gradcheck.
 
 from __future__ import annotations
 
-import operator
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -73,16 +71,17 @@ def tanh(x: Tensor) -> Tensor:
     return Tensor._make(out, (x,), lambda g: (g * (1.0 - out * out),), "tanh")
 
 
-def _sigmoid_raw(x: np.ndarray) -> np.ndarray:
+def _sigmoid_raw(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically-stable logistic sigmoid on a raw ndarray.
 
     Branch-free form of the classic sign-split: with e = exp(-|x|) the
     positive half is 1/(1+e) and the negative half e/(1+e) — elementwise
     the exact same expressions as the masked version, minus the fancy
-    indexing.
+    indexing.  As e <= 1, ``max(e, x >= 0)`` is the numerator: 1 where
+    x >= 0, e elsewhere, NaN where x is NaN.
     """
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.maximum(e, x >= 0), 1.0 + e, out=out)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -385,6 +384,14 @@ def lstm_cell(
     return h_t, c_t
 
 
+def _fold(terms: np.ndarray) -> np.ndarray:
+    """``terms[0] + terms[1] + ...`` added in that order, as the engine
+    accumulates per-step gradients.  -0.0 is the exact additive identity,
+    so the sum starts from ``terms[0]`` itself; the implicit 0.0 start of
+    ``np.sum`` would turn a -0.0 term into 0.0."""
+    return np.add.reduce(terms, axis=0, initial=-0.0)
+
+
 def lstm_sequence(
     x: Tensor,
     weight_ih: Tensor,
@@ -408,62 +415,96 @@ def lstm_sequence(
     the gradient with respect to those copies is summed into
     ``weight_hh`` as it is, not multiplied by the mask, which is the
     update rule the pinned AWD trajectories were trained with.
+
+    The time loops do only what depends on the previous step: the
+    forward's ``h @ W_hh^T``, bias add and gate nonlinearities, and the
+    backward's ``gh``, ``gc``, gate gradients and ``dh``.  The rest is one
+    stacked call per layer over time-major (T, ...) buffers: ``x @ W_ih^T``,
+    ``dx``, ``dW_ih``, ``dW_hh``, the bias reduction and the ``1 - ·``
+    derivative terms.  Gate values are kept gate-major, (4, B, H) per
+    step, so each gate is a contiguous block.  Stacking is bitwise:
+    ``np.matmul`` over a (T, ...) stack runs one GEMM per slice with the
+    shape and strides of the per-step call (never one (T*B, D) GEMM,
+    whose blocking would reassociate the sums), the bias sum reduces over
+    a non-innermost axis, which adds rows in order like the per-step
+    ``sum(axis=0)``, and :func:`_fold` then adds the per-step terms in the
+    chain's order.
     """
     hs = hidden_size
     xd = x.data
-    steps = xd.shape[1]
-    wihT = weight_ih.data.T
-    whh = [weight_hh.data] * steps if hh_masked is None else list(hh_masked)
-    zero = np.zeros((xd.shape[0], hs), xd.dtype)
-    # h_seq[t] / c_seq[t] are step t's incoming state.
-    h_seq, c_seq, saved = [zero], [zero], []
+    batch, steps = xd.shape[:2]
+    whh = [weight_hh.data] * steps if hh_masked is None else hh_masked
+    # Every step's x @ W_ih^T at once; the loop adds the recurrent term,
+    # then the bias, in the per-step order.
+    gates = np.matmul(xd.transpose(1, 0, 2), weight_ih.data.T)
+    dtype = gates.dtype
+    # The bias add writes step t's gates gate-major, (4, B, H), so every
+    # gate is a contiguous block for the elementwise work after it.
+    bias4 = bias.data.reshape(4, hs)
+    pre = np.empty((4, batch, hs), dtype)
+    act = np.empty((steps, 4, batch, hs), dtype)
+    g = np.empty((steps, batch, hs), dtype)
+    tc = np.empty_like(g)
+    # Row t of h_buf / c_buf is step t's incoming state, row 0 the zero
+    # initial state.
+    h_buf = np.zeros((steps + 1, batch, hs), dtype)
+    c_buf = np.zeros_like(h_buf)
     for t in range(steps):
-        gates = (xd[:, t] @ wihT + h_seq[t] @ whh[t].T) + bias.data
+        gt = gates[t]
+        gt += h_buf[t] @ whh[t].T
+        np.add(gt.reshape(batch, 4, hs), bias4, out=pre.transpose(1, 0, 2))
         # One sigmoid over the whole gate block: elementwise it is the
-        # per-slice i/f/o calls, bit for bit.
-        act = _sigmoid_raw(gates)
-        g = np.tanh(gates[:, 2 * hs : 3 * hs])
-        c_seq.append(act[:, hs : 2 * hs] * c_seq[t] + act[:, :hs] * g)
-        tc = np.tanh(c_seq[-1])
-        h_seq.append(act[:, 3 * hs :] * tc)
-        saved.append((act, g, tc))
-    out = np.stack(h_seq[1:], axis=1)
+        # per-gate i/f/o calls, bit for bit.
+        a = _sigmoid_raw(pre, out=act[t])
+        np.tanh(pre[2], out=g[t])
+        np.add(a[1] * c_buf[t], a[0] * g[t], out=c_buf[t + 1])
+        np.tanh(c_buf[t + 1], out=tc[t])
+        np.multiply(a[3], tc[t], out=h_buf[t + 1])
+    # The g row of ``act`` is never read; it becomes the exact factor 1 of
+    # the backward's gate chain.
+    act[:, 2] = 1.0
+    out = h_buf[1:].transpose(1, 0, 2).copy()
 
     def backward(g_out: np.ndarray):
-        dx = np.empty_like(xd) if x.requires_grad else None
-        dwih, dwhh, db = [], [], []  # per-step terms, newest step first
+        # Gate-major (T, 4, B, H) factors: per step, one multiply chain
+        # ((lhs * fac) * act) * one_minus with lhs = (gc, gc, gc, gh) forms
+        # the unrolled cell's four gate gradients,
+        #   i: ((gc * g) * i) * (1 - i)     f: ((gc * c) * f) * (1 - f)
+        #   g: ((gc * i) * 1) * (1 - g^2)   o: ((gh * tanh c) * o) * (1 - o)
+        # where the exact factor 1 leaves the g row (gc * i) * (1 - g^2).
+        fac = np.stack((g, c_buf[:-1], act[:, 0], tc), axis=1)
+        one_minus = 1.0 - act
+        one_minus[:, 2] = 1.0 - g * g
+        dtanh_c = 1.0 - tc * tc
+        lhs = np.empty_like(act[0])
+        dgates = np.empty((steps, batch, 4 * hs), dtype)
         dh = gc_next = None
         for t in range(steps - 1, -1, -1):
-            act, g, tc = saved[t]
-            i, f, o = act[:, :hs], act[:, hs : 2 * hs], act[:, 3 * hs :]
             gh = g_out[:, t]
             if dh is not None:
                 # h_t's three engine contributions: the stack slice, the
                 # next step's dh and a zero from the c_t node.
                 gh = (gh + dh) + 0.0
-            gc = (gh * o) * (1.0 - tc * tc)
+            gc = (gh * act[t, 3]) * dtanh_c[t]
             if gc_next is not None:
                 gc = gc_next + gc
-            dgates = np.empty_like(act)
-            dgates[:, :hs] = (gc * g) * i * (1.0 - i)
-            dgates[:, hs : 2 * hs] = (gc * c_seq[t]) * f * (1.0 - f)
-            dgates[:, 2 * hs : 3 * hs] = (gc * i) * (1.0 - g * g)
-            dgates[:, 3 * hs :] = (gh * tc) * o * (1.0 - o)
-            if dx is not None:
-                dx[:, t] = dgates @ weight_ih.data
+            lhs[:3] = gc
+            lhs[3] = gh
+            d = dgates[t]
+            chain = ((lhs * fac[t]) * act[t]) * one_minus[t]
+            d.reshape(batch, 4, hs)[...] = chain.transpose(1, 0, 2)
             if t > 0:  # the zero initial state takes no gradient
-                dh = dgates @ whh[t]
-                gc_next = gc * f
-            dwih.append(np.swapaxes(xd[:, t], -1, -2) @ dgates)
-            dwhh.append(np.swapaxes(h_seq[t], -1, -2) @ dgates)
-            db.append(_unbroadcast(dgates, bias.shape))
-        # Each term is a fresh array, so the folds add in place.
-        return (
-            dx,
-            reduce(operator.iadd, dwih).T,
-            reduce(operator.iadd, dwhh[::-1]).T,
-            reduce(operator.iadd, db),
-        )
+                dh = d @ whh[t]
+                gc_next = gc * act[t, 1]
+        del fac, one_minus, dtanh_c  # freed before the stacked products
+        dx = None
+        if x.requires_grad:
+            # x's own layout, as the chain's slice scatters leave it.
+            dx = np.empty_like(xd)
+            dx.transpose(1, 0, 2)[...] = np.matmul(dgates, weight_ih.data)
+        dwih = _fold(np.matmul(xd.transpose(1, 2, 0), dgates)[::-1]).T
+        dwhh = _fold(np.matmul(h_buf[:-1].transpose(0, 2, 1), dgates)).T
+        return dx, dwih, dwhh, _fold(dgates.sum(axis=1)[::-1])
 
     return Tensor._make(out, (x, weight_ih, weight_hh, bias), backward, "lstm_sequence")
 

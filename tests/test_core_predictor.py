@@ -52,6 +52,14 @@ class TestProfileCollection:
         assert all(t >= 0 for t in profile.t_comm_total)
         assert all(m > 0 for m in profile.f_mod)
 
+    @pytest.mark.parametrize("method", ["profile", "run_setting"])
+    def test_indivisible_micro_batch_count_rejected(self, method):
+        """M must divide the batch for the profiling run too, not only for
+        run_setting: 64 / 3 would profile fractional micro-batches."""
+        profiler = make_profiler(batch_size=64)
+        with pytest.raises(ValueError, match="not divisible by M=3"):
+            getattr(profiler, method)(3, 1)
+
     def test_phi_integral_zero_when_not_scaled(self):
         """phi <= 1 everywhere, so the overflow integral at scale 1 is 0."""
         profile = make_profiler().profile()

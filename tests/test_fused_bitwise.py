@@ -42,6 +42,25 @@ def test_sigmoid_raw_matches_masked_reference_bitwise(dtype):
     assert (_sigmoid_raw(x).view(uint) == ref.view(uint)).all()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_raw_matches_where_form_on_special_values(dtype):
+    """``np.maximum(e, x >= 0)`` is bytewise the ``np.where(x >= 0, 1.0, e)``
+    numerator it replaced, on the values where the two could part."""
+    info = np.finfo(dtype)
+    specials = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 710.0, -710.0,
+         info.smallest_subnormal, -info.smallest_subnormal,
+         info.smallest_normal, -info.smallest_normal, info.max, -info.max],
+        dtype=dtype,
+    )
+    rng = np.random.default_rng(3)
+    x = np.concatenate([specials, (rng.standard_normal(4096) * 40).astype(dtype)])
+    e = np.exp(-np.abs(x))
+    ref = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    assert ref.dtype == dtype
+    assert _sigmoid_raw(x).tobytes() == ref.tobytes()
+
+
 # --------------------------------------------------------------------- #
 # linear: fused matmul+bias vs x @ W.T + b
 
@@ -211,11 +230,16 @@ def _bytes_equal(name, a, b):
     assert a.tobytes() == b.tobytes(), name
 
 
-def _sequence_fixture(dtype, B, T, D=5, H=4, seed=7):
+def _sequence_fixture(dtype, B, T, D=5, H=4, seed=7, transposed=False):
+    """Inputs of one layer; ``transposed`` lays ``x`` out time-major, so
+    the (B, T, D) array the kernel sees is a non-contiguous view."""
     rng = np.random.default_rng(seed)
     masks = (rng.random((T, 4 * H, H)) < 0.7).astype(dtype) / 0.7
+    x = rng.standard_normal((B, T, D)).astype(dtype)
+    if transposed:
+        x = x.transpose(1, 0, 2).copy().transpose(1, 0, 2)
     return {
-        "x": rng.standard_normal((B, T, D)).astype(dtype),
+        "x": x,
         "wih": rng.standard_normal((4 * H, D)).astype(dtype),
         "whh": rng.standard_normal((4 * H, H)).astype(dtype),
         "bias": rng.standard_normal((4 * H,)).astype(dtype),
@@ -241,9 +265,11 @@ def _unrolled_sequence(x, wih, whh, bias, hs, hh_masked=None):
     return F.stack(outs, axis=1)
 
 
-def _run_sequence(fix, fused, masked):
+def _run_sequence(fix, fused, masked, x_grad=True):
+    # copy(order="K") keeps a transposed x transposed.
     x, wih, whh, bias = (
-        Tensor(fix[k].copy(), requires_grad=True) for k in ("x", "wih", "whh", "bias")
+        Tensor(fix[k].copy(order="K"), requires_grad=k != "x" or x_grad)
+        for k in ("x", "wih", "whh", "bias")
     )
     hh_masked = fix["whh"] * fix["masks"] if masked else None
     fn = F.lstm_sequence if fused else _unrolled_sequence
@@ -252,14 +278,35 @@ def _run_sequence(fix, fused, masked):
     return out.data, x.grad, wih.grad, whh.grad, bias.grad
 
 
+# (B, T, D, H, x transposed, x takes grad).  (5, 12, 24, 32) and
+# (40, 12, 32, 32) are the AWD-LSTM layer shapes at the pipelined
+# workload's 5-sample micro-batches and at the whole-model batch of 40.
+_SEQUENCE_CASES = [
+    pytest.param(3, 6, 5, 4, False, True, id="3-6"),
+    pytest.param(3, 1, 5, 4, False, True, id="3-1"),
+    pytest.param(1, 6, 5, 4, False, True, id="1-6"),
+    pytest.param(5, 12, 24, 32, False, True, id="5-12-24-32"),
+    pytest.param(40, 12, 32, 32, False, True, id="40-12-32-32"),
+    pytest.param(3, 6, 5, 4, True, True, id="3-6-transposed-x"),
+    pytest.param(5, 12, 24, 32, True, True, id="5-12-24-32-transposed-x"),
+    pytest.param(5, 12, 24, 32, False, False, id="5-12-24-32-x-without-grad"),
+]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("masked", [False, True])
-@pytest.mark.parametrize("B,T", [(3, 6), (3, 1), (1, 6)])
-def test_lstm_sequence_matches_unrolled_cells_bitwise(dtype, masked, B, T):
-    fix = _sequence_fixture(dtype, B, T)
-    ref = _run_sequence(fix, fused=False, masked=masked)
-    got = _run_sequence(fix, fused=True, masked=masked)
+@pytest.mark.parametrize("B,T,D,H,transposed,x_grad", _SEQUENCE_CASES)
+def test_lstm_sequence_matches_unrolled_cells_bitwise(
+    dtype, masked, B, T, D, H, transposed, x_grad
+):
+    fix = _sequence_fixture(dtype, B, T, D, H, transposed=transposed)
+    assert fix["x"].flags.c_contiguous != transposed
+    ref = _run_sequence(fix, fused=False, masked=masked, x_grad=x_grad)
+    got = _run_sequence(fix, fused=True, masked=masked, x_grad=x_grad)
     for name, a, b in zip(("out", "dx", "dwih", "dwhh", "db"), ref, got):
+        if name == "dx" and not x_grad:
+            assert a is None and b is None
+            continue
         _bytes_equal(name, a, b)
 
 
