@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.graph.partitioner import Partition
 from repro.models.pipeline_model import PipelineLayer, PipelineModel
+from repro.nn.module import Module
 from repro.optim.optimizer import Optimizer
 from repro.schedules.base import Schedule, StageOp
 from repro.tensor import Tensor
@@ -39,17 +40,22 @@ def _is_float_tensor(value) -> bool:
     return isinstance(value, Tensor) and np.issubdtype(value.dtype, np.floating)
 
 
-class StageRuntime:
+class StageRuntime(Module):
     """Executes one contiguous slice of a pipeline model.
 
     Holds the per-micro-batch stash (input leaves + output tensors), the
-    stage's parameters, and optionally a per-stage optimizer.
+    stage's parameters, and optionally a per-stage optimizer.  The slice's
+    layers are child modules named ``stage{k}.layer{i}``, so parameter
+    names stay unique across the stages of one model.
     """
 
     def __init__(self, layers: Sequence[PipelineLayer], stage_index: int, num_stages: int) -> None:
         if not layers:
             raise ValueError("a stage needs at least one layer")
+        super().__init__()
         self.layers = list(layers)
+        for i, layer in enumerate(self.layers):
+            setattr(self, f"stage{stage_index}.layer{i}", layer)
         self.stage_index = stage_index
         self.num_stages = num_stages
         self.is_first = stage_index == 0
@@ -58,26 +64,6 @@ class StageRuntime:
         self._stash: dict[int, tuple[dict[str, Tensor], dict[str, Tensor]]] = {}
         #: micro-batch id -> weight version stashed at forward (PipeDream)
         self._weight_stash: dict[int, dict[str, np.ndarray]] = {}
-
-    # ------------------------------------------------------------------ #
-
-    def parameters(self):
-        for layer in self.layers:
-            yield from layer.parameters()
-
-    def named_parameters(self):
-        for i, layer in enumerate(self.layers):
-            for name, p in layer.named_parameters():
-                yield f"stage{self.stage_index}.layer{i}.{name}", p
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.named_parameters()}
-
-    def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
-        for name, p in self.named_parameters():
-            p.data = np.array(state[name], dtype=p.dtype, copy=True)
-
-    # ------------------------------------------------------------------ #
 
     def forward(self, micro: int, bundle_in: Mapping, stash_weights: bool = False) -> dict:
         """Run the stage's layers on one micro-batch.
@@ -227,8 +213,7 @@ class PipelinedRunner:
             acts[(0, micro)] = dict(mb)
 
         for stage in self.stages:
-            for p in stage.parameters():
-                p.zero_grad()
+            stage.zero_grad()
 
         total_ops = sum(len(s) for s in streams)
         executed = 0
@@ -291,8 +276,7 @@ class PipelinedRunner:
             if self.grad_clip is not None:
                 opt.clip_grad_norm(self.grad_clip)
             opt.step()
-            for p in stage.parameters():
-                p.zero_grad()
+            stage.zero_grad()
 
     def _async_step(self, k: int, scale: float) -> None:
         """PipeDream-style immediate update of stage ``k``."""
@@ -303,5 +287,4 @@ class PipelinedRunner:
             if self.grad_clip is not None:
                 opt.clip_grad_norm(self.grad_clip)
             opt.step()
-        for p in stage.parameters():
-            p.zero_grad()
+        stage.zero_grad()

@@ -183,8 +183,7 @@ class PipeDreamTrainer(_TrainerBase):
                     p.grad = g
                 self.optimizer.clip_grad_norm(GRAD_CLIP)
                 self.optimizer.step()
-                for p in params:
-                    p.grad = None
+                self.model.zero_grad()
 
 
 class PipeDream2BWTrainer(PipeDreamTrainer):
@@ -204,9 +203,10 @@ class AvgPipeTrainer(_TrainerBase):
     equal to stage-sliced execution for synchronous schedules up to float
     accumulation order — ``tests/test_core_pipeline.py`` checks the loss
     to a relative 1e-4 and the gradients to an absolute 2e-5).  Passing
-    ``partition``/``num_micro`` switches to *faithful* execution: every
-    model runs through :class:`~repro.core.pipeline.PipelinedRunner`,
-    stage by stage, micro-batch by micro-batch, in schedule order.
+    ``partition`` switches to *faithful* execution: every model runs
+    through :class:`~repro.core.pipeline.PipelinedRunner`, stage by
+    stage, micro-batch by micro-batch (``num_micro``), in ``schedule``
+    order.  ``num_micro`` and ``schedule`` need a ``partition``.
     """
 
     system = "avgpipe"
@@ -228,6 +228,14 @@ class AvgPipeTrainer(_TrainerBase):
         super().__init__(spec, seed, max_epochs)
         if num_pipelines < 1:
             raise ValueError("num_pipelines must be >= 1")
+        if partition is None:
+            # Whole-model passes have no micro-batches and no op order.
+            for arg, value in (("num_micro", num_micro), ("schedule", schedule)):
+                if value is not None:
+                    raise ValueError(
+                        f"AvgPipeTrainer: {arg}= needs partition=; "
+                        "whole-model passes would ignore it"
+                    )
         if schedule is not None and not schedule.sync_at_batch_end:
             # An async schedule updates (and zeroes) each stage's
             # gradients per micro-batch; the round's one optimizer step

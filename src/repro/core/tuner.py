@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core.predictor import Predictor
+from repro.core.predictor import Predictor, fits_memory
 from repro.core.profiler import Profile, Profiler
 from repro.graph.cost_model import LayerCost
 from repro.graph.partitioner import Partition, search_partition_placement
@@ -113,15 +113,6 @@ def _stage_memory_limits(
         return memory_limit
     placement = profiler.placement or range(profiler.partition.num_stages)
     return [memory_limit[d] for d in placement]
-
-
-def _fits_devices(
-    peaks: Sequence[float], memory_limit: float | Sequence[float]
-) -> bool:
-    """Whether measured per-device peaks fit a scalar or per-device budget."""
-    if isinstance(memory_limit, (int, float)):
-        return max(peaks) <= memory_limit
-    return all(p <= cap for p, cap in zip(peaks, memory_limit))
 
 
 def default_m_candidates(batch_size: int) -> list[int]:
@@ -257,7 +248,7 @@ class TraversalTuner:
                 # batches concurrently.
                 per_batch = result.batch_time / n
                 rows.append((m, n, per_batch))
-                if not _fits_devices(result.peak_memory, self.memory_limit):
+                if not fits_memory(result.peak_memory, self.memory_limit):
                     continue
                 if best is None or per_batch < best[0]:
                     best = (per_batch, m, n, result.batch_time)
@@ -289,7 +280,7 @@ class GuidelineTuner:
             result = self.profiler.run_setting(m, n, iterations=1)
             if result.oom is not None:
                 break
-            if _fits_devices(result.peak_memory, self.memory_limit):
+            if fits_memory(result.peak_memory, self.memory_limit):
                 best = n
             else:
                 break

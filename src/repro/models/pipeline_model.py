@@ -19,7 +19,6 @@ The last layer must be a loss head producing a scalar ``"loss"`` entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -54,9 +53,12 @@ class PipelineLayer(Module):
         raise NotImplementedError
 
 
-@dataclass
-class PipelineModel:
+class PipelineModel(Module):
     """An ordered pipeline of layers plus workload metadata.
+
+    The layers are registered as child modules ``layer{i}``, so the
+    parameter walk, ``state_dict`` / ``load_state_dict``, ``zero_grad``
+    and ``train`` / ``eval`` are :class:`Module`'s.
 
     Attributes
     ----------
@@ -68,15 +70,17 @@ class PipelineModel:
         "max" if higher metric is better (BLEU, accuracy), "min" for loss.
     """
 
-    layers: list[PipelineLayer]
-    name: str = "model"
-    metric_mode: str = "max"
-
-    def __post_init__(self) -> None:
-        if not self.layers:
+    def __init__(self, layers: list[PipelineLayer], name: str = "model", metric_mode: str = "max") -> None:
+        if not layers:
             raise ValueError("PipelineModel needs at least one layer")
-        if self.metric_mode not in ("max", "min"):
-            raise ValueError(f"metric_mode must be 'max' or 'min', got {self.metric_mode}")
+        if metric_mode not in ("max", "min"):
+            raise ValueError(f"metric_mode must be 'max' or 'min', got {metric_mode}")
+        super().__init__()
+        self.layers = list(layers)
+        self.name = name
+        self.metric_mode = metric_mode
+        for i, layer in enumerate(self.layers):
+            setattr(self, f"layer{i}", layer)
 
     # ------------------------------------------------------------------ #
     # whole-model execution (used by data-parallel baselines and eval)
@@ -93,61 +97,11 @@ class PipelineModel:
             raise KeyError("final layer did not produce a 'loss' entry")
         return bundle["loss"]
 
-    # ------------------------------------------------------------------ #
-    # module-ish plumbing
-
-    def named_parameters(self):
-        # The flattened walk is cached: every layer creates all of its
-        # parameters in __init__ and nothing rebinds them afterwards, so
-        # the (name, Parameter) pairs are fixed for the model's lifetime.
-        cache = self.__dict__.get("_named_params")
-        if cache is None:
-            cache = [
-                (f"layer{i}.{name}", p)
-                for i, layer in enumerate(self.layers)
-                for name, p in layer.named_parameters()
-            ]
-            self.__dict__["_named_params"] = cache
-        return iter(cache)
-
-    def parameters(self):
-        for _, p in self.named_parameters():
-            yield p
-
-    def parameter_bytes(self) -> int:
-        return sum(p.data.nbytes for p in self.parameters())
-
-    def zero_grad(self) -> None:
-        for layer in self.layers:
-            layer.zero_grad()
-
-    def train(self, mode: bool = True) -> "PipelineModel":
-        for layer in self.layers:
-            layer.train(mode)
-        return self
-
-    def eval(self) -> "PipelineModel":
-        return self.train(False)
-
     def seed(self, seed: int) -> "PipelineModel":
+        # Per-layer streams, not Module.seed's per-module derivation.
         for i, layer in enumerate(self.layers):
             layer.seed(seed * 1000003 + i)
         return self
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.named_parameters()}
-
-    def load_state_dict(self, state: Mapping[str, np.ndarray]) -> None:
-        params = dict(self.named_parameters())
-        missing = set(params) - set(state)
-        unexpected = set(state) - set(params)
-        if missing or unexpected:
-            raise KeyError(f"state mismatch: missing={sorted(missing)[:3]} unexpected={sorted(unexpected)[:3]}")
-        for name, value in state.items():
-            param = params[name]
-            if value.shape != param.shape:
-                raise ValueError(f"{name}: shape {value.shape} != {param.shape}")
-            param.data = np.array(value, dtype=param.dtype, copy=True)
 
     def __len__(self) -> int:
         return len(self.layers)

@@ -15,14 +15,10 @@ class Adagrad(Optimizer):
         super().__init__(params, lr)
         self.eps = eps
 
-    def step(self) -> None:
-        for p in self.params:
-            if p.grad is None:
-                continue
-            grad = p.grad
-            st = self._get_state(p)
-            if "sum_sq" not in st:
-                st["sum_sq"] = np.zeros_like(p.data, dtype=np.float32)
-            acc: np.ndarray = st["sum_sq"]  # type: ignore[assignment]
-            acc += grad * grad
-            p.data = p.data - self.lr * grad / (np.sqrt(acc) + self.eps)
+    def _update(self, p, grad):
+        st = self._get_state(p)
+        if "sum_sq" not in st:
+            st["sum_sq"] = np.zeros_like(p.data, dtype=np.float32)
+        acc: np.ndarray = st["sum_sq"]  # type: ignore[assignment]
+        acc += grad * grad
+        return p.data - self.lr * grad / (np.sqrt(acc) + self.eps)

@@ -27,27 +27,30 @@ class Adam(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
 
-    def step(self) -> None:
-        b1, b2 = self.betas
-        for p in self.params:
-            if p.grad is None:
-                continue
-            grad = p.grad.astype(np.float32)
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            st = self._get_state(p)
-            if "m" not in st:
-                st["m"] = np.zeros_like(p.data, dtype=np.float32)
-                st["v"] = np.zeros_like(p.data, dtype=np.float32)
-                st["t"] = 0
-            st["t"] = int(st["t"]) + 1
-            t = st["t"]
-            m: np.ndarray = st["m"]  # type: ignore[assignment]
-            v: np.ndarray = st["v"]  # type: ignore[assignment]
-            m *= b1
-            m += (1 - b1) * grad
-            v *= b2
-            v += (1 - b2) * grad * grad
-            m_hat = m / (1 - b1**t)
-            v_hat = v / (1 - b2**t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+    def _update(self, p, grad):
+        grad = grad.astype(np.float32)
+        if self.weight_decay:
+            grad = grad + self.weight_decay * p.data
+        m_hat, v_hat = adam_moments(self._get_state(p), p.data, grad, self.betas)
+        return p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def adam_moments(
+    st: dict, data: np.ndarray, grad: np.ndarray, betas: tuple[float, float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance the moment estimates in ``st`` by ``grad``; return the
+    bias-corrected ``(m_hat, v_hat)``.  Shared by Adam and AdamW."""
+    b1, b2 = betas
+    if "m" not in st:
+        st["m"] = np.zeros_like(data, dtype=np.float32)
+        st["v"] = np.zeros_like(data, dtype=np.float32)
+        st["t"] = 0
+    st["t"] = int(st["t"]) + 1
+    t = st["t"]
+    m: np.ndarray = st["m"]
+    v: np.ndarray = st["v"]
+    m *= b1
+    m += (1 - b1) * grad
+    v *= b2
+    v += (1 - b2) * grad * grad
+    return m / (1 - b1**t), v / (1 - b2**t)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.optim.adam import adam_moments
 from repro.optim.optimizer import Optimizer
 
 __all__ = ["AdamW"]
@@ -36,28 +37,9 @@ class AdamW(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
 
-    def step(self) -> None:
-        b1, b2 = self.betas
-        for p in self.params:
-            if p.grad is None:
-                continue
-            grad = p.grad.astype(np.float32)
-            st = self._get_state(p)
-            if "m" not in st:
-                st["m"] = np.zeros_like(p.data, dtype=np.float32)
-                st["v"] = np.zeros_like(p.data, dtype=np.float32)
-                st["t"] = 0
-            st["t"] = int(st["t"]) + 1
-            t = st["t"]
-            m: np.ndarray = st["m"]  # type: ignore[assignment]
-            v: np.ndarray = st["v"]  # type: ignore[assignment]
-            m *= b1
-            m += (1 - b1) * grad
-            v *= b2
-            v += (1 - b2) * grad * grad
-            m_hat = m / (1 - b1**t)
-            v_hat = v / (1 - b2**t)
-            # Decoupled decay: applied to the weights directly, not mixed
-            # into the adaptive gradient statistics (the AdamW point).
-            p.data = p.data * (1.0 - self.lr * self.weight_decay)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+    def _update(self, p, grad):
+        m_hat, v_hat = adam_moments(self._get_state(p), p.data, grad.astype(np.float32), self.betas)
+        # Decoupled decay: applied to the weights directly, not mixed
+        # into the adaptive gradient statistics (the AdamW point).
+        decayed = p.data * (1.0 - self.lr * self.weight_decay)
+        return decayed - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -26,19 +26,19 @@ class ASGD(Optimizer):
 
     def step(self) -> None:
         self._step_count += 1
-        for p in self.params:
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            p.data = p.data - self.lr * grad
-            st = self._get_state(p)
-            if self._step_count >= self.t0:
-                if "ax" not in st:
-                    st["ax"] = p.data.copy()
-                    st["ax_count"] = 1
-                else:
-                    st["ax_count"] = int(st["ax_count"]) + 1
-                    ax: np.ndarray = st["ax"]  # type: ignore[assignment]
-                    ax += (p.data - ax) / st["ax_count"]
+        super().step()
+
+    def _update(self, p, grad):
+        if self.weight_decay:
+            grad = grad + self.weight_decay * p.data
+        new = p.data - self.lr * grad
+        st = self._get_state(p)
+        if self._step_count >= self.t0:
+            if "ax" not in st:
+                st["ax"] = new.copy()
+                st["ax_count"] = 1
+            else:
+                st["ax_count"] = int(st["ax_count"]) + 1
+                ax: np.ndarray = st["ax"]  # type: ignore[assignment]
+                ax += (new - ax) / st["ax_count"]
+        return new

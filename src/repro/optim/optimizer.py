@@ -1,10 +1,13 @@
 """Optimizer base class.
 
 Matches the slice of the ``torch.optim`` contract the runtimes need:
-``step()`` applies in-place updates from accumulated ``.grad``s,
-``zero_grad()`` clears them, and per-parameter state lives in
-``self.state`` keyed by parameter identity.  ``state_dict`` deep-copies
-state so pipeline runtimes can checkpoint optimizers alongside weights.
+``step()`` applies updates from accumulated ``.grad``s, ``zero_grad()``
+clears them, and per-parameter state lives in ``self.state`` keyed by
+parameter identity.  ``state_dict`` deep-copies state so pipeline
+runtimes can checkpoint optimizers alongside weights.
+
+:meth:`Optimizer.step` is the one loop that writes parameter data; a
+subclass supplies only its per-parameter rule, :meth:`Optimizer._update`.
 """
 
 from __future__ import annotations
@@ -34,6 +37,12 @@ class Optimizer:
             p.zero_grad()
 
     def step(self) -> None:
+        for p in self.params:
+            if p.grad is not None:
+                p.data = self._update(p, p.grad)
+
+    def _update(self, p: Parameter, grad: np.ndarray) -> np.ndarray:
+        """The new data of ``p`` after one step on ``grad``."""
         raise NotImplementedError
 
     def clip_grad_norm(self, max_norm: float) -> float:

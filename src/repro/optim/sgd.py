@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.optim.optimizer import Optimizer
 
 __all__ = ["SGD"]
@@ -18,21 +16,17 @@ class SGD(Optimizer):
         self.momentum = momentum
         self.weight_decay = weight_decay
 
-    def step(self) -> None:
-        for p in self.params:
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                st = self._get_state(p)
-                buf = st.get("momentum")
-                if buf is None:
-                    buf = grad.astype(p.dtype).copy()
-                else:
-                    buf *= self.momentum
-                    buf += grad
-                st["momentum"] = buf
-                grad = buf
-            p.data = p.data - self.lr * grad
+    def _update(self, p, grad):
+        if self.weight_decay:
+            grad = grad + self.weight_decay * p.data
+        if self.momentum:
+            st = self._get_state(p)
+            buf = st.get("momentum")
+            if buf is None:
+                buf = grad.astype(p.dtype).copy()
+            else:
+                buf *= self.momentum
+                buf += grad
+            st["momentum"] = buf
+            grad = buf
+        return p.data - self.lr * grad

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from repro.graph.cost_model import LayerCost
 from repro.schedules.executor import BWD_FLOP_FACTOR, OPT_STATE_FACTOR, SimIterationResult
 from repro.sim.cluster import Cluster
-from repro.sim.memory import OutOfMemoryError
 from repro.sim.trace import SpanKind, TraceRecorder
 
 __all__ = ["DataParallelSimRunner"]
@@ -101,8 +100,8 @@ class DataParallelSimRunner:
         total = sim.now - start
 
         decomposition = [
-            {key: v / iterations for key, v in self.trace.time_decomposition(k).items()}
-            for k in range(K)
+            {key: v / iterations for key, v in d.items()}
+            for d in self.trace.time_decomposition_all(K)
         ]
         peak = [dev.memory.peak for dev in self.cluster.devices]
         data_peak = [dev.memory.peak_by_tag.get("activations", 0) for dev in self.cluster.devices]
@@ -125,23 +124,4 @@ class DataParallelSimRunner:
             reference_memory=[0] * K,
             data_memory_peak=data_peak,
             avg_utilization=avg_util,
-        )
-
-    def _oom_result(self, oom: OutOfMemoryError) -> SimIterationResult:
-        K = self.cluster.num_devices
-        return SimIterationResult(
-            batch_time=float("inf"),
-            total_time=float("inf"),
-            iterations=0,
-            num_stages=K,
-            num_micro=1,
-            num_pipelines=1,
-            decomposition=[{"gpu": 0.0, "com": 0.0, "bub": 0.0, "sync": 0.0}] * K,
-            comm_sent_time=[0.0] * K,
-            peak_memory=[dev.memory.capacity for dev in self.cluster.devices],
-            weight_memory=[0] * K,
-            reference_memory=[0] * K,
-            data_memory_peak=[0] * K,
-            avg_utilization=0.0,
-            oom=oom,
         )

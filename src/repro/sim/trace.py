@@ -117,29 +117,13 @@ class TraceRecorder:
 
     def time_decomposition(self, device: int) -> dict[str, float]:
         """T_gpu / T_com / T_bub totals for one device (Equation 1)."""
-        out = {"gpu": 0.0, "com": 0.0, "bub": 0.0, "sync": 0.0}
-        for span in self.spans:
-            if span.device != device:
-                continue
-            if span.kind in (SpanKind.FAULT, SpanKind.RECOVERY):
-                continue  # fault / recovery annotation windows, not device work
-            duration = span.end - span.start
-            if span.kind in (SpanKind.FWD, SpanKind.BWD):
-                out["gpu"] += duration
-            elif span.kind == SpanKind.COMM:
-                out["com"] += duration
-            elif span.kind == SpanKind.BUBBLE:
-                out["bub"] += duration
-            else:
-                out["sync"] += duration
-        return out
+        return self.time_decomposition_all(device + 1)[device]
 
     def time_decomposition_all(self, num_devices: int) -> list[dict[str, float]]:
         """Per-device Equation-1 totals in one pass over the span list.
 
-        Accumulates each device's components in span order, i.e. the same
-        float additions in the same order as calling
-        :meth:`time_decomposition` per device — the results agree bitwise.
+        Accumulates each device's components in span order; this is the
+        one Equation-1 loop (:meth:`time_decomposition` reads one row).
         """
         out = [{"gpu": 0.0, "com": 0.0, "bub": 0.0, "sync": 0.0} for _ in range(num_devices)]
         gpu_kinds = (SpanKind.FWD, SpanKind.BWD)

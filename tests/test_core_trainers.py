@@ -160,3 +160,13 @@ class TestAvgPipeTrainer:
     def test_invalid_pipeline_count(self):
         with pytest.raises(ValueError):
             AvgPipeTrainer(tiny_awd_spec(), num_pipelines=0)
+
+    def test_pipeline_arguments_need_a_partition(self):
+        """Whole-model passes would silently drop ``num_micro`` and a
+        synchronous ``schedule``; both are errors without ``partition``."""
+        from repro.schedules.base import AFABSchedule
+
+        with pytest.raises(ValueError, match="num_micro= needs partition="):
+            AvgPipeTrainer(tiny_awd_spec(), num_micro=8)
+        with pytest.raises(ValueError, match="schedule= needs partition="):
+            AvgPipeTrainer(tiny_awd_spec(), schedule=AFABSchedule())
