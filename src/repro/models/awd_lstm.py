@@ -71,7 +71,7 @@ class WeightDroppedLSTMLayer(PipelineLayer):
         out = dict(bundle)
         out["hidden"] = lstm_sequence(
             x, cell.weight_ih, cell.weight_hh, cell.bias, cell.hidden_size,
-            hh_masked=self.wrapped.masked(x.shape[1]),
+            hh_masked=self.wrapped.masked(x.shape[-2]),
         )
         return out
 

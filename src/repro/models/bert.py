@@ -89,7 +89,7 @@ class BertClassifierHead(PipelineLayer):
 
     def forward(self, bundle: ActivationBundle) -> ActivationBundle:
         hidden = bundle["hidden"]  # (B, T, D)
-        pooled = self.act(self.pooler(hidden[:, 0, :]))
+        pooled = self.act(self.pooler(hidden[..., 0, :]))
         logits = self.classifier(pooled)  # (B, C)
         labels = np.asarray(bundle["labels"]).reshape(-1)
         out = dict(bundle)

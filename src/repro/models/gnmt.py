@@ -131,18 +131,20 @@ class DecoderWithAttention(PipelineLayer):
             x = self.drop(self.embed(bundle["tgt_in"]))  # (B, T, E)
         else:
             x = bundle["dec_out"]  # (B, T, H)
-        batch = x.shape[0]
-        h, c = self.cell.init_state(batch)
+        # Axes count from the end: under micro_stack the bundle is a
+        # (G, B, ...) stack.
+        h, c = self.cell.init_state(*x.shape[:-2])
         outs = []
-        enc_t = enc_out.transpose(0, 2, 1)  # (B, H, S)
-        for t in range(x.shape[1]):
-            h, c = self.cell(x[:, t, :], (h, c))
-            scores = (h.unsqueeze(1) @ enc_t).squeeze(1)  # (B, S)
+        n = enc_out.ndim
+        enc_t = enc_out.transpose(*range(n - 2), n - 1, n - 2)  # (B, H, S)
+        for t in range(x.shape[-2]):
+            h, c = self.cell(x[..., t, :], (h, c))
+            scores = (h.unsqueeze(-2) @ enc_t).squeeze(-2)  # (B, S)
             weights = softmax(scores, axis=-1)
-            ctx = (weights.unsqueeze(1) @ enc_out).squeeze(1)  # (B, H)
+            ctx = (weights.unsqueeze(-2) @ enc_out).squeeze(-2)  # (B, H)
             combined = tanh(self.attn_combine(_cat2(h, ctx)))
             outs.append(combined)
-        seq = stack(outs, axis=1)  # (B, T, H)
+        seq = stack(outs, axis=-2)  # (B, T, H)
         out = dict(bundle)
         out["dec_out"] = seq + x if not self.is_first else seq
         if self.is_first:

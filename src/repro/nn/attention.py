@@ -6,14 +6,15 @@ import numpy as np
 
 from repro.nn.linear import Linear
 from repro.nn.module import Module
-from repro.tensor import Tensor
+from repro.tensor import Tensor, micro_count
 from repro.tensor.functional import scaled_dot_attention
 
 __all__ = ["MultiHeadAttention"]
 
 
 class MultiHeadAttention(Module):
-    """Multi-head attention over (B, T, D) inputs.
+    """Multi-head attention over (B, T, D) inputs, or (G, B, T, D) stacks
+    under ``micro_stack(G)``.
 
     ``forward(query, key, value, mask)`` with an optional additive mask of
     shape broadcastable to (B, heads, Tq, Tk); masked positions should be
@@ -33,9 +34,14 @@ class MultiHeadAttention(Module):
         self.v_proj = Linear(d_model, d_model)
         self.out_proj = Linear(d_model, d_model)
 
+    @staticmethod
+    def _swap_heads(x: Tensor) -> Tensor:
+        """(..., T, H, dh) <-> (..., H, T, dh)."""
+        n = x.ndim
+        return x.transpose(*range(n - 3), n - 2, n - 3, n - 1)
+
     def _split_heads(self, x: Tensor) -> Tensor:
-        b, t, _ = x.shape
-        return x.reshape(b, t, self.num_heads, self.d_head).transpose(0, 2, 1, 3)
+        return self._swap_heads(x.reshape(*x.shape[:-1], self.num_heads, self.d_head))
 
     def forward(
         self,
@@ -46,9 +52,8 @@ class MultiHeadAttention(Module):
     ) -> Tensor:
         key = query if key is None else key
         value = key if value is None else value
-        if query.ndim != 3:
-            raise ValueError(f"attention expects (B, T, D), got {query.shape}")
-        b, tq, _ = query.shape
+        if query.ndim != 3 + bool(micro_count()):
+            raise ValueError(f"attention expects (B, T, D) per micro-batch, got {query.shape}")
 
         q = self._split_heads(self.q_proj(query))  # (B, H, Tq, dh)
         k = self._split_heads(self.k_proj(key))
@@ -69,8 +74,8 @@ class MultiHeadAttention(Module):
             rng=self._rng,
             training=self.training,
         )  # (B, H, Tq, dh)
-        ctx = ctx.transpose(0, 2, 1, 3).reshape(b, tq, self.d_model)
-        return self.out_proj(ctx)
+        ctx = self._swap_heads(ctx)
+        return self.out_proj(ctx.reshape(*ctx.shape[:-2], self.d_model))
 
     def __repr__(self) -> str:
         return f"MultiHeadAttention(d_model={self.d_model}, heads={self.num_heads})"

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.module import Module
-from repro.tensor import Tensor, dropout
+from repro.tensor import Tensor, dropout, micro_count
 
 __all__ = ["Dropout", "WeightDrop"]
 
@@ -19,8 +19,24 @@ class Dropout(Module):
             raise ValueError(f"dropout p must be in [0, 1), got {p}")
         self.p = p
 
-    def forward(self, x: Tensor) -> Tensor:
-        return dropout(x, self.p, self._rng, training=self.training)
+    def forward(self, x: Tensor, uniform: np.ndarray | None = None) -> Tensor:
+        return dropout(x, self.p, self._rng, training=self.training, uniform=uniform)
+
+    def uniforms(self, shape: tuple[int, ...], sites: int) -> list[np.ndarray | None]:
+        """Pre-drawn samples for ``sites`` calls on inputs of ``shape``.
+
+        For a module applied at several sites of one forward.  All sites
+        are drawn in one call, micro-batch major: under ``micro_stack(G)``
+        the draw is (G, sites, *shape[1:]) and site i reads ``[:, i]``,
+        which are the values, in the generator order, of G unstacked
+        forwards each drawing its sites in turn.  Eval mode and p == 0
+        draw nothing.
+        """
+        if not self.training or self.p == 0.0:
+            return [None] * sites
+        lead = 1 if micro_count() else 0
+        u = self._rng.random((*shape[:lead], sites, *shape[lead:]))
+        return list(np.moveaxis(u, lead, 0))
 
     def __repr__(self) -> str:
         return f"Dropout(p={self.p})"
@@ -47,19 +63,26 @@ class WeightDrop(Module):
         self.p = p
 
     def masked(self, steps: int) -> np.ndarray | None:
-        """``steps`` masked copies of the weight, shape (steps, *weight.shape).
+        """``steps`` masked copies of the weight, shape (steps, *weight.shape);
+        (G, steps, *weight.shape) under ``micro_stack(G)``.
 
         None in eval mode or at p == 0, where every step uses the weight
-        itself.  All masks come from one ``rng.random((steps, *shape))``
-        call, which yields the same values, and leaves the generator in the
-        same state, as one draw per step.
+        itself.  Each micro-batch's masks come from one
+        ``rng.random((steps, *shape))`` call, which yields the same values,
+        and leaves the generator in the same state, as one draw per step;
+        the micro-batches draw in order, each into its slice of the
+        result, so no (G*steps, ...) float64 sample is ever held.
         """
         if not self.training or self.p == 0.0:
             return None
         weight = getattr(self.inner, self.weight_name)
         keep = 1.0 - self.p
-        mask = (self._rng.random((steps, *weight.shape)) < keep).astype(weight.dtype) / keep
-        return weight.data * mask
+        micro = micro_count()
+        out = np.empty((micro or 1, steps, *weight.shape), weight.dtype)
+        for block in out:
+            mask = (self._rng.random((steps, *weight.shape)) < keep).astype(weight.dtype) / keep
+            np.multiply(weight.data, mask, out=block)
+        return out if micro else out[0]
 
     def __repr__(self) -> str:
         return f"WeightDrop(p={self.p}, weight={self.weight_name!r})"

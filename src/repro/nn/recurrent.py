@@ -43,8 +43,9 @@ class LSTMCell(Module):
             x, h, c, self.weight_ih, self.weight_hh, self.bias, self.hidden_size
         )
 
-    def init_state(self, batch_size: int) -> tuple[Tensor, Tensor]:
-        return (zeros(batch_size, self.hidden_size), zeros(batch_size, self.hidden_size))
+    def init_state(self, *batch: int) -> tuple[Tensor, Tensor]:
+        """Zero (h, c) of shape (*batch, hidden)."""
+        return (zeros(*batch, self.hidden_size), zeros(*batch, self.hidden_size))
 
     def __repr__(self) -> str:
         return f"LSTMCell(in={self.input_size}, hidden={self.hidden_size})"

@@ -40,10 +40,13 @@ class TransformerEncoderLayer(Module):
         self.drop = Dropout(dropout_p)
 
     def forward(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        # ``drop`` serves two sites; both samples are drawn up front, in
+        # the order an unstacked forward per micro-batch would draw them.
+        u_attn, u_ff = self.drop.uniforms(x.shape, 2)
         attn_out = self.attn(self.norm1(x), mask=mask)
-        x = x + self.drop(attn_out)
+        x = x + self.drop(attn_out, u_attn)
         ff_out = self.ff2(gelu(self.ff1(self.norm2(x))))
-        return x + self.drop(ff_out)
+        return x + self.drop(ff_out, u_ff)
 
 
 class PositionalEncoding(Module):

@@ -16,7 +16,7 @@ engine supplies the *numerics* (so elastic averaging, stale weights and
 optimizer coupling behave exactly as in a real framework).
 """
 
-from repro.tensor.tensor import Tensor, no_grad, zeros, full
+from repro.tensor.tensor import Tensor, micro_count, micro_stack, no_grad, zeros, full
 from repro.tensor.functional import (
     assert_preserves_dtype,
     cat,
@@ -43,6 +43,8 @@ from repro.tensor.gradcheck import gradcheck
 __all__ = [
     "Tensor",
     "no_grad",
+    "micro_stack",
+    "micro_count",
     "zeros",
     "full",
     "cat",

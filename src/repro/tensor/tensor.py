@@ -15,6 +15,12 @@ Design notes
 * A module-level ``no_grad`` switch disables graph construction for
   inference and for optimizer/averaging updates, keeping those updates out
   of autograd history exactly like ``torch.no_grad()``.
+* A second switch, ``micro_stack(G)``, marks a forward over G micro-batches
+  stacked on a new leading axis (the synchronous pipeline runner's
+  groups).  Kernels read it with :func:`micro_count` at forward time:
+  parameter gradients keep the leading axis, one slice per micro-batch,
+  and a loss is one value per micro-batch.  Outside the context (the
+  default) every kernel computes exactly its unstacked arithmetic.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "zeros", "full"]
+__all__ = ["Tensor", "no_grad", "micro_stack", "micro_count", "zeros", "full"]
 
 DEFAULT_DTYPE = np.float32
 
@@ -47,14 +53,51 @@ def no_grad():
         _state.grad_enabled = prev
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` down to ``shape`` (inverse of NumPy broadcasting)."""
+def micro_count() -> int:
+    """Micro-batches stacked on the leading axis of the forward being
+    built; 0 outside :func:`micro_stack`."""
+    return getattr(_state, "micro", 0)
+
+
+@contextlib.contextmanager
+def micro_stack(count: int):
+    """Context for a forward over ``count`` micro-batches stacked on a new
+    leading axis.
+
+    Given the weights, the micro-batches of a synchronous pipeline are
+    independent, so one call can run all of them.  Kernels capture the
+    count at forward time, so the backward may run outside the context.
+    Parameter gradients then come back as (count, *param.shape) stacks
+    whose slice m is what micro-batch m's own backward would give; the
+    caller folds them into ``.grad`` in micro-batch order.
+    """
+    if count < 1:
+        raise ValueError(f"micro_stack needs a positive count, got {count}")
+    prev = micro_count()
+    _state.micro = count
+    try:
+        yield
+    finally:
+        _state.micro = prev
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...], micro: int = 0) -> np.ndarray:
+    """Sum ``grad`` down to ``shape`` (inverse of NumPy broadcasting).
+
+    With ``micro`` > 0 the leading axis of ``grad`` holds that many
+    stacked micro-batches and is kept: each slice is reduced on its own,
+    to (micro, *shape).  The micro axis is never summed together with
+    the batch axes, which would reassociate the sums.
+    """
+    if micro:
+        shape = (micro, *shape)
     if grad.shape == shape:
         return grad
-    # Remove leading broadcast dimensions.
+    # Remove leading broadcast dimensions (behind the micro axis).
+    lead = 1 if micro else 0
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = grad.sum(axis=tuple(range(lead, lead + extra)))
     # Sum along axes that were 1 in the original shape.
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
@@ -107,7 +150,7 @@ class Tensor:
         _op: str = "",
     ) -> None:
         self.data = data if isinstance(data, np.ndarray) else _as_array(data)
-        if requires_grad and not np.issubdtype(self.data.dtype, np.floating):
+        if requires_grad and self.data.dtype.kind != "f":
             raise TypeError(f"only floating tensors can require grad, got {self.data.dtype}")
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -164,10 +207,17 @@ class Tensor:
         backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]],
         op: str,
     ) -> "Tensor":
-        requires = _grad_enabled() and any(p.requires_grad for p in parents)
-        if not requires:
-            return Tensor(data)
-        return Tensor(data, requires_grad=True, _parents=parents, _backward_fn=backward_fn, _op=op)
+        if not isinstance(data, np.ndarray):
+            # An op on 0-d operands returns a NumPy scalar; keep its dtype
+            # (the constructor would default a float64 scalar to float32).
+            data = np.asarray(data)
+        if _grad_enabled():
+            for p in parents:
+                if p.requires_grad:
+                    return Tensor(
+                        data, requires_grad=True, _parents=parents, _backward_fn=backward_fn, _op=op
+                    )
+        return Tensor(data)
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor through its history."""
@@ -209,7 +259,9 @@ class Tensor:
             for parent, pgrad in zip(node._parents, parent_grads):
                 if pgrad is None or not parent.requires_grad:
                     continue
-                pgrad = np.asarray(pgrad, dtype=parent.data.dtype)
+                dtype = parent.data.dtype
+                if type(pgrad) is not np.ndarray or pgrad.dtype != dtype:
+                    pgrad = np.asarray(pgrad, dtype=dtype)
                 cur = grads.get(id(parent))
                 grads[id(parent)] = pgrad if cur is None else cur + pgrad
 

@@ -44,7 +44,7 @@ from repro.nn import Linear
 from repro.optim import SGD, Adam
 from repro.optim.optimizer import Optimizer
 from repro.schedules.base import Schedule, StageOp
-from repro.tensor import Tensor, tanh
+from repro.tensor import Tensor, micro_count, tanh
 from repro.utils.seeding import derive_rng
 
 __all__ = [
@@ -128,7 +128,8 @@ class ToyAffine(PipelineLayer):
 
 
 class ToyLoss(PipelineLayer):
-    """Mean-squared error of ``x`` against the carried target ``y``."""
+    """Mean-squared error of ``x`` against the carried target ``y``; one
+    mean per micro-batch under ``micro_stack``."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -139,7 +140,8 @@ class ToyLoss(PipelineLayer):
         if not isinstance(y, Tensor):
             y = Tensor(np.ascontiguousarray(y))
         diff = bundle["x"] - y
-        out["loss"] = (diff * diff).mean()
+        sq = diff * diff
+        out["loss"] = sq.mean(axis=tuple(range(1, sq.ndim))) if micro_count() else sq.mean()
         return out
 
     def flops_per_sample(self) -> float:
