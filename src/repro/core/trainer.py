@@ -205,8 +205,10 @@ class AvgPipeTrainer(_TrainerBase):
     to a relative 1e-4 and the gradients to an absolute 2e-5).  Passing
     ``partition`` switches to *faithful* execution: every model runs
     through :class:`~repro.core.pipeline.PipelinedRunner`, stage by
-    stage, micro-batch by micro-batch (``num_micro``), in ``schedule``
-    order.  ``num_micro`` and ``schedule`` need a ``partition``.
+    stage, over ``num_micro`` micro-batches in stacked groups as deep as
+    ``schedule``'s stash bound allows; the numerics are bitwise those
+    of one micro-batch at a time in schedule order.  ``num_micro`` and
+    ``schedule`` need a ``partition``.
     """
 
     system = "avgpipe"

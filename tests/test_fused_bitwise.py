@@ -453,3 +453,248 @@ def test_gnmt_encoder_layer_matches_per_step_loop(dtype, layer_index):
         results.append([out.data, x.grad] + [p.grad for p in layer.parameters()])
     for k, (a, b) in enumerate(zip(*results)):
         _bytes_equal(f"gnmt[{k}]", a, b)
+
+
+# --------------------------------------------------------------------- #
+# micro_stack: G micro-batches stacked on a leading axis vs G calls
+#
+# The synchronous runner runs a group of micro-batches as one stacked
+# call.  Every kernel must give, slice by slice, the bytes (values and
+# layout) of one call per micro-batch: the output, every input gradient
+# and each parameter's gradient total of that call.
+
+
+def _run_separate(kernel, params, micros, grads, raw, seed):
+    rng = np.random.default_rng(seed)
+    outs, input_grads, param_grads = [], [], []
+    for inputs, g in zip(micros, grads):
+        P = {k: Tensor(v.copy(), requires_grad=True) for k, v in params.items()}
+        X = {
+            k: v if k in raw or v.dtype.kind != "f" else Tensor(v.copy(), requires_grad=True)
+            for k, v in inputs.items()
+        }
+        out = kernel(P, X, rng)
+        out.backward(g)
+        outs.append(out.data)
+        input_grads.append({k: t.grad for k, t in X.items() if isinstance(t, Tensor)})
+        param_grads.append({k: t.grad for k, t in P.items()})
+    return outs, input_grads, param_grads, rng.bit_generator.state
+
+
+def _run_stacked(kernel, params, micros, grads, raw, seed):
+    from repro.tensor import micro_stack
+
+    rng = np.random.default_rng(seed)
+    P = {k: Tensor(v.copy(), requires_grad=True) for k, v in params.items()}
+    stacked = {k: np.stack([m[k] for m in micros]) for k in micros[0]}
+    X = {
+        k: v if k in raw or v.dtype.kind != "f" else Tensor(v, requires_grad=True)
+        for k, v in stacked.items()
+    }
+    with micro_stack(len(micros)):
+        out = kernel(P, X, rng)
+    out.backward(np.stack(grads))  # closures captured G at forward time
+    input_grads = {k: t.grad for k, t in X.items() if isinstance(t, Tensor)}
+    param_grads = {k: t.grad for k, t in P.items()}
+    return out.data, input_grads, param_grads, rng.bit_generator.state
+
+
+def _check_stacked(kernel, params, micros, grads, raw=(), seed=11):
+    ref = _run_separate(kernel, params, micros, grads, raw, seed)
+    got = _run_stacked(kernel, params, micros, grads, raw, seed)
+    assert ref[3] == got[3], "the stacked call drew a different RNG stream"
+    for m in range(len(micros)):
+        _bytes_equal(f"out[{m}]", got[0][m], ref[0][m])
+        for k, grad in ref[1][m].items():
+            _bytes_equal(f"d{k}[{m}]", got[1][k][m], grad)
+        for k, grad in ref[2][m].items():
+            assert got[2][k].shape == (len(micros), *params[k].shape), k
+            _bytes_equal(f"d{k}[{m}]", got[2][k][m], grad)
+
+
+def _draws(rng, G, shape, dtype):
+    return [rng.standard_normal(shape).astype(dtype) for _ in range(G)]
+
+
+MICRO_CASES = pytest.mark.parametrize("G", [1, 3])
+DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64])
+
+
+@DTYPES
+@MICRO_CASES
+@pytest.mark.parametrize("shape", [(5, 16), (4, 7, 16)])
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_stacked_linear_matches_separate_calls(dtype, G, shape, with_bias):
+    rng = np.random.default_rng(20)
+    params = {"w": rng.standard_normal((6, 16)).astype(dtype)}
+    if with_bias:
+        params["b"] = rng.standard_normal((6,)).astype(dtype)
+    micros = [{"x": x} for x in _draws(rng, G, shape, dtype)]
+    grads = _draws(rng, G, shape[:-1] + (6,), dtype)
+    _check_stacked(
+        lambda P, X, r: F.linear(X["x"], P["w"], P.get("b")), params, micros, grads
+    )
+
+
+@DTYPES
+@MICRO_CASES
+def test_stacked_layer_norm_matches_separate_calls(dtype, G):
+    rng = np.random.default_rng(21)
+    params = {
+        "w": rng.standard_normal((8,)).astype(dtype),
+        "b": rng.standard_normal((8,)).astype(dtype),
+    }
+    micros = [{"x": x} for x in _draws(rng, G, (4, 9, 8), dtype)]
+    grads = _draws(rng, G, (4, 9, 8), dtype)
+    _check_stacked(
+        lambda P, X, r: F.layer_norm(X["x"], P["w"], P["b"]), params, micros, grads
+    )
+
+
+@DTYPES
+@MICRO_CASES
+def test_stacked_embedding_matches_separate_calls(dtype, G):
+    rng = np.random.default_rng(22)
+    params = {"w": rng.standard_normal((7, 5)).astype(dtype)}
+    # few rows, so every micro-batch hits some row several times
+    micros = [{"idx": rng.integers(0, 7, size=(4, 6))} for _ in range(G)]
+    grads = _draws(rng, G, (4, 6, 5), dtype)
+    _check_stacked(
+        lambda P, X, r: F.embedding_lookup(P["w"], X["idx"]), params, micros, grads
+    )
+
+
+@DTYPES
+@MICRO_CASES
+@pytest.mark.parametrize("use_mask", [False, True])
+@pytest.mark.parametrize("p", [0.0, 0.3])
+def test_stacked_attention_matches_separate_calls(dtype, G, use_mask, p):
+    rng = np.random.default_rng(23)
+    B, Hh, Tq, Tk, dh = 2, 3, 5, 7, 4
+    micros = []
+    for _ in range(G):
+        mb = {
+            "q": rng.standard_normal((B, Hh, Tq, dh)).astype(dtype),
+            "k": rng.standard_normal((B, Hh, Tk, dh)).astype(dtype),
+            "v": rng.standard_normal((B, Hh, Tk, dh)).astype(dtype),
+        }
+        if use_mask:
+            mb["bias"] = np.where(rng.random((B, 1, Tq, Tk)) < 0.8, 0.0, -1e9).astype(dtype)
+        micros.append(mb)
+    grads = _draws(rng, G, (B, Hh, Tq, dh), dtype)
+
+    def kernel(P, X, r):
+        return F.scaled_dot_attention(
+            X["q"], X["k"], X["v"], scale=1.0 / np.sqrt(dh), bias=X.get("bias"),
+            dropout_p=p, rng=r, training=True,
+        )
+
+    _check_stacked(kernel, {}, micros, grads, raw=("bias",))
+
+
+@DTYPES
+@MICRO_CASES
+@pytest.mark.parametrize("ignore_index", [None, 0])
+def test_stacked_loss_is_one_mean_per_micro_batch(dtype, G, ignore_index):
+    rng = np.random.default_rng(24)
+    micros = [
+        {
+            "logits": rng.standard_normal((3, 5, 6)).astype(dtype),
+            "tgt": rng.integers(0, 6, size=(3, 5)),
+        }
+        for _ in range(G)
+    ]
+    grads = [np.asarray(rng.standard_normal(), dtype) for _ in range(G)]
+
+    def kernel(P, X, r):
+        logits = X["logits"]
+        return F.cross_entropy(
+            logits.reshape(-1, logits.shape[-1]), X["tgt"], ignore_index=ignore_index
+        )
+
+    _check_stacked(kernel, {}, micros, grads)
+
+
+def _sequence_params(rng, dtype, D, H):
+    return {
+        "wih": rng.standard_normal((4 * H, D)).astype(dtype),
+        "whh": rng.standard_normal((4 * H, H)).astype(dtype),
+        "bias": rng.standard_normal((4 * H,)).astype(dtype),
+    }
+
+
+@DTYPES
+@MICRO_CASES
+@pytest.mark.parametrize("B,T,D,H", [(3, 6, 5, 4), (5, 12, 24, 32)])
+@pytest.mark.parametrize("masked", [False, True])
+def test_stacked_lstm_sequence_matches_separate_calls(dtype, G, B, T, D, H, masked):
+    rng = np.random.default_rng(25)
+    params = _sequence_params(rng, dtype, D, H)
+    micros = []
+    for x in _draws(rng, G, (B, T, D), dtype):
+        mb = {"x": x}
+        if masked:  # each micro-batch has its own DropConnect masks
+            mb["mask"] = (rng.random((T, 4 * H, H)) < 0.7).astype(dtype) / 0.7
+        micros.append(mb)
+    grads = _draws(rng, G, (B, T, H), dtype)
+
+    def kernel(P, X, r):
+        hh = X["mask"] * P["whh"].data if masked else None
+        return F.lstm_sequence(X["x"], P["wih"], P["whh"], P["bias"], H, hh_masked=hh)
+
+    _check_stacked(kernel, params, micros, grads, raw=("mask",))
+
+
+@DTYPES
+@MICRO_CASES
+def test_stacked_lstm_cell_matches_separate_calls(dtype, G):
+    """Two steps, so each weight has two graph sites in one backward."""
+    rng = np.random.default_rng(26)
+    B, D, H = 4, 5, 6
+    params = _sequence_params(rng, dtype, D, H)
+    micros = [
+        {
+            "x0": rng.standard_normal((B, D)).astype(dtype),
+            "x1": rng.standard_normal((B, D)).astype(dtype),
+            "h": rng.standard_normal((B, H)).astype(dtype),
+            "c": rng.standard_normal((B, H)).astype(dtype),
+        }
+        for _ in range(G)
+    ]
+    grads = _draws(rng, G, (B, H), dtype)
+
+    def kernel(P, X, r):
+        h, c = X["h"], X["c"]
+        for x in (X["x0"], X["x1"]):
+            h, c = F.lstm_cell(x, h, c, P["wih"], P["whh"], P["bias"], H)
+        return h + c
+
+    _check_stacked(kernel, params, micros, grads)
+
+
+def test_stacked_dropout_draws_match_per_micro_batch_draws():
+    """``WeightDrop.masked`` and a two-site ``Dropout`` draw micro-batch
+    major: the stacked draw is the G unstacked draws, in order, and
+    leaves each generator where they leave it."""
+    from repro.nn import Dropout
+    from repro.tensor import micro_stack
+
+    G, T, shape = 3, 6, (2, 5, 4)
+    separate, stacked = _weight_drop(), _weight_drop()
+    per_micro = [separate.masked(T) for _ in range(G)]
+    with micro_stack(G):
+        masks = stacked.masked(T)
+    assert masks.shape == (G, T, *separate.inner.weight_hh.shape)
+    for m in range(G):
+        _bytes_equal(f"weight-drop[{m}]", masks[m], per_micro[m])
+    assert separate._rng.bit_generator.state == stacked._rng.bit_generator.state
+
+    separate, stacked = Dropout(0.3), Dropout(0.3)
+    separate._rng, stacked._rng = np.random.default_rng(8), np.random.default_rng(8)
+    per_micro = [separate.uniforms(shape, 2) for _ in range(G)]
+    with micro_stack(G):
+        sites = stacked.uniforms((G, *shape), 2)
+    for site in range(2):
+        for m in range(G):
+            _bytes_equal(f"site{site}[{m}]", sites[site][m], per_micro[m][site])
+    assert separate._rng.bit_generator.state == stacked._rng.bit_generator.state
