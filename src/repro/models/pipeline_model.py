@@ -15,6 +15,10 @@ AWD-LSTM:
 * the simulator prices a stage's compute from the same cost hints.
 
 The last layer must be a loss head producing a scalar ``"loss"`` entry.
+The synchronous :class:`~repro.core.pipeline.PipelinedRunner` runs a
+stage on several micro-batches stacked on a leading axis, inside
+``repro.tensor.micro_stack``: there a layer indexes its bundle's axes
+from the end, and the loss is one value per micro-batch.
 """
 
 from __future__ import annotations
