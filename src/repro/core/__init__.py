@@ -1,7 +1,7 @@
 """AvgPipe core: the paper's primary contribution.
 
 * :mod:`elastic` — the elastic-averaging-based framework (§3.2): N
-  parallel models, a reference model, α = 1/N pull, optimizer-agnostic.
+  parallel models, a reference model, an elastic α-pull, optimizer-agnostic.
   Its :meth:`~elastic.ElasticAveragingFramework.resize` (shrink, α
   renormalized) and :meth:`~elastic.ElasticAveragingFramework.add_model`
   (grow, seeded from the reference) are the elastic levers both the

@@ -23,10 +23,12 @@ from repro.core.trainer import AvgPipeTrainer
 
 __all__ = ["save_trainer", "load_trainer"]
 
-#: v2 adds per-model RNG streams, the alpha-auto bit and resizable loads
-#: (repro.resilience recovery); v1 checkpoints still load.
-_FORMAT_VERSION = 2
-_SUPPORTED_FORMATS = (1, 2)
+#: v2 adds per-model RNG streams and resizable loads (repro.resilience
+#: recovery); v3 drops the manifest's update normalization (the reference
+#: always applies the mean) and its alpha-auto bit (the trainer's
+#: constructor decides that).  v1 and v2 checkpoints still load.
+_FORMAT_VERSION = 3
+_SUPPORTED_FORMATS = (1, 2, 3)
 
 
 def _flatten(prefix: str, state: dict) -> dict[str, np.ndarray]:
@@ -67,29 +69,21 @@ def save_trainer(trainer: AvgPipeTrainer, path: str | pathlib.Path) -> None:
     path = pathlib.Path(path)
     framework = trainer.framework
     arrays: dict[str, np.ndarray] = {}
+    round_state = framework.round_state()
+    accumulated, queued = round_state.pop("accumulated"), round_state.pop("queued")
     manifest = {
         "format": _FORMAT_VERSION,
         "num_pipelines": trainer.num_pipelines,
-        "alpha": framework.alpha,
-        "queue_delay": framework.queue.delay,
-        "queue_now": framework.queue.now,
-        "update_normalization": framework.update_normalization,
         "optimizer_lrs": [opt.lr for opt in trainer.optimizers],
-        "alpha_auto": framework._alpha_auto,
         "rng": [_model_rng_states(m) for m in trainer.models],
+        **round_state,
     }
     for i, model in enumerate(trainer.models):
         arrays.update(_flatten(f"model{i}", model.state_dict()))
     arrays.update(_flatten("reference", framework.reference))
-    # The accumulator and queued deltas are flat vectors in the framework's
-    # layout; they are stored per name, so the file format has no layout.
-    arrays.update(_flatten("accumulated", framework._split(framework._acc)))
-    manifest["received"] = framework._received
-    # In-flight queue messages (deltas posted but not yet visible).
-    pending = list(framework.queue._pending)
-    manifest["queue_visible_at"] = [env.visible_at for env in pending]
-    for j, env in enumerate(pending):
-        arrays.update(_flatten(f"queue{j}", framework._split(env.payload)))
+    arrays.update(_flatten("accumulated", accumulated))
+    for j, delta in enumerate(queued):
+        arrays.update(_flatten(f"queue{j}", delta))
     for i, opt in enumerate(trainer.optimizers):
         opt_state = opt.state_dict()
         for slot, entry in opt_state["state"].items():
@@ -119,6 +113,11 @@ def load_trainer(
         manifest = json.loads(bytes(data["__manifest__"]).decode("utf-8"))
         if manifest["format"] not in _SUPPORTED_FORMATS:
             raise ValueError(f"unsupported checkpoint format {manifest['format']}")
+        if manifest.get("update_normalization", "mean") != "mean":
+            raise ValueError(
+                "checkpoint has update_normalization="
+                f"{manifest['update_normalization']!r}; only 'mean' is supported"
+            )
         ckpt_n = manifest["num_pipelines"]
         if ckpt_n != trainer.num_pipelines:
             if not (allow_resize and ckpt_n < trainer.num_pipelines):
@@ -139,17 +138,11 @@ def load_trainer(
             model.load_state_dict(section(f"model{i}/"))
         for name, value in section("reference/").items():
             framework.reference[name] = value.copy()
-        framework._join(section("accumulated/"), out=framework._acc)  # in place
-        framework._received = manifest["received"]
-        # Rebuild the in-flight queue with its original visibility clock.
-        from repro.core.messages import MessageQueue, _Envelope
-
-        queue = MessageQueue(delay=manifest["queue_delay"], name="updates")
-        queue._now = manifest["queue_now"]
-        for j, visible_at in enumerate(manifest["queue_visible_at"]):
-            payload = framework._join(section(f"queue{j}/"))
-            queue._pending.append(_Envelope(payload, visible_at))
-        framework.queue = queue
+        framework.load_round_state({
+            **manifest,
+            "accumulated": section("accumulated/"),
+            "queued": [section(f"queue{j}/") for j in range(len(manifest["queue_visible_at"]))],
+        })
         for i, opt in enumerate(trainer.optimizers):
             prefix = f"opt{i}/"
             entries: dict[int, dict] = {}
@@ -162,9 +155,6 @@ def load_trainer(
                     value.item() if value.ndim == 0 else value
                 )
             opt.load_state_dict({"lr": manifest["optimizer_lrs"][i], "state": entries})
-        framework.alpha = manifest["alpha"]
-        framework.update_normalization = manifest["update_normalization"]
-        framework._alpha_auto = manifest.get("alpha_auto", False)
         for model, states in zip(trainer.models, manifest.get("rng", [])):
             _restore_model_rngs(model, states)
     return trainer

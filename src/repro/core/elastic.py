@@ -10,19 +10,18 @@ Per iteration, for each parallel model i (§3.2 steps 1-5):
 
 1. the pipeline computes a local update Δ_i = opt_step(x_i) − x_i,
 2. the model is diluted toward the reference:
-   x_i ← (1−α)·x_i' + α·x_ref  with α = 1/N (empirical default, [18]),
+   x_i ← (1−α)·x_i' + α·x_ref  with α = 0.5/N by default (the paper's
+   "empirical" 1/N [18] over-pulls at this scale; docs/elastic_averaging.md),
 3. Δ_i is posted to the reference's message queue (async),
 4. the reference process accumulates arriving updates,
-5. once all N updates of an iteration arrived it applies the normalized
-   accumulated update: x_ref ← x_ref + normalize(ΣΔ_i), where the
-   normalization is "mean" (1/N, the default — the reference tracks the
-   parallel-model average of Figure 5) or "sum" (the first-order
-   sequential-equivalent reading; see the attribute docstring below).
+5. once all N updates of an iteration arrived it applies their mean:
+   x_ref ← x_ref + (1/N)·ΣΔ_i, so the reference tracks the
+   parallel-model average of Figure 5.
 
-With a synchronous queue, "mean" keeps the reference a bounded-lag
-tracker of the parallel-model average — an invariant the tests assert;
-with an async queue, step 2 may see a reference that lags by the queue
-delay, which is the configuration the paper runs.
+With a synchronous queue the reference is a bounded-lag tracker of the
+parallel-model average — an invariant the tests assert; with an async
+queue, step 2 may see a reference that lags by the queue delay, which is
+the configuration the paper runs.
 """
 
 from __future__ import annotations
@@ -67,7 +66,8 @@ class ElasticAveragingFramework:
         The N models, structurally identical, typically initialized from
         the same seed (the reference starts at their common value).
     alpha:
-        Elastic pull coefficient; ``None`` means the paper's 1/N default.
+        Elastic pull coefficient; ``None`` means the automatic 0.5/N,
+        renormalized whenever a pipeline is evicted or rejoins.
     queue_delay:
         Iterations of staleness on the update queue (0 = synchronous).
     """
@@ -77,45 +77,28 @@ class ElasticAveragingFramework:
         parallel_models: Sequence[PipelineModel],
         alpha: float | None = None,
         queue_delay: int = 1,
-        update_normalization: str = "mean",
         registry=None,
     ) -> None:
         if not parallel_models:
             raise ValueError("need at least one parallel model")
-        if update_normalization not in ("sum", "mean"):
-            raise ValueError(f"update_normalization must be 'sum' or 'mean', got {update_normalization!r}")
         self.models = list(parallel_models)
-        n = len(self.models)
-        #: whether alpha tracks 1/N automatically — resize() renormalizes
-        #: an auto alpha to 1/N' but leaves an explicit one alone.
+        #: whether α follows the automatic rule — membership changes
+        #: renormalize an auto α to the new N but leave an explicit one alone.
         self._alpha_auto = alpha is None
-        self.alpha = (1.0 / n) if alpha is None else float(alpha)
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        #: §3.2 step 5 says the reference "normalizes and applies the
-        #: accumulated update".  Two readings are implemented:
-        #:   "mean" (default) — x_ref += (1/N) sum(delta): the reference
-        #:     is a bounded-lag tracker of the parallel-model average
-        #:     (the Figure-5 picture) and the dynamics are stable for
-        #:     every optimizer we tested.
-        #:   "sum" — x_ref += sum(delta): first-order equivalent to the
-        #:     sequential trajectory; it makes Figure 14's epoch parity
-        #:     an identity but is oscillation-prone at this miniature's
-        #:     compressed learning rates, so it is opt-in.
-        #: See docs/elastic_averaging.md for the statistical analysis.
-        self.update_normalization = update_normalization
+        if alpha is not None:
+            self.alpha = float(alpha)
+            if not 0.0 <= self.alpha <= 1.0:
+                raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         names = [sorted(name for name, _ in m.named_parameters()) for m in self.models]
         if any(ns != names[0] for ns in names[1:]):
             raise ValueError("parallel models have mismatched parameter structure")
-        # Reference starts at the average of the parallel models.
-        self.reference: StateDict = self._average_state()
         #: flat Δ vectors in the layout of _rebuild_param_cache
-        self.queue: MessageQueue[np.ndarray] = MessageQueue(delay=queue_delay, name="updates")
-        self._received = 0
-        # Model structure is fixed between membership changes (all layers
-        # create their parameters in __init__), so the flat layout is
-        # computed once here and redone only in _discard_round.
-        self._rebuild_param_cache()
+        self.queue: MessageQueue[np.ndarray] = MessageQueue(delay=queue_delay)
+        # Reference starts at the average of the parallel models.  Model
+        # structure is fixed between membership changes (all layers create
+        # their parameters in __init__), so the flat layout is computed
+        # once here and redone only in _discard_round.
+        self.recenter()
         #: optional repro.obs MetricRegistry: commit() publishes the RMS
         #: magnitude of each α-pull and reference_step() the RMS of each
         #: applied reference update.  Telemetry is read off the flat
@@ -131,12 +114,11 @@ class ElasticAveragingFramework:
     # ------------------------------------------------------------------ #
     # elastic resize (repro.resilience): evict / rejoin pipelines
 
-    def resize(self, keep: Sequence[int], alpha: float | None = None) -> None:
+    def resize(self, keep: Sequence[int]) -> None:
         """Shrink to a subset of the parallel models and renormalize α.
 
-        ``keep`` lists the surviving indices (N′ of them).  If the
-        framework was constructed with the automatic α = 1/N, α becomes
-        1/N′; an explicitly chosen α is kept unless ``alpha`` overrides it.
+        ``keep`` lists the surviving indices (N′ of them).  An automatic α
+        follows the new count; an explicitly chosen α is kept.
 
         The in-flight averaging round is discarded: partial accumulations
         and queued deltas were produced under the old N's normalization
@@ -144,7 +126,7 @@ class ElasticAveragingFramework:
         round would break the conservation property the tests assert.
         The reference itself is untouched — that is what makes eviction
         semantics-preserving: survivors keep pulling toward the same
-        center, now with weight 1/N′.
+        center, now with the weight of N′ models.
         """
         keep = list(keep)
         if not keep:
@@ -154,10 +136,6 @@ class ElasticAveragingFramework:
         if any(not 0 <= i < len(self.models) for i in keep):
             raise ValueError(f"index out of range in {keep}")
         self.models = [self.models[i] for i in keep]
-        if alpha is not None:
-            self.alpha = float(alpha)
-        elif self._alpha_auto:
-            self.alpha = 1.0 / len(self.models)
         self._discard_round()
 
     def add_model(self, model: PipelineModel) -> int:
@@ -166,7 +144,8 @@ class ElasticAveragingFramework:
         Seeding from the reference is what keeps a rejoin invisible to the
         center: the newcomer's first dilution is a no-op and its first
         delta is measured from the reference, exactly as if it had always
-        been there at the fixed point.  Returns the new model's index.
+        been there at the fixed point.  An automatic α follows the new
+        count.  Returns the new model's index.
         """
         names = sorted(name for name, _ in model.named_parameters())
         if names != sorted(self.reference):
@@ -174,13 +153,26 @@ class ElasticAveragingFramework:
         _param_dtype([*self.models, model])
         model.load_state_dict(self.reference)
         self.models.append(model)
-        if self._alpha_auto:
-            self.alpha = 1.0 / len(self.models)
         self._discard_round()
         return len(self.models) - 1
 
+    def recenter(self) -> None:
+        """Move the reference to the parallel models' average and drop the
+        round in flight — the state of a restart without a checkpoint."""
+        total: StateDict = {}
+        for model in self.models:
+            for name, param in model.named_parameters():
+                x = param.data.astype(np.float64)
+                total[name] = total[name] + x if name in total else x
+        n = len(self.models)
+        self.reference: StateDict = {k: (v / n).astype(np.float32) for k, v in total.items()}
+        self._discard_round()
+
     def _discard_round(self) -> None:
-        """Reset the in-flight accumulate round after a membership change."""
+        """Start a fresh round for the current membership; the one place
+        an automatic α is (re)set for the current N."""
+        if self._alpha_auto:
+            self.alpha = 0.5 / len(self.models)
         self._received = 0
         self.queue.clear()
         self._rebuild_param_cache()
@@ -286,8 +278,7 @@ class ElasticAveragingFramework:
             self._received += 1
         if self._received < self.num_parallel:
             return False
-        scale = 1.0 if self.update_normalization == "sum" else 1.0 / self.num_parallel
-        applied = np.multiply(scale, acc, out=self._pull)
+        applied = np.multiply(1.0 / self.num_parallel, acc, out=self._pull)
         new_ref = self._join(self.reference, out=self._ref) + applied
         self.reference.update(self._split(new_ref))
         acc[...] = 0.0
@@ -305,23 +296,42 @@ class ElasticAveragingFramework:
         return self.reference_step()
 
     # ------------------------------------------------------------------ #
+    # checkpointing
+
+    def round_state(self) -> dict:
+        """The round in flight: α, the received count, the accumulator and
+        the queue's delay, clock and pending Δs with their visibility ticks.
+
+        Vectors come back per parameter name, so a saved round does not
+        depend on the layout.  The reference is public and not included.
+        """
+        now, pending = self.queue.state()
+        return {
+            "alpha": self.alpha,
+            "received": self._received,
+            "queue_delay": self.queue.delay,
+            "queue_now": now,
+            "queue_visible_at": [t for t, _ in pending],
+            "accumulated": self._split(self._acc),
+            "queued": [self._split(delta) for _, delta in pending],
+        }
+
+    def load_round_state(self, state: Mapping) -> None:
+        """Restore what :meth:`round_state` returned, for this membership."""
+        self.alpha = state["alpha"]
+        self._received = state["received"]
+        self._join(state["accumulated"], out=self._acc)  # in place
+        self.queue.delay = state["queue_delay"]
+        deltas = [self._join(delta) for delta in state["queued"]]
+        self.queue.load_state(state["queue_now"], zip(state["queue_visible_at"], deltas))
+
+    # ------------------------------------------------------------------ #
     # introspection
 
     def reference_model(self, template: PipelineModel) -> PipelineModel:
         """Load the reference weights into ``template`` (for evaluation)."""
         template.load_state_dict(self.reference)
         return template
-
-    def _average_state(self) -> StateDict:
-        n = len(self.models)
-        avg: StateDict = {}
-        for model in self.models:
-            for name, param in model.named_parameters():
-                if name in avg:
-                    avg[name] += param.data.astype(np.float64)
-                else:
-                    avg[name] = param.data.astype(np.float64).copy()
-        return {k: (v / n).astype(np.float32) for k, v in avg.items()}
 
     def divergence(self) -> float:
         """RMS distance of parallel models from the reference — the

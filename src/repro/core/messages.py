@@ -13,18 +13,11 @@ of asynchrony (the async-reference ablation) with deterministic replay.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Generic, TypeVar
+from typing import Generic, Iterable, TypeVar
 
 T = TypeVar("T")
 
 __all__ = ["MessageQueue"]
-
-
-@dataclass
-class _Envelope(Generic[T]):
-    payload: T
-    visible_at: int
 
 
 class MessageQueue(Generic[T]):
@@ -35,40 +28,39 @@ class MessageQueue(Generic[T]):
     runs reproducible.
     """
 
-    def __init__(self, delay: int = 0, name: str = "queue") -> None:
+    def __init__(self, delay: int = 0) -> None:
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
         self.delay = delay
-        self.name = name
         self._now = 0
-        self._pending: deque[_Envelope[T]] = deque()
+        #: (visible_at, payload), oldest first
+        self._pending: deque[tuple[int, T]] = deque()
 
     def put(self, payload: T) -> None:
-        self._pending.append(_Envelope(payload, self._now + self.delay))
+        self._pending.append((self._now + self.delay, payload))
 
     def tick(self) -> None:
         self._now += 1
 
-    @property
-    def now(self) -> int:
-        return self._now
-
-    def clear(self) -> int:
-        """Drop every pending message; returns how many were discarded.
-
-        Used by elastic resize (repro.resilience): in-flight updates were
-        computed under the old pipeline count's normalization and must not
-        leak into the resized round.
-        """
-        dropped = len(self._pending)
+    def clear(self) -> None:
+        """Drop every pending message (a membership change voids them)."""
         self._pending.clear()
-        return dropped
+
+    def state(self) -> tuple[int, list[tuple[int, T]]]:
+        """The clock and every pending ``(visible_at, payload)``, oldest
+        first — what a checkpoint needs to replay the queue exactly."""
+        return self._now, list(self._pending)
+
+    def load_state(self, now: int, pending: Iterable[tuple[int, T]]) -> None:
+        """Restore what :meth:`state` returned, replacing pending messages."""
+        self._now = now
+        self._pending = deque(pending)
 
     def drain(self) -> list[T]:
         """Pop every message visible at the current tick (FIFO order)."""
         out: list[T] = []
-        while self._pending and self._pending[0].visible_at <= self._now:
-            out.append(self._pending.popleft().payload)
+        while self._pending and self._pending[0][0] <= self._now:
+            out.append(self._pending.popleft()[1])
         return out
 
     def __len__(self) -> int:

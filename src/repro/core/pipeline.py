@@ -190,8 +190,10 @@ class PipelinedRunner:
     timing (the simulator owns timing, from the schedule's op streams).
 
     ``grad_clip`` clips each stage optimizer's gradient norm before its
-    step, so it needs ``optimizer_factory``; without stage optimizers the
-    runner leaves the scaled gradients for the caller to step.
+    step, so it needs ``optimizer_factory``.  Without stage optimizers a
+    synchronous runner leaves the scaled gradients for the caller to
+    step; an asynchronous schedule steps (and zeroes) each stage per
+    micro-batch, so it needs ``optimizer_factory`` too.
     """
 
     def __init__(
@@ -212,6 +214,11 @@ class PipelinedRunner:
             raise ValueError(
                 "PipelinedRunner: grad_clip= needs optimizer_factory=; "
                 "without stage optimizers nothing would clip"
+            )
+        if optimizer_factory is None and not schedule.sync_at_batch_end:
+            raise ValueError(
+                f"PipelinedRunner: {schedule.name!r} updates per micro-batch, so it "
+                "needs optimizer_factory=; without it every gradient would be dropped"
             )
         self.model = model
         self.partition = partition
@@ -374,9 +381,8 @@ class PipelinedRunner:
         """PipeDream-style immediate update of stage ``k``."""
         stage = self.stages[k]
         self._scale_grads(stage, scale)
-        if self.stage_optimizers is not None:
-            opt = self.stage_optimizers[k]
-            if self.grad_clip is not None:
-                opt.clip_grad_norm(self.grad_clip)
-            opt.step()
+        opt = self.stage_optimizers[k]
+        if self.grad_clip is not None:
+            opt.clip_grad_norm(self.grad_clip)
+        opt.step()
         stage.zero_grad()

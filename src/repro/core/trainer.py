@@ -199,6 +199,11 @@ class PipeDream2BWTrainer(PipeDreamTrainer):
 class AvgPipeTrainer(_TrainerBase):
     """The elastic-averaging framework over N parallel pipelines (§3.2).
 
+    ``alpha`` and ``queue_delay`` go to
+    :class:`~repro.core.elastic.ElasticAveragingFramework` unchanged;
+    ``alpha=None`` is its automatic 0.5/N, renormalized on every evict
+    and rejoin.
+
     By default each parallel model runs whole-model passes (fast, and
     equal to stage-sliced execution for synchronous schedules up to float
     accumulation order — ``tests/test_core_pipeline.py`` checks the loss
@@ -221,7 +226,6 @@ class AvgPipeTrainer(_TrainerBase):
         num_pipelines: int = 2,
         alpha: float | None = None,
         queue_delay: int = 1,
-        update_normalization: str = "mean",
         partition=None,
         num_micro: int | None = None,
         schedule=None,
@@ -251,13 +255,6 @@ class AvgPipeTrainer(_TrainerBase):
         #: produce bitwise-identical weights and metric histories (the
         #: obs negative-path test pins this).
         self.telemetry = telemetry
-        self._alpha_auto = alpha is None
-        if alpha is None:
-            # The paper sets alpha = 1/N "empirically" on its testbed; the
-            # same empirical tuning at this miniature's scale (fewer, larger
-            # steps) lands at half that — 1/N over-pulls and costs epochs
-            # (measured in docs/elastic_averaging.md).
-            alpha = 0.5 / num_pipelines
         self.num_pipelines = num_pipelines
         # All pipelines start from identical weights (same init seed) but
         # draw distinct dropout streams, like processes sharing a checkpoint.
@@ -271,7 +268,6 @@ class AvgPipeTrainer(_TrainerBase):
         self.optimizers = [spec.make_optimizer(m) for m in self.models]
         self.framework = ElasticAveragingFramework(
             self.models, alpha=alpha, queue_delay=queue_delay,
-            update_normalization=update_normalization,
             registry=telemetry.registry if telemetry is not None else None,
         )
         self.loader = spec.make_train_loader(spec.batch_size, seed)
@@ -296,18 +292,16 @@ class AvgPipeTrainer(_TrainerBase):
     def evict_pipeline(self, index: int) -> None:
         """Drop a dead pipeline and continue with N−1 survivors.
 
-        The elastic framework renormalizes α (to the trainer's tuned
-        0.5/N′ when α was auto, i.e. the same empirical rule at the new
-        count) and discards the in-flight averaging round; the survivors'
-        models, optimizers and the reference are untouched.
+        The elastic framework renormalizes an automatic α to 0.5/N′ and
+        discards the in-flight averaging round; the survivors' models,
+        optimizers and the reference are untouched.
         """
         if self.num_pipelines == 1:
             raise RuntimeError("cannot evict the last pipeline")
         if not 0 <= index < self.num_pipelines:
             raise ValueError(f"pipeline index {index} out of range")
         survivors = [i for i in range(self.num_pipelines) if i != index]
-        new_alpha = (0.5 / len(survivors)) if self._alpha_auto else None
-        self.framework.resize(survivors, alpha=new_alpha)
+        self.framework.resize(survivors)
         del self.models[index]
         del self.optimizers[index]
         if self.runners is not None:
@@ -319,14 +313,12 @@ class AvgPipeTrainer(_TrainerBase):
 
         A fresh model (weights overwritten by the reference) and a fresh
         optimizer (recovered processes lose their moment estimates) join
-        the framework; α renormalizes back to 0.5/N′ when auto.  Returns
+        the framework, which renormalizes an automatic α.  Returns
         the new pipeline's index.
         """
         rejoin_seed = self.seed * 7919 + self.num_pipelines if seed is None else seed
         model = self.spec.build_model().seed(rejoin_seed)
         index = self.framework.add_model(model)
-        if self._alpha_auto:
-            self.framework.alpha = 0.5 / self.framework.num_parallel
         self.models.append(model)
         self.optimizers.append(self.spec.make_optimizer(model))
         if self.runners is not None:

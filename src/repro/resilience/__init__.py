@@ -10,7 +10,7 @@ tested fault-tolerance story (see ``docs/resilience.md``):
   injected into the discrete-event simulator;
 * :mod:`repro.resilience.detector` — heartbeat/timeout failure detection
   over the simulated progress clock and the trainer's iteration clock;
-* :mod:`repro.resilience.recovery` — pluggable policies: evict (α = 1/N′
+* :mod:`repro.resilience.recovery` — pluggable policies: evict (α
   renormalization), rejoin-from-reference, restart-from-checkpoint,
   straggler re-tuning;
 * :mod:`repro.resilience.chaos` — the ``repro chaos`` harness: seeded

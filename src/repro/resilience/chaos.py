@@ -535,8 +535,7 @@ def _apply_blackout(trainer: AvgPipeTrainer, seed: int) -> None:
     for i, model in enumerate(trainer.models):
         fresh = trainer.spec.build_model().seed(seed * 31 + 17 * i + 5)
         model.load_state_dict(fresh.state_dict())
-    trainer.framework.reference = trainer.framework._average_state()
-    trainer.framework._discard_round()
+    trainer.framework.recenter()
 
 
 def _numerics_phase(scenario: ChaosScenario, seed: int, recovery: bool,

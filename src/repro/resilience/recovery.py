@@ -4,8 +4,8 @@ The paper's elastic-averaging design makes pipelines *individually
 expendable*: they couple only through α-pulls toward the shared
 reference, so the natural recovery ladder is
 
-* :class:`EvictPipeline` — drop the dead pipeline and renormalize
-  α = 1/N′ (via :meth:`ElasticAveragingFramework.resize`); training
+* :class:`EvictPipeline` — drop the dead pipeline and renormalize an
+  automatic α (via :meth:`ElasticAveragingFramework.resize`); training
   continues at N−1 with the reference trajectory intact.  Cheapest, and
   the policy of record for single-pipeline crashes.
 * :class:`RejoinPipeline` — a recovered (or replacement) pipeline
@@ -71,7 +71,7 @@ class RecoveryPolicy:
 
 
 class EvictPipeline(RecoveryPolicy):
-    """Drop the crashed pipeline; renormalize α = 1/N′; keep going."""
+    """Drop the crashed pipeline; renormalize α; keep going."""
 
     name = "evict"
     handles_kinds = ("pipeline_crash",)

@@ -323,21 +323,19 @@ class ElasticOracle:
     but re-derives the algorithm from §3.2: capture x_i before the local
     step, Δ_i = x_i' − x_i, dilute x_i ← (1−α)x_i' + α·x_ref against the
     possibly-stale reference, enqueue Δ_i with ``delay`` rounds of
-    staleness, and once N deltas arrived apply x_ref += normalize(ΣΔ).
+    staleness, and once N deltas arrived apply x_ref += (1/N)·ΣΔ.
     """
 
     def __init__(
         self,
         models: Sequence[PipelineModel],
-        alpha: float | None = None,
+        alpha: float,
         queue_delay: int = 1,
-        update_normalization: str = "mean",
     ) -> None:
         self.models = list(models)
         n = len(self.models)
-        self.alpha = (1.0 / n) if alpha is None else float(alpha)
+        self.alpha = float(alpha)
         self.delay = queue_delay
-        self.normalization = update_normalization
         stacks: dict[str, np.ndarray] = {}
         for m in self.models:
             for name, p in m.named_parameters():
@@ -378,7 +376,7 @@ class ElasticOracle:
                 remaining.append((visible_at, delta))
         self._queue = remaining
         if self._received >= len(self.models):
-            scale = 1.0 if self.normalization == "sum" else 1.0 / len(self.models)
+            scale = 1.0 / len(self.models)
             for name in self.reference:
                 self.reference[name] = self.reference[name] + scale * self._accumulated[name]
                 self._accumulated[name][...] = 0.0
@@ -395,8 +393,8 @@ def elastic_equivalence_check(
     """Probe a *live* framework's state against a fresh :class:`ElasticOracle`.
 
     Used by ``repro.resilience`` after a recovery action (evict / rejoin /
-    restart): clones the framework — current α, queue delay, normalization
-    and reference included — into independent model copies, then drives
+    restart): clones the framework — current α, queue delay and reference
+    included — into independent model copies, then drives
     the clone and an oracle seeded from the same state through ``rounds``
     identical synthetic update rounds.  Returns the max absolute
     divergence over the resulting references and model weights; any
@@ -417,13 +415,11 @@ def elastic_equivalence_check(
         clone_models,
         alpha=framework.alpha,
         queue_delay=framework.queue.delay,
-        update_normalization=framework.update_normalization,
     )
     oracle = ElasticOracle(
         oracle_models,
         alpha=framework.alpha,
         queue_delay=framework.queue.delay,
-        update_normalization=framework.update_normalization,
     )
     # Both start from the framework's *actual* reference, not the model
     # average their constructors computed.
@@ -607,8 +603,9 @@ def differential_check(
         oracle_opts.extend(oracle_opt)
         partitions.append((partition, oracle_opt))
 
-    framework = ElasticAveragingFramework(pipe_models, queue_delay=queue_delay)
-    oracle_elastic = ElasticOracle(oracle_models, queue_delay=queue_delay)
+    alpha = 1.0 / num_pipelines
+    framework = ElasticAveragingFramework(pipe_models, alpha=alpha, queue_delay=queue_delay)
+    oracle_elastic = ElasticOracle(oracle_models, alpha=alpha, queue_delay=queue_delay)
     max_ref = 0.0
 
     for it in range(iterations):

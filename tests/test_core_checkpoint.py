@@ -11,6 +11,16 @@ from repro.core.trainer import AvgPipeTrainer
 from tests.test_core_trainers import tiny_awd_spec
 
 
+def _rewrite_manifest(path, **fields):
+    """Overwrite manifest fields of the checkpoint at ``path`` in place."""
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    manifest = json.loads(bytes(arrays["__manifest__"]).decode("utf-8"))
+    manifest.update(fields)
+    arrays["__manifest__"] = np.frombuffer(json.dumps(manifest).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
 def _step_epochs(trainer, epochs):
     for _ in range(epochs):
         trainer.max_epochs = 1
@@ -69,12 +79,13 @@ class TestCheckpointRoundTrip:
         # Half a round: pipeline 0's delta has reached the accumulator
         # (the epoch's ragged tail may already have left it there) and
         # pipeline 1's is posted but not yet visible.
-        if fw._received == 0:
+        if fw.round_state()["received"] == 0:
             src.step(0, next(batches))
             assert not fw.end_iteration()
         src.step(1, next(batches))
-        assert fw._received == 1 and len(fw.queue) == 1
-        assert np.any(fw._acc != 0.0)
+        state = fw.round_state()
+        assert state["received"] == 1 and len(fw.queue) == 1
+        assert any(np.any(v != 0.0) for v in state["accumulated"].values())
 
         first, second = tmp_path / "a.npz", tmp_path / "b.npz"
         save_trainer(src, first)
@@ -106,6 +117,26 @@ class TestCheckpointRoundTrip:
             for key in s1["state"][slot]:
                 v1, v2 = s1["state"][slot][key], s2["state"][slot][key]
                 assert np.allclose(np.asarray(v1), np.asarray(v2))
+
+    def test_v2_mean_manifest_still_loads(self, tmp_path):
+        """A v2 manifest names its normalization and alpha-auto bit; "mean"
+        is the only reference update, and the constructor decides α's rule."""
+        spec = tiny_awd_spec()
+        path = tmp_path / "ckpt.npz"
+        save_trainer(AvgPipeTrainer(spec, seed=0, max_epochs=1), path)
+        _rewrite_manifest(path, format=2, update_normalization="mean", alpha_auto=False)
+        trainer = AvgPipeTrainer(spec, seed=1, max_epochs=1, num_pipelines=3)
+        load_trainer(trainer, path, allow_resize=True)
+        trainer.rejoin_pipeline()
+        assert trainer.framework.alpha == 0.5 / 3
+
+    def test_sum_normalization_manifest_rejected(self, tmp_path):
+        spec = tiny_awd_spec()
+        path = tmp_path / "ckpt.npz"
+        save_trainer(AvgPipeTrainer(spec, seed=0, max_epochs=1), path)
+        _rewrite_manifest(path, format=2, update_normalization="sum")
+        with pytest.raises(ValueError, match="update_normalization"):
+            load_trainer(AvgPipeTrainer(spec, seed=0, max_epochs=1), path)
 
     def test_pipeline_count_mismatch_rejected(self, tmp_path):
         spec = tiny_awd_spec()
@@ -149,6 +180,20 @@ class TestElasticResizeRoundTrip:
             assert np.array_equal(
                 full.framework.reference[k], resumed.framework.reference[k]
             ), k
+
+    @pytest.mark.parametrize("alpha", [None, 0.3])
+    def test_alpha_rule_survives_a_round_trip(self, tmp_path, alpha):
+        """A load restores α; the rule (automatic or explicit) is the
+        constructor's, so evict and rejoin after a resume follow it."""
+        spec = tiny_awd_spec()
+        path = tmp_path / "ckpt.npz"
+        save_trainer(AvgPipeTrainer(spec, seed=0, max_epochs=1, num_pipelines=3, alpha=alpha), path)
+        resumed = AvgPipeTrainer(spec, seed=1, max_epochs=1, num_pipelines=3, alpha=alpha)
+        load_trainer(resumed, path)
+        resumed.evict_pipeline(0)
+        assert resumed.framework.alpha == (0.5 / 2 if alpha is None else alpha)
+        resumed.rejoin_pipeline()
+        assert resumed.framework.alpha == (0.5 / 3 if alpha is None else alpha)
 
     def test_growth_rejected_even_with_allow_resize(self, tmp_path):
         spec = tiny_awd_spec()

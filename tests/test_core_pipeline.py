@@ -302,7 +302,8 @@ class TestStackedGroups:
     ])
     def test_one_stage_forward_per_group(self, schedule, calls, monkeypatch):
         model = build_bert(BERT_CFG).seed(0)
-        runner = PipelinedRunner(model, partition_uniform(len(model.layers), 3), schedule)
+        runner = PipelinedRunner(model, partition_uniform(len(model.layers), 3), schedule,
+                                 optimizer_factory=lambda ps: SGD(ps, lr=0.1))
         seen = []
         forward = StageRuntime.forward
 
@@ -345,7 +346,8 @@ def test_stash_never_exceeds_the_schedule_bound():
         for K in (2, 4, 6):
             for M in range(1, 9):
                 runner = PipelinedRunner(
-                    make_toy_model(K), Partition(tuple(range(K)) + (K + 1,)), schedule
+                    make_toy_model(K), Partition(tuple(range(K)) + (K + 1,)), schedule,
+                    optimizer_factory=lambda ps: SGD(ps, lr=0.1),
                 )
                 peak = [0]
 
@@ -365,6 +367,15 @@ def test_stash_never_exceeds_the_schedule_bound():
                 bound = sum(schedule.stash_bound(k, K, M) for k in range(K))
                 assert 0 < peak[0] <= bound, (name, K, M, peak[0], bound)
                 assert not any(s._stash for s in runner.stages)
+
+
+def test_async_schedule_needs_stage_optimizers():
+    """An asynchronous schedule zeroes each stage's gradients per
+    micro-batch; with no optimizer to step them first they would be lost."""
+    model = build_bert(BERT_CFG)
+    partition = partition_uniform(len(model.layers), 2)
+    with pytest.raises(ValueError, match="optimizer_factory="):
+        PipelinedRunner(model, partition, PipeDreamSchedule())
 
 
 def test_grad_clip_needs_stage_optimizers():

@@ -73,16 +73,11 @@ def _models(n, seed=0):
 
 
 @pytest.mark.parametrize("queue_delay", [0, 1, 2])
-@pytest.mark.parametrize("normalization", ["mean", "sum"])
-def test_elastic_oracle_matches_framework(queue_delay, normalization):
+def test_elastic_oracle_matches_framework(queue_delay):
     fw_models = _models(3, seed=21)
     or_models = _models(3, seed=21)
-    framework = ElasticAveragingFramework(
-        fw_models, queue_delay=queue_delay, update_normalization=normalization
-    )
-    oracle = ElasticOracle(
-        or_models, queue_delay=queue_delay, update_normalization=normalization
-    )
+    framework = ElasticAveragingFramework(fw_models, alpha=1 / 3, queue_delay=queue_delay)
+    oracle = ElasticOracle(or_models, alpha=1 / 3, queue_delay=queue_delay)
     rng = np.random.default_rng(9)
     for _ in range(4):
         for i in range(3):
