@@ -10,8 +10,8 @@ system             timing                  update semantics
 =================  ======================  ==============================
 PyTorch (DDP)      DataParallelSimRunner   SyncTrainer
 GPipe              AFAB schedule           SyncTrainer
-PipeDream          1F1B async, K-k vers.   PipeDreamTrainer (stale)
-PipeDream-2BW      1F1B, 2 versions        PipeDream2BWTrainer (delay 1)
+PipeDream          1F1B async, K-k vers.   PipeDreamTrainer (stashing)
+PipeDream-2BW      1F1B, 2 versions        PipeDream2BWTrainer (lag 1)
 Dapple             1F1B, sync              SyncTrainer
 AvgPipe            advance-FP, N pipes     AvgPipeTrainer (elastic avg)
 =================  ======================  ==============================

@@ -1,8 +1,9 @@
 """Stage-sliced pipeline execution with real numerics.
 
-The trainers in :mod:`repro.core.trainer` run whole-model passes and
+Most trainers in :mod:`repro.core.trainer` run whole-model passes and
 emulate each system's update semantics at the weight level.  This module
-executes the pipeline *faithfully*: the model is cut by a
+executes the pipeline *faithfully* (``PipeDreamTrainer`` always runs
+here, ``AvgPipeTrainer`` when given a partition): the model is cut by a
 :class:`~repro.graph.partitioner.Partition`, each stage runs only its own
 layers, activations crossing a cut are detached into fresh autograd
 leaves (exactly what shipping a tensor to another device does), and
@@ -25,7 +26,8 @@ Guarantees (tested in ``tests/test_core_pipeline.py`` and
   micro-batch at a time in schedule order;
 * PipeDream mode computes each micro-batch's gradient under the weight
   version its forward used (weight stashing), then applies it to the
-  latest weights — the staleness semantics of §2/Figure 3b.
+  latest weights — the staleness semantics of §2/Figure 3b — unscaled
+  and clipped per stage (the convention is in docs/schedules.md).
 """
 
 from __future__ import annotations
@@ -189,11 +191,13 @@ class PipelinedRunner:
     what we want here — the *numerics* of the schedule without its
     timing (the simulator owns timing, from the schedule's op streams).
 
-    ``grad_clip`` clips each stage optimizer's gradient norm before its
-    step, so it needs ``optimizer_factory``.  Without stage optimizers a
-    synchronous runner leaves the scaled gradients for the caller to
-    step; an asynchronous schedule steps (and zeroes) each stage per
-    micro-batch, so it needs ``optimizer_factory`` too.
+    ``optimizer_factory`` is called with each :class:`StageRuntime` (a
+    ``Module``, like a workload's ``make_optimizer`` takes).  ``grad_clip``
+    clips each stage optimizer's gradient norm before its step, so it
+    needs ``optimizer_factory``.  Without stage optimizers a synchronous
+    runner leaves the scaled gradients for the caller to step; an
+    asynchronous schedule steps (and zeroes) each stage per micro-batch,
+    so it needs ``optimizer_factory`` too.
     """
 
     def __init__(
@@ -201,7 +205,7 @@ class PipelinedRunner:
         model: PipelineModel,
         partition: Partition,
         schedule: Schedule,
-        optimizer_factory: Callable[[list], Optimizer] | None = None,
+        optimizer_factory: Callable[[Module], Optimizer] | None = None,
         grad_clip: float | None = None,
     ) -> None:
         if partition.num_stages < 1:
@@ -233,9 +237,7 @@ class PipelinedRunner:
         if optimizer_factory is None:
             self.stage_optimizers = None
         else:
-            self.stage_optimizers = [
-                optimizer_factory(list(stage.parameters())) for stage in self.stages
-            ]
+            self.stage_optimizers = [optimizer_factory(stage) for stage in self.stages]
 
     # ------------------------------------------------------------------ #
 
@@ -267,17 +269,17 @@ class PipelinedRunner:
 
         Asynchronous schedules update each stage right after each
         micro-batch's backward, using weight stashing, so they run the
-        schedule's op streams micro-batch by micro-batch.
+        schedule's op streams micro-batch by micro-batch.  Each update
+        steps on that one micro-batch's gradient, unscaled.
         """
         if not micro_batches:
             raise ValueError("empty batch")
         for stage in self.stages:
             stage.zero_grad()
-        scale = 1.0 / len(micro_batches)
         if not self.schedule.sync_at_batch_end:
-            return float(np.mean(self._sweep(micro_batches, scale)))
+            return float(np.mean(self._sweep(micro_batches)))
         losses = self._run_groups(micro_batches)
-        self._sync_step(scale)
+        self._sync_step(1.0 / len(micro_batches))
         return float(np.mean(losses))
 
     def _run_groups(self, micro_batches: Sequence[Mapping[str, np.ndarray]]) -> list[float]:
@@ -302,12 +304,14 @@ class PipelinedRunner:
                 grads = stage.backward(first, grads)
         return losses
 
-    def _sweep(self, micro_batches: Sequence[Mapping[str, np.ndarray]], scale: float) -> list[float]:
+    def _sweep(self, micro_batches: Sequence[Mapping[str, np.ndarray]]) -> list[float]:
         """The asynchronous path: run the op streams in a deterministic
         dependency-driven sweep.  Repeatedly scan the stages and run each
         stage's next op once its input (an activation from upstream or a
         gradient from downstream) is available; each backward is followed
-        by that stage's update."""
+        by that stage's update.  A scan that runs nothing leaves the state
+        as it found it, so every later scan would too: the streams are
+        deadlocked."""
         num_micro = len(micro_batches)
         K = self.partition.num_stages
         streams: list[list[StageOp]] = [
@@ -323,7 +327,6 @@ class PipelinedRunner:
 
         total_ops = sum(len(s) for s in streams)
         executed = 0
-        stall_guard = 0
         while executed < total_ops:
             progressed = False
             for k in range(K):
@@ -347,42 +350,31 @@ class PipelinedRunner:
                     grad_out = self.stages[k].backward(op.micro, grad_in)
                     if k > 0:
                         grads[(k - 1, op.micro)] = grad_out
-                    self._async_step(k, scale)
+                    self._step_stage(k)
                 cursors[k] += 1
                 executed += 1
                 progressed = True
             if not progressed:
-                stall_guard += 1
-                if stall_guard > total_ops + K:
-                    raise RuntimeError("pipeline op streams deadlocked")
-            else:
-                stall_guard = 0
+                raise RuntimeError("pipeline op streams deadlocked")
         return [losses[i] for i in range(num_micro)]
 
     # ------------------------------------------------------------------ #
 
-    def _scale_grads(self, stage: StageRuntime, scale: float) -> None:
-        for p in stage.parameters():
-            if p.grad is not None:
-                p.grad = p.grad * scale
-
     def _sync_step(self, scale: float) -> None:
-        for k, stage in enumerate(self.stages):
-            self._scale_grads(stage, scale)
+        for stage in self.stages:
+            for p in stage.parameters():
+                if p.grad is not None:
+                    p.grad = p.grad * scale
         if self.stage_optimizers is None:
             return
-        for k, (stage, opt) in enumerate(zip(self.stages, self.stage_optimizers)):
-            if self.grad_clip is not None:
-                opt.clip_grad_norm(self.grad_clip)
-            opt.step()
-            stage.zero_grad()
+        for k in range(len(self.stages)):
+            self._step_stage(k)
 
-    def _async_step(self, k: int, scale: float) -> None:
-        """PipeDream-style immediate update of stage ``k``."""
-        stage = self.stages[k]
-        self._scale_grads(stage, scale)
+    def _step_stage(self, k: int) -> None:
+        """Clip, step and zero stage ``k``: PipeDream's immediate update
+        of one micro-batch, or a synchronous batch's one step."""
         opt = self.stage_optimizers[k]
         if self.grad_clip is not None:
             opt.clip_grad_norm(self.grad_clip)
         opt.step()
-        stage.zero_grad()
+        self.stages[k].zero_grad()

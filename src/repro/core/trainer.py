@@ -7,13 +7,12 @@ systems is purely how weights evolve:
 * :class:`SyncTrainer` — synchronous SGD-semantics shared by PyTorch-DDP,
   GPipe and Dapple: one optimizer step per batch from the full-batch
   gradient.  (They differ in speed, not numerics.)
-* :class:`PipeDreamTrainer` — multi-version asynchronous pipeline:
-  per-micro-batch updates applied with a delay of K-1 steps (the version
-  skew weight stashing induces).  This is the staleness that costs
-  PipeDream statistical efficiency on AWD in Figure 14.
-* :class:`PipeDream2BWTrainer` — gradient of the whole batch applied one
-  batch late (2BW's bounded staleness): PipeDream with a delay of one
-  and a single micro-batch.
+* :class:`PipeDreamTrainer` — multi-version asynchronous pipeline, run
+  stage by stage on the :class:`~repro.core.pipeline.PipelinedRunner`
+  sweep that ``repro verify`` checks: each micro-batch steps its stage,
+  from gradients of weights up to K−1−k updates old on stage k.
+* :class:`PipeDream2BWTrainer` — 2BW's bounded staleness: each batch's
+  whole-model gradient is applied one batch late.
 * :class:`AvgPipeTrainer` — the elastic-averaging framework: N parallel
   models each consume their own batch per iteration, local optimizer
   step, elastic dilution against the (async) reference, reference update
@@ -30,14 +29,16 @@ same per-epoch evaluation.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.elastic import ElasticAveragingFramework
+from repro.core.pipeline import PipelinedRunner
+from repro.core.simcfg import calibration_for
 from repro.data import dataset
 from repro.models.registry import WorkloadSpec
+from repro.schedules.base import AdvanceFPSchedule, PipeDreamSchedule
 
 __all__ = [
     "TrainResult",
@@ -139,14 +140,11 @@ class SyncTrainer(_TrainerBase):
 
 
 class PipeDreamTrainer(_TrainerBase):
-    """Delayed per-micro-batch updates (PipeDream's multi-version skew).
-
-    The pipeline applies the update computed from weights that are
-    ``delay`` micro-batch steps old; ``delay = K - 1`` models a K-stage
-    PipeDream.  Implemented via a gradient FIFO, fresh on every
-    :meth:`train` call: the gradient computed at step t is applied at
-    step t + delay.
-    """
+    """PipeDream (§2, Figure 3b): each batch runs as ``num_micro``
+    micro-batches through ``partition``'s stages under
+    :class:`PipeDreamSchedule`, and every stage clips and steps its own
+    optimizer after each backward.  ``partition`` defaults to the
+    workload's calibrated cut, whose K is the paper's device count."""
 
     system = "pipedream"
 
@@ -155,45 +153,52 @@ class PipeDreamTrainer(_TrainerBase):
         spec: WorkloadSpec,
         seed: int = 0,
         max_epochs: int = 40,
-        num_stages: int | None = None,
+        partition=None,
         num_micro: int = 4,
     ) -> None:
         super().__init__(spec, seed, max_epochs)
         self.model = spec.build_model().seed(seed)
-        self.optimizer = spec.make_optimizer(self.model)
         self.loader = spec.make_train_loader(spec.batch_size, seed)
-        self.delay = (num_stages or spec.paper_devices) - 1
         self.num_micro = num_micro
-
-    def _reset(self) -> None:
-        self._params = list(self.model.parameters())
-        self._fifo: deque[list[np.ndarray]] = deque()
+        self.runner = PipelinedRunner(
+            self.model,
+            partition if partition is not None else calibration_for(spec.name).partition(),
+            PipeDreamSchedule(),
+            optimizer_factory=spec.make_optimizer,
+            grad_clip=GRAD_CLIP,
+        )
 
     def _update(self, batch: dict[str, np.ndarray]) -> None:
-        params, fifo = self._params, self._fifo
-        for micro in dataset.split_microbatches(batch, self.num_micro):
-            self.model.zero_grad()
-            self.model.loss(micro).backward()
-            fifo.append([
-                p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-                for p in params
-            ])
-            if len(fifo) > self.delay:
-                for p, g in zip(params, fifo.popleft()):
-                    p.grad = g
-                self.optimizer.clip_grad_norm(GRAD_CLIP)
-                self.optimizer.step()
-                self.model.zero_grad()
+        self.runner.run_batch(dataset.split_microbatches(batch, self.num_micro))
 
 
-class PipeDream2BWTrainer(PipeDreamTrainer):
-    """2BW's bounded staleness: the batch gradient applied one batch late,
-    i.e. PipeDream with a delay of one and a single micro-batch."""
+class PipeDream2BWTrainer(_TrainerBase):
+    """2BW's bounded staleness: each batch's whole-model gradient is held
+    back and applied after the next batch's gradient is computed.  The
+    held gradient is dropped at the start of every :meth:`train` call."""
 
     system = "pipedream-2bw"
 
     def __init__(self, spec: WorkloadSpec, seed: int = 0, max_epochs: int = 40) -> None:
-        super().__init__(spec, seed, max_epochs, num_stages=2, num_micro=1)
+        super().__init__(spec, seed, max_epochs)
+        self.model = spec.build_model().seed(seed)
+        self.optimizer = spec.make_optimizer(self.model)
+        self.loader = spec.make_train_loader(spec.batch_size, seed)
+
+    def _reset(self) -> None:
+        self._params = list(self.model.parameters())
+        self._held: list[np.ndarray] | None = None
+
+    def _update(self, batch: dict[str, np.ndarray]) -> None:
+        self.model.zero_grad()
+        self.model.loss(batch).backward()
+        fresh = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in self._params]
+        if self._held is not None:
+            for p, g in zip(self._params, self._held):
+                p.grad = g
+            self.optimizer.clip_grad_norm(GRAD_CLIP)
+            self.optimizer.step()
+        self._held = fresh
 
 
 class AvgPipeTrainer(_TrainerBase):
@@ -276,9 +281,6 @@ class AvgPipeTrainer(_TrainerBase):
         self._partition = partition
         self._schedule = schedule
         if partition is not None:
-            from repro.core.pipeline import PipelinedRunner
-            from repro.schedules.base import AdvanceFPSchedule
-
             self.num_micro = num_micro or 4
             self._schedule = schedule or AdvanceFPSchedule(1)
             self.runners = [
@@ -322,8 +324,6 @@ class AvgPipeTrainer(_TrainerBase):
         self.models.append(model)
         self.optimizers.append(self.spec.make_optimizer(model))
         if self.runners is not None:
-            from repro.core.pipeline import PipelinedRunner
-
             self.runners.append(PipelinedRunner(model, self._partition, self._schedule))
         self.num_pipelines += 1
         return index

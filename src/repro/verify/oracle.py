@@ -187,10 +187,7 @@ def _stage_param_groups(model: PipelineModel, partition: Partition) -> list[list
     return groups
 
 
-def _step_group(params, opt: Optimizer | None, scale: float, grad_clip: float | None) -> None:
-    for p in params:
-        if p.grad is not None:
-            p.grad = p.grad * scale
+def _step_group(params, opt: Optimizer | None, grad_clip: float | None) -> None:
     if opt is not None:
         if grad_clip is not None:
             opt.clip_grad_norm(grad_clip)
@@ -228,7 +225,10 @@ def run_sync_oracle(
     groups = _stage_param_groups(model, partition)
     opts = optimizers if optimizers is not None else [None] * len(groups)
     for params, opt in zip(groups, opts):
-        _step_group(params, opt, scale, grad_clip)
+        for p in params:
+            if p.grad is not None:
+                p.grad = p.grad * scale
+        _step_group(params, opt, grad_clip)
     return float(np.mean(losses))
 
 
@@ -266,6 +266,8 @@ def run_async_oracle(
     computed) per-micro updates; then one whole-model forward under the
     mixed versions and an immediate backward — which *is* the stashed
     gradient, because the weights have not moved since this forward.
+    Each replayed update steps on its micro-batch's gradient unscaled,
+    clipped per stage (PipeDream's convention, docs/schedules.md).
     """
     K = partition.num_stages
     M = len(micro_batches)
@@ -278,7 +280,6 @@ def run_async_oracle(
         [None] * M for _ in range(K)
     ]
     applied = [0] * K
-    scale = 1.0 / M
     losses = []
 
     def apply_update(k: int) -> None:
@@ -287,7 +288,7 @@ def run_async_oracle(
         assert grads is not None, f"update {j} on stage {k} replayed before its backward"
         for p, g in zip(groups[k], grads):
             p.grad = g.copy()
-        _step_group(groups[k], optimizers[k], scale, grad_clip)
+        _step_group(groups[k], optimizers[k], grad_clip)
         pending_grads[k][j] = None
         applied[k] += 1
 
@@ -590,7 +591,7 @@ def differential_check(
     runners, pipe_opts, oracle_opts, partitions = [], [], [], []
     for n in range(num_pipelines):
         pipe_model, oracle_model, partition = fresh_pair(tag=1 + n)
-        opt_factory = lambda params: _make_optimizer(optimizer, params)
+        opt_factory = lambda stage: _make_optimizer(optimizer, stage.parameters())
         runner = PipelinedRunner(
             pipe_model, partition, schedule, optimizer_factory=opt_factory, grad_clip=GRAD_CLIP
         )

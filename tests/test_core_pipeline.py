@@ -129,7 +129,7 @@ class TestEquivalenceWithWholeModel:
         partition = partition_uniform(len(model_b.layers), 3)
         runner = PipelinedRunner(
             model_b, partition, OneFOneBSchedule(versions=1),
-            optimizer_factory=lambda params: SGD(params, lr=0.1), grad_clip=5.0,
+            optimizer_factory=lambda stage: SGD(stage.parameters(), lr=0.1), grad_clip=5.0,
         )
         runner.run_batch(split_microbatches(batch, 4))
 
@@ -180,7 +180,8 @@ class TestPipeDreamSemantics:
         model = build_bert(BERT_CFG).seed(4)
         partition = partition_uniform(len(model.layers), 2)
         runner = PipelinedRunner(model, partition, PipeDreamSchedule(),
-                                 optimizer_factory=lambda ps: SGD(ps, lr=0.5), grad_clip=5.0)
+                                 optimizer_factory=lambda stage: SGD(stage.parameters(), lr=0.5),
+                                 grad_clip=5.0)
         stage0 = runner.stages[0]
 
         batch = bert_batch(n=4, seed=8)
@@ -203,8 +204,10 @@ class TestPipeDreamSemantics:
         def run(schedule):
             model = build_bert(BERT_CFG).seed(5)
             partition = partition_uniform(len(model.layers), 2)
-            runner = PipelinedRunner(model, partition, schedule,
-                                     optimizer_factory=lambda ps: SGD(ps, lr=0.5), grad_clip=5.0)
+            runner = PipelinedRunner(
+                model, partition, schedule,
+                optimizer_factory=lambda stage: SGD(stage.parameters(), lr=0.5), grad_clip=5.0,
+            )
             runner.run_batch(split_microbatches(batch, 2))
             return model.state_dict()
 
@@ -303,7 +306,7 @@ class TestStackedGroups:
     def test_one_stage_forward_per_group(self, schedule, calls, monkeypatch):
         model = build_bert(BERT_CFG).seed(0)
         runner = PipelinedRunner(model, partition_uniform(len(model.layers), 3), schedule,
-                                 optimizer_factory=lambda ps: SGD(ps, lr=0.1))
+                                 optimizer_factory=lambda stage: SGD(stage.parameters(), lr=0.1))
         seen = []
         forward = StageRuntime.forward
 
@@ -347,7 +350,7 @@ def test_stash_never_exceeds_the_schedule_bound():
             for M in range(1, 9):
                 runner = PipelinedRunner(
                     make_toy_model(K), Partition(tuple(range(K)) + (K + 1,)), schedule,
-                    optimizer_factory=lambda ps: SGD(ps, lr=0.1),
+                    optimizer_factory=lambda stage: SGD(stage.parameters(), lr=0.1),
                 )
                 peak = [0]
 
@@ -376,6 +379,34 @@ def test_async_schedule_needs_stage_optimizers():
     partition = partition_uniform(len(model.layers), 2)
     with pytest.raises(ValueError, match="optimizer_factory="):
         PipelinedRunner(model, partition, PipeDreamSchedule())
+
+
+def test_deadlocked_op_streams_raise():
+    """Stage 0 waits on micro-batch 1's gradient before forwarding it, so
+    the sweep stalls after the ops that can run; it raises instead of
+    rescanning a state that can no longer change."""
+    from repro.schedules.base import Schedule, StageOp
+    from repro.verify.oracle import make_toy_model, toy_batch
+
+    class CrossWait(Schedule):
+        name = "cross-wait"
+        sync_at_batch_end = False
+
+        def stage_ops(self, stage, num_stages, num_micro):
+            if stage == 0:
+                order = [("fwd", 0), ("bwd", 1), ("fwd", 1), ("bwd", 0)]
+            else:
+                order = [("fwd", 0), ("bwd", 0), ("fwd", 1), ("bwd", 1)]
+            return [StageOp(kind, micro) for kind, micro in order]
+
+    runner = PipelinedRunner(make_toy_model(2), Partition((0, 1, 3)), CrossWait(),
+                             optimizer_factory=lambda stage: SGD(stage.parameters(), lr=0.1))
+    with pytest.raises(RuntimeError, match="deadlocked"):
+        runner.run_batch(toy_batch(2, 2))
+    # The ops before the stall ran: both stages forwarded micro-batch 0
+    # and stage 1 already ran its backward.
+    assert list(runner.stages[0]._stash) == [0]
+    assert not runner.stages[1]._stash
 
 
 def test_grad_clip_needs_stage_optimizers():

@@ -1,14 +1,20 @@
-"""Trainer update semantics: sync, delayed (PipeDream), 2BW lag, AvgPipe."""
+"""Trainer update semantics: sync, stale (PipeDream), 2BW lag, AvgPipe."""
+
+from collections import deque
 
 import numpy as np
 import pytest
 
 from repro.core.trainer import (
+    GRAD_CLIP,
     AvgPipeTrainer,
     PipeDream2BWTrainer,
     PipeDreamTrainer,
     SyncTrainer,
+    _TrainerBase,
 )
+from repro.data.dataset import split_microbatches
+from repro.graph.partitioner import Partition
 from repro.models.registry import WorkloadSpec
 from repro.models import AWDConfig, build_awd_lstm
 from repro.optim import SGD
@@ -69,26 +75,78 @@ class TestSyncTrainer:
         assert result.epochs_to_target <= 5
 
 
+#: the three layers of the tiny AWD model (embedding, LSTM, head) cut
+#: into one and three stages
+ONE_STAGE, THREE_STAGES = Partition((0, 3)), Partition((0, 1, 2, 3))
+
+
 class TestPipeDreamTrainer:
     def test_delayed_updates_converge_but_run(self):
-        result = PipeDreamTrainer(tiny_awd_spec(), seed=0, max_epochs=2, num_stages=4).train()
+        result = PipeDreamTrainer(tiny_awd_spec(), seed=0, max_epochs=2,
+                                  partition=THREE_STAGES).train()
         assert result.epochs_run == 2
         assert np.isfinite(result.final_metric)
 
     def test_delay_zero_matches_sync_numerics(self):
-        """With delay 0 and one micro-batch, PipeDream IS sync training."""
+        """With one stage and one micro-batch nothing is stale: PipeDream
+        IS sync training."""
         spec = tiny_awd_spec()
         sync = SyncTrainer(spec, seed=0, max_epochs=1)
-        pd = PipeDreamTrainer(spec, seed=0, max_epochs=1, num_stages=1, num_micro=1)
+        pd = PipeDreamTrainer(spec, seed=0, max_epochs=1, partition=ONE_STAGE, num_micro=1)
         rs = sync.train()
         rp = pd.train()
         assert rp.final_metric == pytest.approx(rs.final_metric, rel=1e-5)
 
     def test_larger_delay_hurts_or_matches_progress(self):
         spec = tiny_awd_spec()
-        small = PipeDreamTrainer(spec, seed=0, max_epochs=2, num_stages=2).train()
-        large = PipeDreamTrainer(spec, seed=0, max_epochs=2, num_stages=24).train()
+        small = PipeDreamTrainer(spec, seed=0, max_epochs=2, partition=ONE_STAGE).train()
+        large = PipeDreamTrainer(spec, seed=0, max_epochs=2, partition=THREE_STAGES).train()
         assert large.final_metric >= small.final_metric - 0.05
+
+    def test_default_partition_is_the_calibrated_cut(self):
+        from repro.core.simcfg import calibration_for
+        from repro.models.registry import build_workload
+
+        spec = build_workload("awd")
+        trainer = PipeDreamTrainer(spec, seed=0, max_epochs=1)
+        assert trainer.runner.partition == calibration_for("awd").partition()
+        assert trainer.runner.partition.num_stages == spec.paper_devices
+
+
+class _GradientFIFO(_TrainerBase):
+    """The whole-model gradient FIFO that ``PipeDreamTrainer`` used to be,
+    kept here as the reference for 2BW: each micro-batch's gradient is
+    applied ``delay`` micro-batch steps after it was computed."""
+
+    system = "fifo"
+
+    def __init__(self, spec, seed, max_epochs, delay, num_micro):
+        super().__init__(spec, seed, max_epochs)
+        self.model = spec.build_model().seed(seed)
+        self.optimizer = spec.make_optimizer(self.model)
+        self.loader = spec.make_train_loader(spec.batch_size, seed)
+        self.delay = delay
+        self.num_micro = num_micro
+
+    def _reset(self):
+        self._params = list(self.model.parameters())
+        self._fifo = deque()
+
+    def _update(self, batch):
+        params, fifo = self._params, self._fifo
+        for micro in split_microbatches(batch, self.num_micro):
+            self.model.zero_grad()
+            self.model.loss(micro).backward()
+            fifo.append([
+                p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
+                for p in params
+            ])
+            if len(fifo) > self.delay:
+                for p, g in zip(params, fifo.popleft()):
+                    p.grad = g
+                self.optimizer.clip_grad_norm(GRAD_CLIP)
+                self.optimizer.step()
+                self.model.zero_grad()
 
 
 class TestPipeDream2BW:
@@ -111,19 +169,19 @@ class TestPipeDream2BW:
         result = PipeDream2BWTrainer(tiny_awd_spec(), seed=0, max_epochs=3).train()
         assert result.metric_history[-1] <= result.metric_history[0] + 0.1
 
-    def test_is_pipedream_at_one_batch_delay(self):
-        """2BW's bounded staleness is PipeDream's delayed update with a
-        delay of one batch and one micro-batch: histories, weights and
-        iteration counts match bit for bit, across repeated train() calls."""
+    def test_is_the_gradient_fifo_at_one_batch_delay(self):
+        """2BW holds back exactly one batch gradient: histories, weights
+        and iteration counts match a one-deep gradient FIFO over single
+        micro-batches bit for bit, across repeated train() calls."""
         spec = tiny_awd_spec()
         bw = PipeDream2BWTrainer(spec, seed=0, max_epochs=2)
-        pd = PipeDreamTrainer(spec, seed=0, max_epochs=2, num_stages=2, num_micro=1)
+        fifo = _GradientFIFO(spec, seed=0, max_epochs=2, delay=1, num_micro=1)
         for _ in range(2):
-            rb, rp = bw.train(), pd.train()
-            assert [m.hex() for m in rb.metric_history] == [m.hex() for m in rp.metric_history]
-            assert rb.iterations == rp.iterations
-            sb, sp = bw.model.state_dict(), pd.model.state_dict()
-            assert all(sb[k].tobytes() == sp[k].tobytes() for k in sb)
+            rb, rf = bw.train(), fifo.train()
+            assert [m.hex() for m in rb.metric_history] == [m.hex() for m in rf.metric_history]
+            assert rb.iterations == rf.iterations
+            sb, sf = bw.model.state_dict(), fifo.model.state_dict()
+            assert all(sb[k].tobytes() == sf[k].tobytes() for k in sb)
 
 
 class TestAvgPipeTrainer:

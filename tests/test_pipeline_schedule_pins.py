@@ -8,7 +8,11 @@ So two batches of ``AvgPipeTrainer(partition=calibrated, num_micro=8)``
 must leave byte-identical weights, reference and losses under every
 synchronous schedule, and those bytes are pinned by a sha256.
 
-The digests were generated with the runner that executed each schedule's
+PipeDream's asynchronous sweep is pinned the same way, over two
+``PipeDreamTrainer`` batches (calibrated cut, M=4): the numerics behind
+the PipeDream rows of Figures 11 and 14.
+
+The synchronous digests were generated with the runner that executed each schedule's
 op streams one micro-batch at a time; any later runner has to reproduce
 them bit for bit.  GNMT is pinned nowhere else (the end-to-end pins cover
 awd and bert, ``repro verify`` a float64 toy).  Like the end-to-end pins,
@@ -20,7 +24,8 @@ import hashlib
 import pytest
 
 from repro.core.simcfg import calibration_for
-from repro.core.trainer import AvgPipeTrainer
+from repro.core.trainer import AvgPipeTrainer, PipeDreamTrainer
+from repro.data.dataset import split_microbatches
 from repro.models.registry import build_workload
 from repro.schedules import AFABSchedule, AdvanceFPSchedule, OneFOneBSchedule
 
@@ -64,3 +69,29 @@ def round_digest(model: str, schedule) -> str:
 def test_sync_schedules_reproduce_the_pinned_round(model):
     digests = {name: round_digest(model, factory()) for name, factory in SCHEDULES.items()}
     assert set(digests.values()) == {PINNED[model]}, digests
+
+
+#: sha256 over the two batch losses and the weights after two
+#: ``PipeDreamTrainer`` batches, seed 0, calibrated cut, M=4.
+PINNED_PIPEDREAM = {
+    "awd": "28f62e4d34f8b284adf49779f31a67ce097e61f82517820a2a56ad614d9db1eb",
+    "gnmt": "21015e3a48a961d4cc61ccb26d5e81bbcde397edae1f355b6b53facf8c97cddb",
+}
+
+
+def pipedream_digest(model: str) -> str:
+    trainer = PipeDreamTrainer(build_workload(model), seed=0, max_epochs=1, num_micro=4)
+    digest = hashlib.sha256()
+    batches = iter(trainer.loader)
+    for _ in range(2):
+        micros = split_microbatches(next(batches), trainer.num_micro)
+        digest.update(float(trainer.runner.run_batch(micros)).hex().encode())
+    for key, value in trainer.model.state_dict().items():
+        digest.update(key.encode())
+        digest.update(value.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("model", sorted(PINNED_PIPEDREAM))
+def test_pipedream_reproduces_the_pinned_batches(model):
+    assert pipedream_digest(model) == PINNED_PIPEDREAM[model]
