@@ -25,9 +25,9 @@ Guarantees (tested in ``tests/test_core_pipeline.py`` and
   (up to float accumulation order), and bit for bit the same as one
   micro-batch at a time in schedule order;
 * PipeDream mode computes each micro-batch's gradient under the weight
-  version its forward used (weight stashing), then applies it to the
-  latest weights — the staleness semantics of §2/Figure 3b — unscaled
-  and clipped per stage (the convention is in docs/schedules.md).
+  version its forward used (its stashed graph holds those arrays), then
+  applies it to the latest weights — the staleness semantics of
+  §2/Figure 3b — unscaled and clipped per stage (docs/schedules.md).
 """
 
 from __future__ import annotations
@@ -54,10 +54,11 @@ class StageRuntime(Module):
     """Executes one contiguous slice of a pipeline model.
 
     Holds the stash of forwards awaiting their backward (input leaves,
-    output tensors and the number of micro-batches stacked in them), the
-    stage's parameters, and the PipeDream weight stash.  The slice's
-    layers are child modules named ``stage{k}.layer{i}``, so parameter
-    names stay unique across the stages of one model.
+    output tensors and the number of micro-batches stacked in them; the
+    graph also holds the weights its forward read) and the stage's
+    parameters.  The slice's layers are child modules named
+    ``stage{k}.layer{i}``, so parameter names stay unique across the
+    stages of one model.
     """
 
     def __init__(self, layers: Sequence[PipelineLayer], stage_index: int, num_stages: int) -> None:
@@ -74,10 +75,8 @@ class StageRuntime(Module):
         #: micro-batch (or group) id -> (input leaves by key, output
         #: tensors by key, stacked micro-batch count; 0 when unstacked)
         self._stash: dict[int, tuple[dict[str, Tensor], dict[str, Tensor], int]] = {}
-        #: micro-batch id -> weight version stashed at forward (PipeDream)
-        self._weight_stash: dict[int, dict[str, np.ndarray]] = {}
 
-    def forward(self, micro: int, bundle_in: Mapping, stash_weights: bool = False) -> dict:
+    def forward(self, micro: int, bundle_in: Mapping) -> dict:
         """Run the stage's layers on one micro-batch, or on a stacked group
         of them when called inside ``micro_stack``.
 
@@ -88,8 +87,6 @@ class StageRuntime(Module):
         """
         if micro in self._stash:
             raise RuntimeError(f"stage {self.stage_index}: micro {micro} already in flight")
-        if stash_weights:
-            self._weight_stash[micro] = self.state_dict()
 
         leaves: dict[str, Tensor] = {}
         bundle: dict = {}
@@ -133,11 +130,6 @@ class StageRuntime(Module):
             raise RuntimeError(f"stage {self.stage_index}: no stashed forward for micro {micro}")
         leaves, outputs, count = self._stash.pop(micro)
 
-        restored: dict[str, np.ndarray] | None = None
-        if micro in self._weight_stash:
-            restored = self.state_dict()
-            self.load_state_dict(self._weight_stash.pop(micro))
-
         params = list(self.parameters())
         totals = [p.grad for p in params]
         # Per backward call, each parameter's (micro-batch, ...) stack of
@@ -173,9 +165,6 @@ class StageRuntime(Module):
                         totals[i] = stack[m] if totals[i] is None else totals[i] + stack[m]
         for p, total in zip(params, totals):
             p.grad = total
-
-        if restored is not None:
-            self.load_state_dict(restored)
 
         return {
             key: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
@@ -338,7 +327,7 @@ class PipelinedRunner:
                     if key not in acts:
                         continue
                     bundle_in = acts.pop(key)
-                    shipped = self.stages[k].forward(op.micro, bundle_in, stash_weights=True)
+                    shipped = self.stages[k].forward(op.micro, bundle_in)
                     if k < K - 1:
                         acts[(k + 1, op.micro)] = shipped
                     else:

@@ -3,9 +3,8 @@
 Mirrors the slice of ``torch.nn`` that the paper's three workloads (GNMT,
 BERT, AWD-LSTM) require, plus the introspection machinery the
 elastic-averaging runtime relies on: ``Module.state_dict`` /
-``load_state_dict`` — weight versioning (PipeDream stashing,
-PipeDream-2BW double buffering) and elastic averaging both operate on
-flat state dicts.  :class:`LSTMCell` holds the recurrent weights; the
+``load_state_dict`` — elastic averaging and checkpoints operate on flat
+state dicts.  :class:`LSTMCell` holds the recurrent weights; the
 GNMT decoder steps it over time, the other recurrent layers run it
 through the whole-sequence kernel ``lstm_sequence``.
 """

@@ -2,10 +2,9 @@
 
 The interesting parts relative to a toy implementation:
 
-* ``state_dict`` / ``load_state_dict`` copy raw ndarrays, because the
-  pipeline runtimes (PipeDream weight stashing, PipeDream-2BW double
-  buffering, AvgPipe's reference model) snapshot and restore weights many
-  times per batch and must never alias live parameters.
+* ``state_dict`` / ``load_state_dict`` copy raw ndarrays: their callers
+  (the elastic reference, checkpoints) keep snapshots past later
+  updates, so they must never alias live parameters.
 * Each module owns a ``repro`` RNG handle (seeded via
   :mod:`repro.utils.seeding`) so dropout masks are reproducible per
   pipeline replica — pipelines with different seeds must diverge, replicas

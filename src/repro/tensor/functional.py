@@ -40,8 +40,8 @@ __all__ = [
 
 def relu(x: Tensor) -> Tensor:
     """max(x, 0) with the indicator gradient."""
-    out = np.maximum(x.data, 0)
-    return Tensor._make(out, (x,), lambda g: (g * (x.data > 0),), "relu")
+    xd = x.data
+    return Tensor._make(np.maximum(xd, 0), (x,), lambda g: (g * (xd > 0),), "relu")
 
 
 # Plain Python float: under NumPy's NEP-50 promotion a np.float64 scalar
@@ -124,20 +124,19 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     var = xd.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (xd - mu) * inv
-    out = xhat * weight.data + bias.data
+    wd = weight.data
+    out = xhat * wd + bias.data
 
     def backward(g: np.ndarray):
-        n = xd.shape[-1]
         gw = _unbroadcast(g * xhat, weight.shape, micro)
         gb = _unbroadcast(g, bias.shape, micro)
-        gx_hat = g * weight.data
+        gx_hat = g * wd
         # Fused layer-norm input gradient.
         gx = (
             gx_hat
             - gx_hat.mean(axis=-1, keepdims=True)
             - xhat * (gx_hat * xhat).mean(axis=-1, keepdims=True)
         ) * inv
-        del n
         return gx, gw, gb
 
     return Tensor._make(out, (x, weight, bias), backward, "layer_norm")
@@ -302,14 +301,15 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     micro = micro_count()
     w_tap = _transpose_tap(weight)
     wT = w_tap.data
-    y = x.data @ wT
+    xd = x.data
+    y = xd @ wT
     out = y + bias.data if bias is not None else y
 
     def backward(g: np.ndarray):
         dx = g @ np.swapaxes(wT, -1, -2) if x.requires_grad else None
         # Untransposed (in, out) form; the tap transposes, as ``.T`` did.
         dw = (
-            _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, wT.shape, micro)
+            _unbroadcast(np.swapaxes(xd, -1, -2) @ g, wT.shape, micro)
             if weight.requires_grad
             else None
         )
@@ -350,12 +350,13 @@ def lstm_cell(
     whh_tap = _transpose_tap(weight_hh)
     wihT = wih_tap.data
     whhT = whh_tap.data
-    gates = (x.data @ wihT + h.data @ whhT) + bias.data
+    xd, hd, cd = x.data, h.data, c.data
+    gates = (xd @ wihT + hd @ whhT) + bias.data
     i = _sigmoid_raw(gates[..., 0 * hs : 1 * hs])
     f = _sigmoid_raw(gates[..., 1 * hs : 2 * hs])
     g = np.tanh(gates[..., 2 * hs : 3 * hs])
     o = _sigmoid_raw(gates[..., 3 * hs : 4 * hs])
-    c_next = f * c.data + i * g
+    c_next = f * cd + i * g
     t = np.tanh(c_next)
     h_next = o * t
 
@@ -383,7 +384,7 @@ def lstm_cell(
             gc = gc_ext + gc
         dgates = np.empty_like(gates)
         dgates[..., 0 * hs : 1 * hs] = (gc * g) * i * (1.0 - i)
-        dgates[..., 1 * hs : 2 * hs] = (gc * c.data) * f * (1.0 - f)
+        dgates[..., 1 * hs : 2 * hs] = (gc * cd) * f * (1.0 - f)
         dgates[..., 2 * hs : 3 * hs] = (gc * i) * (1.0 - g * g)
         dgates[..., 3 * hs : 4 * hs] = (gh * t) * o * (1.0 - o)
         dx = dgates @ np.swapaxes(wihT, -1, -2) if x.requires_grad else None
@@ -391,12 +392,12 @@ def lstm_cell(
         dc = gc * f if c.requires_grad else None
         # Untransposed (in, 4*hidden) forms; the taps transpose them.
         dwih = (
-            np.swapaxes(x.data, -1, -2) @ dgates
+            np.swapaxes(xd, -1, -2) @ dgates
             if weight_ih.requires_grad
             else None
         )
         dwhh = (
-            np.swapaxes(h.data, -1, -2) @ dgates
+            np.swapaxes(hd, -1, -2) @ dgates
             if weight_hh.requires_grad
             else None
         )
@@ -491,7 +492,8 @@ def lstm_sequence(
         whhT = np.swapaxes(whh, -1, -2)
     # Every step's x @ W_ih^T at once; the loop adds the recurrent term,
     # then the bias, in the per-step order.
-    gates = np.matmul(xd.transpose(time_major), weight_ih.data.T)  # (T, *rows, 4H)
+    wih = weight_ih.data
+    gates = np.matmul(xd.transpose(time_major), wih.T)  # (T, *rows, 4H)
     gates4 = gates.reshape(*gates.shape[:-1], 4, hs)
     dtype = gates.dtype
     # The bias add writes step t's gates gate-major, (4, B, H), so every
@@ -557,7 +559,7 @@ def lstm_sequence(
         if x.requires_grad:
             # x's own layout, as the chain's slice scatters leave it.
             dx = np.empty_like(xd)
-            dx.transpose(time_major)[...] = np.matmul(dgates, weight_ih.data)
+            dx.transpose(time_major)[...] = np.matmul(dgates, wih)
         # The weight products per ([micro-batch,] step): ([G,] T, ·, ·)
         # stacks folded over T, newest step first for W_ih, oldest for W_hh.
         dg_steps = dgates.transpose(*range(1, m + 1), 0, m + 1, m + 2)  # ([G,] T, B, 4H)
@@ -588,9 +590,10 @@ def scaled_dot_attention(
     """
     if not 0.0 <= dropout_p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {dropout_p}")
+    qd, vd = q.data, v.data
     kt = np.swapaxes(k.data, -1, -2)
-    scale_arr = np.asarray(scale, dtype=q.data.dtype)
-    s = (q.data @ kt) * scale_arr
+    scale_arr = np.asarray(scale, dtype=qd.dtype)
+    s = (qd @ kt) * scale_arr
     if bias is not None:
         s = s + bias
     e = np.exp(s - s.max(axis=-1, keepdims=True))
@@ -602,10 +605,10 @@ def scaled_dot_attention(
     else:
         mask = None
         attn_d = attn
-    out = attn_d @ v.data
+    out = attn_d @ vd
 
     def backward(g: np.ndarray):
-        dattn = g @ np.swapaxes(v.data, -1, -2)
+        dattn = g @ np.swapaxes(vd, -1, -2)
         dv = np.swapaxes(attn_d, -1, -2) @ g if v.requires_grad else None
         if mask is not None:
             dattn = dattn * mask
@@ -613,7 +616,7 @@ def scaled_dot_attention(
         ds = (attn * (dattn - dot)) * scale_arr
         dq = ds @ np.swapaxes(kt, -1, -2) if q.requires_grad else None
         dk = (
-            np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2)
+            np.swapaxes(np.swapaxes(qd, -1, -2) @ ds, -1, -2)
             if k.requires_grad
             else None
         )

@@ -21,6 +21,10 @@ Design notes
   parameter gradients keep the leading axis, one slice per micro-batch,
   and a loss is one value per micro-batch.  Outside the context (the
   default) every kernel computes exactly its unstacked arithmetic.
+* Closures read only arrays bound at forward; parameter writers rebind
+  ``p.data`` and never write into it.  So a graph keeps the weights its
+  forward read, which makes it PipeDream's weight stash
+  (``tests/test_autograd_rebind.py``, ``tests/test_parameter_layer.py``).
 """
 
 from __future__ import annotations
@@ -301,12 +305,13 @@ class Tensor:
 
     def __mul__(self, other: Any) -> "Tensor":
         other = self._coerce(other)
-        out = self.data * other.data
+        a, b = self.data, other.data
+        out = a * b
 
         def backward(g: np.ndarray):
             return (
-                _unbroadcast(g * other.data, self.shape),
-                _unbroadcast(g * self.data, other.shape),
+                _unbroadcast(g * b, self.shape),
+                _unbroadcast(g * a, other.shape),
             )
 
         return Tensor._make(out, (self, other), backward, "mul")
@@ -315,12 +320,13 @@ class Tensor:
 
     def __truediv__(self, other: Any) -> "Tensor":
         other = self._coerce(other)
-        out = self.data / other.data
+        a, b = self.data, other.data
+        out = a / b
 
         def backward(g: np.ndarray):
             return (
-                _unbroadcast(g / other.data, self.shape),
-                _unbroadcast(-g * self.data / (other.data * other.data), other.shape),
+                _unbroadcast(g / b, self.shape),
+                _unbroadcast(-g * a / (b * b), other.shape),
             )
 
         return Tensor._make(out, (self, other), backward, "div")
@@ -331,19 +337,20 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if isinstance(exponent, Tensor):
             raise TypeError("tensor exponents are not supported")
-        out = self.data**exponent
+        a = self.data
+        out = a**exponent
 
         def backward(g: np.ndarray):
-            return (g * exponent * self.data ** (exponent - 1),)
+            return (g * exponent * a ** (exponent - 1),)
 
         return Tensor._make(out, (self,), backward, "pow")
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other = self._coerce(other)
-        out = self.data @ other.data
+        a, b = self.data, other.data
+        out = a @ b
 
         def backward(g: np.ndarray):
-            a, b = self.data, other.data
             if a.ndim == 1 and b.ndim == 1:  # inner product
                 return g * b, g * a
             if a.ndim == 1:  # (k,) @ (..., k, n)
@@ -370,12 +377,12 @@ class Tensor:
         return Tensor._make(out, (self,), lambda g: (g * out,), "exp")
 
     def log(self) -> "Tensor":
-        out = np.log(self.data)
-        return Tensor._make(out, (self,), lambda g: (g / self.data,), "log")
+        a = self.data
+        return Tensor._make(np.log(a), (self,), lambda g: (g / a,), "log")
 
     def abs(self) -> "Tensor":
-        out = np.abs(self.data)
-        return Tensor._make(out, (self,), lambda g: (g * np.sign(self.data),), "abs")
+        a = self.data
+        return Tensor._make(np.abs(a), (self,), lambda g: (g * np.sign(a),), "abs")
 
     # ------------------------------------------------------------------ #
     # reductions
@@ -404,15 +411,16 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def max(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        out = self.data.max(axis=axis, keepdims=keepdims)
+        a = self.data
+        out = a.max(axis=axis, keepdims=keepdims)
 
         def backward(g: np.ndarray):
             if axis is None:
-                mask = (self.data == out).astype(self.data.dtype)
+                mask = (a == out).astype(a.dtype)
                 mask /= mask.sum()
                 return (mask * g,)
-            out_keep = self.data.max(axis=axis, keepdims=True)
-            mask = (self.data == out_keep).astype(self.data.dtype)
+            out_keep = a.max(axis=axis, keepdims=True)
+            mask = (a == out_keep).astype(a.dtype)
             mask /= mask.sum(axis=axis, keepdims=True)
             g_exp = g if keepdims else np.expand_dims(g, axis)
             return (mask * g_exp,)

@@ -196,7 +196,6 @@ class TestPipeDreamSemantics:
         assert changed
         # ...and left no stale stash behind.
         assert not stage0._stash
-        assert not stage0._weight_stash
 
     def test_async_updates_differ_from_sync(self):
         batch = bert_batch(n=4, seed=9)
@@ -310,9 +309,9 @@ class TestStackedGroups:
         seen = []
         forward = StageRuntime.forward
 
-        def counting(stage, micro, bundle, stash_weights=False):
+        def counting(stage, micro, bundle):
             seen.append(micro)
-            return forward(stage, micro, bundle, stash_weights)
+            return forward(stage, micro, bundle)
 
         monkeypatch.setattr(StageRuntime, "forward", counting)
         runner.run_batch(split_microbatches(bert_batch(), 4))

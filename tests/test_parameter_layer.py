@@ -4,6 +4,10 @@
   :data:`WRITERS`: the optimizer step, the state-dict load and the
   elastic commit.  :data:`EXCEPTIONS` lists the code outside the
   training path that may write too, one reason each.
+* Nothing writes *into* a ``.data`` array (``<expr>.data[...] = ...``
+  or ``out=<expr>.data``): writers rebind, so a backward closure that
+  bound a parameter's array at forward still holds the forward-time
+  weights (``tests/test_autograd_rebind.py``).
 * ``Module`` is the only class in ``repro.nn``, ``repro.models`` and
   ``repro.core`` that walks, saves or loads parameters, and no
   optimizer carries its own step loop (ASGD only counts steps around it).
@@ -66,8 +70,21 @@ def _targets(node):
             yield target
 
 
-def data_writes(tree, module: str) -> list[tuple[str, int]]:
-    """(qualified enclosing definition, line) of every ``<expr>.data`` store."""
+def _is_data(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "data"
+
+
+def _into_data(node) -> bool:
+    """``<expr>.data[...]``, under any number of subscripts."""
+    if not isinstance(node, ast.Subscript):
+        return False
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return _is_data(node)
+
+
+def _find(tree, module: str, match) -> list[tuple[str, int]]:
+    """(qualified enclosing definition, line) of every node ``match`` accepts."""
     found = []
 
     def visit(node, scope):
@@ -75,19 +92,38 @@ def data_writes(tree, module: str) -> list[tuple[str, int]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}")
                 continue
-            for target in _targets(child):
-                if isinstance(target, ast.Attribute) and target.attr == "data":
-                    found.append((scope, child.lineno))
+            if match(child):
+                found.append((scope, child.lineno))
             visit(child, scope)
 
     visit(tree, module)
     return found
 
 
-def scan_writes() -> list[tuple[str, int]]:
+def data_writes(tree, module: str) -> list[tuple[str, int]]:
+    """Every ``<expr>.data`` store (a rebind)."""
+    return _find(tree, module, lambda node: any(_is_data(t) for t in _targets(node)))
+
+
+def in_place_writes(tree, module: str) -> list[tuple[str, int]]:
+    """Every store into a ``.data`` array: ``<expr>.data[...] = ...`` (or
+    ``op=``) and an ``out=<expr>.data`` keyword argument."""
+
+    def match(node) -> bool:
+        if isinstance(node, ast.Call):
+            return any(
+                kw.arg == "out" and (_is_data(kw.value) or _into_data(kw.value))
+                for kw in node.keywords
+            )
+        return any(_into_data(t) for t in _targets(node))
+
+    return _find(tree, module, match)
+
+
+def scan(finder=data_writes) -> list[tuple[str, int]]:
     out = []
     for path in sorted(SRC.rglob("*.py")):
-        out.extend(data_writes(ast.parse(path.read_text(), str(path)), _module_name(path)))
+        out.extend(finder(ast.parse(path.read_text(), str(path)), _module_name(path)))
     return out
 
 
@@ -96,7 +132,7 @@ def _excepted(scope: str) -> bool:
 
 
 def test_parameter_data_has_three_writers():
-    writes = scan_writes()
+    writes = scan()
     stray = sorted(
         f"{scope}:{line}" for scope, line in writes
         if scope not in WRITERS and not _excepted(scope)
@@ -106,7 +142,7 @@ def test_parameter_data_has_three_writers():
 
 
 def test_exceptions_are_still_writers():
-    scopes = [scope for scope, _ in scan_writes()]
+    scopes = [scope for scope, _ in scan()]
     for name in EXCEPTIONS:
         assert any(s == name or s.startswith(name + ".") for s in scopes), name
 
@@ -121,6 +157,24 @@ def test_scanner_sees_nested_and_tuple_stores():
         "x.data = 0\n"
     )
     assert data_writes(tree, "m") == [("m.A.f", 3), ("m.A.f.g", 5), ("m", 6)]
+
+
+def test_nothing_writes_into_parameter_data():
+    assert not scan(in_place_writes)
+
+
+def test_scanner_sees_in_place_stores():
+    tree = ast.parse(
+        "def f(p, q):\n"
+        "    p.data[0] = 1\n"
+        "    q.data[1:][0] += 2\n"
+        "    np.add(p.data, 1, out=p.data)\n"
+        "    np.add(p.data, 1, out=q.data[:2])\n"
+        "    np.add(p.grad, 1, out=q.grad)\n"
+        "    x = p.data[0]\n"
+        "    p.data = q.data[0]\n"
+    )
+    assert in_place_writes(tree, "m") == [("m.f", 2), ("m.f", 3), ("m.f", 4), ("m.f", 5)]
 
 
 def _classes(packages):

@@ -75,6 +75,7 @@ def test_sync_schedules_reproduce_the_pinned_round(model):
 #: ``PipeDreamTrainer`` batches, seed 0, calibrated cut, M=4.
 PINNED_PIPEDREAM = {
     "awd": "28f62e4d34f8b284adf49779f31a67ce097e61f82517820a2a56ad614d9db1eb",
+    "bert": "1fad273245e512217713e6998ff6c49828e97e217289344812608ee5c497d98e",
     "gnmt": "21015e3a48a961d4cc61ccb26d5e81bbcde397edae1f355b6b53facf8c97cddb",
 }
 
