@@ -17,7 +17,7 @@ simulated performance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.predictor import Prediction
 from repro.core.profiler import Profiler
@@ -44,6 +44,11 @@ class AvgPipePlan:
     memory_limit_bytes: float
     prediction: Prediction | None
     tuning_cost: float
+    #: the tuner's simulation of this setting (advance 0 only), which
+    #: :meth:`AvgPipe.simulate` returns instead of running it again
+    measured_run: SimIterationResult | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 class AvgPipe:
@@ -103,7 +108,7 @@ class AvgPipe:
             if p.m == outcome.m and p.n == outcome.n:
                 prediction = p
                 break
-        return AvgPipePlan(
+        plan = AvgPipePlan(
             workload=self.spec.name,
             partition=self.partition,
             num_micro=outcome.m,
@@ -113,11 +118,28 @@ class AvgPipe:
             prediction=prediction,
             tuning_cost=outcome.tuning_cost,
         )
+        if advance == 0:
+            plan.measured_run = outcome.measured_run
+        return plan
 
     # ------------------------------------------------------------------ #
 
     def simulate(self, plan: AvgPipePlan, iterations: int = 3, **kwargs) -> SimIterationResult:
-        """Run the planned configuration on a fresh simulated cluster."""
+        """Run the planned configuration on a fresh simulated cluster.
+
+        An advance-0 plan was already simulated by the tuner; a call that
+        asks for exactly that run (same iterations, no other options)
+        returns it instead of simulating it again.
+        """
+        run = plan.measured_run
+        if (
+            run is not None
+            and not kwargs
+            and run.iterations == iterations
+            and (run.num_micro, run.num_pipelines, plan.advance)
+            == (plan.num_micro, plan.num_pipelines, 0)
+        ):
+            return run
         return self.simulate_config(
             plan.num_micro, plan.num_pipelines, plan.advance, iterations=iterations, **kwargs
         )

@@ -26,6 +26,7 @@ from repro.graph.partitioner import partition_model  # noqa: F401  (patched by b
 from repro.sim.cluster import ClusterSpec
 
 if TYPE_CHECKING:
+    from repro.schedules.executor import SimIterationResult
     from repro.tune.store import RunStore
 
 __all__ = [
@@ -59,6 +60,11 @@ class TuningOutcome:
     analytic_setting: tuple[int, int] | None = None
     #: the (possibly corrected) Eq.-1 prediction at the chosen setting
     predicted_batch_time: float | None = None
+    #: the run behind ``measured_batch_time`` (ProfilingTuner only), kept
+    #: so a caller that wants it does not simulate the same setting again
+    measured_run: SimIterationResult | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 def plan_for_spec(
@@ -188,7 +194,8 @@ class ProfilingTuner:
         ).best_setting(m_candidates, n_candidates, limits)
         winner = decision.winner
         predicted_time = decision.corrected.get((winner.m, winner.n), winner.batch_time)
-        measured, _ = _measure(self.profiler, winner.m, winner.n)
+        measured_run = self.profiler.run_setting(winner.m, winner.n, iterations=3)
+        measured = float("inf") if measured_run.oom is not None else measured_run.batch_time
         if registry is not None:
             registry.gauge("tune.records_consulted").set(decision.records_consulted)
             registry.gauge("tune.residual_applied").set(
@@ -198,7 +205,7 @@ class ProfilingTuner:
             # per-batch, same unit as the Eq.-1 prediction (an iteration
             # advances n concurrent batches)
             registry.gauge("tune.measured_batch_time").set(measured / winner.n)
-        return TuningOutcome(
+        outcome = TuningOutcome(
             method="profiling",
             m=winner.m,
             n=winner.n,
@@ -212,6 +219,8 @@ class ProfilingTuner:
             analytic_setting=(decision.analytic_winner.m, decision.analytic_winner.n),
             predicted_batch_time=predicted_time,
         )
+        outcome.measured_run = measured_run
+        return outcome
 
 
 class TraversalTuner:

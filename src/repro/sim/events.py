@@ -23,6 +23,19 @@ never mid-drain), which keeps a cancel-heavy workload from dragging a
 dead heap around.  Events that were *succeeded* elsewhere before their
 scheduled time still advance the clock when popped, exactly as before —
 only ``cancel()`` produces clock-invisible entries.
+
+The main source of tombstones is :class:`~repro.sim.resource.SharedResource`:
+each membership change re-arms the resource's completion tick and cancels
+the superseded one, so superseded ticks never fire.  Before they were
+cancelled they were popped and ignored, but the pop still set ``now``.
+Under :meth:`Simulator.run_until_process` (the executor's and the
+data-parallel runner's loop) that clock value is never observed.  The
+loop exits only inside a live event's ``succeed``, which first sets
+``now`` to its own time, and the one other reader, the ``t > limit``
+check, is skipped for tombstones.  Under :meth:`Simulator.run` the final
+clock is the time of the last *live* event: a superseded tick later than
+it (only a raised ``set_capacity`` or a ``freeze`` leaves one) no longer
+moves the returned clock forward.
 """
 
 from __future__ import annotations
@@ -78,7 +91,7 @@ class Event:
         if not self.cancelled:
             self.cancelled = True
             self.callbacks = None
-            self.sim._note_cancel()
+            self.sim._tombstones += 1
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -171,10 +184,6 @@ class Simulator:
         return AllOf(self, events)
 
     # ------------------------------------------------------------------ #
-    # tombstone bookkeeping
-
-    def _note_cancel(self) -> None:
-        self._tombstones += 1
 
     def _compact(self) -> None:
         """Drop tombstoned entries and re-heapify (linear time).

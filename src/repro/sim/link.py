@@ -78,17 +78,15 @@ class Link:
         else:
             done_name = f"{self.pipe.name}.{name}"
             gate_name = done_name + ".latency"
-        if self.latency == 0.0:
-            if nbytes > 0:
-                return self.pipe.execute(nbytes, demand=1.0, name=name)
-            return self.sim.schedule(0.0, Event(self.sim, name=done_name))
         done = Event(self.sim, name=done_name)
+        if self.latency == 0.0:
+            self.pipe._submit(nbytes, 1.0, done)
+            return done
 
         def start(_: Event) -> None:
-            stream = self.pipe.execute(nbytes, demand=1.0, name=name)
-            stream.add_callback(lambda ev: done.succeed())
+            self.pipe._submit(nbytes, 1.0, done)
 
         gate = Event(self.sim, name=gate_name)
-        gate.add_callback(start)
+        gate.callbacks = [start]
         self.sim.schedule(self.latency, gate)
         return done

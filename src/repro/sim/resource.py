@@ -17,13 +17,16 @@ on *why* parallel pipelines help and when they stop helping.
 
 Completion times are recomputed lazily: whenever membership changes, the
 remaining work of every active task is decayed by the elapsed time at the
-old rates and a fresh completion event is scheduled for the new earliest
-finisher.  Stale completion events are recognized by generation counters.
+old rates and a fresh completion tick is scheduled for the new earliest
+finisher.  A resource holds at most one live tick: arming a new one (or
+going idle / frozen) ``cancel()``s the pending one, an O(1) tombstone the
+event loop drops at pop time, so a superseded tick never fires.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 
 from repro.sim.events import Event, Simulator
 
@@ -57,7 +60,8 @@ class SharedResource:
         self.name = name
         self._active: list[_ActiveTask] = []
         self._last_update = 0.0
-        self._generation = 0
+        # The one pending completion tick (None while idle or frozen).
+        self._tick: Event | None = None
         self._frozen = False
         self._tick_name = f"{name}.tick"
         # Completion-event names, composed once per distinct task label:
@@ -81,17 +85,24 @@ class SharedResource:
             full_name = f"{self.name}.{name}"
             self._task_names[name] = full_name
         done = Event(self.sim, name=full_name)
+        self._submit(work, demand, done)
+        return done
+
+    def _submit(self, work: float, demand: float, done: Event) -> None:
+        """Fire ``done`` once ``work`` units have been served at ``demand``."""
         if work == 0:
             self.sim.schedule(0.0, done)
-            return done
+            return
         self._settle()
         self._active.append(_ActiveTask(work_left=work, demand=demand, done=done))
         self._reschedule()
-        return done
 
     @property
     def current_demand(self) -> float:
-        """Total granted demand right now (the utilization in [0, 1])."""
+        """Total granted demand right now (the utilization in [0, 1]);
+        0 while frozen, like :attr:`utilization_steps`."""
+        if self._frozen:
+            return 0.0
         total = sum(t.demand for t in self._active)
         return min(total, 1.0)
 
@@ -149,95 +160,98 @@ class SharedResource:
 
     def _reschedule(self) -> None:
         """Recompute rates, complete any finished tasks, arm next event."""
-        # Fast path: exactly one live, unfinished task — the overwhelmingly
-        # common shape on pipeline compute resources.  Same arithmetic as
-        # the general path below (scale is 1.0 since demand <= 1, and
-        # ``d * 1.0 * c`` is bitwise ``d * c``), so results are identical.
         active = self._active
         if len(active) == 1:
             task = active[0]
             if task.work_left > self._finish_eps:
-                total_demand = task.demand
+                # Fast path: exactly one live, unfinished task — the
+                # overwhelmingly common shape on pipeline compute resources.
+                # Same arithmetic as the general path below (scale is 1.0
+                # since demand <= 1, and ``d * 1.0 * c`` is bitwise
+                # ``d * c``), so results are identical.
                 if self._frozen:
                     task.rate = 0.0
                     util = 0.0
                 else:
                     task.rate = task.demand * self.capacity
-                    util = total_demand
+                    util = task.demand
                 steps = self.utilization_steps
                 if abs(util - steps[-1][1]) > 1e-12:
                     steps.append((self.sim.now, util))
-                self._generation += 1
-                if self._frozen:
-                    return
-                sim = self.sim
-                tick = Event(sim, name=self._tick_name)
-                tick.value = self._generation
-                tick.callbacks = [self._tick_cb]
-                sim._seq += 1
-                heapq.heappush(
-                    sim._heap,
-                    (sim.now + task.work_left / task.rate, sim._seq, tick),
-                )
+                if self._tick is not None:
+                    self._tick.cancel()
+                    self._tick = None
+                if not self._frozen:
+                    self._arm(task.work_left / task.rate)
                 return
-        # Complete tasks whose work is (numerically) exhausted.  One pass,
-        # identity-partitioned: each task has its own completion event, so
-        # this is exactly the old two-listcomp membership split.
-        threshold = self._finish_eps
-        active = self._active
-        kept: list[_ActiveTask] = []
-        finished: list[_ActiveTask] = []
-        for task in active:
-            if task.work_left <= threshold:
-                finished.append(task)
-            else:
-                kept.append(task)
-        if finished:
-            self._active = active = kept
-            for task in finished:
-                if not task.done.triggered:
-                    task.done.succeed()
+            # Fast path: the lone task just finished.  The general path's
+            # partition without its lists; ``succeed()`` may submit new
+            # tasks, which land in the fresh ``active`` list.
+            self._active = active = []
+            if not task.done.triggered:
+                task.done.succeed()
+        else:
+            threshold = self._finish_eps
+            for task in active:
+                if task.work_left <= threshold:
+                    active = self._complete_finished(threshold)
+                    break
 
         total_demand = 0.0
         for task in active:
             total_demand += task.demand
-        scale = 1.0 if total_demand <= 1.0 else 1.0 / total_demand
-        if self._frozen:
+        frozen = self._frozen
+        util = 0.0 if frozen else (total_demand if total_demand <= 1.0 else 1.0)
+        steps = self.utilization_steps
+        if abs(util - steps[-1][1]) > 1e-12 or not active:
+            steps.append((self.sim.now, util))
+        if self._tick is not None:
+            self._tick.cancel()  # superseded by this membership change
+            self._tick = None
+        if frozen:
             for task in active:
                 task.rate = 0.0
-        else:
-            capacity = self.capacity
-            for task in active:
-                task.rate = task.demand * scale * capacity
-
-        util = 0.0 if self._frozen else (total_demand if total_demand <= 1.0 else 1.0)
-        if abs(util - self.utilization_steps[-1][1]) > 1e-12 or not active:
-            self.utilization_steps.append((self.sim.now, util))
-
-        self._generation += 1
-        if not active or self._frozen:
-            return  # frozen: no completion event until unfreeze
-        soonest = active[0].work_left / active[0].rate
+            return  # no completion event until unfreeze
+        if not active:
+            return
+        # Rates and the earliest finisher in one pass.
+        scale = 1.0 if total_demand <= 1.0 else 1.0 / total_demand
+        capacity = self.capacity
+        soonest = math.inf
         for task in active:
-            left = task.work_left / task.rate
+            task.rate = rate = task.demand * scale * capacity
+            left = task.work_left / rate
             if left < soonest:
                 soonest = left
-        # The tick carries its generation in ``value`` (the run loop fires
-        # events with ``succeed(event.value)``, so it survives) — this
-        # avoids a fresh closure per reschedule on the hottest path.
+        self._arm(soonest if soonest >= 0.0 else 0.0)
+
+    def _complete_finished(self, threshold: float) -> list[_ActiveTask]:
+        """Drop tasks whose work is (numerically) exhausted and fire their
+        events; returns the kept list, which is now ``self._active``."""
+        kept: list[_ActiveTask] = []
+        finished: list[_ActiveTask] = []
+        for task in self._active:
+            if task.work_left <= threshold:
+                finished.append(task)
+            else:
+                kept.append(task)
+        self._active = kept
+        for task in finished:
+            if not task.done.triggered:
+                task.done.succeed()
+        return kept
+
+    def _arm(self, delay: float) -> None:
+        """Schedule the resource's one live completion tick."""
         sim = self.sim
         tick = Event(sim, name=self._tick_name)
-        tick.value = self._generation
         tick.callbacks = [self._tick_cb]
         sim._seq += 1
-        heapq.heappush(
-            sim._heap,
-            (sim.now + (soonest if soonest >= 0.0 else 0.0), sim._seq, tick),
-        )
+        heapq.heappush(sim._heap, (sim.now + delay, sim._seq, tick))
+        self._tick = tick
 
     def _on_tick_event(self, tick: Event) -> None:
-        if tick.value != self._generation:
-            return  # superseded by a later membership change
+        self._tick = None
         self._settle()
         self._reschedule()
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import AvgPipe, GuidelineTuner, ProfilingTuner, TraversalTuner
+from repro.core.profiler import Profiler
 from repro.core.simcfg import calibration_for
 from repro.core.tuner import default_m_candidates
 from repro.baselines import BASELINE_SYSTEMS, choose_baseline_micro, simulate_baseline
@@ -108,6 +109,78 @@ class TestAvgPipeFacade:
         system, plan = gnmt_plan
         trainer = system.trainer(plan, max_epochs=1)
         assert trainer.num_pipelines == plan.num_pipelines
+
+
+_RUN_FIELDS = (
+    "batch_time", "total_time", "decomposition", "peak_memory",
+    "comm_sent_time", "avg_utilization",
+)
+
+
+@pytest.fixture
+def count_run_setting(monkeypatch):
+    """A list that grows by one entry per ``Profiler.run_setting`` call."""
+    calls = []
+    original = Profiler.run_setting
+
+    def counted(self, *args, **kwargs):
+        calls.append((args, kwargs))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Profiler, "run_setting", counted)
+    return calls
+
+
+class TestSimulateReusesTheTunersRun:
+    """``plan()`` keeps the tuner's simulation of an advance-0 winner and
+    ``simulate(plan)`` returns it; the numbers are those of a fresh run."""
+
+    @pytest.fixture(scope="class")
+    def plans(self):
+        out = {}
+        for model in ("gnmt", "bert", "awd"):
+            system = AvgPipe(model)
+            out[model] = (system, system.plan())
+        return out
+
+    @pytest.mark.parametrize("model", ["gnmt", "bert", "awd"])
+    def test_simulate_equals_a_fresh_simulation(self, plans, model):
+        system, plan = plans[model]
+        reused = system.simulate(plan)
+        fresh = system.simulate_config(plan.num_micro, plan.num_pipelines, plan.advance)
+        for name in _RUN_FIELDS:
+            assert getattr(reused, name) == getattr(fresh, name), name
+
+    def test_gnmt_plan_keeps_the_tuners_run(self, plans):
+        system, plan = plans["gnmt"]
+        assert plan.advance == 0
+        assert system.simulate(plan) is plan.measured_run
+
+    @pytest.mark.parametrize("kwargs", [{"iterations": 2}, {"render_timeline": True}])
+    def test_other_calls_simulate_fresh(self, plans, count_run_setting, kwargs):
+        system, plan = plans["gnmt"]
+        result = system.simulate(plan, **kwargs)
+        assert result is not plan.measured_run
+        assert len(count_run_setting) == 1
+
+    def test_gnmt_plan_and_simulate_run_one_setting_fewer(self, count_run_setting):
+        system = AvgPipe("gnmt")
+        plan = system.plan()
+        system.simulate(plan)
+        reused = len(count_run_setting)
+        # what simulate(plan) cost before: a fresh run of the same setting
+        system.simulate_config(plan.num_micro, plan.num_pipelines, plan.advance)
+        assert reused == len(count_run_setting) - 1
+        assert system.simulate(plan) is plan.measured_run
+
+    def test_copied_plan_simulates_fresh(self, plans, count_run_setting):
+        import dataclasses
+
+        system, plan = plans["gnmt"]
+        copy = dataclasses.replace(plan)
+        assert copy == plan and copy.measured_run is None
+        system.simulate(copy)
+        assert len(count_run_setting) == 1
 
 
 class TestBaselineHelpers:

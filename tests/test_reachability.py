@@ -57,8 +57,6 @@ ALLOWLIST = {
     "repro.resilience.recovery.RejoinPipeline":
         "roadmap: item 2's non-finite quarantine ladder rejoins "
         "quarantined pipelines through it",
-    "repro.sim.events.Event.cancel":
-        "roadmap: item 4 tombstones superseded resource ticks with it",
 }
 
 

@@ -176,3 +176,45 @@ class TestFaultInjector:
         # All activation memory was returned by survivors AND the victim.
         for device in cluster.devices:
             assert device.memory.by_tag.get("activations", 0) == 0
+
+
+def test_current_demand_matches_utilization_steps_across_faults():
+    # A frozen resource grants nothing: its live demand gauge must agree
+    # with the utilization step function, not report the queued demand.
+    from repro.sim import SharedResource
+
+    sim = Simulator()
+    res = SharedResource(sim, capacity=2.0)
+    seen = []
+
+    def check(_=None):
+        seen.append(res.current_demand)
+        assert res.current_demand == res.utilization_steps[-1][1]
+
+    res.execute(4.0, demand=0.5)
+    res.execute(6.0, demand=0.75)
+    check()
+    for at, change in (
+        (0.5, res.freeze),
+        (1.0, lambda: res.set_capacity(4.0)),
+        (1.5, res.unfreeze),
+        (2.0, lambda: res.set_capacity(1.0)),
+        (2.5, res.freeze),
+        (3.0, res.unfreeze),
+    ):
+        sim.timeout(at).add_callback(lambda _, change=change: (change(), check()))
+    sim.run()
+    check()
+    assert seen == [1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0]
+
+
+def test_crashed_device_telemetry_reports_zero_utilization():
+    sim = Simulator()
+    cluster = make_cluster(sim, 1, spec=ClusterSpec(nodes=1, gpus_per_node=1))
+    device = cluster.devices[0]
+    device.run_kernel(1e12, micro_batch_size=4)
+    assert device.telemetry()["utilization"] > 0.0
+    device.fail()
+    assert device.telemetry()["utilization"] == 0.0
+    device.restore()
+    assert device.telemetry()["utilization"] == device.compute.utilization_steps[-1][1] > 0.0

@@ -206,3 +206,34 @@ def test_run_until_process_deadlocks_when_only_tombstones_remain():
     sim.timeout(1.0).cancel()
     with pytest.raises(RuntimeError, match="deadlock"):
         sim.run_until_process(proc)
+
+
+# --------------------------------------------------------------------- #
+# superseded resource ticks
+
+
+def test_run_clock_ignores_superseded_tick_after_freeze():
+    # A frozen resource cancels its pending completion tick, so run()
+    # ends at the last live event (the freeze at t=1), not at the
+    # superseded tick's t=10 where a popped-and-ignored tick used to
+    # leave the clock.
+    from repro.sim import SharedResource
+
+    sim = Simulator()
+    res = SharedResource(sim, capacity=1.0)
+    res.execute(10.0, demand=1.0)
+    sim.timeout(1.0).add_callback(lambda _: res.freeze())
+    assert sim.run() == 1.0
+
+
+def test_run_clock_ignores_superseded_tick_after_raised_capacity():
+    # Raising capacity at t=1 re-arms the completion at 1 + 9/2 = 5.5 and
+    # cancels the tick at 10: the clock stops at the completion.
+    from repro.sim import SharedResource
+
+    sim = Simulator()
+    res = SharedResource(sim, capacity=1.0)
+    done = res.execute(10.0, demand=1.0)
+    sim.timeout(1.0).add_callback(lambda _: res.set_capacity(2.0))
+    assert sim.run() == 5.5
+    assert done.triggered
