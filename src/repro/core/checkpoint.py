@@ -39,31 +39,6 @@ def _flatten(prefix: str, state: dict) -> dict[str, np.ndarray]:
     return out
 
 
-def _model_rng_states(model) -> list[dict]:
-    """Every submodule RNG's bit-generator state, in traversal order.
-
-    Dropout/weight-drop streams are part of the training trajectory; a
-    deterministic restart-from-checkpoint must resume them mid-stream,
-    not re-seed them."""
-    return [
-        module._rng.bit_generator.state
-        for layer in model.layers
-        for module in layer.modules()
-    ]
-
-
-def _restore_model_rngs(model, states: list[dict]) -> None:
-    modules = [m for layer in model.layers for m in layer.modules()]
-    if len(modules) != len(states):
-        raise ValueError(
-            f"checkpoint has {len(states)} RNG streams, model has {len(modules)} modules"
-        )
-    for module, state in zip(modules, states):
-        rng = np.random.default_rng()
-        rng.bit_generator.state = state
-        object.__setattr__(module, "_rng", rng)
-
-
 def save_trainer(trainer: AvgPipeTrainer, path: str | pathlib.Path) -> None:
     """Serialize an AvgPipe trainer's full training state to ``path``."""
     path = pathlib.Path(path)
@@ -71,22 +46,22 @@ def save_trainer(trainer: AvgPipeTrainer, path: str | pathlib.Path) -> None:
     arrays: dict[str, np.ndarray] = {}
     round_state = framework.round_state()
     accumulated, queued = round_state.pop("accumulated"), round_state.pop("queued")
+    pipelines = [trainer.pipeline_state(i) for i in range(trainer.num_pipelines)]
     manifest = {
         "format": _FORMAT_VERSION,
         "num_pipelines": trainer.num_pipelines,
-        "optimizer_lrs": [opt.lr for opt in trainer.optimizers],
-        "rng": [_model_rng_states(m) for m in trainer.models],
+        "optimizer_lrs": [state["optimizer"]["lr"] for state in pipelines],
+        "rng": [state["rng"] for state in pipelines],
         **round_state,
     }
-    for i, model in enumerate(trainer.models):
-        arrays.update(_flatten(f"model{i}", model.state_dict()))
+    for i, state in enumerate(pipelines):
+        arrays.update(_flatten(f"model{i}", state["model"]))
     arrays.update(_flatten("reference", framework.reference))
     arrays.update(_flatten("accumulated", accumulated))
     for j, delta in enumerate(queued):
         arrays.update(_flatten(f"queue{j}", delta))
-    for i, opt in enumerate(trainer.optimizers):
-        opt_state = opt.state_dict()
-        for slot, entry in opt_state["state"].items():
+    for i, state in enumerate(pipelines):
+        for slot, entry in state["optimizer"]["state"].items():
             for key, value in entry.items():
                 arrays[f"opt{i}/{slot}/{key}"] = np.asarray(value)
     arrays["__manifest__"] = np.frombuffer(
@@ -134,8 +109,6 @@ def load_trainer(
                 key[len(prefix):]: data[key] for key in data.files if key.startswith(prefix)
             }
 
-        for i, model in enumerate(trainer.models):
-            model.load_state_dict(section(f"model{i}/"))
         for name, value in section("reference/").items():
             framework.reference[name] = value.copy()
         framework.load_round_state({
@@ -143,18 +116,17 @@ def load_trainer(
             "accumulated": section("accumulated/"),
             "queued": [section(f"queue{j}/") for j in range(len(manifest["queue_visible_at"]))],
         })
-        for i, opt in enumerate(trainer.optimizers):
-            prefix = f"opt{i}/"
+        rngs = manifest.get("rng")  # v1 checkpoints carry no RNG streams
+        for i in range(trainer.num_pipelines):
             entries: dict[int, dict] = {}
-            for key in data.files:
-                if not key.startswith(prefix):
-                    continue
-                _, slot, field = key.split("/", 2)
-                value = data[key]
+            for key, value in section(f"opt{i}/").items():
+                slot, field = key.split("/", 1)
                 entries.setdefault(int(slot), {})[field] = (
                     value.item() if value.ndim == 0 else value
                 )
-            opt.load_state_dict({"lr": manifest["optimizer_lrs"][i], "state": entries})
-        for model, states in zip(trainer.models, manifest.get("rng", [])):
-            _restore_model_rngs(model, states)
+            trainer.load_pipeline_state(i, {
+                "model": section(f"model{i}/"),
+                "optimizer": {"lr": manifest["optimizer_lrs"][i], "state": entries},
+                "rng": rngs[i] if rngs is not None else None,
+            })
     return trainer

@@ -99,7 +99,7 @@ class ElasticAveragingFramework:
         # their parameters in __init__), so the flat layout is computed
         # once here and redone only in _discard_round.
         self.recenter()
-        #: optional repro.obs MetricRegistry: commit() publishes the RMS
+        #: optional repro.obs MetricRegistry: dilute() publishes the RMS
         #: magnitude of each α-pull and reference_step() the RMS of each
         #: applied reference update.  Telemetry is read off the flat
         #: vectors *after* the arithmetic, so instrumented and bare runs
@@ -235,14 +235,15 @@ class ElasticAveragingFramework:
             casting="no",
         )
 
-    def commit(self, index: int, before: np.ndarray) -> None:
-        """After the optimizer step: compute Δ, dilute, post (steps 2-3).
+    def dilute(self, index: int, before: np.ndarray) -> np.ndarray:
+        """After the optimizer step: compute Δ and dilute (steps 1-2).
 
-        Δ and the dilution are elementwise, so running them over the
-        concatenated vectors is bitwise identical to a per-parameter
-        loop (the independent ``ElasticOracle`` checks exactly that).  A
-        parameter whose dtype drifted since the layout was fixed raises
-        ``TypeError`` at the gather.
+        Returns Δ for step 3's post.  Δ and the dilution are elementwise,
+        so running them over the concatenated vectors is bitwise
+        identical to a per-parameter loop (the independent
+        ``ElasticOracle`` checks exactly that).  A parameter whose dtype
+        drifted since the layout was fixed raises ``TypeError`` at the
+        gather.
         """
         alpha = self.alpha
         params = self._params[index]
@@ -255,7 +256,6 @@ class ElasticAveragingFramework:
         diluted = self._keep + self._pull
         for p, (_, start, end, shape) in zip(params, self._layout):
             p.data = diluted[start:end].reshape(shape)
-        self.queue.put(delta)
         if self._tracking():
             move = diluted.astype(np.float64) - data
             self.registry.counter("elastic.commits", model=index).inc()
@@ -263,6 +263,11 @@ class ElasticAveragingFramework:
                 "elastic.pull_rms", buckets=_RMS_BUCKETS, model=index
             ).observe(float(np.sqrt(np.mean(move**2))))
             self.registry.gauge("elastic.alpha").set(alpha)
+        return delta
+
+    def commit(self, index: int, before: np.ndarray) -> None:
+        """Steps 1-3: :meth:`dilute`, then post Δ to the reference's queue."""
+        self.queue.put(self.dilute(index, before))
 
     # ------------------------------------------------------------------ #
     # reference-side steps

@@ -19,7 +19,8 @@ systems is purely how weights evolve:
   once all N arrive.  Evaluation reads the reference model.  Its
   ``step`` / ``end_round`` / ``evaluate`` are the one implementation of
   the round; the chaos harness and the scheduler cross-check drive them
-  too.
+  too, and ``train()`` runs the round's pipelines in forked workers
+  with bitwise the same result.
 
 Every trainer runs the one epoch loop in ``_TrainerBase.train`` and
 supplies only its per-batch update and its evaluation, so the comparison
@@ -29,7 +30,10 @@ same per-epoch evaluation.
 
 from __future__ import annotations
 
+import os
+import traceback
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -39,6 +43,9 @@ from repro.core.simcfg import calibration_for
 from repro.data import dataset
 from repro.models.registry import WorkloadSpec
 from repro.schedules.base import AdvanceFPSchedule, PipeDreamSchedule
+
+if TYPE_CHECKING:
+    import multiprocessing.connection
 
 __all__ = [
     "TrainResult",
@@ -219,6 +226,14 @@ class AvgPipeTrainer(_TrainerBase):
     ``schedule``'s stash bound allows; the numerics are bitwise those
     of one micro-batch at a time in schedule order.  ``num_micro`` and
     ``schedule`` need a ``partition``.
+
+    :meth:`train` runs the N pipelines at once, as the paper's processes
+    do: given more than one CPU and a single-threaded process (BLAS
+    included, e.g. ``OPENBLAS_NUM_THREADS=1``) it steps pipelines
+    1..N−1 in forked workers (:class:`_PipelinePool`) and pulls their
+    state back when it returns.  :meth:`step` and :meth:`end_round` are the in-process
+    round it matches bit for bit; outside ``train()`` this process's
+    state is authoritative.
     """
 
     system = "avgpipe"
@@ -278,6 +293,7 @@ class AvgPipeTrainer(_TrainerBase):
         self.loader = spec.make_train_loader(spec.batch_size, seed)
         self.eval_template = spec.build_model()
         self.runners = None
+        self._pool: _PipelinePool | None = None  # set for the length of a train() call
         self._partition = partition
         self._schedule = schedule
         if partition is not None:
@@ -340,6 +356,12 @@ class AvgPipeTrainer(_TrainerBase):
         elastic Δ.  Returns the batch loss (mean over micro-batches in the
         faithful path).
         """
+        return self._local_step(pos, batch, self.framework.commit)[0]
+
+    def _local_step(self, pos: int, batch: dict[str, np.ndarray], finish):
+        """:meth:`step`'s body, ended by ``finish(pos, before)``:
+        ``framework.commit`` here, ``framework.dilute`` in a pool worker,
+        whose parent posts the Δ.  Returns (loss, ``finish``'s result)."""
         before = self.framework.capture(pos)
         if self.runners is None:
             model = self.models[pos]
@@ -353,11 +375,11 @@ class AvgPipeTrainer(_TrainerBase):
         opt = self.optimizers[pos]
         opt.clip_grad_norm(GRAD_CLIP)
         opt.step()
-        self.framework.commit(pos, before)
+        finished = finish(pos, before)
         if self.telemetry is not None:
             self.telemetry.record_loss(pos, loss)
             self.telemetry.record_samples(len(next(iter(batch.values()))))
-        return loss
+        return loss, finished
 
     def end_round(self) -> None:
         """Close the round: the reference applies the committed deltas."""
@@ -373,17 +395,266 @@ class AvgPipeTrainer(_TrainerBase):
             self.telemetry.record_eval(self.spec.metric_name, metric)
         return metric
 
+    # ------------------------------------------------------------------ #
+    # per-pipeline state: checkpoints and the pool's pull-back use this pair
+
+    def pipeline_state(self, pos: int) -> dict:
+        """Pipeline ``pos``'s own training state, copied: ``model``
+        weights, ``optimizer`` state (lr included) and ``rng``, every
+        module's bit-generator state in traversal order (dropout and
+        weight-drop streams are part of the trajectory, so a restart
+        resumes them mid-stream rather than re-seeding them)."""
+        model = self.models[pos]
+        return {
+            "model": model.state_dict(),
+            "optimizer": self.optimizers[pos].state_dict(),
+            "rng": [module._rng.bit_generator.state for module in _rng_modules(model)],
+        }
+
+    def load_pipeline_state(self, pos: int, state: dict) -> None:
+        """Restore what :meth:`pipeline_state` returned; an ``rng`` of
+        None (a v1 checkpoint) leaves the streams as they are."""
+        model = self.models[pos]
+        model.load_state_dict(state["model"])
+        self.optimizers[pos].load_state_dict(state["optimizer"])
+        if state["rng"] is None:
+            return
+        modules = _rng_modules(model)
+        if len(modules) != len(state["rng"]):
+            raise ValueError(
+                f"state has {len(state['rng'])} RNG streams, model has {len(modules)} modules"
+            )
+        for module, rng_state in zip(modules, state["rng"]):
+            rng = np.random.default_rng()
+            rng.bit_generator.state = rng_state
+            object.__setattr__(module, "_rng", rng)
+
+    # ------------------------------------------------------------------ #
+    # the epoch loop
+
+    def train(self) -> TrainResult:
+        """Run up to ``max_epochs`` epochs, over :func:`_pool_processes`
+        processes (:class:`_PipelinePool`), bitwise as :meth:`step` and
+        :meth:`end_round` in this one."""
+        processes = _pool_processes(self.num_pipelines)
+        if processes == 1:
+            return super().train()
+        pool = self._pool = _PipelinePool(self, processes)
+        finished = False
+        try:
+            result = super().train()
+            finished = True
+        finally:
+            self._pool = None
+            pool.close(pull_back=finished)
+        return result
+
     def _reset(self) -> None:
-        self._pos = 0  # pipelines that committed in the current round
+        self._round: list[dict[str, np.ndarray]] = []  # batches of the open round
 
     def _update(self, batch: dict[str, np.ndarray]) -> None:
-        self.step(self._pos, batch)
-        self._pos += 1
-        if self._pos == self.num_pipelines:
-            self.end_round()
-            self._pos = 0
+        self._round.append(batch)
+        if len(self._round) == self.num_pipelines:
+            self._close_round()
 
     def _end_epoch(self) -> None:
-        if self._pos:  # ragged tail of the epoch
-            self.end_round()
-            self._pos = 0
+        if self._round:  # ragged tail of the epoch
+            self._close_round()
+
+    def _close_round(self) -> None:
+        if self._pool is None:
+            for pos, batch in enumerate(self._round):
+                self.step(pos, batch)
+        else:
+            self._pool.run_round(self._round)
+        self._round = []
+        self.end_round()
+
+
+def _rng_modules(model) -> list:
+    """Every module of ``model`` that owns an RNG stream, in traversal order."""
+    return [module for layer in model.layers for module in layer.modules()]
+
+
+def _pool_processes(num_pipelines: int) -> int:
+    """One process per CPU this process may run on, up to N; 1 (fork
+    nothing) where the platform cannot say or the process already runs
+    other threads.  Forking a threaded process is unsafe, and a threaded
+    BLAS already spreads its products over the CPUs: forked workers made
+    GNMT N=3 on two CPUs 2.7x slower."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+        threads = len(os.listdir("/proc/self/task"))
+    except (AttributeError, OSError):  # not Linux
+        return 1
+    return min(num_pipelines, cpus) if threads == 1 else 1
+
+
+class _Worker(NamedTuple):
+    process: multiprocessing.process.BaseProcess
+    conn: multiprocessing.connection.Connection
+    owned: list[int]  # the pipelines it steps
+
+
+class _Failure(NamedTuple):
+    """An exception raised in a worker, shipped to the parent."""
+    pos: int
+    exc: BaseException
+    traceback: str
+
+
+class _RegistryLog:
+    """A worker's stand-in for the telemetry registry: it logs every
+    instrument call, and the parent replays the log on the real registry
+    in pipeline order, so the series match the one-process loop's."""
+
+    enabled = True
+
+    def __init__(self) -> None:
+        self.calls: list[tuple] = []
+
+    def __getattr__(self, kind: str):  # counter / gauge / histogram
+        return lambda *args, **kwargs: _LoggedInstrument(self.calls, (kind, args, kwargs))
+
+
+class _LoggedInstrument:
+    def __init__(self, calls: list, instrument: tuple) -> None:
+        self.calls = calls
+        self.instrument = instrument
+
+    def __getattr__(self, method: str):  # inc / set / observe
+        return lambda *args: self.calls.append((self.instrument, method, args))
+
+
+def _replay(registry, calls: list[tuple]) -> None:
+    for (kind, args, kwargs), method, method_args in calls:
+        getattr(getattr(registry, kind)(*args, **kwargs), method)(*method_args)
+
+
+class _PipelinePool:
+    """Forked workers stepping pipelines 1..N−1 of an
+    :class:`AvgPipeTrainer` for one ``train()`` call, while the parent
+    steps pipeline 0 (``docs/elastic_averaging.md``).
+
+    A round's steps are independent: pipeline ``pos`` reads only its own
+    model, optimizer and RNG streams and the reference, which moves only
+    in ``end_round``.  Per round the parent sends each worker its batches
+    and the reference, and posts the returned Δs in pipeline order.
+    ``fork``, not ``spawn``: workers start from the parent's state, and
+    a workload spec's closures cannot be pickled.
+    """
+
+    def __init__(self, trainer: AvgPipeTrainer, processes: int) -> None:
+        import multiprocessing  # here, not at module level: only a pooled train() pays for it
+
+        self.trainer = trainer
+        self.workers: list[_Worker] = []
+        ctx = multiprocessing.get_context("fork")
+        try:
+            for w in range(1, processes):
+                owned = list(range(w, trainer.num_pipelines, processes - 1))
+                conn, child = ctx.Pipe()
+                process = ctx.Process(target=self._serve, args=(child, owned), daemon=True)
+                process.start()
+                child.close()
+                self.workers.append(_Worker(process, conn, owned))
+        except BaseException:
+            self.close(pull_back=False)
+            raise
+
+    def _serve(self, conn, owned: list[int]) -> None:
+        """A worker's loop, in the forked child."""
+        for earlier in self.workers:  # so only the parent holds their ends
+            earlier.conn.close()
+        trainer = self.trainer
+        framework = trainer.framework
+        log = None
+        if trainer.telemetry is not None and trainer.telemetry.enabled:
+            log = trainer.telemetry.registry = framework.registry = _RegistryLog()
+        while (message := conn.recv()) is not None:
+            jobs, framework.reference = message
+            results = {}
+            for pos, batch in jobs:
+                try:
+                    _, delta = trainer._local_step(pos, batch, framework.dilute)
+                except Exception as exc:
+                    conn.send(_Failure(pos, exc, traceback.format_exc()))
+                    return
+                observed = None
+                if log is not None:
+                    observed = (log.calls, trainer.models[pos].state_dict())
+                    log.calls = []
+                results[pos] = (delta, observed)
+            conn.send(results)
+        conn.send({pos: trainer.pipeline_state(pos) for pos in owned})
+
+    def run_round(self, batches: list[dict[str, np.ndarray]]) -> None:
+        """Step pipeline ``pos`` on ``batches[pos]`` and post the Δs in order."""
+        trainer = self.trainer
+        framework = trainer.framework
+        busy = []
+        for worker in self.workers:
+            jobs = [(pos, batches[pos]) for pos in worker.owned if pos < len(batches)]
+            if jobs:
+                self._send(worker, (jobs, framework.reference))
+                busy.append(worker)
+        trainer.step(0, batches[0])
+        results = {}
+        for worker in busy:
+            results.update(self._receive(worker))
+        for pos in range(1, len(batches)):
+            delta, observed = results[pos]
+            if observed is not None:
+                calls, weights = observed
+                _replay(trainer.telemetry.registry, calls)
+                trainer.models[pos].load_state_dict(weights)
+            framework.queue.put(delta)
+
+    def close(self, pull_back: bool) -> None:
+        """Pull the workers' pipeline states back if ``pull_back``, then
+        reap every worker (killing it unless it finished cleanly)."""
+        clean = False
+        try:
+            if pull_back:
+                for worker in self.workers:
+                    self._send(worker, None)
+                for worker in self.workers:
+                    for pos, state in self._receive(worker).items():
+                        self.trainer.load_pipeline_state(pos, state)
+                clean = True
+        finally:
+            for worker in self.workers:
+                worker.conn.close()
+                if not clean:
+                    worker.process.kill()
+                worker.process.join()
+
+    def _send(self, worker: _Worker, message) -> None:
+        try:
+            worker.conn.send(message)
+        except OSError:  # the worker closed its end: it died
+            self._died(worker)
+
+    def _receive(self, worker: _Worker):
+        from multiprocessing.connection import wait
+
+        wait([worker.conn, worker.process.sentinel])
+        try:
+            reply = worker.conn.recv() if worker.conn.poll() else None
+        except (EOFError, OSError):  # closed mid-message or before one
+            reply = None
+        if reply is None:
+            self._died(worker)
+        if isinstance(reply, _Failure):
+            exc = reply.exc
+            exc.args = (f"pipeline {reply.pos}: {exc}",)
+            raise exc from RuntimeError(f"worker traceback:\n{reply.traceback}")
+        return reply
+
+    @staticmethod
+    def _died(worker: _Worker):
+        worker.process.join(timeout=5.0)
+        raise RuntimeError(
+            f"pipeline(s) {worker.owned}: worker process {worker.process.pid} "
+            f"died (exit code {worker.process.exitcode})"
+        )

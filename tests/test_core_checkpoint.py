@@ -205,8 +205,6 @@ class TestElasticResizeRoundTrip:
             load_trainer(t2, path, allow_resize=True)
 
     def test_rng_streams_round_trip(self, tmp_path):
-        from repro.core.checkpoint import _model_rng_states
-
         spec = tiny_awd_spec()
         t1 = AvgPipeTrainer(spec, seed=0, max_epochs=1, num_pipelines=2)
         t1.train()
@@ -214,5 +212,5 @@ class TestElasticResizeRoundTrip:
         save_trainer(t1, path)
         t2 = AvgPipeTrainer(spec, seed=99, max_epochs=1, num_pipelines=2)
         load_trainer(t2, path)
-        for m1, m2 in zip(t1.models, t2.models):
-            assert _model_rng_states(m1) == _model_rng_states(m2)
+        for i in range(2):
+            assert t1.pipeline_state(i)["rng"] == t2.pipeline_state(i)["rng"]

@@ -2,7 +2,7 @@
 
 * Parameter data is written (an assignment to ``<expr>.data``) only by
   :data:`WRITERS`: the optimizer step, the state-dict load and the
-  elastic commit.  :data:`EXCEPTIONS` lists the code outside the
+  elastic dilution.  :data:`EXCEPTIONS` lists the code outside the
   training path that may write too, one reason each.
 * Nothing writes *into* a ``.data`` array (``<expr>.data[...] = ...``
   or ``out=<expr>.data``): writers rebind, so a backward closure that
@@ -27,7 +27,7 @@ SRC = ROOT / "src" / "repro"
 WRITERS = {
     "repro.optim.optimizer.Optimizer.step",
     "repro.nn.module.Module.load_state_dict",
-    "repro.core.elastic.ElasticAveragingFramework.commit",
+    "repro.core.elastic.ElasticAveragingFramework.dilute",
 }
 
 #: function or module -> why it may assign ``.data`` too
