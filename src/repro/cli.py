@@ -6,7 +6,6 @@
     python -m repro figure fig17              # regenerate one paper figure
     python -m repro timeline --schedule 1f1b  # render a schedule timeline
     python -m repro verify --quick            # oracle + sanitizer + fuzzer
-    python -m repro tune sweep awd --store runs.jsonl  # learned-tuner run history
     python -m repro chaos --scenario smoke    # fault injection + recovery
     python -m repro sched --scenario smoke --policy fair  # multi-job elastic scheduler
     python -m repro report --out obs_out      # instrumented run + Chrome trace
@@ -97,7 +96,8 @@ def _cmd_plan_hetero(args: argparse.Namespace) -> int:
         ["micro-batches (M)", outcome.m],
         ["parallel pipelines (N)", outcome.n],
         ["tuning cost (sim s)", round(outcome.tuning_cost, 3)],
-        ["time per batch (ms)", round(outcome.measured_batch_time * 1e3, 2)],
+        ["time per batch (ms)",
+         round(outcome.measured_batch_time / max(outcome.n, 1) * 1e3, 2)],
     ]
     print(
         format_table(
@@ -176,7 +176,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         "fig18": exp.run_fig18,
         "fig19": exp.run_fig19,
         "hetero": exp.run_hetero,
-        "tune-learned": exp.run_tune_learned,
     }
     if args.name not in registry:
         print(f"unknown figure {args.name!r}; available: {', '.join(sorted(registry))}")
@@ -294,146 +293,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"verify: FAILED with {failures} violation(s)")
         return 1
     print("verify: all checks passed")
-    return 0
-
-
-def _tune_profiler(args: argparse.Namespace):
-    """The profiler `repro tune` measures against: uniform or hetero."""
-    from repro.core.simcfg import calibration_for
-    from repro.schedules import AdvanceFPSchedule
-
-    if args.hetero:
-        from repro.experiments.fig18_19_tuning import variant_profiler
-
-        return variant_profiler(args.workload, args.hetero)
-    return calibration_for(args.workload).profiler(AdvanceFPSchedule(2))
-
-
-def _cmd_tune(args: argparse.Namespace) -> int:
-    """Learned-tuner run store: record / predict / sweep subcommands."""
-    from repro.core.simcfg import calibration_for
-    from repro.tune import RunStore, StoreError
-    from repro.utils import format_table
-
-    profiler = _tune_profiler(args)
-    cal = calibration_for(args.workload)
-    budget = args.memory_mib * MIB if args.memory_mib else None
-    if args.hetero:
-        caps = profiler.cluster_spec.memory_vector()
-        limits = [min(budget, c) for c in caps] if budget else list(caps)
-    else:
-        limits = budget if budget else float(cal.memory_capacity_bytes)
-    try:
-        store = RunStore(args.store) if args.store else None
-    except StoreError as exc:
-        print(f"tune: cannot load run store: {exc}")
-        return 2
-    where = f" on {args.hetero}" if args.hetero else ""
-
-    if args.action == "record":
-        from repro.tune import record_run
-
-        record = record_run(
-            profiler,
-            args.micro,
-            args.pipelines,
-            store=store,
-            workload=args.workload,
-            iterations=args.iterations,
-        )
-        rows = [
-            ["fingerprint", record.fingerprint],
-            ["setting (M, N)", f"({record.m}, {record.n})"],
-            ["predicted ms/batch", round(record.predicted_batch_time * 1e3, 3)],
-            ["measured ms/batch",
-             "OOM" if record.oom else round(record.measured_batch_time * 1e3, 3)],
-            ["predicted peak MiB", round(record.predicted_peak_bytes / MIB, 1)],
-            ["measured peak MiB",
-             "OOM" if record.oom else round(record.measured_peak_bytes / MIB, 1)],
-        ]
-        print(format_table(["field", "value"],
-                           rows, title=f"tune record — {args.workload}{where}"))
-        if store is not None:
-            print(f"appended to {store.path} ({len(store)} records)")
-        else:
-            print("not persisted — pass --store to keep the record")
-        return 0
-
-    if args.action == "predict":
-        from repro.core.tuner import ProfilingTuner
-
-        n_candidates = list(range(1, args.max_pipelines + 1))
-        outcome = ProfilingTuner(
-            profiler, limits, history=store, workload=args.workload
-        ).tune(n_candidates=n_candidates)
-        rows = [
-            ["micro-batches (M)", outcome.m],
-            ["parallel pipelines (N)", outcome.n],
-            ["tuning cost (sim s)", round(outcome.tuning_cost, 3)],
-            ["time per batch (ms)",
-             round(outcome.measured_batch_time / max(outcome.n, 1) * 1e3, 2)],
-            ["records consulted", outcome.records_consulted],
-            ["residual applied", "yes" if outcome.residual_applied else "no"],
-        ]
-        if outcome.residual_applied and outcome.analytic_setting is not None:
-            rows.append(["analytic would pick", str(outcome.analytic_setting)])
-        print(format_table(["metric", "value"],
-                           rows, title=f"tune predict — {args.workload}{where}"))
-        if args.expect_identical:
-            baseline = ProfilingTuner(profiler, limits).tune(
-                n_candidates=n_candidates
-            )
-            same = (
-                (outcome.m, outcome.n) == (baseline.m, baseline.n)
-                and outcome.measured_batch_time == baseline.measured_batch_time
-                and outcome.tuning_cost == baseline.tuning_cost
-            )
-            if not same:
-                print("tune predict: DIVERGED from the analytic tuner "
-                      f"((({outcome.m}, {outcome.n})) vs (({baseline.m}, {baseline.n}))) "
-                      "although --expect-identical was set")
-                return 1
-            print("tune predict: identical to the analytic tuner (as expected)")
-        return 0
-
-    # action == "sweep": measure the whole grid, seed the store
-    from repro.experiments.fig18_19_tuning import (
-        LEARNED_M_CANDIDATES,
-        LEARNED_N_CANDIDATES,
-        oracle_sweep,
-    )
-
-    m_grid = tuple(args.micro) if args.micro else LEARNED_M_CANDIDATES
-    n_grid = tuple(range(1, args.max_pipelines + 1)) if args.max_pipelines else LEARNED_N_CANDIDATES
-    oracle, records = oracle_sweep(
-        profiler,
-        workload=args.workload,
-        m_candidates=m_grid,
-        n_candidates=n_grid,
-        iterations=args.iterations,
-    )
-    best = min((v for v in oracle.values() if v != float("inf")), default=None)
-    rows = []
-    for (m, n), record in sorted(records.items()):
-        measured = oracle[(m, n)]
-        rows.append([
-            m,
-            n,
-            round(record.predicted_batch_time * 1e3, 3),
-            "OOM" if record.oom else round(measured * 1e3, 3),
-            "-" if record.oom else round(measured / record.predicted_batch_time, 3),
-            "*" if measured == best else "",
-        ])
-        if store is not None:
-            store.append(record)
-    print(format_table(
-        ["M", "N", "predicted ms", "measured ms", "ratio", "best"],
-        rows,
-        title=f"tune sweep — {args.workload}{where}",
-    ))
-    if store is not None:
-        print(f"appended {len(records)} records to {store.path} "
-              f"({len(store)} total)")
     return 0
 
 
@@ -689,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("figure", help="regenerate one paper figure")
-    p.add_argument("name", help="fig02, fig07, fig11..fig19, hetero, tune-learned")
+    p.add_argument("name", help="fig02, fig07, fig11..fig19, hetero")
     p.set_defaults(fn=_cmd_figure)
 
     p = sub.add_parser("timeline", help="render a schedule timeline")
@@ -712,52 +571,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sched-fuzz", type=int, default=None, metavar="N",
                    help="number of fuzzed multi-job scheduler clusters "
                         "(default: 9, or 3 with --quick; 0 disables)")
-    p.add_argument("--tune-fuzz", type=int, default=None, metavar="N",
-                   help="number of fuzzed learned-tuner run stores "
-                        "(default: 5, or 2 with --quick; 0 disables)")
     p.add_argument("--inject", default="none",
                    choices=["none", "swapped-bwd", "dropped-bwd", "dup-fwd",
                             "cross-deadlock", "causality"],
                    help="deliberately corrupt a schedule or trace; verify must then fail")
     p.set_defaults(fn=_cmd_verify)
-
-    tune_shared = argparse.ArgumentParser(add_help=False)
-    tune_shared.add_argument("workload", choices=["gnmt", "bert", "awd"])
-    tune_shared.add_argument("--store", default=None, metavar="RUNS.jsonl",
-                             help="run-history store (JSONL; created on first append)")
-    tune_shared.add_argument("--hetero", default=None, metavar="VARIANT",
-                             choices=["mixed-gen", "straggler-node", "asym-links"],
-                             help="measure against a canned heterogeneous cluster")
-    tune_shared.add_argument("--memory-mib", type=float, default=None,
-                             help="memory budget per device")
-
-    p = sub.add_parser("tune", help="learned tuner run store: record / predict / sweep")
-    tsub = p.add_subparsers(dest="action", required=True)
-    tp = tsub.add_parser("record", parents=[tune_shared],
-                         help="run one (M, N) setting and append prediction vs "
-                              "measurement to the store")
-    tp.add_argument("--micro", type=int, required=True, metavar="M",
-                    help="micro-batch count")
-    tp.add_argument("--pipelines", type=int, default=1, metavar="N",
-                    help="parallel pipelines")
-    tp.add_argument("--iterations", type=int, default=3)
-    tp.set_defaults(fn=_cmd_tune)
-    tp = tsub.add_parser("predict", parents=[tune_shared],
-                         help="pick (M, N) with the profiling tuner, consulting "
-                              "the store's records when any match")
-    tp.add_argument("--max-pipelines", type=int, default=4)
-    tp.add_argument("--expect-identical", action="store_true",
-                    help="also run the analytic tuner and exit non-zero if the "
-                         "learned decision diverges (CI gate for empty stores)")
-    tp.set_defaults(fn=_cmd_tune)
-    tp = tsub.add_parser("sweep", parents=[tune_shared],
-                         help="measure the whole (M, N) grid and seed the store")
-    tp.add_argument("--micro", type=int, nargs="+", default=None, metavar="M",
-                    help="micro-batch grid (default: 1 2 4 8)")
-    tp.add_argument("--max-pipelines", type=int, default=None, metavar="N",
-                    help="pipeline grid 1..N (default: 1 2)")
-    tp.add_argument("--iterations", type=int, default=1)
-    tp.set_defaults(fn=_cmd_tune)
 
     p = sub.add_parser("chaos", help="seeded fault injection + recovery scenarios")
     p.add_argument("--scenario", default="smoke",

@@ -27,7 +27,6 @@ from repro.sim.cluster import ClusterSpec
 
 if TYPE_CHECKING:
     from repro.schedules.executor import SimIterationResult
-    from repro.tune.store import RunStore
 
 __all__ = [
     "TuningOutcome",
@@ -52,14 +51,6 @@ class TuningOutcome:
     partition: tuple[int, ...] | None = None
     #: stage -> device permutation; None = straight chain
     placement: tuple[int, ...] | None = None
-    #: run-history records the learned layer consulted (0 = analytic)
-    records_consulted: int = 0
-    #: whether a residual correction actually re-ranked the grid
-    residual_applied: bool = False
-    #: the analytic winner, for learned-vs-analytic audits
-    analytic_setting: tuple[int, int] | None = None
-    #: the (possibly corrected) Eq.-1 prediction at the chosen setting
-    predicted_batch_time: float | None = None
     #: the run behind ``measured_batch_time`` (ProfilingTuner only), kept
     #: so a caller that wants it does not simulate the same setting again
     measured_run: SimIterationResult | None = field(
@@ -146,78 +137,40 @@ class ProfilingTuner:
     ``memory_limit_bytes`` may be a per-*device* sequence on a
     heterogeneous cluster; it is reordered into stage order through the
     profiler's placement before the feasibility check.
-
-    ``history`` (None or a :class:`~repro.tune.store.RunStore`) enables
-    the learned layer; this is the only tuner that reads run history.
-    Recorded runs matching this profiler's configuration re-rank the
-    candidate grid by residual-corrected time
-    (:class:`~repro.tune.residual.LearnedPredictor`).  With no history or
-    no matching records the decision is the analytic one, bit for bit —
-    same calls, same winner.
     """
     def __init__(
         self,
         profiler: Profiler,
         memory_limit_bytes: float | Sequence[float],
-        history: RunStore | None = None,
-        workload: str = "",
     ) -> None:
         self.profiler = profiler
         self.memory_limit = memory_limit_bytes
-        self.history = history
-        self.workload = workload
 
     def tune(
         self,
         m_candidates: list[int] | None = None,
         n_candidates: list[int] | None = None,
         profile_iterations: int = 4,
-        registry=None,
     ) -> TuningOutcome:
         batch = self.profiler.batch_size
         m_candidates = m_candidates or default_m_candidates(batch)
         n_candidates = n_candidates or [1, 2, 3, 4]
         profile: Profile = self.profiler.profile(iterations=profile_iterations)
-        predictor = Predictor(profile)
         limits = _stage_memory_limits(self.profiler, self.memory_limit)
-        # deferred: repro.tune imports repro.core
-        from repro.tune.residual import LearnedPredictor
-        from repro.tune.store import tuner_context
-
-        context = (
-            None
-            if self.history is None
-            else tuner_context(self.profiler, workload=self.workload)
+        winner, predictions = Predictor(profile).best_setting(
+            m_candidates, n_candidates, limits
         )
-        decision = LearnedPredictor(
-            predictor, store=self.history, context=context, workload=self.workload
-        ).best_setting(m_candidates, n_candidates, limits)
-        winner = decision.winner
-        predicted_time = decision.corrected.get((winner.m, winner.n), winner.batch_time)
         measured_run = self.profiler.run_setting(winner.m, winner.n, iterations=3)
         measured = float("inf") if measured_run.oom is not None else measured_run.batch_time
-        if registry is not None:
-            registry.gauge("tune.records_consulted").set(decision.records_consulted)
-            registry.gauge("tune.residual_applied").set(
-                1.0 if decision.residual_applied else 0.0
-            )
-            registry.gauge("tune.predicted_batch_time").set(predicted_time)
-            # per-batch, same unit as the Eq.-1 prediction (an iteration
-            # advances n concurrent batches)
-            registry.gauge("tune.measured_batch_time").set(measured / winner.n)
         outcome = TuningOutcome(
             method="profiling",
             m=winner.m,
             n=winner.n,
             tuning_cost=profile.profiling_cost,
             measured_batch_time=measured,
-            details=decision.predictions,
+            details=predictions,
             partition=self.profiler.partition.boundaries,
             placement=self.profiler.placement,
-            records_consulted=decision.records_consulted,
-            residual_applied=decision.residual_applied,
-            analytic_setting=(decision.analytic_winner.m, decision.analytic_winner.n),
-            predicted_batch_time=predicted_time,
         )
         outcome.measured_run = measured_run
         return outcome

@@ -21,7 +21,7 @@ from repro.experiments.fig14_statistical import run_fig14
 from repro.experiments.fig15_batch_sweep import run_fig15
 from repro.experiments.fig16_util_curves import run_fig16
 from repro.experiments.fig17_schedules import run_fig17
-from repro.experiments.fig18_19_tuning import run_fig18, run_fig19, run_tune_learned
+from repro.experiments.fig18_19_tuning import run_fig18, run_fig19
 from repro.experiments.fig02_07_timelines import run_fig02, run_fig07
 from repro.experiments.hetero_clusters import run_hetero
 
@@ -40,7 +40,6 @@ __all__ = [
     "run_fig17",
     "run_fig18",
     "run_fig19",
-    "run_tune_learned",
     "run_fig02",
     "run_fig07",
     "run_hetero",

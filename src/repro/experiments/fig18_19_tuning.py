@@ -8,26 +8,13 @@ Four strategies per workload:
 
 Figure 18 compares tuning cost (simulated seconds of measurement);
 Figure 19 compares the chosen setting's measured per-batch time.
-
-The learned extension (:func:`run_tune_learned`) adds the
-learned-vs-analytic column: on each held-out heterogeneous cluster
-variant it plays the online loop — propose the top-ranked unmeasured
-setting, "measure" it against a precomputed oracle sweep, feed the
-record back through the :mod:`repro.tune` run store — and counts how
-many profile runs each strategy needs to land within
-:data:`LEARNED_EPSILON` of the oracle-best (M, N).  The learned
-strategy starts from records of the *uniform* cluster (the transfer
-tier), so its first proposal is already residual-corrected.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
-from repro.core.predictor import Predictor, fits_memory
-from repro.core.profiler import Profiler
 from repro.core.simcfg import calibration_for
 from repro.core.tuner import GuidelineTuner, ProfilingTuner, TraversalTuner, TuningOutcome
 from repro.schedules import AdvanceFPSchedule
@@ -37,15 +24,6 @@ __all__ = [
     "run_fig19",
     "run_tuning",
     "TuningRow",
-    "LEARNED_EPSILON",
-    "LEARNED_K_THRESHOLD",
-    "LEARNED_M_CANDIDATES",
-    "LEARNED_N_CANDIDATES",
-    "oracle_sweep",
-    "runs_to_epsilon",
-    "run_tune_learned",
-    "LearnedRow",
-    "variant_profiler",
 ]
 
 
@@ -105,228 +83,3 @@ def run_fig18(workloads: tuple[str, ...] = ("gnmt", "bert", "awd")) -> dict:
 def run_fig19(workloads: tuple[str, ...] = ("gnmt", "bert", "awd")) -> dict:
     """Figure 19's view of the tuning sweep: chosen-setting quality."""
     return run_tuning(workloads)
-
-
-# --------------------------------------------------------------------- #
-# learned-vs-analytic extension (repro.tune)
-
-#: "good enough": within 1% of the oracle-best per-batch time.  Tight
-#: on purpose: at 5% the analytic first pick already qualifies on every
-#: canned variant and the comparison is vacuous.
-LEARNED_EPSILON = 0.01
-
-#: regression constant: on every held-out hetero variant the learned
-#: strategy (seeded with uniform-cluster records) must reach within
-#: LEARNED_EPSILON of oracle-best in at most this many profile runs.
-LEARNED_K_THRESHOLD = 2
-
-#: the small grid the online loop plays over (awd batch 40 divisors).
-LEARNED_M_CANDIDATES = (1, 2, 4, 8)
-LEARNED_N_CANDIDATES = (1, 2)
-
-
-@dataclass
-class LearnedRow:
-    """One held-out variant's learned-vs-analytic comparison."""
-    workload: str
-    variant: str
-    oracle_best: float  # per-batch seconds at the oracle-best setting
-    analytic_runs: int  # profile runs to reach within epsilon
-    learned_runs: int
-    analytic_top1_regret: float  # relative regret of the first proposal
-    learned_top1_regret: float
-
-
-def variant_profiler(workload: str, variant: str) -> Profiler:
-    """A profiler against one canned hetero variant, jointly planned
-    (balanced partition + placement, per-device memory caps)."""
-    cal = calibration_for(workload)
-    costs = cal.layer_costs()
-    partition, placement = cal.hetero_plan(variant, costs, with_memory_caps=True)
-    identity = placement == tuple(range(partition.num_stages))
-    return cal.profiler(
-        AdvanceFPSchedule(2),
-        variant=variant,
-        costs=costs,
-        partition=partition,
-        placement=None if identity else placement,
-    )
-
-
-def oracle_sweep(
-    profiler: Profiler,
-    workload: str = "",
-    m_candidates: tuple[int, ...] = LEARNED_M_CANDIDATES,
-    n_candidates: tuple[int, ...] = LEARNED_N_CANDIDATES,
-    iterations: int = 1,
-) -> tuple[dict, dict]:
-    """Simulate the whole grid once: ground truth + feedback records.
-
-    Returns ``(oracle, records)`` where ``oracle[(m, n)]`` is the
-    measured per-batch time (inf when the setting OOMs) and
-    ``records[(m, n)]`` is the :class:`~repro.tune.store.TuneRecord` the
-    online loop feeds back when it "measures" that setting — so the loop
-    never re-simulates a setting the sweep already ran.
-    """
-    from repro.tune.store import TuneRecord, tuner_context
-
-    context = tuner_context(profiler, workload=workload)
-    profile = profiler.profile(iterations=4)
-    predictor = Predictor(profile)
-    oracle: dict[tuple[int, int], float] = {}
-    records: dict[tuple[int, int], "TuneRecord"] = {}
-    for m in m_candidates:
-        for n in n_candidates:
-            prediction = predictor.predict(m, n)
-            result = profiler.run_setting(m, n, iterations=iterations)
-            oom = result.oom is not None
-            per_batch = None if oom else result.batch_time / n
-            oracle[(m, n)] = float("inf") if oom else per_batch
-            records[(m, n)] = TuneRecord(
-                context=context.context,
-                cluster=context.cluster,
-                workload=workload,
-                schedule=context.schedule,
-                k=context.num_stages,
-                m=m,
-                n=n,
-                predicted_batch_time=prediction.batch_time,
-                predicted_peak_bytes=float(prediction.peak_memory),
-                measured_batch_time=per_batch,
-                measured_peak_bytes=None if oom else float(max(result.peak_memory)),
-                oom=oom,
-            )
-    return oracle, records
-
-
-def runs_to_epsilon(
-    profiler: Profiler,
-    oracle: dict,
-    records: dict,
-    memory_limit,
-    store=None,
-    workload: str = "",
-    m_candidates: tuple[int, ...] = LEARNED_M_CANDIDATES,
-    n_candidates: tuple[int, ...] = LEARNED_N_CANDIDATES,
-    epsilon: float = LEARNED_EPSILON,
-) -> tuple[int, list]:
-    """Play the online loop; count runs until within epsilon of oracle.
-
-    Each round ranks the unmeasured grid — analytically when ``store``
-    is None (the ranking never changes), residual-corrected otherwise —
-    "measures" the top proposal from the precomputed ``oracle``, and
-    (learned only) appends the matching record so the next round
-    re-ranks.  Returns ``(runs, proposals)``; runs is ``len(grid) + 1``
-    when the strategy exhausts the grid without reaching epsilon.
-    """
-    from repro.core.tuner import _stage_memory_limits
-    from repro.tune.residual import ResidualModel, select_records
-    from repro.tune.store import tuner_context
-
-    context = tuner_context(profiler, workload=workload)
-    profile = profiler.profile(iterations=4)
-    predictor = Predictor(profile)
-    limits = _stage_memory_limits(profiler, memory_limit)
-    grid = [predictor.predict(m, n) for m in m_candidates for n in n_candidates]
-    finite = [v for v in oracle.values() if math.isfinite(v)]
-    if not finite:
-        raise RuntimeError("oracle sweep found no feasible setting")
-    target = min(finite) * (1.0 + epsilon)
-    measured: set[tuple[int, int]] = set()
-    proposals: list[tuple[int, int]] = []
-    for run in range(1, len(grid) + 1):
-        model = None
-        if store is not None and len(store) > 0:
-            selected, _tier = select_records(store, context, workload)
-            if selected:
-                model = ResidualModel.fit(selected, context=context.context)
-        ranked = []
-        for p in grid:
-            if (p.m, p.n) in measured:
-                continue
-            if not fits_memory(p.f_total, limits):
-                continue
-            if model is not None and model.known_oom(p.m, p.n):
-                continue
-            correction = model.correction(p.m, p.n) if model is not None else 1.0
-            ranked.append((correction * p.batch_time, p.m, p.n))
-        if not ranked:
-            break
-        _, m, n = min(ranked)
-        proposals.append((m, n))
-        measured.add((m, n))
-        if store is not None:
-            store.append(records[(m, n)])
-        if oracle[(m, n)] <= target:
-            return run, proposals
-    return len(grid) + 1, proposals
-
-
-@functools.lru_cache(maxsize=None)
-def run_tune_learned(
-    workload: str = "awd", variants: tuple[str, ...] | None = None
-) -> dict:
-    """The learned-vs-analytic column, leave-one-out over held-out specs.
-
-    For each canned hetero variant the learned strategy's store is
-    seeded with recorded sweeps of the *other* variants — never the
-    variant under test — so every prediction on the held-out spec rides
-    the cross-cluster transfer tier and then grows online.  The analytic
-    strategy walks its fixed Eq.-1 ranking.  Heterogeneity shifts the
-    measured/predicted residual in a way the variants share (the Eq.-2
-    intensity model is near-exact on uniform clusters and systematically
-    optimistic for large M under per-device speed/link skew), which is
-    exactly what the transfer records teach — and what records of the
-    *uniform* cluster cannot (its residual profile differs, which is why
-    it is excluded from the seed).
-    """
-    from repro.sim.hetero import hetero_variant_names
-    from repro.tune.store import RunStore
-
-    if variants is None:
-        variants = tuple(hetero_variant_names())
-    sweeps = {v: oracle_sweep(variant_profiler(workload, v), workload=workload)
-              for v in variants}
-
-    rows: list[LearnedRow] = []
-    for variant in variants:
-        prof = variant_profiler(workload, variant)
-        limit = list(prof.cluster_spec.memory_vector())
-        oracle, var_records = sweeps[variant]
-        best = min(v for v in oracle.values() if math.isfinite(v))
-
-        analytic_runs, analytic_props = runs_to_epsilon(
-            prof, oracle, var_records, limit, store=None, workload=workload
-        )
-        seed = [
-            r
-            for other, (_, recs) in sweeps.items()
-            if other != variant
-            for r in recs.values()
-        ]
-        store = RunStore.from_records(seed)
-        learned_runs, learned_props = runs_to_epsilon(
-            prof, oracle, var_records, limit, store=store, workload=workload
-        )
-
-        def top1_regret(props: list) -> float:
-            value = oracle[props[0]] if props else float("inf")
-            return (value - best) / best if math.isfinite(value) else float("inf")
-
-        rows.append(
-            LearnedRow(
-                workload=workload,
-                variant=variant,
-                oracle_best=best,
-                analytic_runs=analytic_runs,
-                learned_runs=learned_runs,
-                analytic_top1_regret=top1_regret(analytic_props),
-                learned_top1_regret=top1_regret(learned_props),
-            )
-        )
-    return {
-        "rows": rows,
-        "epsilon": LEARNED_EPSILON,
-        "k_threshold": LEARNED_K_THRESHOLD,
-        "workload": workload,
-    }

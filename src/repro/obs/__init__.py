@@ -28,7 +28,6 @@ from repro.obs.report import (
     RunReport,
     build_run_report,
     sched_telemetry,
-    tuner_telemetry,
 )
 from repro.obs.telemetry import TrainingTelemetry
 from repro.obs.trace_export import TraceExporter
@@ -45,7 +44,6 @@ __all__ = [
     "RunReport",
     "build_run_report",
     "sched_telemetry",
-    "tuner_telemetry",
     "Benchmark",
     "BenchResult",
     "bench_catalog",

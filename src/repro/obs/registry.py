@@ -23,10 +23,7 @@ Design constraints the tests pin down:
 * **order-faithful accumulation** — a counter is a plain running float
   sum in call order, so a counter fed the same additions as an existing
   aggregation (e.g. :meth:`TraceRecorder.time_decomposition`) matches it
-  bitwise, not approximately;
-* **mergeable histograms** — :meth:`Histogram.merge` is commutative and
-  (up to float-addition rounding on ``sum``) associative, so per-device
-  or per-worker histograms can be combined in any order.
+  bitwise, not approximately.
 """
 
 from __future__ import annotations
@@ -147,19 +144,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else math.nan
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Combine two histograms over the same buckets (commutative;
-        associative up to float rounding on ``sum``)."""
-        if self.bounds != other.bounds:
-            raise ValueError("cannot merge histograms with different buckets")
-        out = Histogram(self.bounds)
-        out.bucket_counts = [a + b for a, b in zip(self.bucket_counts, other.bucket_counts)]
-        out.count = self.count + other.count
-        out.sum = self.sum + other.sum
-        out.min = min(self.min, other.min)
-        out.max = max(self.max, other.max)
-        return out
 
     def quantile(self, q: float) -> float:
         """Estimate the q-quantile from the bucket counts."""

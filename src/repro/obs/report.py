@@ -34,7 +34,6 @@ __all__ = [
     "RunReport",
     "build_run_report",
     "sched_telemetry",
-    "tuner_telemetry",
     "EQ1_COMPONENTS",
 ]
 
@@ -70,9 +69,6 @@ class RunReport:
     #: multi-job scheduler telemetry (``sched.*``), present when the
     #: attached registry saw a :mod:`repro.sched` run.
     sched: dict = field(default_factory=dict)
-    #: learned-tuner telemetry (``tune.*``), present when the attached
-    #: registry saw a :class:`repro.core.tuner.ProfilingTuner` run.
-    tuner: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
     trace_events: int = 0
 
@@ -106,7 +102,6 @@ class RunReport:
             "span_summary": self.span_summary,
             "numerics": self.numerics,
             "sched": self.sched,
-            "tuner": self.tuner,
             "trace_events": self.trace_events,
             "metrics": self.metrics,
         }
@@ -201,20 +196,6 @@ class RunReport:
                 "|---|---|---|---|---|",
                 f"| seconds | {w['p50']:.4f} | {w['p95']:.4f} "
                 f"| {w['p99']:.4f} | {w['count']} |",
-            ]
-        if self.tuner:
-            t = self.tuner
-            applied = "yes" if t["residual_applied"] else "no"
-            lines += [
-                "",
-                "## Tuner (learned run-history layer)",
-                "",
-                f"- records consulted: {t['records_consulted']:.0f}; "
-                f"residual applied: {applied}",
-                f"- predicted Eq.-1 batch time: "
-                f"{t['predicted_batch_time'] * 1e3:.3f} ms; measured: "
-                f"{t['measured_batch_time'] * 1e3:.3f} ms "
-                f"(delta {t['delta_pct']:+.1f}%)",
             ]
         lines += [
             "",
@@ -319,7 +300,6 @@ def build_run_report(
         report.numerics = _numerics_telemetry(registry, seed, train_epochs)
 
     report.sched = sched_telemetry(registry)
-    report.tuner = tuner_telemetry(registry)
     report.metrics = registry.snapshot()
     return report, TraceExporter(trace, num_devices=result.num_stages)
 
@@ -348,30 +328,6 @@ def sched_telemetry(registry: MetricRegistry) -> dict:
             "p99": wait["p99"],
             "count": wait["count"],
         },
-    }
-
-
-def tuner_telemetry(registry: MetricRegistry) -> dict:
-    """``tune.*`` telemetry for the report, or ``{}`` when the registry
-    never saw a :class:`~repro.core.tuner.ProfilingTuner` run (share one
-    registry between ``tune(registry=...)`` and the report builder, or
-    stitch the section on afterwards).  Surfaces the learned layer's
-    audit trail: how many run-store records it consulted, whether the
-    residual re-ranked the grid, and the predicted-vs-measured Eq.-1
-    delta at the chosen setting."""
-    if registry.get("tune.records_consulted") is None:
-        return {}
-    predicted = registry.value("tune.predicted_batch_time")
-    measured = registry.value("tune.measured_batch_time")
-    delta_pct = (
-        (measured - predicted) / predicted * 100.0 if predicted else float("nan")
-    )
-    return {
-        "records_consulted": registry.value("tune.records_consulted"),
-        "residual_applied": bool(registry.value("tune.residual_applied")),
-        "predicted_batch_time": predicted,
-        "measured_batch_time": measured,
-        "delta_pct": delta_pct,
     }
 
 

@@ -10,18 +10,14 @@ stack (see ``docs/verification.md``):
   :class:`~repro.schedules.base.Schedule`'s op streams plus the analytic
   memory model;
 * :mod:`repro.verify.fuzz` — one seeded draw -> audit protocol over
-  three fuzz axes (:data:`~repro.verify.fuzz.AXES`), each case audited
+  two fuzz axes (:data:`~repro.verify.fuzz.AXES`), each case audited
   into a :class:`~repro.verify.fuzz.Finding`:
 
   - ``fuzz`` drives the event simulator with a trace causality checker
     and an OOM-iff-predicted cross-check;
   - ``sched-fuzz`` (:mod:`repro.verify.fuzz_sched`) drives the
     :mod:`repro.sched` multi-job scheduler and audits admission, memory
-    caps, device-time conservation, and determinism;
-  - ``tune-fuzz`` (:mod:`repro.verify.fuzz_tune`) feeds the
-    :mod:`repro.tune` learned predictor corrupted histories (duplicates,
-    stale cluster fingerprints, OOM-flagged records) and audits
-    crash-freedom and analytic-fallback correctness.
+    caps, device-time conservation, and determinism.
 
 ``repro verify`` on the CLI runs all of them.
 """
@@ -54,7 +50,6 @@ from repro.verify.fuzz import (
     AXES,
     SCHED_AXIS,
     SIM_AXIS,
-    TUNE_AXIS,
     Axis,
     Finding,
     FuzzConfig,
@@ -66,7 +61,6 @@ from repro.verify.fuzz import (
     run_case,
 )
 from repro.verify.fuzz_sched import SchedFuzzConfig, sched_fuzz_configs
-from repro.verify.fuzz_tune import TuneFuzzConfig, tune_fuzz_configs
 
 __all__ = [
     "Violation",
@@ -93,7 +87,6 @@ __all__ = [
     "AXES",
     "SIM_AXIS",
     "SCHED_AXIS",
-    "TUNE_AXIS",
     "Finding",
     "run_axis",
     "run_case",
@@ -104,6 +97,4 @@ __all__ = [
     "inject_causality_violation",
     "SchedFuzzConfig",
     "sched_fuzz_configs",
-    "TuneFuzzConfig",
-    "tune_fuzz_configs",
 ]

@@ -1,4 +1,4 @@
-"""One fuzz protocol: seeded draw -> audit over three axes.
+"""One fuzz protocol: seeded draw -> audit over two axes.
 
 Every axis draws configurations from a seeded stream
 (:mod:`repro.utils.seeding`), so a fuzz budget is exactly reproducible
@@ -16,8 +16,6 @@ raises becomes a ``raised <Type>: <msg>`` problem on its case.
   analytic model (:func:`repro.verify.invariants.predict_peak_memory`).
 * ``sched-fuzz`` (:mod:`repro.verify.fuzz_sched`) — the multi-job
   scheduler's control-plane invariants.
-* ``tune-fuzz`` (:mod:`repro.verify.fuzz_tune`) — the learned tuner's
-  run-store contracts.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from repro.sim import ClusterSpec, Simulator, make_cluster
 from repro.sim.trace import SpanKind, TraceRecorder, _Span
 from repro.utils.seeding import derive_rng
 from repro.verify.fuzz_sched import audit_sched, sched_fuzz_configs
-from repro.verify.fuzz_tune import audit_tune, tune_fuzz_configs
 from repro.verify.invariants import MemoryPrediction, check_schedule, predict_peak_memory
 
 __all__ = [
@@ -52,7 +49,6 @@ __all__ = [
     "SCHED_AXIS",
     "SIM_AXIS",
     "SimRun",
-    "TUNE_AXIS",
     "audit_sim",
     "check_trace_causality",
     "fuzz_configs",
@@ -528,13 +524,7 @@ SCHED_AXIS = Axis(
     "{preemptions} preemptions, {resizes} resizes)",
     full=9, quick=3,
 )
-TUNE_AXIS = Axis(
-    "tune-fuzz", tune_fuzz_configs, audit_tune,
-    "{count} stores ({records} records, {residual} residual-ranked, "
-    "{fallback} analytic fallback)",
-    full=5, quick=2,
-)
-AXES = (SIM_AXIS, SCHED_AXIS, TUNE_AXIS)
+AXES = (SIM_AXIS, SCHED_AXIS)
 
 
 def run_case(axis: Axis, cfg: Any) -> Finding:

@@ -1,5 +1,7 @@
 """CLI: parser wiring and the fast commands end to end."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -40,6 +42,29 @@ class TestCommands:
         assert "parallel pipelines" in out
         assert "time per batch" in out
 
+    def test_plan_hetero_prints_time_per_batch(self, capsys, monkeypatch):
+        """An iteration advances N batches, so the per-batch row is the
+        tuner's measured iteration time divided by N."""
+        from repro.core.tuner import ProfilingTuner
+
+        outcomes = []
+        tune = ProfilingTuner.tune
+
+        def recording(self, *args, **kwargs):
+            outcomes.append(tune(self, *args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(ProfilingTuner, "tune", recording)
+        code = main(["plan", "awd", "--hetero", "straggler-node"])
+        out = capsys.readouterr().out
+        assert code == 0
+        (outcome,) = outcomes
+        assert outcome.n > 1  # per iteration and per batch differ
+        printed = float(re.search(r"time per batch \(ms\)\s+([\d.]+)", out).group(1))
+        assert printed == pytest.approx(
+            outcome.measured_batch_time / outcome.n * 1e3, abs=0.005
+        )
+
     def test_figure_unknown(self, capsys):
         code = main(["figure", "fig99"])
         assert code == 2
@@ -78,74 +103,6 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 1
         assert "CAUSALITY" in out
-
-
-class TestTune:
-    def test_tune_requires_action(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["tune"])
-
-    def test_record_requires_micro(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["tune", "record", "awd"])
-
-    def test_predict_defaults(self):
-        args = build_parser().parse_args(["tune", "predict", "awd"])
-        assert args.action == "predict"
-        assert args.max_pipelines == 4
-        assert args.store is None
-        assert not args.expect_identical
-
-    def test_sweep_then_predict_consults_records(self, tmp_path, capsys):
-        store = tmp_path / "runs.jsonl"
-        code = main(["tune", "sweep", "awd", "--store", str(store)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "appended 8 records" in out
-        assert store.exists()
-
-        code = main(["tune", "predict", "awd", "--store", str(store)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "records consulted     | 8" in out.replace("  ", " ") or "8" in out
-        assert "residual applied" in out
-        assert "yes" in out
-
-    def test_record_appends_one_record(self, tmp_path, capsys):
-        from repro.tune import RunStore
-
-        store = tmp_path / "runs.jsonl"
-        code = main(["tune", "record", "awd", "--micro", "2", "--pipelines", "2",
-                     "--iterations", "1", "--store", str(store)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "fingerprint" in out and "measured ms/batch" in out
-        assert len(RunStore(store)) == 1
-
-    def test_predict_empty_store_expect_identical_passes(self, tmp_path, capsys):
-        code = main(["tune", "predict", "awd",
-                     "--store", str(tmp_path / "empty.jsonl"),
-                     "--expect-identical"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "identical to the analytic tuner" in out
-        assert "residual applied" in out and "no" in out
-
-    def test_corrupt_store_exits_cleanly(self, tmp_path, capsys):
-        bad = tmp_path / "corrupt.jsonl"
-        bad.write_text("{not json\n")
-        code = main(["tune", "predict", "awd", "--store", str(bad)])
-        out = capsys.readouterr().out
-        assert code == 2
-        assert "cannot load run store" in out
-        assert "corrupt.jsonl:1" in out
-
-    def test_figure_tune_learned_renders(self, capsys):
-        code = main(["figure", "tune-learned"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "tune-learned" in out
-        assert "learned_runs" in out
 
 
 class TestSched:

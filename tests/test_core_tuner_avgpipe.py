@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import AvgPipe, GuidelineTuner, ProfilingTuner, TraversalTuner
+from repro.core.predictor import Predictor
 from repro.core.profiler import Profiler
 from repro.core.simcfg import calibration_for
 from repro.core.tuner import default_m_candidates
 from repro.baselines import BASELINE_SYSTEMS, choose_baseline_micro, simulate_baseline
+from repro.schedules import AdvanceFPSchedule
 
 from tests.test_core_predictor import make_profiler
 
@@ -181,6 +183,52 @@ class TestSimulateReusesTheTunersRun:
         assert copy == plan and copy.measured_run is None
         system.simulate(copy)
         assert len(count_run_setting) == 1
+
+
+def _uniform_case():
+    """(profiler, per-device limit, per-stage limit) on a uniform cluster."""
+    limit = 8 * 2**30
+    return make_profiler(), limit, limit
+
+
+def _hetero_case(variant="straggler-node"):
+    """The same on a canned hetero variant: awd jointly planned (balanced
+    cut + placement) against the variant's per-device memory."""
+    cal = calibration_for("awd")
+    costs = cal.layer_costs()
+    partition, placement = cal.hetero_plan(variant, costs, with_memory_caps=True)
+    profiler = cal.profiler(
+        AdvanceFPSchedule(2), variant=variant, costs=costs,
+        partition=partition, placement=placement,
+    )
+    caps = list(profiler.cluster_spec.memory_vector())
+    return profiler, caps, [caps[d] for d in placement]
+
+
+class TestProfilingTunerIsTheAnalyticDecision:
+    """``ProfilingTuner.tune`` is one profile, Equations 1-8 over the grid
+    (``Predictor.best_setting``) and one run of the winner."""
+
+    @pytest.mark.parametrize("case", [_uniform_case, _hetero_case],
+                             ids=["uniform", "straggler-node"])
+    def test_tune_is_best_setting_then_the_winners_run(self, case):
+        profiler, device_limits, stage_limits = case()
+        m_candidates = default_m_candidates(profiler.batch_size)
+        n_candidates = [1, 2, 3, 4]
+        outcome = ProfilingTuner(profiler, device_limits).tune(m_candidates, n_candidates)
+
+        profile = profiler.profile(iterations=4)
+        winner, predictions = Predictor(profile).best_setting(
+            m_candidates, n_candidates, stage_limits
+        )
+        assert (outcome.m, outcome.n) == (winner.m, winner.n)
+        assert outcome.details == predictions
+        assert outcome.tuning_cost == profile.profiling_cost
+
+        run = profiler.run_setting(winner.m, winner.n, iterations=3)
+        for name in _RUN_FIELDS:
+            assert getattr(outcome.measured_run, name) == getattr(run, name), name
+        assert outcome.measured_batch_time == run.batch_time
 
 
 class TestBaselineHelpers:

@@ -89,47 +89,3 @@ def test_report_rejects_data_parallel_baseline():
 
     with pytest.raises(ValueError, match="pipelined baseline"):
         build_run_report(baseline="pytorch")
-
-
-class TestTunerSection:
-    """The learned-tuner audit trail in the run report (tune.* gauges)."""
-
-    def test_empty_registry_yields_no_section(self):
-        from repro.obs import MetricRegistry, tuner_telemetry
-
-        assert tuner_telemetry(MetricRegistry()) == {}
-
-    def test_tuned_registry_renders_the_section(self):
-        from repro.core.tuner import ProfilingTuner
-        from repro.obs import MetricRegistry, tuner_telemetry
-        from repro.obs.report import RunReport
-        from repro.tune import RunStore
-        from tests.test_core_predictor import make_profiler
-
-        registry = MetricRegistry()
-        outcome = ProfilingTuner(
-            make_profiler(), 64 * 2**30, history=RunStore(), workload="awd"
-        ).tune(m_candidates=[1, 2], n_candidates=[1, 2], registry=registry)
-        telemetry = tuner_telemetry(registry)
-        assert telemetry["records_consulted"] == 0
-        assert telemetry["residual_applied"] is False
-        assert telemetry["measured_batch_time"] == pytest.approx(
-            outcome.measured_batch_time / outcome.n
-        )
-
-        report = RunReport(
-            workload="awd", baseline="gpipe", num_stages=2, num_micro=2,
-            iterations=1, num_pipelines=1, batch_time=0.1, total_time=0.1,
-            samples_per_second=1.0, avg_utilization=0.5, tuner=telemetry,
-        )
-        text = report.to_markdown()
-        assert "## Tuner (learned run-history layer)" in text
-        assert "records consulted: 0" in text
-        assert "residual applied: no" in text
-        assert json.loads(report.to_json())["tuner"]["records_consulted"] == 0
-
-    def test_report_without_tuner_run_has_no_section(self, report_dir):
-        text = (report_dir / "run_report.md").read_text()
-        assert "## Tuner" not in text
-        report = json.loads((report_dir / "run_report.json").read_text())
-        assert report["tuner"] == {}

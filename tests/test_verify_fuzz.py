@@ -10,7 +10,6 @@ import pytest
 
 import repro.verify.fuzz as fuzz_module
 import repro.verify.fuzz_sched as fuzz_sched
-from repro.tune.residual import LearnedPredictor
 from repro.verify.fuzz import (
     AXES,
     SIM_AXIS,
@@ -20,7 +19,6 @@ from repro.verify.fuzz import (
     run_case,
     run_config,
 )
-from repro.verify.fuzz_tune import _MUTATIONS
 
 
 def _check_sched_draw(configs):
@@ -33,20 +31,10 @@ def _check_sched_draw(configs):
         assert cfg.memory_regime in ("roomy", "tight", "uneven")
 
 
-def _check_tune_draw(configs):
-    assert [c.mutation for c in configs] == list(_MUTATIONS) * 2
-    for cfg in configs:
-        if cfg.mutation == "empty":
-            assert cfg.num_records == 0
-        else:
-            assert 1 <= cfg.num_records <= 12
-
-
 #: (count, seed, axis-specific check) per axis
 _DRAWS = {
     "fuzz": (10, 4, None),
     "sched-fuzz": (9, 0, _check_sched_draw),
-    "tune-fuzz": (10, 0, _check_tune_draw),
 }
 
 
@@ -65,7 +53,6 @@ def test_draw_is_deterministic_and_seed_sensitive(axis):
 _CRASH_SITES = {
     "fuzz": (fuzz_module, "check_trace_causality", 1),
     "sched-fuzz": (fuzz_sched, "_run_once", 2),  # the determinism re-run
-    "tune-fuzz": (LearnedPredictor, "best_setting", 2),  # the re-rank
 }
 
 
