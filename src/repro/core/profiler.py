@@ -55,22 +55,28 @@ class Profile:
     curve: UtilizationCurve | None = None
 
     def __post_init__(self) -> None:
-        # Python-float copies of the knots: the predictor walks them one
-        # element at a time, where ndarray indexing costs more than the math.
-        self._phi_knots = [
-            (times.tolist(), values.tolist())
-            for times, values in zip(self.phi_times, self.phi_values)
-        ]
+        # Per device, the steps of positive length and the value phi
+        # holds over each (a knot repeated at one time is a zero step).
+        self._phi_steps = []
+        for times, values in zip(self.phi_times, self.phi_values):
+            dt = np.diff(np.asarray(times, dtype=float))
+            held = dt > 0
+            self._phi_steps.append(
+                (dt[held], np.asarray(values, dtype=float)[:-1][held])
+            )
 
     def phi_integral_over(self, k: int, scale: float) -> float:
-        """``integral of max(scale * phi_k(t) - 1, 0) dt`` per batch."""
-        times, values = self._phi_knots[k]
-        total = 0.0
-        for t, t_next, value in zip(times, times[1:], values):
-            dt = t_next - t
-            if dt > 0:
-                total += dt * max(scale * value - 1.0, 0.0)
-        return total
+        """``integral of max(scale * phi_k(t) - 1, 0) dt`` per batch.
+
+        ``add.accumulate`` adds the steps left to right from the first,
+        so the float is that of the sequential sum in time order
+        (``np.sum`` would sum pairwise).
+        """
+        dt, values = self._phi_steps[k]
+        if not len(dt):
+            return 0.0
+        overflow = dt * np.maximum(scale * values - 1.0, 0.0)
+        return float(np.add.accumulate(overflow)[-1])
 
 
 class Profiler:

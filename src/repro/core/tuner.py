@@ -79,7 +79,11 @@ def plan_for_spec(
     placement.  ``num_stages`` defaults to, and must equal, the spec's
     device count.
     """
-    k = num_stages if num_stages is not None else cluster_spec.num_devices
+    k = cluster_spec.num_devices
+    if num_stages is not None and num_stages != k:
+        raise ValueError(
+            f"num_stages={num_stages} does not match the spec's {k} devices"
+        )
     if cluster_spec.is_uniform:
         links = [[cluster_spec.inter_node_bandwidth] * k for _ in range(k)]
     else:

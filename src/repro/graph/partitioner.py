@@ -18,8 +18,10 @@ brute-force enumerator in the tests certifies optimality on small
 instances.
 
 :func:`search_partition_placement` adds the stage->device placement on
-top: it re-runs the DP per candidate permutation, visiting one placement
-per orbit of interchangeable devices.
+top: it runs the DP for every candidate permutation, visiting one
+placement per orbit of interchangeable devices.  Both entry points run
+one array kernel, :func:`_dp_kernel`, batched over placements; the
+search feeds it every candidate and ``partition_model`` feeds it one.
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ __all__ = [
     "stage_memory_bytes",
     "search_partition_placement",
 ]
+
+
+#: Placements per batched DP call.  The kernel's temporaries are
+#: (chunk, n-K+1, n-K+1) float arrays, so the chunk bounds its memory
+#: whatever the orbit count (up to 7! = 5040 placements per search).
+_DP_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -101,9 +109,18 @@ def stage_memory_bytes(
     """Resident bytes of every stage of a candidate partition."""
     mem = _layer_memory(costs, layer_memory_bytes)
     return [
-        sum(mem[boundaries[k] : boundaries[k + 1]])
+        _sum_left_to_right(mem[boundaries[k] : boundaries[k + 1]])
         for k in range(len(boundaries) - 1)
     ]
+
+
+def _sum_left_to_right(values: Sequence[float]) -> float:
+    """``0.0 + v0 + v1 + ...`` in order.  Builtin ``sum`` is compensated
+    on Python >= 3.12, so its float result depends on the interpreter."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _stage_bandwidths(
@@ -119,6 +136,122 @@ def _stage_bandwidths(
             f"got {len(bandwidth_bytes_per_sec)}"
         )
     return list(bandwidth_bytes_per_sec)
+
+
+def _check_inputs(
+    num_layers: int,
+    num_stages: int,
+    device_speeds: Sequence[float] | None,
+    memory_caps: Sequence[float] | None,
+) -> None:
+    """The length and range checks both entry points share."""
+    if num_stages <= 0:
+        raise ValueError(f"num_stages must be positive, got {num_stages}")
+    if num_stages > num_layers:
+        raise ValueError(f"cannot split {num_layers} layers into {num_stages} stages")
+    if device_speeds is not None:
+        if len(device_speeds) != num_stages:
+            raise ValueError(
+                f"device_speeds has {len(device_speeds)} entries "
+                f"for {num_stages} stages"
+            )
+        if any(s <= 0 for s in device_speeds):
+            raise ValueError(f"device speeds must be positive: {device_speeds}")
+    if memory_caps is not None and len(memory_caps) != num_stages:
+        raise ValueError(
+            f"memory_caps has {len(memory_caps)} entries for {num_stages} stages"
+        )
+
+
+def _chain_arrays(
+    costs: Sequence[LayerCost],
+    flops_per_sec: float,
+    layer_memory_bytes: Sequence[float] | None,
+    with_memory: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Per-layer compute time, output-activation bytes and (when caps
+    are given) resident bytes."""
+    compute = np.array([c.flops_per_sample / flops_per_sec for c in costs])
+    acts = np.array([c.activation_bytes_per_sample for c in costs], dtype=float)
+    mem = None
+    if with_memory:
+        mem = np.array(_layer_memory(costs, layer_memory_bytes))
+    return compute, acts, mem
+
+
+def _span_table(values: np.ndarray) -> np.ndarray:
+    """``table[j, i] = prefix[j] - prefix[i]`` over the running sum of
+    ``values`` where i < j, else ``inf`` (a stage owns at least one layer)."""
+    prefix = np.concatenate([[0.0], np.cumsum(values)])
+    idx = np.arange(len(prefix))
+    return np.where(
+        idx[None, :] < idx[:, None], prefix[:, None] - prefix[None, :], np.inf
+    )
+
+
+def _dp_kernel(
+    compute: np.ndarray,
+    acts: np.ndarray,
+    mem: np.ndarray | None,
+    speeds: np.ndarray,
+    bandwidths: np.ndarray,
+    caps: np.ndarray | None,
+    comm_weight: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The PipeDream DP for P placements at once.
+
+    ``speeds``, ``bandwidths`` and ``caps`` are (P, K) per-slot views;
+    bandwidth entry k prices the link into stage k.  ``dp[k][j]``, the
+    best bottleneck of the first j layers in k stages, is one array step
+    per k over (placement, j, i), stage k covering layers (i, j]:
+
+        max(dp[k-1][i], (prefix[j] - prefix[i]) / speed_k + comm_k[i])
+
+    in the scalar recurrence's operation order, so every entry is the
+    float a scalar loop computes.  Infeasible cuts (i >= j, an ``inf``
+    predecessor, a stage over its slot's cap) are ``inf`` entries, and
+    ``argmin`` keeps the first minimal i: the strict-``<`` tie-break.
+    Since every stage owns a layer, stage k only needs rows j in
+    [k, n-K+k] and cut points i in [k-1, n-K+k-1], a square block of
+    side n-K+1 on the diagonal (the last stage needs row n alone).
+
+    Returns ``(index, boundaries)``: the placements that admit a
+    memory-feasible cut, in order, and their (F, K+1) cuts.
+    """
+    p_count, k_stages = speeds.shape
+    n = len(compute)
+    width = n - k_stages + 1
+    inf = np.inf
+    spans = _span_table(compute)
+    mem_spans = None if caps is None else _span_table(mem)
+    before = np.full((p_count, width), inf)
+    before[:, 0] = 0.0  # dp[0][0]
+    choices = []
+    for k in range(1, k_stages + 1):
+        rows = slice(n, n + 1) if k == k_stages else slice(k, k + width)
+        cols = slice(k - 1, k - 1 + width)
+        cand = spans[None, rows, cols] / speeds[:, k - 1, None, None]
+        if k > 1:  # stage 1 starts at layer 0 and pays no input cut
+            cut_bytes = acts[k - 2 : k - 2 + width]  # output of layer i - 1
+            comm = comm_weight * (cut_bytes / bandwidths[:, k - 1, None])
+            cand += comm[:, None, :]
+        if mem_spans is not None:
+            over = mem_spans[None, rows, cols] > caps[:, k - 1, None, None]
+            cand[over] = inf
+        np.maximum(cand, before[:, None, :], out=cand)
+        choice = cand.argmin(axis=2)
+        before = cand.min(axis=2)
+        choices.append(np.where(before < inf, choice + (k - 1), -1))
+
+    index = np.flatnonzero(before[:, 0] < inf)
+    boundaries = np.empty((len(index), k_stages + 1), dtype=np.intp)
+    boundaries[:, k_stages] = n
+    cut = choices[-1][index, 0]
+    for k in range(k_stages - 1, 0, -1):
+        boundaries[:, k] = cut
+        cut = choices[k - 1][index, cut - k]  # stage k's row for j = cut
+    boundaries[:, 0] = cut
+    return index, boundaries
 
 
 def partition_model(
@@ -142,7 +275,11 @@ def partition_model(
     stage's service time: schedules overlap part of each transfer with
     compute, so pricing it fully makes the DP hoard layers on stage 0
     (which pays no input cut) and unbalances compute.  0.5 reflects the
-    roughly-half-exposed transfers the simulator shows for 1F1B.
+    roughly-half-exposed transfers the simulator shows for 1F1B.  A
+    stage's service time is its compute plus that (receive) cut, summed
+    as PipeDream's planner does; this also breaks ties toward balanced
+    compute when a slow interconnect would otherwise make every cut
+    look equal.
 
     Three inputs describe unequal devices (BaPipe, arXiv:2012.12544):
 
@@ -156,84 +293,27 @@ def partition_model(
       (:func:`stage_memory_bytes`); candidates that overflow a cap are
       infeasible rather than merely expensive.
     """
-    n = len(costs)
-    if num_stages <= 0:
-        raise ValueError(f"num_stages must be positive, got {num_stages}")
-    if num_stages > n:
-        raise ValueError(f"cannot split {n} layers into {num_stages} stages")
-    if device_speeds is None:
-        speeds = [1.0] * num_stages
-    else:
-        if len(device_speeds) != num_stages:
-            raise ValueError(
-                f"device_speeds has {len(device_speeds)} entries "
-                f"for {num_stages} stages"
-            )
-        if any(s <= 0 for s in device_speeds):
-            raise ValueError(f"device speeds must be positive: {device_speeds}")
-        speeds = list(device_speeds)
+    _check_inputs(len(costs), num_stages, device_speeds, memory_caps)
+    speeds = [1.0] * num_stages if device_speeds is None else device_speeds
     bandwidths = _stage_bandwidths(bandwidth_bytes_per_sec, num_stages)
-    inf = float("inf")
-    if memory_caps is None:
-        caps = [inf] * num_stages
-        mem_prefix = [0.0] * (n + 1)
-    else:
-        if len(memory_caps) != num_stages:
-            raise ValueError(
-                f"memory_caps has {len(memory_caps)} entries for {num_stages} stages"
-            )
-        caps = list(memory_caps)
-        mem = _layer_memory(costs, layer_memory_bytes)
-        mem_prefix = np.concatenate([[0.0], np.cumsum(mem)]).tolist()
-
-    compute = np.array([c.flops_per_sample / flops_per_sec for c in costs])
-    prefix = np.concatenate([[0.0], np.cumsum(compute)]).tolist()
-    acts = [c.activation_bytes_per_sample for c in costs]
-
-    # dp[k][j] = best bottleneck for first j layers in k stages.  A
-    # stage's steady-state service time is its compute plus the (receive)
-    # communication of its input cut — modelling them additively, as
-    # PipeDream's planner does, also breaks ties toward balanced compute
-    # when a slow interconnect would otherwise make every cut look equal.
-    dp = [[inf] * (n + 1) for _ in range(num_stages + 1)]
-    choice = [[-1] * (n + 1) for _ in range(num_stages + 1)]
-    dp[0][0] = 0.0
-    for k in range(1, num_stages + 1):
-        speed, cap, prev = speeds[k - 1], caps[k - 1], dp[k - 1]
-        # comm[i]: input cut of a stage whose first layer is i (stage 1
-        # can only start at layer 0, which pays no cut)
-        if k == 1:
-            comm = [0.0] * n
-        else:
-            bandwidth = bandwidths[k - 1]
-            comm = [0.0] + [comm_weight * (a / bandwidth) for a in acts[:-1]]
-        for j in range(k, n + 1):
-            # last stage covers layers (i, j]; i ranges over k-1 .. j-1
-            best, best_i = inf, -1
-            prefix_j, mem_j = prefix[j], mem_prefix[j]
-            for i in range(k - 1, j):
-                before = prev[i]
-                if before == inf or mem_j - mem_prefix[i] > cap:
-                    continue
-                service = (prefix_j - prefix[i]) / speed + comm[i]
-                candidate = service if service > before else before
-                if candidate < best:
-                    best, best_i = candidate, i
-            dp[k][j] = best
-            choice[k][j] = best_i
-    if dp[num_stages][n] == inf:
+    compute, acts, mem = _chain_arrays(
+        costs, flops_per_sec, layer_memory_bytes, memory_caps is not None
+    )
+    index, boundaries = _dp_kernel(
+        compute,
+        acts,
+        mem,
+        np.array([speeds], dtype=float),
+        np.array([bandwidths], dtype=float),
+        None if memory_caps is None else np.array([memory_caps], dtype=float),
+        comm_weight,
+    )
+    if not len(index):
         raise RuntimeError(
             "partition DP found no feasible cut "
             "(memory caps too tight for a contiguous K-stage split)"
         )
-
-    boundaries = [n]
-    j = n
-    for k in range(num_stages, 0, -1):
-        j = choice[k][j]
-        boundaries.append(j)
-    boundaries.reverse()
-    return Partition(boundaries=tuple(boundaries))
+    return Partition(boundaries=tuple(boundaries[0].tolist()))
 
 
 def balanced_bottleneck(
@@ -252,7 +332,9 @@ def balanced_bottleneck(
     worst = 0.0
     for k in range(k_stages):
         lo, hi = boundaries[k], boundaries[k + 1]
-        stage_compute = sum(c.flops_per_sample / flops_per_sec for c in costs[lo:hi])
+        stage_compute = _sum_left_to_right(
+            [c.flops_per_sample / flops_per_sec for c in costs[lo:hi]]
+        )
         if device_speeds is not None:
             stage_compute = stage_compute / device_speeds[k]
         cut_comm = 0.0
@@ -264,26 +346,30 @@ def balanced_bottleneck(
     return worst
 
 
-def _slot_views(
-    placement: Sequence[int],
-    device_speeds: Sequence[float],
-    bandwidth_matrix: Sequence[Sequence[float]],
-    memory_caps: Sequence[float] | None,
-) -> tuple[list[float], list[float], list[float] | None]:
-    """Per-stage-slot speed/bandwidth/cap vectors under a placement.
+def _segment_sums(compute: np.ndarray) -> np.ndarray:
+    """``table[lo, t]``: the sum of ``compute[lo : lo + t]`` taken left
+    to right from 0.0, :func:`balanced_bottleneck`'s order.
+    ``add.accumulate`` runs sequentially along its axis."""
+    n = len(compute)
+    padded = np.concatenate([[0.0], compute, np.zeros(n)])
+    terms = padded[np.arange(n)[:, None] + np.arange(n + 1)[None, :]]
+    terms[:, 0] = 0.0  # padded[lo + t] is compute[lo + t - 1] for t >= 1
+    return np.add.accumulate(terms, axis=1)
 
-    ``placement[k]`` is the device hosting stage k; the link into stage k
-    is the directed edge placement[k-1] -> placement[k].
-    """
-    k_stages = len(placement)
-    slot_speeds = [device_speeds[p] for p in placement]
-    slot_bw = [float("inf")] + [
-        bandwidth_matrix[placement[k - 1]][placement[k]] for k in range(1, k_stages)
-    ]
-    slot_caps = None
-    if memory_caps is not None:
-        slot_caps = [memory_caps[p] for p in placement]
-    return slot_speeds, slot_bw, slot_caps
+
+def _bottlenecks(
+    segments: np.ndarray,
+    acts: np.ndarray,
+    boundaries: np.ndarray,
+    speeds: np.ndarray,
+    bandwidths: np.ndarray,
+    comm_weight: float,
+) -> np.ndarray:
+    """:func:`balanced_bottleneck` of F cuts, each under its own slots."""
+    lo, hi = boundaries[:, :-1], boundaries[:, 1:]
+    cut = comm_weight * (acts[lo - 1] / bandwidths)
+    cut[:, 0] = 0.0  # stage 0 pays no input cut
+    return (segments[lo, hi - lo] / speeds + cut).max(axis=1)
 
 
 def _device_groups(
@@ -363,61 +449,73 @@ def search_partition_placement(
 ) -> tuple[Partition, tuple[int, ...], float]:
     """Joint partition + placement search (Luo et al., arXiv:2204.10562).
 
-    For every candidate stage->device permutation, re-runs the DP
-    against that placement's slot speeds, link bandwidths and memory
-    caps, and keeps the placement whose *optimal* partition has the
-    smallest bottleneck.  Candidates are scanned in lexicographic order
-    with a strict ``<``, so ties keep the identity.  Permutations that
-    only swap interchangeable devices are skipped (see
+    For every candidate stage->device permutation, runs the DP against
+    that placement's slot speeds, link bandwidths and memory caps, and
+    keeps the placement whose *optimal* partition has the smallest
+    bottleneck.  Candidates are scanned in lexicographic order with a
+    strict ``<``, so ties keep the identity.  Permutations that only
+    swap interchangeable devices are skipped (see
     :func:`_orbit_placements`): on a uniform cluster every device is
-    interchangeable and the search runs exactly one DP.  Above
-    ``max_exhaustive`` stages only the identity is tried.
+    interchangeable and the search evaluates exactly one placement.
+    Above ``max_exhaustive`` stages only the identity is tried.  The
+    candidates go through one batched DP, ``_DP_CHUNK`` at a time.
 
     Returns ``(partition, placement, bottleneck)``.
     """
     k = num_stages
-    if len(device_speeds) != k:
-        raise ValueError(
-            f"device_speeds has {len(device_speeds)} entries for {k} stages"
-        )
+    _check_inputs(len(costs), k, device_speeds, memory_caps)
     if len(bandwidth_matrix) != k or any(len(row) != k for row in bandwidth_matrix):
         raise ValueError(f"bandwidth_matrix must be {k}x{k}")
-    if memory_caps is not None and len(memory_caps) != k:
-        raise ValueError(f"memory_caps has {len(memory_caps)} entries for {k} stages")
     if k <= max_exhaustive:
-        candidates = _orbit_placements(
+        candidates = list(_orbit_placements(
             _device_groups(device_speeds, bandwidth_matrix, memory_caps)
-        )
+        ))
     else:
         candidates = [tuple(range(k))]
+    compute, acts, mem = _chain_arrays(
+        costs, flops_per_sec, layer_memory_bytes, memory_caps is not None
+    )
+    segments = _segment_sums(compute)
+    # slot views: placement[k] hosts stage k; the link into stage k is
+    # the directed edge placement[k-1] -> placement[k]
+    placements = np.array(candidates)
+    slot_speeds = np.asarray(device_speeds, dtype=float)[placements]
+    slot_bw = np.full(placements.shape, np.inf)
+    slot_bw[:, 1:] = np.asarray(bandwidth_matrix, dtype=float)[
+        placements[:, :-1], placements[:, 1:]
+    ]
+    slot_caps = None
+    if memory_caps is not None:
+        slot_caps = np.asarray(memory_caps, dtype=float)[placements]
     best: tuple[Partition, tuple[int, ...], float] | None = None
-    for perm in candidates:
-        slot_speeds, slot_bw, slot_caps = _slot_views(
-            perm, device_speeds, bandwidth_matrix, memory_caps
+    for start in range(0, len(candidates), _DP_CHUNK):
+        chunk = slice(start, start + _DP_CHUNK)
+        index, boundaries = _dp_kernel(
+            compute,
+            acts,
+            mem,
+            slot_speeds[chunk],
+            slot_bw[chunk],
+            None if slot_caps is None else slot_caps[chunk],
+            comm_weight,
         )
-        try:
-            part = partition_model(
-                costs,
-                k,
-                device_speeds=slot_speeds,
-                bandwidth_bytes_per_sec=slot_bw,
-                flops_per_sec=flops_per_sec,
-                comm_weight=comm_weight,
-                memory_caps=slot_caps,
-                layer_memory_bytes=layer_memory_bytes,
+        if not len(index):
+            continue  # no placement of this chunk has a memory-feasible cut
+        t = _bottlenecks(
+            segments,
+            acts,
+            boundaries,
+            slot_speeds[chunk][index],
+            slot_bw[chunk][index],
+            comm_weight,
+        )
+        w = int(t.argmin())
+        if best is None or t[w] < best[2]:
+            best = (
+                Partition(boundaries=tuple(boundaries[w].tolist())),
+                candidates[start + index[w]],
+                float(t[w]),
             )
-        except RuntimeError:
-            continue  # this placement has no memory-feasible cut
-        t = balanced_bottleneck(
-            costs,
-            part.boundaries,
-            device_speeds=slot_speeds,
-            bandwidth_bytes_per_sec=slot_bw,
-            flops_per_sec=flops_per_sec,
-            comm_weight=comm_weight,
-        )
-        if best is None or t < best[2]:
-            best = (part, perm, t)
     if best is None:
         raise RuntimeError(
             "no placement admits a memory-feasible balanced partition"

@@ -7,8 +7,9 @@ parallel between rounds" structure of §3.2).  For one chain the planner:
 
 * cuts the job's model into K stages with :func:`repro.core.plan_for_spec`
   against a sub-spec of the granted devices — one joint partition and
-  placement search for every grant, of which a uniform grant is the
-  degenerate case (one DP, straight-chain placement);
+  placement search per distinct (family, grant speeds, grant memories),
+  of which a uniform grant is the degenerate case (one DP,
+  straight-chain placement);
 * builds an *analytic* :class:`~repro.core.profiler.Profile` at the
   job's own (M, 1) setting — per-stage compute from the cost model
   against each granted device's effective flops, per-stage transfer
@@ -39,6 +40,7 @@ from repro.core.predictor import Predictor, fits_memory
 from repro.core.profiler import Profile
 from repro.core.simcfg import calibration_for
 from repro.core.tuner import plan_for_spec
+from repro.graph.partitioner import Partition
 from repro.schedules.base import AdvanceFPSchedule
 from repro.schedules.executor import StageCosts
 from repro.sim.cluster import ClusterSpec
@@ -93,6 +95,11 @@ class JobPlanner:
     def __init__(self, spec: ClusterSpec) -> None:
         self.spec = spec
         self._cache: dict[tuple, ChainPlan] = {}
+        #: (family, grant speeds, grant memories) -> (partition,
+        #: placement).  The key is all the search reads of a grant, so
+        #: plans that differ only in M, the reference copy or node
+        #: adjacency share one search.
+        self._cuts: dict[tuple, tuple[Partition, tuple[int, ...]]] = {}
 
     # ------------------------------------------------------------------ #
 
@@ -167,6 +174,47 @@ class JobPlanner:
 
     # ------------------------------------------------------------------ #
 
+    def _cut(
+        self, family: str, devices: tuple[int, ...]
+    ) -> tuple[Partition, tuple[int, ...]]:
+        """Partition + placement of ``family`` on a grant, memoized.
+
+        The sub-spec is one device per node, so the search reads only
+        the grant's speeds and memories (and the planner's shared link
+        and flops constants), not which node each device sits on.
+        """
+        spec = self.spec
+        speeds = tuple(spec.speed_of(d) for d in devices)
+        mems = tuple(spec.memory_bytes_of(d) for d in devices)
+        key = (family, speeds, mems)
+        cut = self._cuts.get(key)
+        if cut is not None:
+            return cut
+        cal = calibration_for(family)
+        uniform = len(set(speeds)) == 1 and len(set(mems)) == 1
+        sub = ClusterSpec(
+            nodes=len(devices),
+            gpus_per_node=1,
+            peak_flops=spec.peak_flops * (speeds[0] if uniform else 1.0),
+            memory_bytes=mems[0],
+            intra_node_bandwidth=spec.intra_node_bandwidth,
+            inter_node_bandwidth=spec.inter_node_bandwidth,
+            intra_node_latency=spec.intra_node_latency,
+            inter_node_latency=spec.inter_node_latency,
+            device_speed=None if uniform else speeds,
+            device_memory_bytes=None if uniform else mems,
+        )
+        cut = plan_for_spec(
+            list(_family_costs(family)),
+            sub,
+            activation_byte_scale=cal.activation_byte_scale,
+            param_byte_scale=cal.param_byte_scale,
+            comm_weight=_COMM_WEIGHT,
+            memory_caps=None if uniform else sub.memory_vector(),
+        )
+        self._cuts[key] = cut
+        return cut
+
     def _plan_chain_uncached(
         self,
         family: str,
@@ -183,31 +231,7 @@ class JobPlanner:
                 f"{family}: batch {cal.batch_size} not divisible by M={num_micro}"
             )
 
-        # --- partition + placement on the grant ------------------------
-        speeds = tuple(spec.speed_of(d) for d in devices)
-        mems = tuple(spec.memory_bytes_of(d) for d in devices)
-        uniform = len(set(speeds)) == 1 and len(set(mems)) == 1
-        sub = ClusterSpec(
-            nodes=num_stages,
-            gpus_per_node=1,
-            peak_flops=spec.peak_flops * (speeds[0] if uniform else 1.0),
-            memory_bytes=mems[0],
-            intra_node_bandwidth=spec.intra_node_bandwidth,
-            inter_node_bandwidth=spec.inter_node_bandwidth,
-            intra_node_latency=spec.intra_node_latency,
-            inter_node_latency=spec.inter_node_latency,
-            device_speed=None if uniform else speeds,
-            device_memory_bytes=None if uniform else mems,
-        )
-        partition, placement = plan_for_spec(
-            costs,
-            sub,
-            num_stages=num_stages,
-            activation_byte_scale=cal.activation_byte_scale,
-            param_byte_scale=cal.param_byte_scale,
-            comm_weight=_COMM_WEIGHT,
-            memory_caps=None if uniform else sub.memory_vector(),
-        )
+        partition, placement = self._cut(family, devices)
         stage_devices = tuple(devices[placement[k]] for k in range(num_stages))
 
         # --- analytic profile at the job's own (M, 1) -------------------

@@ -8,6 +8,7 @@ paper's Figure 19 depends on.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.predictor import Predictor
 from repro.core.profiler import Profile, Profiler
@@ -70,6 +71,61 @@ class TestProfileCollection:
         profile = make_profiler().profile()
         k = profile.num_stages // 2
         assert profile.phi_integral_over(k, 4.0) > 0
+
+
+def phi_integral_loop(times, values, scale):
+    """Eq. 2's overflow integral as the plain loop over knots: the
+    sequential sum the array form must reproduce bit for bit."""
+    times, values = list(times), list(values)
+    total = 0.0
+    for t, t_next, value in zip(times, times[1:], values):
+        dt = t_next - t
+        if dt > 0:
+            total += dt * max(scale * value - 1.0, 0.0)
+    return total
+
+
+def _phi_profile(times, values):
+    return Profile(
+        m=1, n=1, batch_size=1, num_stages=1, t_gpu=[0.0], t_comm_total=[0.0],
+        phi_times=[np.asarray(times, dtype=float)],
+        phi_values=[np.asarray(values, dtype=float)],
+        f_mod=[0], f_ref=[0], f_dat=[0], batch_time=0.0, profiling_cost=0.0,
+    )
+
+
+class TestPhiIntegral:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        knots=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.integers(1, 3), st.floats(0.0, 1.5)),
+            min_size=1, max_size=60,
+        ),
+        scale=st.one_of(st.just(1.0), st.floats(0.05, 20.0)),
+    )
+    def test_matches_sequential_loop(self, knots, scale):
+        # sorted times, some repeated (dt = 0 steps are skipped)
+        times, values = [], []
+        for t, repeat, value in sorted(knots):
+            times += [t] * repeat
+            values += [value] * repeat
+        got = _phi_profile(times, values).phi_integral_over(0, scale)
+        assert got.hex() == phi_integral_loop(times, values, scale).hex()
+
+    @pytest.mark.parametrize("scale", [1.0, 3.7])
+    def test_single_knot_is_zero(self, scale):
+        # the shape JobPlanner builds: one knot, no step
+        assert _phi_profile([0.0], [1.0]).phi_integral_over(0, scale) == 0.0
+
+    def test_profiled_curves_match_sequential_loop(self):
+        profile = make_profiler().profile()
+        rng = np.random.default_rng(0)
+        for k in range(profile.num_stages):
+            times, values = profile.phi_times[k], profile.phi_values[k]
+            for scale in [1.0, *rng.uniform(0.5, 8.0, size=5)]:
+                got = profile.phi_integral_over(k, float(scale))
+                want = phi_integral_loop(times.tolist(), values.tolist(), float(scale))
+                assert got.hex() == want.hex()
 
 
 class TestPredictorIdentity:

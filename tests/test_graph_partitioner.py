@@ -1,6 +1,7 @@
 """Partitioner: DP optimality (vs brute force), structure, fallbacks,
-the heterogeneous inputs' property suites, the orbit-pruned placement
-search (vs an exhaustive reference) and the single plan_for_spec path."""
+the heterogeneous inputs' property suites, the batched DP kernel (vs the
+scalar PipeDream loop), the orbit-pruned placement search (vs an
+exhaustive reference) and the single plan_for_spec path."""
 
 import itertools
 
@@ -43,6 +44,68 @@ def brute_force(costs, k, bandwidth, comm_weight=0.5):
         if worst < best_b:
             best, best_b = boundaries, worst
     return best, best_b
+
+
+def scalar_partition(
+    costs, k, *, device_speeds=None, bandwidth_bytes_per_sec=1e9 / 8,
+    flops_per_sec=1.0, comm_weight=0.5, memory_caps=None, layer_memory_bytes=None,
+):
+    """The PipeDream DP as a plain loop: the oracle the batched kernel
+    must match bit for bit.  Returns the boundaries, or None when no cut
+    fits the memory caps."""
+    n = len(costs)
+    inf = float("inf")
+    speeds = [1.0] * k if device_speeds is None else list(device_speeds)
+    if isinstance(bandwidth_bytes_per_sec, (int, float)):
+        bandwidths = [bandwidth_bytes_per_sec] * k
+    else:
+        bandwidths = list(bandwidth_bytes_per_sec)
+    if memory_caps is None:
+        caps = [inf] * k
+        mem_prefix = [0.0] * (n + 1)
+    else:
+        caps = list(memory_caps)
+        mem = (
+            [3.0 * c.param_bytes for c in costs]
+            if layer_memory_bytes is None
+            else [float(m) for m in layer_memory_bytes]
+        )
+        mem_prefix = np.concatenate([[0.0], np.cumsum(mem)]).tolist()
+    compute = np.array([c.flops_per_sample / flops_per_sec for c in costs])
+    prefix = np.concatenate([[0.0], np.cumsum(compute)]).tolist()
+    acts = [c.activation_bytes_per_sample for c in costs]
+
+    dp = [[inf] * (n + 1) for _ in range(k + 1)]
+    choice = [[-1] * (n + 1) for _ in range(k + 1)]
+    dp[0][0] = 0.0
+    for s in range(1, k + 1):
+        speed, cap, prev = speeds[s - 1], caps[s - 1], dp[s - 1]
+        if s == 1:
+            comm = [0.0] * n
+        else:
+            bandwidth = bandwidths[s - 1]
+            comm = [0.0] + [comm_weight * (a / bandwidth) for a in acts[:-1]]
+        for j in range(s, n + 1):
+            best, best_i = inf, -1
+            prefix_j, mem_j = prefix[j], mem_prefix[j]
+            for i in range(s - 1, j):
+                before = prev[i]
+                if before == inf or mem_j - mem_prefix[i] > cap:
+                    continue
+                service = (prefix_j - prefix[i]) / speed + comm[i]
+                candidate = service if service > before else before
+                if candidate < best:
+                    best, best_i = candidate, i
+            dp[s][j] = best
+            choice[s][j] = best_i
+    if dp[k][n] == inf:
+        return None
+    boundaries = [n]
+    j = n
+    for s in range(k, 0, -1):
+        j = choice[s][j]
+        boundaries.append(j)
+    return tuple(reversed(boundaries))
 
 
 class TestPartitionStructure:
@@ -351,26 +414,26 @@ class TestBalancedProperties:
             )
 
 
-def _exhaustive_search(costs, k, speeds, matrix, caps, **kw):
-    """Reference search: every permutation in order, strict ``<``."""
+def _exhaustive_search(costs, k, speeds, matrix, caps, candidates=None, **kw):
+    """Reference search: the scalar DP per candidate in order (default
+    every permutation), strict ``<``."""
     best = None
-    for perm in itertools.permutations(range(k)):
+    for perm in candidates or itertools.permutations(range(k)):
         slot_speeds = [speeds[d] for d in perm]
         slot_bw = [float("inf")] + [matrix[perm[s - 1]][perm[s]] for s in range(1, k)]
         slot_caps = None if caps is None else [caps[d] for d in perm]
-        try:
-            part = partition_model(
-                costs, k, device_speeds=slot_speeds,
-                bandwidth_bytes_per_sec=slot_bw, memory_caps=slot_caps, **kw,
-            )
-        except RuntimeError:
+        boundaries = scalar_partition(
+            costs, k, device_speeds=slot_speeds,
+            bandwidth_bytes_per_sec=slot_bw, memory_caps=slot_caps, **kw,
+        )
+        if boundaries is None:
             continue
         t = balanced_bottleneck(
-            costs, part.boundaries, device_speeds=slot_speeds,
+            costs, boundaries, device_speeds=slot_speeds,
             bandwidth_bytes_per_sec=slot_bw, **kw,
         )
         if best is None or t < best[2]:
-            best = (part, perm, t)
+            best = (boundaries, perm, t)
     return best
 
 
@@ -429,19 +492,21 @@ class TestOrbitPruning:
             costs, k, device_speeds=speeds, bandwidth_matrix=matrix,
             memory_caps=caps, **kw,
         )
-        assert part.boundaries == reference[0].boundaries
+        assert part.boundaries == reference[0]
         assert perm == reference[1]
         assert t.hex() == reference[2].hex()
 
     def _count_dp_runs(self, monkeypatch):
+        """One entry per placement the search hands the DP kernel."""
         runs = []
-        dp = partitioner.partition_model
+        orbits = partitioner._orbit_placements
 
-        def counted(*args, **kwargs):
-            runs.append(1)
-            return dp(*args, **kwargs)
+        def counted(group):
+            for placement in orbits(group):
+                runs.append(placement)
+                yield placement
 
-        monkeypatch.setattr(partitioner, "partition_model", counted)
+        monkeypatch.setattr(partitioner, "_orbit_placements", counted)
         return runs
 
     def test_uniform_matrix_runs_one_dp(self, monkeypatch):
@@ -463,6 +528,149 @@ class TestOrbitPruning:
         runs = self._count_dp_runs(monkeypatch)
         cal.hetero_plan(variant, costs, with_memory_caps=True)
         assert len(runs) == expected  # of 6! = 720 permutations
+
+
+@st.composite
+def _dp_instances(draw):
+    """Small chains for the kernel differential: L down to K, equal layer
+    costs (so every cut and placement can tie), and memory caps that
+    leave all, some or none of the placements feasible."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 100_000)))
+    if draw(st.booleans()):
+        costs = costs_from([2e5] * n, acts=[1e3] * n, params=[1000] * n)
+    else:
+        costs = _random_costs(rng, n)
+    speeds = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=k, max_size=k))
+    links = [2e7, 1e8, 1e9]
+    matrix = [
+        [float("inf") if i == j else draw(st.sampled_from(links)) for j in range(k)]
+        for i in range(k)
+    ]
+    caps = None
+    if draw(st.booleans()):
+        total = sum(3.0 * c.param_bytes for c in costs)
+        caps = draw(st.lists(
+            st.sampled_from([total / k * f for f in (0.5, 0.9, 1.3, 3.0)]),
+            min_size=k, max_size=k,
+        ))
+    return costs, k, speeds, matrix, caps
+
+
+def _orbit_reference(costs, k, speeds, matrix, caps, **kw):
+    """The search's own candidates, each cut by the scalar oracle."""
+    group = partitioner._device_groups(speeds, matrix, caps)
+    return _exhaustive_search(
+        costs, k, speeds, matrix, caps,
+        candidates=list(partitioner._orbit_placements(group)), **kw,
+    )
+
+
+class TestKernelDifferential:
+    """The batched DP kernel against the scalar loop, bit for bit: cut,
+    placement and bottleneck, feasible or not."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(instance=_dp_instances(), comm_weight=st.sampled_from([0.2, 0.5, 1.0]))
+    def test_one_placement_matches_scalar_loop(self, instance, comm_weight):
+        costs, k, speeds, matrix, caps = instance
+        kw = dict(
+            device_speeds=speeds,
+            bandwidth_bytes_per_sec=[float("inf")] + [matrix[s - 1][s] for s in range(1, k)],
+            flops_per_sec=1e6, comm_weight=comm_weight, memory_caps=caps,
+        )
+        reference = scalar_partition(costs, k, **kw)
+        if reference is None:
+            with pytest.raises(RuntimeError):
+                partition_model(costs, k, **kw)
+        else:
+            assert partition_model(costs, k, **kw).boundaries == reference
+
+    @settings(max_examples=80, deadline=None)
+    @given(instance=_dp_instances(), comm_weight=st.sampled_from([0.2, 0.5]))
+    def test_many_placements_match_scalar_loop(self, instance, comm_weight):
+        costs, k, speeds, matrix, caps = instance
+        kw = dict(flops_per_sec=1e6, comm_weight=comm_weight)
+        reference = _orbit_reference(costs, k, speeds, matrix, caps, **kw)
+        args = dict(device_speeds=speeds, bandwidth_matrix=matrix, memory_caps=caps, **kw)
+        if reference is None:
+            with pytest.raises(RuntimeError):
+                search_partition_placement(costs, k, **args)
+            return
+        part, perm, t = search_partition_placement(costs, k, **args)
+        assert part.boundaries == reference[0]
+        assert perm == reference[1]
+        assert t.hex() == reference[2].hex()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 1000])
+    def test_chunking_keeps_the_first_winner(self, monkeypatch, chunk):
+        # five distinct speeds: 120 placements, ties broken by link pattern
+        rng = np.random.default_rng(7)
+        costs = costs_from([2e5] * 9, acts=[1e3] * 9)
+        speeds = [1.0, 0.5, 1.0, 0.5, 0.25]
+        matrix = [
+            [float("inf") if i == j else float(rng.choice([2e7, 1e9])) for j in range(5)]
+            for i in range(5)
+        ]
+        kw = dict(flops_per_sec=1e6, comm_weight=0.5)
+        reference = _orbit_reference(costs, 5, speeds, matrix, None, **kw)
+        monkeypatch.setattr(partitioner, "_DP_CHUNK", chunk)
+        part, perm, t = search_partition_placement(
+            costs, 5, device_speeds=speeds, bandwidth_matrix=matrix, **kw
+        )
+        assert (part.boundaries, perm, t.hex()) == (
+            reference[0], reference[1], reference[2].hex()
+        )
+
+    def test_placements_without_a_feasible_cut_are_skipped(self):
+        # only device 2 can hold the 1000-byte first layer, so the
+        # placements that start on device 0 or 1 (the first four) fail
+        costs = costs_from([1e6] * 4, acts=[10.0] * 4, params=[1000, 10, 10, 10])
+        matrix = [[float("inf") if i == j else 1e8 for j in range(3)] for i in range(3)]
+        caps = [60.0, 31.0, 3000.0]
+        kw = dict(flops_per_sec=1e6, comm_weight=0.5)
+        reference = _orbit_reference(costs, 3, [1.0] * 3, matrix, caps, **kw)
+        part, perm, t = search_partition_placement(
+            costs, 3, device_speeds=[1.0] * 3, bandwidth_matrix=matrix,
+            memory_caps=caps, **kw,
+        )
+        assert perm[0] == 2
+        assert (part.boundaries, perm, t.hex()) == (
+            reference[0], reference[1], reference[2].hex()
+        )
+
+    def test_operation_order_decides_an_exact_tie(self):
+        # Stage 2 costs the same after either cut of this 3-layer chain
+        # only under ``comm_weight * (bytes / bandwidth)``, so the first
+        # cut wins the tie; ``comm_weight * bytes / bandwidth`` rounds
+        # differently here and moves the cut.
+        a0, a1, bw = 41.568075116271835, 160.88033014242643, 4.954373525199658
+        f1 = 0.2 * (a1 / bw) - 0.2 * (a0 / bw)
+        costs = costs_from([0.0, f1, 0.0], acts=[a0, a1, 1.0])
+        kw = dict(bandwidth_bytes_per_sec=bw, comm_weight=0.2)
+        assert scalar_partition(costs, 2, **kw) == (0, 1, 3)
+        assert partition_model(costs, 2, **kw).boundaries == (0, 1, 3)
+
+    def test_one_layer_per_stage(self):
+        costs = _random_costs(np.random.default_rng(2), 5)
+        assert partition_model(costs, 5).boundaries == (0, 1, 2, 3, 4, 5)
+        with pytest.raises(RuntimeError):
+            partition_model(costs, 5, memory_caps=[1.0] * 5)
+
+
+class TestSequentialSums:
+    """Stage sums add left to right from 0.0 on every Python; a
+    compensated sum (builtin ``sum`` on 3.12) would give 1e16 + 2."""
+
+    def test_stage_memory_is_a_sequential_sum(self):
+        costs = costs_from([1.0] * 3)
+        got = stage_memory_bytes(costs, [0, 3], layer_memory_bytes=[1e16, 1.0, 1.0])
+        assert got == [1e16]
+
+    def test_bottleneck_is_a_sequential_sum(self):
+        costs = costs_from([1e16, 1.0, 1.0])
+        assert balanced_bottleneck(costs, [0, 3]) == 1e16
 
 
 class TestSearchValidation:
@@ -519,3 +727,8 @@ class TestPlanForSpec:
                 param_byte_scale=cal.param_byte_scale,
                 memory_caps=[1.15 * 2**20] * cal.num_devices,
             )
+
+    def test_num_stages_must_match_the_spec(self):
+        cal = calibration_for("gnmt")
+        with pytest.raises(ValueError, match=r"num_stages=4 .* 6 devices"):
+            plan_for_spec(cal.layer_costs(), cal.cluster_spec(), num_stages=4)

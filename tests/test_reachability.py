@@ -31,6 +31,9 @@ ALLOWLIST = {
     "repro.graph.partitioner.partition_uniform":
         "reference: the equal-count split the planner and pipeline tests "
         "compare partitions and runners against",
+    "repro.graph.partitioner.balanced_bottleneck":
+        "reference: the scalar stage-time arithmetic the placement search's "
+        "batched bottleneck must equal bit for bit",
     "repro.graph.partitioner.stage_memory_bytes":
         "reference: per-stage memory the partition DP's cap tests check "
         "every plan against",

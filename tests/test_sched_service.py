@@ -105,6 +105,37 @@ def test_hetero_grant_places_less_work_on_the_slow_device():
     assert uniform.batch_time < plan.batch_time < 2.0 * uniform.batch_time
 
 
+def test_planner_searches_each_grant_once(monkeypatch):
+    """The partition search reads only a grant's speeds and memories, so
+    chains that differ in M, the reference copy or node adjacency share
+    one search per planner."""
+    import repro.core.tuner as tuner
+
+    searches = []
+    search = tuner.search_partition_placement
+
+    def counted(*args, **kwargs):
+        searches.append(list(kwargs["device_speeds"]))
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(tuner, "search_partition_placement", counted)
+    spec = ClusterSpec(
+        nodes=2, gpus_per_node=2, memory_bytes=2 * GIB,
+        device_speed=(1.0, 0.5, 1.0, 0.5),
+    )
+    planner = JobPlanner(spec)
+    plans = {}
+    for grant in ((0, 1), (2, 3), (0, 3), (1, 0)):
+        for m in (2, 4):
+            for ref in (True, False):
+                plans[grant, m, ref] = planner.plan_chain("gnmt", 2, m, grant, ref)
+    assert searches == [[1.0, 0.5], [0.5, 1.0]]
+    # the reused cut is the one a fresh planner finds for that grant
+    fresh = JobPlanner(spec).plan_chain("gnmt", 2, 4, (0, 3), False)
+    assert fresh == plans[(0, 3), 4, False]
+    assert len(searches) == 3
+
+
 # --------------------------------------------------------------------- #
 # workload generation
 
