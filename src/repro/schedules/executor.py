@@ -25,7 +25,7 @@ from repro.schedules.base import Schedule, StageOp
 from repro.sim.cluster import Cluster
 from repro.sim.events import Event, Simulator
 from repro.sim.memory import OutOfMemoryError
-from repro.sim.trace import SpanKind, TraceRecorder
+from repro.sim.trace import SpanKind, TraceRecorder, _Span
 
 __all__ = ["StageCosts", "PipelineSimRunner", "SimIterationResult"]
 
@@ -133,13 +133,33 @@ class SimIterationResult:
 
 
 class _TransferTag:
-    """Bookkeeping for COMM-vs-BUBBLE wait classification."""
+    """One stage-to-stage transfer, from send to arrival.
 
-    __slots__ = ("started_at", "event")
+    The link completes the tag as a heap entry (see
+    :mod:`repro.sim.events`): it adds the transfer time to the sender's
+    ``comm_sent``, then wakes the receiver if one waits.  The receiver
+    splits its wait at ``started_at`` into BUBBLE and COMM spans.
+    """
 
-    def __init__(self, event: Event) -> None:
+    __slots__ = ("sim", "comm_sent", "src_stage", "started_at", "arrived", "waiter")
+    cancelled = False
+    triggered = False  # a link completes each tag once
+    value = None
+
+    def __init__(self, sim: Simulator, comm_sent: list[float], src_stage: int) -> None:
+        self.sim = sim
+        self.comm_sent = comm_sent
+        self.src_stage = src_stage
         self.started_at: float | None = None
-        self.event = event
+        self.arrived = False
+        self.waiter: Event | None = None
+
+    def succeed(self, value=None) -> None:
+        self.comm_sent[self.src_stage] += self.sim.now - self.started_at
+        self.arrived = True
+        waiter = self.waiter
+        if waiter is not None and not waiter.triggered:
+            waiter.succeed()
 
 
 class PipelineSimRunner:
@@ -226,10 +246,10 @@ class PipelineSimRunner:
         self.last_progress: dict[int, float] = {}
         #: batches fully completed per pipeline (barrier passages).
         self.iterations_completed: list[int] = []
-        self._stash_outstanding: dict[tuple[int, int], int] = {}
         self._act_ready = None
         self._grad_ready = None
         self._stage_done = None
+        self._ran = False
 
     def _device_of(self, pipeline: int, stage: int) -> int:
         return self.device_map[pipeline][stage]
@@ -258,23 +278,32 @@ class PipelineSimRunner:
         for per_stage in (self._act_ready[pipeline], self._grad_ready[pipeline]):
             for tags in per_stage:
                 for tag in tags:
-                    if not tag.event.triggered:
-                        tag.event.succeed()
+                    if tag is not None and tag.waiter is not None and not tag.waiter.triggered:
+                        tag.waiter.succeed()
         for per_it in self._stage_done[pipeline]:
             for ev in per_it:
                 if not ev.triggered:
                     ev.succeed()
 
-    def _drain_stage(self, pipeline: int, stage: int, device) -> None:
-        """Free the stash a crashed pipeline's stage still holds."""
-        key = (pipeline, stage)
-        outstanding = self._stash_outstanding.pop(key, 0)
+    def _drain_stage(self, stage: int, device, outstanding: int) -> None:
+        """Free the ``outstanding`` stashes a crashed pipeline's stage
+        still holds."""
         if outstanding:
             device.memory.free(outstanding * self._stash_bytes(stage), tag="activations")
 
     # ------------------------------------------------------------------ #
 
     def run(self, iterations: int = 1, render_timeline: bool = False) -> SimIterationResult:
+        """Simulate ``iterations`` batches.  One-shot: the trace and the
+        cluster keep this run's spans and state, so a second call on the
+        same runner raises instead of reporting merged measurements."""
+        if self._ran:
+            raise RuntimeError(
+                "PipelineSimRunner.run() called twice: a runner is one-shot "
+                "(its trace keeps the first run's spans); build a new runner "
+                "on a fresh cluster for another run"
+            )
+        self._ran = True
         sim = self.cluster.sim
         K = self.costs.num_stages
         N = self.num_pipelines
@@ -289,16 +318,11 @@ class PipelineSimRunner:
         comm_sent = [0.0] * K
         oom_box: list[OutOfMemoryError] = []
 
-        # Dependency events: act_ready[p][k][it*M + i], grad_ready likewise.
+        # Transfer tags act_ready[p][k][it*M + i], grad_ready likewise;
+        # each is made by whichever of sender and receiver reaches it first.
         total_mb = iterations * M
-        act_ready = [
-            [[_TransferTag(sim.event()) for _ in range(total_mb)] for _ in range(K)]
-            for _ in range(N)
-        ]
-        grad_ready = [
-            [[_TransferTag(sim.event()) for _ in range(total_mb)] for _ in range(K)]
-            for _ in range(N)
-        ]
+        act_ready = [[[None] * total_mb for _ in range(K)] for _ in range(N)]
+        grad_ready = [[[None] * total_mb for _ in range(K)] for _ in range(N)]
         # Per-iteration barriers for synchronous schedules.
         stage_done = [
             [[sim.event() for _ in range(K)] for _ in range(iterations)] for _ in range(N)
@@ -306,7 +330,6 @@ class PipelineSimRunner:
         # Exposed for crash_pipeline (fault injection mid-run).
         self._crashed = set()
         self._act_ready, self._grad_ready, self._stage_done = act_ready, grad_ready, stage_done
-        self._stash_outstanding = {}
         self.last_progress = {p: start_time for p in range(N)}
         self.iterations_completed = [0] * N
 
@@ -471,14 +494,16 @@ class PipelineSimRunner:
 
         # Per-stage constants, hoisted out of the event-driven hot loop.
         crashed = self._crashed
-        stash_outstanding = self._stash_outstanding
         last_progress = self.last_progress
-        trace_record = self.trace.record
+        trace = self.trace
+        record = trace.record
+        # Without a registry, record() is an append; skip the call.
+        append = trace.spans.append if trace.registry is None else None
         memory = device.memory
-        run_kernel = device.run_kernel
+        execute = device.compute.execute
+        demand = device.kernel_demand(self.mb_size)
         dev_index = device.index
-        mb_size = self.mb_size
-        key = (pipeline, stage)
+        outstanding = 0  # stashes held: forwards not yet backwarded
         stash = self._stash_bytes(stage)
         fwd_flops = self.costs.fwd_flops[stage]
         bwd_flops = fwd_flops * BWD_FLOP_FACTOR
@@ -486,90 +511,100 @@ class PipelineSimRunner:
             # Re-materialize the stash: one extra forward pass.
             bwd_flops += fwd_flops
         this_dev = self._device_of(pipeline, stage)
-        fwd_name = f"p{pipeline}.fwd"
-        bwd_name = f"p{pipeline}.bwd"
+        # Per op kind: the row it waits on and that row's sender, the
+        # kernel, and the row it sends to over which link.
+        fwd = [None, None, fwd_flops, f"p{pipeline}.fwd", SpanKind.FWD, None, None, 0.0]
+        bwd = [None, None, bwd_flops, f"p{pipeline}.bwd", SpanKind.BWD, None, None, 0.0]
         if stage < K - 1:
+            bwd[0:2] = grad_ready[pipeline][stage], stage + 1
             down_dev = self._device_of(pipeline, stage + 1)
-            down_bytes = self.costs.act_out_bytes[stage]
-            down_link = self.cluster.link(this_dev, down_dev)
-            act_wait_row = act_ready[pipeline][stage]
-            act_send_row = act_ready[pipeline][stage + 1]
-            grad_wait_row = grad_ready[pipeline][stage]
-        else:
-            act_wait_row = act_ready[pipeline][stage]
+            fwd[5:8] = (
+                act_ready[pipeline][stage + 1],
+                self.cluster.link(this_dev, down_dev),
+                self.costs.act_out_bytes[stage],
+            )
         if stage > 0:
+            fwd[0:2] = act_ready[pipeline][stage], stage - 1
             up_dev = self._device_of(pipeline, stage - 1)
-            up_bytes = self.costs.act_out_bytes[stage - 1]
-            up_link = self.cluster.link(this_dev, up_dev)
-            grad_send_row = grad_ready[pipeline][stage - 1]
-        # The op sequence repeats every iteration: pre-resolve kind and the
-        # trace label once instead of per (iteration, op).
-        op_seq = [(op.kind == "fwd", op.micro, str(op.micro + 1)) for op in ops]
+            bwd[5:8] = (
+                grad_ready[pipeline][stage - 1],
+                self.cluster.link(this_dev, up_dev),
+                self.costs.act_out_bytes[stage - 1],
+            )
+        # The op sequence repeats every iteration: resolve it once.
+        op_seq = [
+            (op.kind == "fwd", op.micro, str(op.micro + 1), *(fwd if op.kind == "fwd" else bwd))
+            for op in ops
+        ]
 
         for it in range(iterations):
             if oom_box:
                 return
             if pipeline in crashed:
-                self._drain_stage(pipeline, stage, device)
+                self._drain_stage(stage, device, outstanding)
                 return
             base = it * M
-            for is_fwd, micro, label in op_seq:
+            for (is_fwd, micro, label, wait_row, src, flops, kernel, kind,
+                 send_row, link, nbytes) in op_seq:
                 if pipeline in crashed:
-                    self._drain_stage(pipeline, stage, device)
+                    self._drain_stage(stage, device, outstanding)
                     return
                 mb = base + micro
+                # -- wait for the input (activation or gradient) ------------
+                if wait_row is not None:
+                    tag = wait_row[mb]
+                    if tag is None:
+                        tag = wait_row[mb] = _TransferTag(sim, comm_sent, src)
+                    if not tag.arrived:
+                        wait_start = sim.now
+                        tag.waiter = waiter = Event(sim)
+                        yield waiter
+                        arrive = sim.now
+                        if arrive > wait_start:
+                            # BUBBLE until the sender started, COMM after.
+                            xfer_start = arrive if tag.started_at is None else tag.started_at
+                            split = min(max(xfer_start, wait_start), arrive)
+                            if split > wait_start:
+                                if append is None:
+                                    record(dev_index, wait_start, split, SpanKind.BUBBLE)
+                                else:
+                                    append(_Span(dev_index, wait_start, split, SpanKind.BUBBLE, ""))
+                            if arrive > split:
+                                if append is None:
+                                    record(dev_index, split, arrive, SpanKind.COMM)
+                                else:
+                                    append(_Span(dev_index, split, arrive, SpanKind.COMM, ""))
+                    if pipeline in crashed:  # woken by the abort
+                        self._drain_stage(stage, device, outstanding)
+                        return
+                # -- stash activation memory --------------------------------
                 if is_fwd:
-                    # -- wait for the activation from upstream ---------------
-                    if stage > 0:
-                        tag = act_wait_row[mb]
-                        if not tag.event.triggered:
-                            yield from self._classified_wait(sim, dev_index, tag)
-                        if pipeline in crashed:  # woken by the abort
-                            self._drain_stage(pipeline, stage, device)
-                            return
-                    # -- stash activation memory -----------------------------
                     try:
-                        memory.alloc(stash, tag="activations")
+                        memory.alloc(stash, "activations")
                     except OutOfMemoryError as oom:
                         oom_box.append(oom)
                         return
-                    stash_outstanding[key] = stash_outstanding.get(key, 0) + 1
-                    # -- compute ---------------------------------------------
-                    t0 = sim.now
-                    yield run_kernel(fwd_flops, mb_size, name=fwd_name)
-                    trace_record(
-                        dev_index, t0, sim.now, SpanKind.FWD, label,
-                        pipeline=pipeline, stage=stage, micro=mb,
-                    )
-                    last_progress[pipeline] = sim.now
-                    # -- ship the activation downstream (asynchronously) -----
-                    if stage < K - 1:
-                        self._send(
-                            sim, down_link, down_bytes,
-                            act_send_row[mb], comm_sent, stage,
-                        )
-                else:  # bwd
-                    if stage < K - 1:
-                        tag = grad_wait_row[mb]
-                        if not tag.event.triggered:
-                            yield from self._classified_wait(sim, dev_index, tag)
-                        if pipeline in crashed:  # woken by the abort
-                            self._drain_stage(pipeline, stage, device)
-                            return
-                    t0 = sim.now
-                    yield run_kernel(bwd_flops, mb_size, name=bwd_name)
-                    trace_record(
-                        dev_index, t0, sim.now, SpanKind.BWD, label,
-                        pipeline=pipeline, stage=stage, micro=mb,
-                    )
-                    last_progress[pipeline] = sim.now
-                    memory.free(stash, tag="activations")
-                    stash_outstanding[key] = stash_outstanding.get(key, 1) - 1
-                    if stage > 0:
-                        self._send(
-                            sim, up_link, up_bytes,
-                            grad_send_row[mb], comm_sent, stage,
-                        )
+                    outstanding += 1
+                # -- compute ------------------------------------------------
+                t0 = sim.now
+                yield execute(flops, demand, kernel)
+                now = sim.now
+                if append is None:
+                    record(dev_index, t0, now, kind, label,
+                           pipeline=pipeline, stage=stage, micro=mb)
+                elif now > t0:
+                    append(_Span(dev_index, t0, now, kind, label, pipeline, stage, mb))
+                last_progress[pipeline] = now
+                if not is_fwd:
+                    memory.free(stash, "activations")
+                    outstanding -= 1
+                # -- ship the output to its neighbour (asynchronously) ------
+                if send_row is not None:
+                    tag = send_row[mb]
+                    if tag is None:
+                        tag = send_row[mb] = _TransferTag(sim, comm_sent, stage)
+                    tag.started_at = now
+                    link.transfer(nbytes, done=tag)
 
             # ---------------- batch boundary -------------------------------
             if sync:
@@ -579,15 +614,15 @@ class PipelineSimRunner:
                 update_flops = self.costs.param_bytes[stage] / 4 * 3
                 if self.with_reference_model:
                     update_flops *= 2  # elastic pull + reference accumulate
-                yield device.compute.execute(update_flops, demand=0.25, name="opt")
-                self.trace.record(device.index, t0, sim.now, SpanKind.SYNC, "opt")
+                yield execute(update_flops, demand=0.25, name="opt")
+                record(dev_index, t0, sim.now, SpanKind.SYNC, "opt")
                 if not stage_done[pipeline][it][stage].triggered:  # abort may have fired it
                     stage_done[pipeline][it][stage].succeed()
                 # All stages of this pipeline join before the next batch —
                 # the semantics of a per-batch optimizer step.
                 yield sim.all_of(stage_done[pipeline][it])
                 if pipeline in self._crashed:
-                    self._drain_stage(pipeline, stage, device)
+                    self._drain_stage(stage, device, outstanding)
                     return
             # Async schedules (PipeDream) roll straight into the next batch.
             if stage == 0:
@@ -602,37 +637,3 @@ class PipelineSimRunner:
             )
             return int(min(boundary, self.costs.stash_bytes[stage]))
         return int(self.costs.stash_bytes[stage])
-
-    # ------------------------------------------------------------------ #
-
-    def _send(
-        self, sim, link, nbytes: float,
-        tag: "_TransferTag", comm_sent, src_stage: int,
-    ) -> None:
-        tag.started_at = sim.now
-        t_start = sim.now
-        done = link.transfer(nbytes)
-
-        def deliver(_: Event) -> None:
-            comm_sent[src_stage] += sim.now - t_start
-            if not tag.event.triggered:
-                tag.event.succeed()
-
-        done.add_callback(deliver)
-
-    def _classified_wait(self, sim, device_index: int, tag: "_TransferTag"):
-        """Wait on a dependency; split the wait into BUBBLE (producer not
-        even started sending) and COMM (transfer in flight) spans."""
-        if tag.event.triggered:
-            return
-        wait_start = sim.now
-        yield tag.event
-        arrive = sim.now
-        if arrive <= wait_start:
-            return
-        xfer_start = tag.started_at if tag.started_at is not None else arrive
-        split = min(max(xfer_start, wait_start), arrive)
-        if split > wait_start:
-            self.trace.record(device_index, wait_start, split, SpanKind.BUBBLE)
-        if arrive > split:
-            self.trace.record(device_index, split, arrive, SpanKind.COMM)

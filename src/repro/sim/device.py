@@ -69,15 +69,19 @@ class Device:
         self._slowdown = 1.0
         self._demand_cache: dict[float, float] = {}
 
-    def run_kernel(self, flops: float, micro_batch_size: float, name: str = "kernel") -> Event:
-        """Submit a compute kernel; returns its completion event."""
+    def kernel_demand(self, micro_batch_size: float) -> float:
+        """Demand of one kernel at ``micro_batch_size`` (the curve's value)."""
         # The curve is a pure function of the micro-batch size and kernels
         # overwhelmingly share one size, so memoize per device.
         demand = self._demand_cache.get(micro_batch_size)
         if demand is None:
             demand = self.curve.demand(micro_batch_size)
             self._demand_cache[micro_batch_size] = demand
-        return self.compute.execute(flops, demand, name=name)
+        return demand
+
+    def run_kernel(self, flops: float, micro_batch_size: float, name: str = "kernel") -> Event:
+        """Submit a compute kernel; returns its completion event."""
+        return self.compute.execute(flops, self.kernel_demand(micro_batch_size), name=name)
 
     # ------------------------------------------------------------------ #
     # fault hooks (repro.resilience)

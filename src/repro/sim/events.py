@@ -14,6 +14,24 @@ The engine is deterministic: simultaneous events fire in schedule order
 (heap ties broken by a monotone sequence number), so every experiment is
 bit-reproducible.
 
+Heap entries
+------------
+The heap holds ``(time, seq, entry)`` triples.  An entry need not be an
+:class:`Event`; the engine reads four things of it:
+
+* ``cancelled`` — true for a tombstone, which is dropped at pop time
+  without touching the clock (and skipped by compaction);
+* ``triggered`` — true if it already fired elsewhere; then the pop only
+  advances the clock;
+* ``value`` — passed to ``succeed``;
+* ``succeed(value)`` — called once, at the entry's time.
+
+The simulator's own hot entries use this: a resource's completion tick
+and a link's latency gate are ``__slots__`` handles whose ``succeed``
+calls the resource directly, and the pipeline executor's transfer tag
+is the handle a link completes.  Only an :class:`Event` can be waited
+on by a process.  ``_seq`` counts every push, live or later cancelled.
+
 Queue tuning
 ------------
 Cancellation is lazy: a tombstoned event stays in the heap and is skipped

@@ -16,6 +16,24 @@ from repro.sim.resource import SharedResource
 __all__ = ["Link"]
 
 
+class _LatencyGate:
+    """A transfer's latency, as a heap entry (see :mod:`repro.sim.events`):
+    when it pops, the bytes start streaming through the link."""
+
+    __slots__ = ("pipe", "nbytes", "done")
+    cancelled = False
+    triggered = False
+    value = None
+
+    def __init__(self, pipe: SharedResource, nbytes: float, done) -> None:
+        self.pipe = pipe
+        self.nbytes = nbytes
+        self.done = done
+
+    def succeed(self, value=None) -> None:
+        self.pipe._submit(self.nbytes, 1.0, self.done)
+
+
 class Link:
     """Directed bandwidth resource with latency (see module docstring)."""
     def __init__(
@@ -39,10 +57,8 @@ class Link:
         self.pipe = SharedResource(
             sim, capacity=bandwidth_bytes_per_sec, name=name or f"link{src}->{dst}"
         )
-        # Event names for the default transfer label, composed once: every
-        # pipeline send pays this path, and the strings never change.
+        # Event name for the default transfer label, composed once.
         self._xfer_done_name = f"{self.pipe.name}.xfer"
-        self._xfer_gate_name = self._xfer_done_name + ".latency"
 
     # ------------------------------------------------------------------ #
     # fault hooks (repro.resilience)
@@ -68,25 +84,19 @@ class Link:
         self.pipe.set_capacity(self.bandwidth)
         self.pipe.unfreeze()
 
-    def transfer(self, nbytes: float, name: str = "xfer") -> Event:
-        """Start a transfer now; the event fires on delivery."""
+    def transfer(self, nbytes: float, name: str = "xfer", done=None):
+        """Start a transfer now and return ``done``, which completes on
+        delivery: a fresh :class:`Event` unless the caller passes its own
+        heap entry (see :mod:`repro.sim.events`)."""
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
-        if name == "xfer":
-            done_name = self._xfer_done_name
-            gate_name = self._xfer_gate_name
-        else:
-            done_name = f"{self.pipe.name}.{name}"
-            gate_name = done_name + ".latency"
-        done = Event(self.sim, name=done_name)
+        if done is None:
+            done = Event(
+                self.sim,
+                name=self._xfer_done_name if name == "xfer" else f"{self.pipe.name}.{name}",
+            )
         if self.latency == 0.0:
             self.pipe._submit(nbytes, 1.0, done)
-            return done
-
-        def start(_: Event) -> None:
-            self.pipe._submit(nbytes, 1.0, done)
-
-        gate = Event(self.sim, name=gate_name)
-        gate.callbacks = [start]
-        self.sim.schedule(self.latency, gate)
+        else:
+            self.sim.schedule(self.latency, _LatencyGate(self.pipe, nbytes, done))
         return done

@@ -21,12 +21,26 @@ old rates and a fresh completion tick is scheduled for the new earliest
 finisher.  A resource holds at most one live tick: arming a new one (or
 going idle / frozen) ``cancel()``s the pending one, an O(1) tombstone the
 event loop drops at pop time, so a superseded tick never fires.
+
+One reschedule per instant: a task submitted from inside a completion
+this resource is firing (a stage's next kernel, submitted as its last
+one finishes) is only appended, with the utilization step a nested
+reschedule would have recorded; the firing reschedule then computes
+the rates and arms the one tick over the same task list.  A nested
+reschedule's rates and tick were always overwritten by the firing one
+before time advanced, so the results are the same bits.  Work at or
+below the finish epsilon still takes the full path, which completes it
+at once; and once such a nested reschedule has replaced the task list,
+later submits of that instant take the full path too, because the
+firing reschedule finishes on the list it started with.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+
+import numpy as np
 
 from repro.sim.events import Event, Simulator
 
@@ -41,11 +55,34 @@ class _ActiveTask:
     # pure overhead there.
     __slots__ = ("work_left", "demand", "done", "rate")
 
-    def __init__(self, work_left: float, demand: float, done: Event) -> None:
+    def __init__(self, work_left: float, demand: float, done) -> None:
         self.work_left = work_left
         self.demand = demand
         self.done = done
         self.rate = 0.0
+
+
+class _Tick:
+    """A resource's completion tick, as a heap entry (see
+    :mod:`repro.sim.events`): it fires once, or is cancelled."""
+
+    __slots__ = ("resource", "cancelled")
+    triggered = False
+    value = None
+
+    def __init__(self, resource: "SharedResource") -> None:
+        self.resource = resource
+        self.cancelled = False
+
+    def cancel(self) -> None:
+        self.cancelled = True
+        self.resource.sim._tombstones += 1
+
+    def succeed(self, value=None) -> None:
+        resource = self.resource
+        resource._tick = None
+        resource._settle()
+        resource._reschedule()
 
 
 class SharedResource:
@@ -61,14 +98,15 @@ class SharedResource:
         self._active: list[_ActiveTask] = []
         self._last_update = 0.0
         # The one pending completion tick (None while idle or frozen).
-        self._tick: Event | None = None
+        self._tick: _Tick | None = None
         self._frozen = False
-        self._tick_name = f"{name}.tick"
+        # While a reschedule fires completions: the task list it will
+        # finish on (see module docstring); None otherwise.
+        self._firing: list[_ActiveTask] | None = None
         # Completion-event names, composed once per distinct task label:
         # callers reuse a handful of labels across thousands of submits.
         self._task_names: dict[str, str] = {}
         self._finish_eps = _EPS * (capacity if capacity > 1.0 else 1.0)
-        self._tick_cb = self._on_tick_event
         # (time, total_granted_demand) steps for utilization traces.
         self.utilization_steps: list[tuple[float, float]] = [(0.0, 0.0)]
 
@@ -84,17 +122,36 @@ class SharedResource:
         if full_name is None:
             full_name = f"{self.name}.{name}"
             self._task_names[name] = full_name
-        done = Event(self.sim, name=full_name)
+        done = Event(self.sim, full_name)
         self._submit(work, demand, done)
         return done
 
-    def _submit(self, work: float, demand: float, done: Event) -> None:
-        """Fire ``done`` once ``work`` units have been served at ``demand``."""
+    def _submit(self, work: float, demand: float, done) -> None:
+        """Fire ``done`` once ``work`` units have been served at ``demand``.
+
+        ``done`` is an :class:`Event` or any heap entry (see
+        :mod:`repro.sim.events`)."""
         if work == 0:
             self.sim.schedule(0.0, done)
             return
+        active = self._active
+        if self._firing is active and work > self._finish_eps:
+            # Deferred to the firing reschedule; the clock has not moved
+            # since it settled.  Record the step a nested one would have.
+            active.append(_ActiveTask(work, demand, done))
+            if self._frozen:
+                util = 0.0
+            else:
+                total = 0.0
+                for task in active:
+                    total += task.demand
+                util = total if total <= 1.0 else 1.0
+            steps = self.utilization_steps
+            if abs(util - steps[-1][1]) > 1e-12:
+                steps.append((self.sim.now, util))
+            return
         self._settle()
-        self._active.append(_ActiveTask(work_left=work, demand=demand, done=done))
+        active.append(_ActiveTask(work, demand, done))
         self._reschedule()
 
     @property
@@ -189,7 +246,12 @@ class SharedResource:
             # tasks, which land in the fresh ``active`` list.
             self._active = active = []
             if not task.done.triggered:
-                task.done.succeed()
+                firing = self._firing
+                self._firing = active
+                try:
+                    task.done.succeed()
+                finally:
+                    self._firing = firing
         else:
             threshold = self._finish_eps
             for task in active:
@@ -236,35 +298,36 @@ class SharedResource:
             else:
                 kept.append(task)
         self._active = kept
-        for task in finished:
-            if not task.done.triggered:
-                task.done.succeed()
+        firing = self._firing
+        self._firing = kept
+        try:
+            for task in finished:
+                if not task.done.triggered:
+                    task.done.succeed()
+        finally:
+            self._firing = firing
         return kept
 
     def _arm(self, delay: float) -> None:
         """Schedule the resource's one live completion tick."""
         sim = self.sim
-        tick = Event(sim, name=self._tick_name)
-        tick.callbacks = [self._tick_cb]
+        tick = self._tick = _Tick(self)
         sim._seq += 1
         heapq.heappush(sim._heap, (sim.now + delay, sim._seq, tick))
-        self._tick = tick
-
-    def _on_tick_event(self, tick: Event) -> None:
-        self._tick = None
-        self._settle()
-        self._reschedule()
 
     # ------------------------------------------------------------------ #
 
     def utilization_integral(self, horizon: float | None = None) -> float:
-        """Integral of the utilization curve (compute volume / capacity)."""
+        """Integral of the utilization curve (compute volume / capacity).
+
+        The step areas are summed left to right (``np.add.accumulate`` is
+        sequential), the order of a plain loop over the steps."""
         end = self.sim.now if horizon is None else horizon
-        total = 0.0
-        steps = self.utilization_steps
-        for i, (t, u) in enumerate(steps):
-            t_next = steps[i + 1][0] if i + 1 < len(steps) else end
-            t_next = min(t_next, end)
-            if t_next > t:
-                total += (t_next - t) * u
-        return total
+        steps = np.array(self.utilization_steps)
+        t = steps[:, 0]
+        t_next = np.minimum(np.append(t[1:], end), end)
+        live = t_next > t
+        if not live.any():
+            return 0.0
+        areas = (t_next[live] - t[live]) * steps[live, 1]
+        return float(np.add.accumulate(areas)[-1])

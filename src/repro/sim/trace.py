@@ -126,22 +126,11 @@ class TraceRecorder:
         one Equation-1 loop (:meth:`time_decomposition` reads one row).
         """
         out = [{"gpu": 0.0, "com": 0.0, "bub": 0.0, "sync": 0.0} for _ in range(num_devices)]
-        gpu_kinds = (SpanKind.FWD, SpanKind.BWD)
-        skip_kinds = (SpanKind.FAULT, SpanKind.RECOVERY)
+        component = EQ1_COMPONENT.get
         for span in self.spans:
-            dev = span.device
-            if dev >= num_devices or span.kind in skip_kinds:
-                continue
-            d = out[dev]
-            duration = span.end - span.start
-            if span.kind in gpu_kinds:
-                d["gpu"] += duration
-            elif span.kind == SpanKind.COMM:
-                d["com"] += duration
-            elif span.kind == SpanKind.BUBBLE:
-                d["bub"] += duration
-            else:
-                d["sync"] += duration
+            name = component(span.kind)  # None for FAULT / RECOVERY
+            if name is not None and span.device < num_devices:
+                out[span.device][name] += span.end - span.start
         return out
 
     # ------------------------------------------------------------------ #

@@ -143,3 +143,137 @@ def test_comm_time_at_least_serialization_floor(case):
         sent_bytes = act[k] * m  # forward activations per batch
         floor = sent_bytes / 8.0e9  # even the fast intra-node link
         assert res.comm_sent_time[k] >= floor * 0.99
+
+
+# --------------------------------------------------------------------- #
+# Closed-form oracle: N=1, K uniform stages, 1-byte activations.
+#
+# Nothing contends: each device runs one stage, a 1-byte transfer never
+# overlaps the next one on its link, and the latency gate is a pure
+# delay.  So every op starts at max(its stage's previous op end, its
+# input's arrival), an input arrives c_k = L_k + 1/B_k after its producer
+# ends, and the batch ends when the last stage's ``opt`` kernel does.
+# GPipe's (M+K-1)(t_f+t_b) is the latency-free part of that recurrence.
+
+ORACLE_PARAM_BYTES = 1_000_000
+
+
+def _oracle_terms(k, fwd, mb):
+    """t_f, t_b, the per-hop delays c_k (k -> k+1, equal both ways on
+    the testbed) and the batch-end optimizer kernel t_opt."""
+    spec = ClusterSpec(nodes=k // 2, gpus_per_node=2, memory_bytes=32 * GIB)
+    rate = spec.curve.demand(mb) * spec.peak_flops
+    t_f = fwd / rate
+    t_b = 2.0 * fwd / rate
+    hops = []
+    for s in range(k - 1):
+        bandwidth, latency = spec.link_params(s, s + 1)
+        assert spec.link_params(s + 1, s) == (bandwidth, latency)
+        hops.append(latency + 1.0 / bandwidth)
+    # executor: update_flops = param_bytes / 4 * 3 at demand 0.25
+    t_opt = ORACLE_PARAM_BYTES / 4 * 3 / (0.25 * spec.peak_flops)
+    return spec, t_f, t_b, hops, t_opt
+
+
+def _max_plus_batch_time(schedule, k, m, fwd, mb):
+    """The no-contention recurrence over the schedule's op streams."""
+    _, t_f, t_b, hops, t_opt = _oracle_terms(k, fwd, mb)
+    streams = [schedule.stage_ops(s, k, m) for s in range(k)]
+    fwd_end, bwd_end = {}, {}
+    pos, clock = [0] * k, [0.0] * k
+    moved = True
+    while moved:
+        moved = False
+        for s in range(k):
+            while pos[s] < len(streams[s]):
+                op = streams[s][pos[s]]
+                if op.kind == "fwd":
+                    if s > 0 and (s - 1, op.micro) not in fwd_end:
+                        break
+                    ready = fwd_end[s - 1, op.micro] + hops[s - 1] if s > 0 else 0.0
+                    clock[s] = fwd_end[s, op.micro] = max(clock[s], ready) + t_f
+                else:
+                    if s < k - 1 and (s + 1, op.micro) not in bwd_end:
+                        break
+                    ready = bwd_end[s + 1, op.micro] + hops[s] if s < k - 1 else 0.0
+                    clock[s] = bwd_end[s, op.micro] = max(clock[s], ready) + t_b
+                pos[s] += 1
+                moved = True
+    assert pos == [2 * m] * k, "schedule deadlocked in the oracle"
+    return max(clock) + t_opt
+
+
+def _run_1byte(schedule, k, m, fwd, mb):
+    return run_case(schedule, [fwd] * k, [1.0] * k, m, mb, k=k).batch_time
+
+
+oracle_strategy = st.tuples(
+    st.sampled_from([2, 4, 6]),
+    st.integers(1, 16),
+    st.floats(1e6, 8e6),
+    st.sampled_from([2.0, 8.0, 16.0]),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=oracle_strategy)
+def test_afab_batch_time_closed_form(case):
+    """AFAB exposes every hop once on the way down and once on the way
+    back: (M+K-1)(t_f+t_b) + 2 sum_k (L_k + 1/B_k) + t_opt."""
+    k, m, fwd, mb = case
+    _, t_f, t_b, hops, t_opt = _oracle_terms(k, fwd, mb)
+    expected = (m + k - 1) * (t_f + t_b) + 2 * sum(hops) + t_opt
+    assert _run_1byte(AFABSchedule(), k, m, fwd, mb) == pytest.approx(expected, rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=oracle_strategy, advance=st.integers(1, 8))
+def test_interleaved_schedules_match_max_plus_oracle(case, advance):
+    k, m, fwd, mb = case
+    for schedule in (OneFOneBSchedule(versions=1), AdvanceFPSchedule(min(advance, m))):
+        assert _run_1byte(schedule, k, m, fwd, mb) == pytest.approx(
+            _max_plus_batch_time(schedule, k, m, fwd, mb), rel=1e-12
+        )
+
+
+def test_testbed_residuals_over_gpipe():
+    """The residuals over GPipe's (M+K-1)(t_f+t_b) on the 3x2 testbed.
+
+    AFAB: t_opt (15 ms) + 2 * (3 intra + 2 inter hops) = 15.43 ms at
+    every M.  1F1B: the same at M <= 2; from M = 4 on, a stage's backward
+    waits on its gradient's round trip in every steady-state cycle, and
+    each 4 more micro-batches expose 4 inter-node and 2 intra-node hops
+    (c_inter + c_intra / 2 per micro-batch): 15.64, 16.05 and 16.87 ms
+    at M = 4, 8 and 16.
+    """
+    k, fwd, mb = 6, 4e6, 8.0
+    _, t_f, t_b, hops, t_opt = _oracle_terms(k, fwd, mb)
+    c_intra, c_inter = hops[0], hops[1]
+    assert hops == [c_intra, c_inter, c_intra, c_inter, c_intra]
+    assert t_opt == 0.015
+
+    def residual(schedule, m):
+        return _run_1byte(schedule, k, m, fwd, mb) - (m + k - 1) * (t_f + t_b)
+
+    afab = {m: residual(AFABSchedule(), m) for m in (4, 8, 16)}
+    one = {m: residual(OneFOneBSchedule(versions=1), m) for m in range(1, 21)}
+    two_way = t_opt + 2 * sum(hops)
+    for value in afab.values():
+        assert value == pytest.approx(two_way, abs=1e-12)
+    assert two_way == pytest.approx(15.43003275e-3, abs=1e-12)
+    assert one[1] == pytest.approx(two_way, abs=1e-12)
+    assert one[2] == pytest.approx(two_way, abs=1e-12)
+    for m in range(4, 17):
+        assert one[m + 4] - one[m] == pytest.approx(4 * c_inter + 2 * c_intra, abs=1e-12)
+    assert [round(one[m] * 1e3, 2) for m in (4, 8, 16)] == [15.64, 16.05, 16.87]
+
+    # 2x2 testbed: one inter-node hop between two intra-node ones; each
+    # 2 more micro-batches expose its round trip.
+    k = 4
+    _, t_f, t_b, hops, t_opt = _oracle_terms(k, fwd, mb)
+    four = {
+        m: _run_1byte(OneFOneBSchedule(versions=1), k, m, fwd, mb) - (m + k - 1) * (t_f + t_b)
+        for m in range(4, 13)
+    }
+    for m in range(4, 11):
+        assert four[m + 2] - four[m] == pytest.approx(2 * hops[1], abs=1e-12)

@@ -190,6 +190,20 @@ class TestAccounting:
         res = runner.run(iterations=1, render_timeline=True)
         assert "GPU 1" in res.timeline
 
+    def test_runner_is_one_shot(self):
+        """A second run() on one runner used to fold the first run's spans
+        into its decomposition (T_gpu and T_bub per batch doubled); it now
+        refuses, naming the reuse."""
+        sim = Simulator()
+        cluster = make_cluster(sim, 6, spec=ClusterSpec(nodes=3, gpus_per_node=2, memory_bytes=4 * GIB))
+        runner = PipelineSimRunner(cluster, AdvanceFPSchedule(2), uniform_costs(), 4, 8.0,
+                                   num_pipelines=2)
+        first = runner.run(iterations=1)
+        assert first.decomposition == run(AdvanceFPSchedule(2), num_micro=4, pipelines=2,
+                                          iterations=1).decomposition
+        with pytest.raises(RuntimeError, match="called twice: a runner is one-shot"):
+            runner.run(iterations=1)
+
 
 class TestDataParallelRunner:
     def _run(self, **kwargs):

@@ -234,6 +234,31 @@ class TestProcessorSharing:
         # two disjoint 1 s tasks at full demand: busy time = utilization integral
         assert res.utilization_integral(sim.now) == pytest.approx(2.0)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        gaps=st.lists(st.sampled_from([0.0, 0.25, 0.1, 1.0 / 3.0, 2.5]), max_size=12),
+        utils=st.lists(st.sampled_from([0.0, 0.3, 0.75, 1.0, 0.1]), min_size=12, max_size=12),
+        horizon=st.one_of(st.none(), st.floats(0.0, 8.0)),
+    )
+    def test_utilization_integral_matches_the_step_loop(self, gaps, utils, horizon):
+        """The array integral adds the same step areas in the same order
+        as a loop over the steps, so it is bitwise equal."""
+        sim = Simulator()
+        res = SharedResource(sim, capacity=1.0)
+        t = 0.0
+        for gap, u in zip(gaps, utils):
+            t += gap
+            res.utilization_steps.append((t, u))
+        sim.now = t + 0.5
+        end = sim.now if horizon is None else horizon
+        steps = res.utilization_steps
+        total = 0.0
+        for i, (start, u) in enumerate(steps):
+            stop = min(steps[i + 1][0] if i + 1 < len(steps) else end, end)
+            if stop > start:
+                total += (stop - start) * u
+        assert res.utilization_integral(horizon).hex() == total.hex()
+
 
 class TestMemoryLedger:
     def test_alloc_free_peak(self):

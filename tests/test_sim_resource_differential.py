@@ -1,10 +1,13 @@
-"""Differential gate: the cancelled-tick resource against the generation counter.
+"""Differential gate: the live resource against the generation counter.
 
-``SharedResource`` keeps one live completion tick and ``cancel()``s the one
-it supersedes; ``Link.transfer`` hands its own ``done`` event to the
-resource.  Both replaced code that let superseded ticks fire and skipped
-them by a generation counter, and that forwarded a stream event into
-``done``.  A test-only copy of that code (:class:`_GenerationResource`,
+``SharedResource`` keeps one live completion tick, a slotted heap handle,
+and ``cancel()``s the one it supersedes; a task submitted from inside one
+of its own completions is only appended, and the firing reschedule arms
+the one tick; ``Link.transfer`` hands its own ``done`` entry (an event or
+any heap handle) to the resource.  All of it replaced code that
+rescheduled on every submit, let superseded ticks fire and skipped them
+by a generation counter, and forwarded a stream event into ``done``.  A
+test-only copy of that code (:class:`_GenerationResource`,
 :class:`_GenerationLink`) is driven with the same seeded random traffic as
 the live code:
 
@@ -12,9 +15,12 @@ the live code:
   arrivals, completions and capacity changes tie;
 * zero-work tasks and zero-byte transfers, demands that sum above 1;
 * follow-up tasks submitted from a completion callback (re-entrant
-  submits to the resource that is completing);
+  submits to the resource that is completing), including bursts of
+  tasks that finish on one tick and each submit a follow-up, and
+  follow-ups at or under the finish epsilon;
 * raised and lowered ``set_capacity``, ``freeze`` / ``unfreeze``;
-* latency-gated and zero-latency links.
+* latency-gated and zero-latency links, with transfers completed through
+  an event or through a handle that is not an :class:`Event`.
 
 Both must give bitwise-equal (time, name) completion sequences, equal
 ``utilization_steps`` and equal ``run_until_process`` end clocks, and no
@@ -29,6 +35,7 @@ import random
 import pytest
 
 from repro.sim import SharedResource, Simulator
+from repro.sim import resource as resource_module
 from repro.sim.events import Event
 from repro.sim.link import Link
 
@@ -191,7 +198,16 @@ class _GenerationLink(Link):
         super().__init__(sim, src, dst, bandwidth, latency, name=name)
         self.pipe = _GenerationResource(sim, capacity=bandwidth, name=name)
 
-    def transfer(self, nbytes: float, name: str = "xfer") -> Event:
+    def transfer(self, nbytes: float, name: str = "xfer", done=None):
+        if done is None:
+            return self._transfer(nbytes, name)
+        # A caller's handle is completed by the delivery event.
+        if self.latency == 0.0 and nbytes == 0:
+            return self.sim.schedule(0.0, done)
+        self._transfer(nbytes, name).add_callback(lambda ev: done.succeed())
+        return done
+
+    def _transfer(self, nbytes: float, name: str) -> Event:
         done_name = f"{self.pipe.name}.{name}"
         if self.latency == 0.0:
             if nbytes > 0:
@@ -213,8 +229,15 @@ class _GenerationLink(Link):
 # seeded traffic
 
 _WORKS = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 0.1)
+# Follow-ups also draw work at or under the finish epsilon (1e-12 times
+# the capacity, at least 1e-12) and just over it.
+_FOLLOWUP_WORKS = _WORKS + (1e-12, 5e-13, 3e-12)
 _DEMANDS = (0.25, 0.5, 0.75, 1.0, 0.3, 0.7)
 _CAPACITIES = (0.5, 1.0, 2.0, 4.0)
+
+
+def _followup(rng: random.Random) -> tuple[float, float]:
+    return rng.choice(_FOLLOWUP_WORKS), rng.choice(_DEMANDS)
 
 
 def _script(seed: int) -> dict:
@@ -229,14 +252,20 @@ def _script(seed: int) -> dict:
     for j in range(rng.randint(20, 60)):
         t = rng.randint(0, 24) * 0.5
         kind = rng.random()
-        if kind < 0.55:
-            followup = None
-            if rng.random() < 0.3:
-                followup = (rng.choice(_WORKS), rng.choice(_DEMANDS))
+        if kind < 0.45:
+            followup = _followup(rng) if rng.random() < 0.3 else None
             actions.append((t, "task", rng.randrange(len(resources)),
                             rng.choice(_WORKS), rng.choice(_DEMANDS), followup))
+        elif kind < 0.55:
+            # equal tasks that finish on one tick, each submitting a
+            # follow-up to the same resource from its completion
+            work = rng.choice(_WORKS[1:])
+            demand = rng.choice(_DEMANDS)
+            idx = rng.randrange(len(resources))
+            for _ in range(rng.randint(2, 4)):
+                actions.append((t, "task", idx, work, demand, _followup(rng)))
         elif kind < 0.75:
-            actions.append((t, "xfer", rng.randrange(len(links)),
+            actions.append((t, rng.choice(("xfer", "handle")), rng.randrange(len(links)),
                             rng.choice((0.0, 1.0, 2.0, 4.0, 0.5))))
         elif kind < 0.88:
             actions.append((t, "capacity", rng.randrange(len(resources)),
@@ -252,7 +281,24 @@ def _script(seed: int) -> dict:
     return {"resources": resources, "links": links, "actions": actions}
 
 
-def _drive(script: dict, resource_cls, link_cls, watch_ticks: bool = False) -> dict:
+class _Handle:
+    """A transfer completion that is not an :class:`Event`: only the
+    heap-entry protocol of :mod:`repro.sim.events`."""
+
+    __slots__ = ("name", "on_done")
+    cancelled = False
+    triggered = False
+    value = None
+
+    def __init__(self, name: str, on_done) -> None:
+        self.name = name
+        self.on_done = on_done
+
+    def succeed(self, value=None) -> None:
+        self.on_done(self)
+
+
+def _drive(script: dict, resource_cls, link_cls) -> dict:
     sim = Simulator()
     resources = [resource_cls(sim, cap, name=f"r{i}") for i, cap in enumerate(script["resources"])]
     links = [
@@ -261,46 +307,50 @@ def _drive(script: dict, resource_cls, link_cls, watch_ticks: bool = False) -> d
     ]
     completions: list[tuple[str, str]] = []
     state = {"outstanding": 0, "issued": False}
+    # follow-ups submitted while their resource fired completions, per
+    # (time, resource); and those at or under the finish epsilon
+    deferred: dict[tuple[float, str], int] = {}
+    at_eps = 0
     all_done = Event(sim, name="all_done")
-    fired_superseded = []
-
-    if watch_ticks:
-        for res in resources + [link.pipe for link in links]:
-            def watched(tick, res=res, fire=res._tick_cb):
-                if tick is not res._tick:
-                    fired_superseded.append(tick)
-                fire(tick)
-
-            res._tick_cb = watched
 
     def finish_one() -> None:
         state["outstanding"] -= 1
         if state["issued"] and state["outstanding"] == 0:
             all_done.succeed()
 
-    def track(done: Event, followup=None, res=None, name="") -> None:
+    def tracker(followup=None, res=None, name=""):
         state["outstanding"] += 1
 
-        def record(ev: Event) -> None:
+        def record(ev) -> None:
+            nonlocal at_eps
             completions.append((sim.now.hex(), ev.name))
             if followup is not None:
                 # re-entrant: submitted from inside the resource's own
                 # completion of ``done``
                 work, demand = followup
-                track(res.execute(work, demand, name=name + "+"))
+                if getattr(res, "_firing", None) is res._active and work > res._finish_eps:
+                    key = (sim.now, res.name)
+                    deferred[key] = deferred.get(key, 0) + 1
+                at_eps += 0 < work <= res._finish_eps
+                res.execute(work, demand, name=name + "+").add_callback(tracker())
             finish_one()
 
-        done.add_callback(record)
+        return record
 
     def act(action, j: int) -> None:
         kind = action[1]
         if kind == "task":
             _, _, idx, work, demand, followup = action
             res = resources[idx]
-            track(res.execute(work, demand, name=f"t{j}"), followup, res, f"t{j}")
+            res.execute(work, demand, name=f"t{j}").add_callback(
+                tracker(followup, res, f"t{j}")
+            )
         elif kind == "xfer":
             _, _, idx, nbytes = action
-            track(links[idx].transfer(nbytes, name=f"x{j}"))
+            links[idx].transfer(nbytes, name=f"x{j}").add_callback(tracker())
+        elif kind == "handle":
+            _, _, idx, nbytes = action
+            links[idx].transfer(nbytes, name=f"h{j}", done=_Handle(f"l{idx}.h{j}", tracker()))
         elif kind == "capacity":
             _, _, idx, cap = action
             resources[idx].set_capacity(cap)
@@ -328,33 +378,55 @@ def _drive(script: dict, resource_cls, link_cls, watch_ticks: bool = False) -> d
             for res in resources + [link.pipe for link in links]
         ],
         "end": end.hex(),
-        "fired_superseded": fired_superseded,
         "stale_ticks": sum(
             getattr(res, "stale_ticks", 0) for res in resources + [link.pipe for link in links]
         ),
+        "deferred": deferred,
+        "at_eps": at_eps,
     }
 
 
+@pytest.fixture
+def fired_superseded(monkeypatch):
+    """Ticks the live resource fired although a later one replaced them."""
+    fired = []
+    fire = resource_module._Tick.succeed
+
+    def watched(tick, value=None):
+        if tick is not tick.resource._tick:
+            fired.append(tick)
+        fire(tick, value)
+
+    monkeypatch.setattr(resource_module._Tick, "succeed", watched)
+    return fired
+
+
 @pytest.mark.parametrize("seed", range(40))
-def test_cancelled_ticks_match_generation_counter_bitwise(seed):
+def test_cancelled_ticks_match_generation_counter_bitwise(seed, fired_superseded):
     script = _script(seed)
     old = _drive(script, _GenerationResource, _GenerationLink)
-    new = _drive(script, SharedResource, Link, watch_ticks=True)
+    new = _drive(script, SharedResource, Link)
     assert new["completions"] == old["completions"]
     assert new["steps"] == old["steps"]
     assert new["end"] == old["end"]
-    assert new["fired_superseded"] == []
+    assert fired_superseded == []
 
 
 def test_traffic_exercises_every_branch():
     # The gate is only as strong as its traffic: across the seeds the old
-    # code must have skipped superseded ticks, and completions must tie
-    # and re-enter.
-    stale = ties = reentrant = 0
+    # code must have skipped superseded ticks, completions must tie and
+    # re-enter, several follow-ups must be deferred within one firing,
+    # some at or under the finish epsilon, and handles must complete.
+    stale = ties = reentrant = handles = bursts = at_eps = 0
     for seed in range(40):
-        result = _drive(_script(seed), _GenerationResource, _GenerationLink)
+        script = _script(seed)
+        result = _drive(script, _GenerationResource, _GenerationLink)
         times = [t for t, _ in result["completions"]]
         stale += result["stale_ticks"]
         ties += len(times) - len(set(times))
         reentrant += sum(name.endswith("+") for _, name in result["completions"])
-    assert stale > 0 and ties > 0 and reentrant > 0
+        handles += sum(".h" in name for _, name in result["completions"])
+        live = _drive(script, SharedResource, Link)
+        bursts += sum(n >= 2 for n in live["deferred"].values())
+        at_eps += live["at_eps"]
+    assert min(stale, ties, reentrant, handles, bursts, at_eps) > 0
