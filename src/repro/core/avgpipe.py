@@ -96,8 +96,12 @@ class AvgPipe:
             )
 
             def measure_at(adv: int) -> tuple[float, float]:
-                prof = self._profiler(AdvanceFPSchedule(advance=adv))
-                result = prof.run_setting(outcome.m, outcome.n, iterations=2)
+                if adv == 0:
+                    # The tuner already ran the winner on this schedule.
+                    result = outcome.measured_run
+                else:
+                    prof = self._profiler(AdvanceFPSchedule(advance=adv))
+                    result = prof.run_setting(outcome.m, outcome.n, iterations=2)
                 if result.oom is not None:
                     return float("inf"), float("inf")
                 return result.batch_time, float(max(result.peak_memory))

@@ -180,10 +180,15 @@ class FaultInjector:
         self.log: list[InjectedFault] = []
 
     def install(self, plan: FaultPlan) -> None:
-        """Spawn one injection process per event in the plan."""
+        """Spawn one injection process per event in the plan.  Each
+        ``pipeline_crash`` target is isolated from its lockstep group
+        (:meth:`~repro.schedules.executor.PipelineSimRunner.isolate_pipeline`),
+        so install before the runner runs."""
         for event in plan.events:
-            if event.kind == "pipeline_crash" and self.runner is None:
-                raise ValueError("pipeline_crash events need a runner")
+            if event.kind == "pipeline_crash":
+                if self.runner is None:
+                    raise ValueError("pipeline_crash events need a runner")
+                self.runner.isolate_pipeline(event.target)
             entry = InjectedFault(event)
             self.log.append(entry)
             self.sim.process(self._inject(entry), name=f"fault.{event.kind}")

@@ -76,11 +76,7 @@ class AdaptiveAdvanceController:
         """Closed-loop tuning against a measurement probe; returns the
         settled advance value."""
         for _ in range(max_iters):
-            batch_time, peak_mem = measure(self.advance)
-            before = self.advance
-            after = self.observe(batch_time, peak_mem)
-            if self._stopped or after == before and self._stopped:
-                break
+            self.observe(*measure(self.advance))
             if self._stopped:
                 break
         return self.advance

@@ -10,6 +10,13 @@ One generator process per (pipeline, stage) walks the schedule's op
 stream; data dependencies are events completed by link transfers, so
 starvation, overlap and contention emerge from the event engine rather
 than being hand-coded per schedule.
+
+Consecutive pipelines placed alike move in exact lockstep, so each such
+*lockstep group* (:func:`lockstep_groups`) runs as one process per
+stage whose kernels and transfers count once per member; every member
+still gets its own spans, progress clock, stash and ``comm_sent``
+records, in member order.  docs/simulator.md ("Identical pipelines
+simulated once") gives the argument that the results are the same bits.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from repro.sim.events import Event, Simulator
 from repro.sim.memory import OutOfMemoryError
 from repro.sim.trace import SpanKind, TraceRecorder, _Span
 
-__all__ = ["StageCosts", "PipelineSimRunner", "SimIterationResult"]
+__all__ = ["StageCosts", "PipelineSimRunner", "SimIterationResult", "lockstep_groups"]
 
 #: backward work relative to forward (the usual 2x rule of thumb)
 BWD_FLOP_FACTOR = 2.0
@@ -132,16 +139,54 @@ class SimIterationResult:
         return d["com"] + d["bub"]
 
 
+def lockstep_groups(
+    device_map: list[list[int]], isolated: set[int] | frozenset[int] = frozenset()
+) -> list[tuple[int, ...]]:
+    """Maximal runs of consecutive pipelines with equal ``device_map``
+    rows; a pipeline in ``isolated`` is a group of its own."""
+    groups: list[list[int]] = []
+    for p, row in enumerate(device_map):
+        prev = groups[-1][-1] if groups else None
+        if (prev is not None and p not in isolated and prev not in isolated
+                and device_map[prev] == row):
+            groups[-1].append(p)
+        else:
+            groups.append([p])
+    return [tuple(g) for g in groups]
+
+
+def _oom_survivors(members, oom_box, group: int, it: int) -> tuple[int, ...]:
+    """The members still running after the start of iteration ``it``,
+    given the failed stash allocations so far.
+
+    One process per pipeline returns at an iteration start once any
+    allocation has failed before it.  Every failure of an earlier event
+    came first for all members.  The exception is the chain that starts
+    this group's iteration (the process starts at time 0, or the batch
+    barrier), where stage 0 allocates its first stash: there pipeline p's
+    processes run before pipeline p + 1's, so a failure of member q came
+    first only for members from q on (``origin`` is ``(group, it, q)``).
+    """
+    first = None
+    for _, origin in oom_box:
+        if origin is None or origin[0] != group or origin[1] != it:
+            return ()
+        first = origin[2] if first is None else min(first, origin[2])
+    return tuple(p for p in members if p < first)
+
+
 class _TransferTag:
-    """One stage-to-stage transfer, from send to arrival.
+    """One stage-to-stage transfer of a lockstep group, from send to
+    arrival.
 
     The link completes the tag as a heap entry (see
     :mod:`repro.sim.events`): it adds the transfer time to the sender's
-    ``comm_sent``, then wakes the receiver if one waits.  The receiver
-    splits its wait at ``started_at`` into BUBBLE and COMM spans.
+    ``comm_sent`` once per member it carries, then wakes the receiver if
+    one waits.  The receiver splits its wait at ``started_at`` into
+    BUBBLE and COMM spans.
     """
 
-    __slots__ = ("sim", "comm_sent", "src_stage", "started_at", "arrived", "waiter")
+    __slots__ = ("sim", "comm_sent", "src_stage", "started_at", "arrived", "waiter", "members")
     cancelled = False
     triggered = False  # a link completes each tag once
     value = None
@@ -153,9 +198,12 @@ class _TransferTag:
         self.started_at: float | None = None
         self.arrived = False
         self.waiter: Event | None = None
+        #: the sender's members at the send (None until sent)
+        self.members: tuple[int, ...] | None = None
 
     def succeed(self, value=None) -> None:
-        self.comm_sent[self.src_stage] += self.sim.now - self.started_at
+        for _ in self.members:
+            self.comm_sent[self.src_stage] += self.sim.now - self.started_at
         self.arrived = True
         waiter = self.waiter
         if waiter is not None and not waiter.triggered:
@@ -241,6 +289,11 @@ class PipelineSimRunner:
         self.trace = TraceRecorder(registry=registry)
         #: pipelines aborted mid-run (repro.resilience fault injection).
         self._crashed: set[int] = set()
+        #: pipelines simulated as lockstep groups of their own, so that a
+        #: fault can crash them mid-run (:meth:`isolate_pipeline`).
+        self._isolated: set[int] = set()
+        self._groups: list[tuple[int, ...]] = []
+        self._stalled = False
         #: sim time of each pipeline's last completed compute span — the
         #: progress clock heartbeat detectors watch.
         self.last_progress: dict[int, float] = {}
@@ -257,6 +310,16 @@ class PipelineSimRunner:
     # ------------------------------------------------------------------ #
     # fault injection (repro.resilience)
 
+    def isolate_pipeline(self, pipeline: int) -> None:
+        """Simulate ``pipeline`` as a lockstep group of its own, so that
+        :meth:`crash_pipeline` can abort it; call before :meth:`run`.
+        Results are the same bits either way."""
+        if self._ran:
+            raise RuntimeError("isolate_pipeline() must be called before run()")
+        if not 0 <= pipeline < self.num_pipelines:
+            raise ValueError(f"pipeline index {pipeline} out of range")
+        self._isolated.add(pipeline)
+
     def crash_pipeline(self, pipeline: int) -> None:
         """Abort one pipeline mid-iteration and let its stages drain.
 
@@ -267,23 +330,47 @@ class PipelineSimRunner:
         time with the victim.  Stages stuck inside a kernel on a *frozen*
         device cannot be woken (nothing completes on a dead device); their
         stash stays allocated, like a real dead process's memory.
+
+        The pipeline must have been isolated before the run
+        (:meth:`isolate_pipeline`; :class:`~repro.resilience.FaultInjector`
+        does it for every planned crash).
         """
         if self._act_ready is None:
             raise RuntimeError("no run in progress")
         if not 0 <= pipeline < self.num_pipelines:
             raise ValueError(f"pipeline index {pipeline} out of range")
+        group, members = next(
+            (g, members) for g, members in enumerate(self._groups) if pipeline in members
+        )
+        if len(members) > 1:
+            raise RuntimeError(
+                f"cannot crash pipeline {pipeline}: it is simulated in one lockstep "
+                f"group with pipelines {members}; call isolate_pipeline({pipeline}) "
+                "before run()"
+            )
         if pipeline in self._crashed:
             return
         self._crashed.add(pipeline)
-        for per_stage in (self._act_ready[pipeline], self._grad_ready[pipeline]):
+        for per_stage in (self._act_ready[group], self._grad_ready[group]):
             for tags in per_stage:
                 for tag in tags:
                     if tag is not None and tag.waiter is not None and not tag.waiter.triggered:
                         tag.waiter.succeed()
-        for per_it in self._stage_done[pipeline]:
+        for per_it in self._stage_done[group]:
             for ev in per_it:
                 if not ev.triggered:
                     ev.succeed()
+
+    def _carried(self, members: tuple[int, ...], carried) -> tuple[int, ...]:
+        """The members a tag or barrier still carries (``carried`` is None
+        on a crash wake-up).  A member left out waits forever in its own
+        process, so the run can no longer finish: it drains the heap."""
+        if carried is None or carried is members:
+            return members
+        kept = tuple(p for p in members if p in carried)
+        if len(kept) < len(members):
+            self._stalled = True
+        return kept
 
     def _drain_stage(self, stage: int, device, outstanding: int) -> None:
         """Free the ``outstanding`` stashes a crashed pipeline's stage
@@ -316,16 +403,20 @@ class PipelineSimRunner:
 
         start_time = sim.now
         comm_sent = [0.0] * K
-        oom_box: list[OutOfMemoryError] = []
+        # (error, origin) per failed stash allocation; see _oom_survivors.
+        oom_box: list[tuple[OutOfMemoryError, tuple[int, int, int] | None]] = []
 
-        # Transfer tags act_ready[p][k][it*M + i], grad_ready likewise;
-        # each is made by whichever of sender and receiver reaches it first.
+        groups = self._groups = lockstep_groups(self.device_map, self._isolated)
+        G = len(groups)
+        # Transfer tags act_ready[g][k][it*M + i] of group g, grad_ready
+        # likewise; each is made by whichever of sender and receiver
+        # reaches it first.
         total_mb = iterations * M
-        act_ready = [[[None] * total_mb for _ in range(K)] for _ in range(N)]
-        grad_ready = [[[None] * total_mb for _ in range(K)] for _ in range(N)]
+        act_ready = [[[None] * total_mb for _ in range(K)] for _ in range(G)]
+        grad_ready = [[[None] * total_mb for _ in range(K)] for _ in range(G)]
         # Per-iteration barriers for synchronous schedules.
         stage_done = [
-            [[sim.event() for _ in range(K)] for _ in range(iterations)] for _ in range(N)
+            [[sim.event() for _ in range(K)] for _ in range(iterations)] for _ in range(G)
         ]
         # Exposed for crash_pipeline (fault injection mid-run).
         self._crashed = set()
@@ -334,17 +425,23 @@ class PipelineSimRunner:
         self.iterations_completed = [0] * N
 
         processes = []
-        for p in range(N):
+        for g, members in enumerate(groups):
+            name = "pipe" + "+".join(map(str, members))
             for k in range(K):
                 gen = self._stage_process(
-                    sim, p, k, iterations, act_ready, grad_ready, stage_done,
+                    sim, g, k, iterations, act_ready, grad_ready, stage_done,
                     comm_sent, oom_box,
                 )
-                processes.append(sim.process(gen, name=f"pipe{p}.stage{k}"))
+                processes.append(sim.process(gen, name=f"{name}.stage{k}"))
 
         finish = sim.all_of(processes)
+        self._stalled = False
         try:
             sim.run_until_process(finish)
+            if self._stalled:
+                # A member's own process would still wait: run to the
+                # deadlock it would have met.
+                sim.run_until_process(sim.event())
         except RuntimeError:
             # A stage that died on OOM starves its neighbours of events;
             # the engine reports the resulting deadlock — translate it.
@@ -352,7 +449,7 @@ class PipelineSimRunner:
                 raise
         if oom_box:
             self._free_weights(weight_bytes)
-            return self._oom_result(oom_box[0])
+            return self._oom_result(oom_box[0][0])
         total = sim.now - start_time
         horizon = sim.now
 
@@ -477,18 +574,27 @@ class PipelineSimRunner:
     def _stage_process(
         self,
         sim: Simulator,
-        pipeline: int,
+        group: int,
         stage: int,
         iterations: int,
         act_ready,
         grad_ready,
         stage_done,
         comm_sent: list[float],
-        oom_box: list[OutOfMemoryError],
+        oom_box: list,
     ):
         K = self.costs.num_stages
         M = self.num_micro
-        device = self.cluster.devices[self._device_of(pipeline, stage)]
+        # The group's pipelines still running at this stage, in order.  A
+        # member leaves when its stash allocation fails here, or when a
+        # tag or barrier arrives without it (it failed elsewhere); the
+        # tuple is replaced, never mutated, as tags keep the sender's.
+        members = self._groups[group]
+        count = len(members)
+        # Only a group of one can crash (crash_pipeline), so its one
+        # member stands for the group in the crash checks.
+        lead = members[0]
+        device = self.cluster.devices[self._device_of(lead, stage)]
         ops = self.schedule.stage_ops(stage, K, M)
         sync = self.schedule.sync_at_batch_end
 
@@ -501,33 +607,36 @@ class PipelineSimRunner:
         append = trace.spans.append if trace.registry is None else None
         memory = device.memory
         execute = device.compute.execute
+        submit = device.compute.submit
         demand = device.kernel_demand(self.mb_size)
         dev_index = device.index
-        outstanding = 0  # stashes held: forwards not yet backwarded
+        outstanding = 0  # stashes held per member: forwards not yet backwarded
         stash = self._stash_bytes(stage)
         fwd_flops = self.costs.fwd_flops[stage]
         bwd_flops = fwd_flops * BWD_FLOP_FACTOR
         if self.activation_recompute:
             # Re-materialize the stash: one extra forward pass.
             bwd_flops += fwd_flops
-        this_dev = self._device_of(pipeline, stage)
+        this_dev = self._device_of(lead, stage)
         # Per op kind: the row it waits on and that row's sender, the
-        # kernel, and the row it sends to over which link.
-        fwd = [None, None, fwd_flops, f"p{pipeline}.fwd", SpanKind.FWD, None, None, 0.0]
-        bwd = [None, None, bwd_flops, f"p{pipeline}.bwd", SpanKind.BWD, None, None, 0.0]
+        # kernel and its completion-event name, and the row it sends to
+        # over which link.
+        name = f"{device.compute.name}.p{lead}"
+        fwd = [None, None, fwd_flops, f"{name}.fwd", SpanKind.FWD, None, None, 0.0]
+        bwd = [None, None, bwd_flops, f"{name}.bwd", SpanKind.BWD, None, None, 0.0]
         if stage < K - 1:
-            bwd[0:2] = grad_ready[pipeline][stage], stage + 1
-            down_dev = self._device_of(pipeline, stage + 1)
+            bwd[0:2] = grad_ready[group][stage], stage + 1
+            down_dev = self._device_of(lead, stage + 1)
             fwd[5:8] = (
-                act_ready[pipeline][stage + 1],
+                act_ready[group][stage + 1],
                 self.cluster.link(this_dev, down_dev),
                 self.costs.act_out_bytes[stage],
             )
         if stage > 0:
-            fwd[0:2] = act_ready[pipeline][stage], stage - 1
-            up_dev = self._device_of(pipeline, stage - 1)
+            fwd[0:2] = act_ready[group][stage], stage - 1
+            up_dev = self._device_of(lead, stage - 1)
             bwd[5:8] = (
-                grad_ready[pipeline][stage - 1],
+                grad_ready[group][stage - 1],
                 self.cluster.link(this_dev, up_dev),
                 self.costs.act_out_bytes[stage - 1],
             )
@@ -539,14 +648,17 @@ class PipelineSimRunner:
 
         for it in range(iterations):
             if oom_box:
-                return
-            if pipeline in crashed:
+                members = _oom_survivors(members, oom_box, group, it)
+                count = len(members)
+                if not count:
+                    return
+            if lead in crashed:
                 self._drain_stage(stage, device, outstanding)
                 return
             base = it * M
             for (is_fwd, micro, label, wait_row, src, flops, kernel, kind,
                  send_row, link, nbytes) in op_seq:
-                if pipeline in crashed:
+                if lead in crashed:
                     self._drain_stage(stage, device, outstanding)
                     return
                 mb = base + micro
@@ -555,48 +667,76 @@ class PipelineSimRunner:
                     tag = wait_row[mb]
                     if tag is None:
                         tag = wait_row[mb] = _TransferTag(sim, comm_sent, src)
+                    wait_start = None
                     if not tag.arrived:
                         wait_start = sim.now
                         tag.waiter = waiter = Event(sim)
                         yield waiter
+                    if tag.members is not members:
+                        members = self._carried(members, tag.members)
+                        count = len(members)
+                        if not count:
+                            return
+                    if wait_start is not None:
                         arrive = sim.now
                         if arrive > wait_start:
-                            # BUBBLE until the sender started, COMM after.
+                            # BUBBLE until the sender started, COMM after,
+                            # member by member.
                             xfer_start = arrive if tag.started_at is None else tag.started_at
                             split = min(max(xfer_start, wait_start), arrive)
-                            if split > wait_start:
-                                if append is None:
-                                    record(dev_index, wait_start, split, SpanKind.BUBBLE)
-                                else:
-                                    append(_Span(dev_index, wait_start, split, SpanKind.BUBBLE, ""))
-                            if arrive > split:
-                                if append is None:
-                                    record(dev_index, split, arrive, SpanKind.COMM)
-                                else:
-                                    append(_Span(dev_index, split, arrive, SpanKind.COMM, ""))
-                    if pipeline in crashed:  # woken by the abort
-                        self._drain_stage(stage, device, outstanding)
-                        return
-                # -- stash activation memory --------------------------------
+                            for _ in members:
+                                if split > wait_start:
+                                    if append is None:
+                                        record(dev_index, wait_start, split, SpanKind.BUBBLE)
+                                    else:
+                                        append(_Span(dev_index, wait_start, split,
+                                                     SpanKind.BUBBLE, ""))
+                                if arrive > split:
+                                    if append is None:
+                                        record(dev_index, split, arrive, SpanKind.COMM)
+                                    else:
+                                        append(_Span(dev_index, split, arrive,
+                                                     SpanKind.COMM, ""))
+                        if lead in crashed:  # woken by the abort
+                            self._drain_stage(stage, device, outstanding)
+                            return
+                # -- stash activation memory, one stash per member ---------
                 if is_fwd:
                     try:
-                        memory.alloc(stash, "activations")
-                    except OutOfMemoryError as oom:
-                        oom_box.append(oom)
-                        return
+                        # The ledger state of ``count`` equal allocations.
+                        memory.alloc(stash * count, "activations")
+                    except OutOfMemoryError:
+                        # Not all fit: the first member that fails and the
+                        # ones after it leave.
+                        for i, p in enumerate(members):
+                            try:
+                                memory.alloc(stash, "activations")
+                            except OutOfMemoryError as oom:
+                                # Stage 0's first allocation runs in the chain
+                                # that starts the iteration (_oom_survivors).
+                                starts = stage == 0 and micro == 0 and (sync or it == 0)
+                                oom_box.append((oom, (group, it, p) if starts else None))
+                                members = members[:i]
+                                break
+                        count = len(members)
+                        if not count:
+                            return
                     outstanding += 1
                 # -- compute ------------------------------------------------
                 t0 = sim.now
-                yield execute(flops, demand, kernel)
+                done = Event(sim, kernel)
+                submit(flops, demand, done, count)
+                yield done
                 now = sim.now
-                if append is None:
-                    record(dev_index, t0, now, kind, label,
-                           pipeline=pipeline, stage=stage, micro=mb)
-                elif now > t0:
-                    append(_Span(dev_index, t0, now, kind, label, pipeline, stage, mb))
-                last_progress[pipeline] = now
+                for p in members:
+                    if append is None:
+                        record(dev_index, t0, now, kind, label,
+                               pipeline=p, stage=stage, micro=mb)
+                    elif now > t0:
+                        append(_Span(dev_index, t0, now, kind, label, p, stage, mb))
+                    last_progress[p] = now
                 if not is_fwd:
-                    memory.free(stash, "activations")
+                    memory.free(stash * count, "activations")
                     outstanding -= 1
                 # -- ship the output to its neighbour (asynchronously) ------
                 if send_row is not None:
@@ -604,7 +744,8 @@ class PipelineSimRunner:
                     if tag is None:
                         tag = send_row[mb] = _TransferTag(sim, comm_sent, stage)
                     tag.started_at = now
-                    link.transfer(nbytes, done=tag)
+                    tag.members = members
+                    link.transfer(nbytes, done=tag, count=count)
 
             # ---------------- batch boundary -------------------------------
             if sync:
@@ -614,19 +755,28 @@ class PipelineSimRunner:
                 update_flops = self.costs.param_bytes[stage] / 4 * 3
                 if self.with_reference_model:
                     update_flops *= 2  # elastic pull + reference accumulate
-                yield execute(update_flops, demand=0.25, name="opt")
-                record(dev_index, t0, sim.now, SpanKind.SYNC, "opt")
-                if not stage_done[pipeline][it][stage].triggered:  # abort may have fired it
-                    stage_done[pipeline][it][stage].succeed()
+                yield execute(update_flops, demand=0.25, name="opt", count=count)
+                for _ in members:
+                    record(dev_index, t0, sim.now, SpanKind.SYNC, "opt")
+                barrier = stage_done[group][it]
+                if not barrier[stage].triggered:  # abort may have fired it
+                    barrier[stage].succeed(members)
                 # All stages of this pipeline join before the next batch —
                 # the semantics of a per-batch optimizer step.
-                yield sim.all_of(stage_done[pipeline][it])
-                if pipeline in self._crashed:
+                yield sim.all_of(barrier)
+                if lead in crashed:
                     self._drain_stage(stage, device, outstanding)
+                    return
+                for ev in barrier:
+                    if ev.value is not members:
+                        members = self._carried(members, ev.value)
+                count = len(members)
+                if not count:
                     return
             # Async schedules (PipeDream) roll straight into the next batch.
             if stage == 0:
-                self.iterations_completed[pipeline] = it + 1
+                for p in members:
+                    self.iterations_completed[p] = it + 1
 
     def _stash_bytes(self, stage: int) -> int:
         """Bytes held between a micro-batch's forward and its backward."""

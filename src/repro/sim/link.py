@@ -10,6 +10,8 @@ contrast is what makes 1F1B communication-bound in Figures 2 and 17.
 
 from __future__ import annotations
 
+import heapq
+
 from repro.sim.events import Event, Simulator
 from repro.sim.resource import SharedResource
 
@@ -20,18 +22,19 @@ class _LatencyGate:
     """A transfer's latency, as a heap entry (see :mod:`repro.sim.events`):
     when it pops, the bytes start streaming through the link."""
 
-    __slots__ = ("pipe", "nbytes", "done")
+    __slots__ = ("pipe", "nbytes", "done", "count")
     cancelled = False
     triggered = False
     value = None
 
-    def __init__(self, pipe: SharedResource, nbytes: float, done) -> None:
+    def __init__(self, pipe: SharedResource, nbytes: float, done, count: int) -> None:
         self.pipe = pipe
         self.nbytes = nbytes
         self.done = done
+        self.count = count
 
     def succeed(self, value=None) -> None:
-        self.pipe._submit(self.nbytes, 1.0, self.done)
+        self.pipe.submit(self.nbytes, 1.0, self.done, self.count)
 
 
 class Link:
@@ -84,10 +87,11 @@ class Link:
         self.pipe.set_capacity(self.bandwidth)
         self.pipe.unfreeze()
 
-    def transfer(self, nbytes: float, name: str = "xfer", done=None):
+    def transfer(self, nbytes: float, name: str = "xfer", done=None, count: int = 1):
         """Start a transfer now and return ``done``, which completes on
         delivery: a fresh :class:`Event` unless the caller passes its own
-        heap entry (see :mod:`repro.sim.events`)."""
+        heap entry (see :mod:`repro.sim.events`).  ``count`` equal
+        transfers may share one ``done`` (see :mod:`repro.sim.resource`)."""
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
         if done is None:
@@ -96,7 +100,14 @@ class Link:
                 name=self._xfer_done_name if name == "xfer" else f"{self.pipe.name}.{name}",
             )
         if self.latency == 0.0:
-            self.pipe._submit(nbytes, 1.0, done)
+            self.pipe.submit(nbytes, 1.0, done, count)
         else:
-            self.sim.schedule(self.latency, _LatencyGate(self.pipe, nbytes, done))
+            # Simulator.schedule without its check: latency >= 0 is
+            # validated once, in __init__.
+            sim = self.sim
+            sim._seq += 1
+            heapq.heappush(
+                sim._heap,
+                (sim.now + self.latency, sim._seq, _LatencyGate(self.pipe, nbytes, done, count)),
+            )
         return done

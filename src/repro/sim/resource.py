@@ -33,6 +33,12 @@ below the finish epsilon still takes the full path, which completes it
 at once; and once such a nested reschedule has replaced the task list,
 later submits of that instant take the full path too, because the
 firing reschedule finishes on the list it started with.
+
+A task may stand for ``count`` equal tasks submitted back to back (the
+pipeline executor's lockstep groups, one task for identical pipelines).
+Wherever demands are summed it counts ``count`` times, added one by one
+in submit order, and its submit records the utilization steps the
+``count`` separate submits would have: the same floats, in fewer tasks.
 """
 
 from __future__ import annotations
@@ -53,13 +59,14 @@ class _ActiveTask:
     # Plain __slots__ class (not a dataclass): tasks are compared by
     # identity in the scheduler hot path, and field-by-field __eq__ was
     # pure overhead there.
-    __slots__ = ("work_left", "demand", "done", "rate")
+    __slots__ = ("work_left", "demand", "done", "rate", "count")
 
-    def __init__(self, work_left: float, demand: float, done) -> None:
+    def __init__(self, work_left: float, demand: float, done, count: int = 1) -> None:
         self.work_left = work_left
         self.demand = demand
         self.done = done
         self.rate = 0.0
+        self.count = count
 
 
 class _Tick:
@@ -112,8 +119,9 @@ class SharedResource:
 
     # ------------------------------------------------------------------ #
 
-    def execute(self, work: float, demand: float, name: str = "task") -> Event:
-        """Submit a task; the returned event fires when it completes."""
+    def execute(self, work: float, demand: float, name: str = "task", count: int = 1) -> Event:
+        """Submit a task (``count`` equal ones, see the module docstring);
+        the returned event fires when it completes."""
         if work < 0:
             raise ValueError(f"negative work {work}")
         if not 0 < demand <= 1.0:
@@ -123,11 +131,13 @@ class SharedResource:
             full_name = f"{self.name}.{name}"
             self._task_names[name] = full_name
         done = Event(self.sim, full_name)
-        self._submit(work, demand, done)
+        self.submit(work, demand, done, count)
         return done
 
-    def _submit(self, work: float, demand: float, done) -> None:
-        """Fire ``done`` once ``work`` units have been served at ``demand``.
+    def submit(self, work: float, demand: float, done, count: int = 1) -> None:
+        """Fire ``done`` once ``work`` units have been served at ``demand``
+        to each of ``count`` equal tasks: :meth:`execute` without its
+        argument checks, for callers that pass valid work and demand.
 
         ``done`` is an :class:`Event` or any heap entry (see
         :mod:`repro.sim.events`)."""
@@ -137,22 +147,53 @@ class SharedResource:
         active = self._active
         if self._firing is active and work > self._finish_eps:
             # Deferred to the firing reschedule; the clock has not moved
-            # since it settled.  Record the step a nested one would have.
-            active.append(_ActiveTask(work, demand, done))
+            # since it settled.  Record the steps nested ones would have.
+            if count > 1:
+                self._record_submit_steps(demand, count)
+                active.append(_ActiveTask(work, demand, done, count))
+                return
+            active.append(_ActiveTask(work, demand, done, 1))
             if self._frozen:
                 util = 0.0
             else:
                 total = 0.0
                 for task in active:
                     total += task.demand
+                    if task.count > 1:
+                        for _ in range(task.count - 1):
+                            total += task.demand
                 util = total if total <= 1.0 else 1.0
             steps = self.utilization_steps
             if abs(util - steps[-1][1]) > 1e-12:
                 steps.append((self.sim.now, util))
             return
         self._settle()
-        active.append(_ActiveTask(work, demand, done))
+        if count > 1:
+            # The first count - 1 submits' steps; the reschedule records
+            # the last one's.
+            self._record_submit_steps(demand, count - 1)
+        active.append(_ActiveTask(work, demand, done, count))
         self._reschedule()
+
+    def _record_submit_steps(self, demand: float, submits: int) -> None:
+        """Record the utilization steps of ``submits`` back-to-back submits
+        of ``demand`` onto the current task list (see module docstring)."""
+        steps = self.utilization_steps
+        if self._frozen:
+            if abs(steps[-1][1]) > 1e-12:
+                steps.append((self.sim.now, 0.0))
+            return
+        total = 0.0
+        for task in self._active:
+            total += task.demand
+            if task.count > 1:
+                for _ in range(task.count - 1):
+                    total += task.demand
+        for _ in range(submits):
+            total += demand
+            util = total if total <= 1.0 else 1.0
+            if abs(util - steps[-1][1]) > 1e-12:
+                steps.append((self.sim.now, util))
 
     @property
     def current_demand(self) -> float:
@@ -160,7 +201,7 @@ class SharedResource:
         0 while frozen, like :attr:`utilization_steps`."""
         if self._frozen:
             return 0.0
-        total = sum(t.demand for t in self._active)
+        total = sum(t.demand for t in self._active for _ in range(t.count))
         return min(total, 1.0)
 
     # ------------------------------------------------------------------ #
@@ -220,7 +261,19 @@ class SharedResource:
         active = self._active
         if len(active) == 1:
             task = active[0]
-            if task.work_left > self._finish_eps:
+            if task.work_left <= self._finish_eps:
+                # Fast path: the lone task just finished.  The general
+                # path's partition without its lists; ``succeed()`` may
+                # submit new tasks, which land in the fresh ``active`` list.
+                self._active = active = []
+                if not task.done.triggered:
+                    firing = self._firing
+                    self._firing = active
+                    try:
+                        task.done.succeed()
+                    finally:
+                        self._firing = firing
+            elif task.count == 1:
                 # Fast path: exactly one live, unfinished task — the
                 # overwhelmingly common shape on pipeline compute resources.
                 # Same arithmetic as the general path below (scale is 1.0
@@ -241,17 +294,6 @@ class SharedResource:
                 if not self._frozen:
                     self._arm(task.work_left / task.rate)
                 return
-            # Fast path: the lone task just finished.  The general path's
-            # partition without its lists; ``succeed()`` may submit new
-            # tasks, which land in the fresh ``active`` list.
-            self._active = active = []
-            if not task.done.triggered:
-                firing = self._firing
-                self._firing = active
-                try:
-                    task.done.succeed()
-                finally:
-                    self._firing = firing
         else:
             threshold = self._finish_eps
             for task in active:
@@ -262,6 +304,9 @@ class SharedResource:
         total_demand = 0.0
         for task in active:
             total_demand += task.demand
+            if task.count > 1:
+                for _ in range(task.count - 1):
+                    total_demand += task.demand
         frozen = self._frozen
         util = 0.0 if frozen else (total_demand if total_demand <= 1.0 else 1.0)
         steps = self.utilization_steps

@@ -13,8 +13,9 @@ everything it observably produced:
 Floats enter the hash as ``float.hex``, so a pin fails on a one-ulp
 change anywhere.  The cases cover the schedules (AFAB, 1F1B,
 Advance-FP, PipeDream, Chimera, interleaved virtual stages, data
-parallel), N in {1, 3}, a heterogeneous cluster with a permuted
-placement, activation recompute, an OOM mid-run, and fault runs that
+parallel), N in {1, 3, 4}, a heterogeneous cluster with a permuted
+placement, two placements in one run, activation recompute, an OOM
+mid-run (also one that only some pipelines hit), and fault runs that
 freeze and unfreeze devices and links, change capacities and crash a
 pipeline.
 
@@ -188,10 +189,24 @@ CASES = {
             FaultEvent("pipeline_crash", 0.9, 1),
             FaultEvent("device_slowdown", 0.6, 0, duration=0.8, factor=2.0),
         )),
+    # Lockstep groups (executor.lockstep_groups): later members of a
+    # group fail their stash allocation and leave it; a planned crash
+    # splits {0, 1} from {2}; two placements give two groups of two.
+    "oom-edge-n4": lambda: _pipeline(
+        AFABSchedule(), k=4, pipelines=4, costs=_costs(4), memory=52_000_000),
+    "fault-crash-last-n3": lambda: _pipeline(
+        OneFOneBSchedule(versions=1), pipelines=3, iterations=3, faults=(
+            FaultEvent("pipeline_crash", 0.9, 2),
+            FaultEvent("link_degrade", 0.5, (2, 3), duration=0.6, factor=3.0),
+        )),
+    "two-groups-n4": lambda: _pipeline(
+        AdvanceFPSchedule(2), k=4, pipelines=4, costs=_costs(4),
+        device_map=[[0, 1, 2, 3]] * 2 + [[3, 2, 1, 0]] * 2),
 }
 
 #: Generated before the executor's event-loop changes; see the module
-#: docstring for how to regenerate.
+#: docstring for how to regenerate.  The last three were generated
+#: before pipelines were simulated in lockstep groups.
 EXPECTED = {
     "1f1b-n1": "2322a5ac0599846fcc8ef8abe95ebd1fb0d53ccc2c004d90b1ce9f8b1b883fd6",
     "1f1b-n3": "346aa99d80d0008d946819d5640d0e91bb2e8e7b404fd5f38579494cb4e24cde",
@@ -209,6 +224,9 @@ EXPECTED = {
     "pipedream-n1": "e888bb30f31359dc087ebb1da2f06b3c1c097aa485637a979d4b05b56b4d4f29",
     "pipedream-oom": "b5451269ca3c10de4546967ed1c27005fb8fb0f9c9276f4ab73175169182f3e7",
     "recompute-n3": "bb737cd2dfb902cacaf8be0e3ca63eb526f3bd0d59b9c5073427bc84b62244dd",
+    "oom-edge-n4": "cb61a8fdfdb2606e5d75c5faeb6f3df9f37f31459d6443a66f3500e5e4ac62e6",
+    "fault-crash-last-n3": "3efa59a4c33ab6d2f7eff77df9a2cf512a07f8b8151d4f4a877081896ad3958a",
+    "two-groups-n4": "80465a1d29c8413ffbc5f232173a68a24f8686e0d59b14d484aef56f075c78d4",
 }
 
 
@@ -225,6 +243,11 @@ def test_cases_exercise_what_they_claim():
     result, trace, _ = CASES["fault-pipeline-crash"]()
     assert result.oom is None
     assert sum(s.kind.value == "fwd" for s in trace.spans) < 3 * 6 * 8 * 3
+    # Pipelines 0 and 1 run on after 2 and 3 fail their stash allocation.
+    result, trace, _ = CASES["oom-edge-n4"]()
+    fwd = [sum(s.kind.value == "fwd" and s.pipeline == p for s in trace.spans)
+           for p in range(4)]
+    assert result.oom is not None and fwd[0] == fwd[1] > fwd[2] == fwd[3] > 0
 
 
 if __name__ == "__main__":
