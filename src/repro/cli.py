@@ -9,7 +9,6 @@
     python -m repro chaos --scenario smoke    # fault injection + recovery
     python -m repro sched --scenario smoke --policy fair  # multi-job elastic scheduler
     python -m repro report --out obs_out      # instrumented run + Chrome trace
-    python -m repro bench --suite tensor      # fused-op micro-benchmarks -> BENCH_<n>.json
     python -m repro calibrate gnmt            # simulator calibration matrix
 
 Every command prints plain-text tables (no plotting dependencies) and is
@@ -22,10 +21,6 @@ import argparse
 import sys
 
 MIB = 2**20
-
-# Sentinel for a bare `--compare` (no path): resolve to the newest
-# BENCH_<n>.json at command time.
-_LATEST_BASELINE = "<latest>"
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -399,93 +394,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the micro-benchmark suite; optionally compare a baseline."""
-    import json
-
-    from repro.obs.bench import (
-        compare_payloads,
-        latest_bench_path,
-        render_compare,
-        render_results,
-        run_suite,
-        select_suite,
-        suite_names,
-        to_payload,
-        write_payload,
-    )
-
-    if args.compare is _LATEST_BASELINE:
-        # Bare --compare: the newest baseline is the highest-numbered
-        # BENCH_<n>.json (next_bench_path numbers past the max, so the
-        # ordering survives deleted early files).
-        resolved = latest_bench_path(".")
-        if resolved is None:
-            print("--compare: no BENCH_<n>.json baseline in the current directory")
-            return 2
-        print(f"--compare: using newest baseline {resolved}")
-        args.compare = str(resolved)
-
-    if args.list:
-        for bench in select_suite("full"):
-            print(f"{bench.name:24s} [{bench.group}] {bench.params}")
-        print(f"suites: {', '.join(suite_names())}")
-        return 0
-
-    if args.input is not None:
-        # File-vs-file mode: no re-measurement, so self-compare is exact.
-        with open(args.input) as fh:
-            payload = json.load(fh)
-        if args.compare is None:
-            print(f"{args.input}: {len(payload.get('benchmarks', []))} benchmarks "
-                  f"(suite {payload.get('suite')!r}); nothing to do without --compare")
-            return 2
-        with open(args.compare) as fh:
-            baseline = json.load(fh)
-        report = compare_payloads(
-            baseline, payload,
-            threshold=args.threshold, time_threshold=args.time_threshold,
-        )
-        print(render_compare(report))
-        return 0 if (report.ok or args.report_only) else 1
-
-    try:
-        benches = select_suite(args.suite)
-    except KeyError as exc:
-        print(exc.args[0])
-        return 2
-
-    results = run_suite(
-        benches,
-        repeats=args.repeats,
-        warmup=args.warmup,
-        seed=args.seed,
-        progress=lambda r: print(
-            f"  {r.name:24s} median {r.median * 1e3:9.3f} ms  "
-            f"peak {r.alloc_peak_bytes / 1024:9.1f} KiB"
-        ),
-    )
-    print()
-    print(render_results(results, title=f"repro bench — suite '{args.suite}'"))
-    payload = to_payload(results, args.suite, args.repeats, args.warmup, args.seed)
-    if not args.no_write:
-        path = write_payload(payload, args.out)
-        print(f"\nwrote {path} ({len(results)} benchmarks)")
-
-    if args.compare is not None:
-        with open(args.compare) as fh:
-            baseline = json.load(fh)
-        report = compare_payloads(
-            baseline, payload,
-            threshold=args.threshold, time_threshold=args.time_threshold,
-        )
-        print()
-        print(render_compare(report))
-        if not report.ok and not args.report_only:
-            return 1
-    return 0
-
-
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     """Print the calibration matrix; publish calibrate.* gauges."""
     from repro.core.calibrate import (
@@ -621,39 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None,
                    help="directory for trace.json / run_report.{json,md}")
     p.set_defaults(fn=_cmd_report)
-
-    p = sub.add_parser("bench", help="fused-op and trace-export micro-benchmarks "
-                                      "-> BENCH_<n>.json")
-    p.add_argument("--suite", default="full",
-                   help="full or a group name (see --list)")
-    p.add_argument("--repeats", type=int, default=5, help="timed repeats per benchmark")
-    p.add_argument("--warmup", type=int, default=1, help="untimed warmup runs")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None,
-                   help="output file or directory (default: auto-numbered "
-                        "BENCH_<n>.json in the current directory)")
-    p.add_argument("--no-write", action="store_true",
-                   help="measure and print without writing a BENCH file")
-    p.add_argument("--compare", nargs="?", default=None, const=_LATEST_BASELINE,
-                   metavar="BASELINE.json",
-                   help="compare against a baseline BENCH file (bare --compare "
-                        "uses the highest-numbered BENCH_<n>.json in the "
-                        "current directory); exit 1 on regression")
-    p.add_argument("--input", default=None, metavar="CURRENT.json",
-                   help="compare an existing BENCH file instead of re-measuring "
-                        "(file-vs-file; requires --compare)")
-    p.add_argument("--threshold", type=float, default=0.25,
-                   help="relative regression threshold on median time / peak "
-                        "allocation (default 0.25)")
-    p.add_argument("--time-threshold", type=float, default=None,
-                   help="override --threshold for the wall-time check only "
-                        "(peak allocation is deterministic; wall time is not — "
-                        "a cross-machine gate wants them split)")
-    p.add_argument("--report-only", action="store_true",
-                   help="print the comparison but never fail the exit code")
-    p.add_argument("--list", action="store_true",
-                   help="list benchmarks and suites, then exit")
-    p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("calibrate",
                        help="baseline/AvgPipe calibration matrix + calibrate.* gauges")

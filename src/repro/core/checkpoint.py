@@ -4,7 +4,9 @@ Long AvgPipe runs (the paper's take days) need restartable state: every
 parallel model, every optimizer's moments, the reference weights and the
 queue clock.  Checkpoints are a single ``.npz`` file (no pickle — the
 state is plain arrays plus a JSON manifest), so they are portable and
-diff-able.
+diff-able.  A save writes ``<name>.tmp`` beside the target and renames
+it over the target, so a save that fails midway leaves the previous
+checkpoint loadable.
 
 ``save_trainer`` / ``load_trainer`` round-trip an
 :class:`~repro.core.trainer.AvgPipeTrainer` exactly: a resumed run
@@ -15,6 +17,7 @@ statistical-efficiency experiments cheap to extend.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 
 import numpy as np
@@ -67,7 +70,18 @@ def save_trainer(trainer: AvgPipeTrainer, path: str | pathlib.Path) -> None:
     arrays["__manifest__"] = np.frombuffer(
         json.dumps(manifest).encode("utf-8"), dtype=np.uint8
     )
-    np.savez(path, **arrays)
+    # np.savez's own naming rule, then write-and-rename: a save that
+    # fails midway leaves the previous checkpoint in place.
+    if path.suffix != ".npz":
+        path = path.with_name(path.name + ".npz")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_trainer(

@@ -5,17 +5,13 @@ allocates a single metric series unless a caller hands it an *enabled*
 :class:`MetricRegistry`, and the instrumented code paths are bitwise
 identical to the uninstrumented ones (the obs test suite pins both
 properties).
+
+:mod:`repro.obs.bench` holds only the environment fingerprint that
+``benchmarks/e2e`` stamps into its results; the package does not import
+it, so importing ``repro.obs`` pulls in no ``platform`` or
+``subprocess``.
 """
 
-from repro.obs.bench import (
-    Benchmark,
-    BenchResult,
-    bench_catalog,
-    compare_payloads,
-    run_benchmark,
-    run_suite,
-    select_suite,
-)
 from repro.obs.registry import (
     DEFAULT_TIME_BUCKETS,
     NULL_REGISTRY,
@@ -44,11 +40,4 @@ __all__ = [
     "RunReport",
     "build_run_report",
     "sched_telemetry",
-    "Benchmark",
-    "BenchResult",
-    "bench_catalog",
-    "compare_payloads",
-    "run_benchmark",
-    "run_suite",
-    "select_suite",
 ]

@@ -2,7 +2,8 @@
 
 Maintains a running tail average of the iterates from step ``t0`` onward
 in the optimizer state (``ax``), so it is checkpointed with the rest of
-the state.
+the state; :meth:`ASGD.state_dict` adds the step count that decides
+``t0``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,20 @@ class ASGD(Optimizer):
     def step(self) -> None:
         self._step_count += 1
         super().step()
+
+    def state_dict(self) -> dict:
+        """The base state with the step count in every parameter's entry
+        (as Adam keeps ``t``), so checkpoints and the trainer's worker
+        pull-back carry it."""
+        out = super().state_dict()
+        for entry in out["state"].values():
+            entry["step"] = self._step_count
+        return out
+
+    def load_state_dict(self, state: dict) -> None:
+        super().load_state_dict(state)
+        steps = [int(entry.pop("step")) for entry in self.state.values() if "step" in entry]
+        self._step_count = max(steps, default=0)
 
     def _update(self, p, grad):
         if self.weight_decay:

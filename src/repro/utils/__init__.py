@@ -1,13 +1,12 @@
 """Shared utilities: deterministic seeding, speedup statistics, table/Gantt rendering."""
 
-from repro.utils.seeding import derive_rng, set_global_seed
+from repro.utils.seeding import derive_rng
 from repro.utils.stats import geometric_mean, speedup
 from repro.utils.tables import format_table
 from repro.utils.timeline_render import render_gantt
 
 __all__ = [
     "derive_rng",
-    "set_global_seed",
     "geometric_mean",
     "speedup",
     "format_table",

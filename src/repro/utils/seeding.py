@@ -14,16 +14,10 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_rng", "set_global_seed"]
+__all__ = ["derive_rng"]
 
-_GLOBAL_SEED: int = 0
-
-
-def set_global_seed(seed: int) -> None:
-    """Set the process-wide default seed used by :func:`derive_rng` callers
-    that do not pass one explicitly."""
-    global _GLOBAL_SEED
-    _GLOBAL_SEED = int(seed)
+#: the seed :func:`derive_rng` uses when the caller passes none
+_DEFAULT_SEED: int = 0
 
 
 def _mix(seed: int, *tags: str | int) -> int:
@@ -45,5 +39,5 @@ def derive_rng(*tags: str | int, seed: int | None = None) -> np.random.Generator
 
     >>> rng = derive_rng("model-init", 3, seed=42)
     """
-    base = _GLOBAL_SEED if seed is None else int(seed)
+    base = _DEFAULT_SEED if seed is None else int(seed)
     return np.random.default_rng(_mix(base, *tags))

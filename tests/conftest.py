@@ -17,8 +17,6 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from repro.utils.seeding import set_global_seed
-
 settings.register_profile("repro", derandomize=True, database=None)
 settings.load_profile("repro")
 
@@ -28,5 +26,4 @@ def _seed_per_test(request):
     digest = hashlib.blake2b(request.node.nodeid.encode(), digest_size=4).digest()
     seed = int.from_bytes(digest, "big")
     np.random.seed(seed)
-    set_global_seed(0)
     yield

@@ -1,5 +1,6 @@
 """Checkpoint round-trips: a resumed run must continue bit-identically."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -117,6 +118,66 @@ class TestCheckpointRoundTrip:
             for key in s1["state"][slot]:
                 v1, v2 = s1["state"][slot][key], s2["state"][slot][key]
                 assert np.allclose(np.asarray(v1), np.asarray(v2))
+
+    def test_asgd_resume_matches_uninterrupted(self, tmp_path):
+        """ASGD's step count decides when its tail average starts, so a
+        resume must carry it: saved after 7 and 6 steps with t0 = 8, the
+        resumed pipelines start averaging on their first and second step."""
+        from repro.optim import ASGD
+
+        spec = dataclasses.replace(
+            tiny_awd_spec(), make_optimizer=lambda m: ASGD(m.parameters(), lr=0.5, t0=8)
+        )
+        full = AvgPipeTrainer(spec, seed=0, max_epochs=1, num_pipelines=2)
+        _step_epochs(full, 2)
+        first = AvgPipeTrainer(spec, seed=0, max_epochs=1, num_pipelines=2)
+        _step_epochs(first, 1)
+        path = tmp_path / "ckpt.npz"
+        save_trainer(first, path)
+        resumed = AvgPipeTrainer(spec, seed=0, max_epochs=1, num_pipelines=2)
+        load_trainer(resumed, path)
+        _step_epochs(resumed, 1)
+        for opt_full, opt_resumed in zip(full.optimizers, resumed.optimizers):
+            s_full, s_resumed = opt_full.state_dict()["state"], opt_resumed.state_dict()["state"]
+            assert set(s_full) == set(s_resumed)
+            for slot, entry in s_full.items():
+                assert "ax" in entry
+                assert set(entry) == set(s_resumed[slot]), slot
+                for key, value in entry.items():
+                    assert np.array_equal(value, s_resumed[slot][key]), (slot, key)
+
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        """A save that dies midway (here: after writing one array) must
+        leave the previous checkpoint loadable and no ``.tmp`` behind."""
+        spec = tiny_awd_spec()
+        trainer = AvgPipeTrainer(spec, seed=0, max_epochs=1, num_pipelines=2)
+        path = tmp_path / "ckpt.npz"
+        save_trainer(trainer, path)
+        before = path.read_bytes()
+        trainer.train()
+        savez = np.savez
+
+        def dies_midway(file, **arrays):
+            first = next(iter(arrays))
+            savez(file, **{first: arrays[first]})
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(np, "savez", dies_midway)
+        with pytest.raises(OSError, match="No space left"):
+            save_trainer(trainer, path)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
+        assert path.read_bytes() == before
+        restored = AvgPipeTrainer(spec, seed=0, max_epochs=1, num_pipelines=2)
+        load_trainer(restored, path)
+
+    def test_save_keeps_the_npz_suffix_rule_and_file_mode(self, tmp_path):
+        trainer = AvgPipeTrainer(tiny_awd_spec(), seed=0, max_epochs=1, num_pipelines=2)
+        save_trainer(trainer, tmp_path / "ckpt")  # np.savez appends .npz
+        (tmp_path / "plain").write_bytes(b"")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.npz", "plain"]
+        mode = lambda name: (tmp_path / name).stat().st_mode & 0o777
+        assert mode("ckpt.npz") == mode("plain")
 
     def test_v2_mean_manifest_still_loads(self, tmp_path):
         """A v2 manifest names its normalization and alpha-auto bit; "mean"

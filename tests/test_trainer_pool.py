@@ -183,6 +183,25 @@ def test_checkpoint_and_membership_changes_between_calls(cpus, tmp_path):
     epoch()
 
 
+def test_asgd_step_count_comes_back_from_the_workers(cpus):
+    """ASGD starts its tail average at step t0; a worker's steps must
+    count towards it after the pull-back, or the next call forks a
+    pipeline whose count never reached t0."""
+    from repro.optim import ASGD
+    from repro.resilience.chaos import tiny_chaos_spec
+
+    spec = dataclasses.replace(
+        tiny_chaos_spec(), make_optimizer=lambda m: ASGD(m.parameters(), lr=0.5, t0=8)
+    )
+    sequential, pooled = (
+        AvgPipeTrainer(spec, seed=0, max_epochs=1, num_pipelines=2) for _ in range(2)
+    )
+    for epoch in range(3):
+        assert pooled_epoch(pooled) == sequential_epoch(sequential), epoch
+        assert digest(pooled) == digest(sequential), epoch
+    assert all("ax" in entry for entry in pooled.optimizers[1].state.values())
+
+
 def test_telemetry_sees_what_the_sequential_loop_records(cpus):
     """Workers log their registry calls and return their weights, so the
     parent's registry — losses, α-pulls, divergence — is the one-process
