@@ -38,7 +38,7 @@ from repro.core.tuner import (
 )
 from repro.core.simcfg import SIM_CALIBRATIONS, SimCalibration
 from repro.core.avgpipe import AvgPipe, AvgPipePlan
-from repro.core.checkpoint import load_trainer, save_trainer
+from repro.core.checkpoint import CheckpointError, load_trainer, save_trainer
 from repro.core.pipeline import PipelinedRunner, StageRuntime
 
 __all__ = [
@@ -62,6 +62,7 @@ __all__ = [
     "SIM_CALIBRATIONS",
     "AvgPipe",
     "AvgPipePlan",
+    "CheckpointError",
     "save_trainer",
     "load_trainer",
     "PipelinedRunner",

@@ -11,7 +11,9 @@ checkpoint loadable.
 ``save_trainer`` / ``load_trainer`` round-trip an
 :class:`~repro.core.trainer.AvgPipeTrainer` exactly: a resumed run
 continues bit-identically (tested), which is also what makes the
-statistical-efficiency experiments cheap to extend.
+statistical-efficiency experiments cheap to extend.  A file that cannot
+be loaded raises :class:`CheckpointError`, which names the file and the
+failing key.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ import pathlib
 
 import numpy as np
 
-from repro.core.trainer import AvgPipeTrainer
+from repro.core.trainer import AvgPipeTrainer, _rng_modules
 
-__all__ = ["save_trainer", "load_trainer"]
+__all__ = ["CheckpointError", "save_trainer", "load_trainer"]
 
 #: v2 adds per-model RNG streams and resizable loads (repro.resilience
 #: recovery); v3 drops the manifest's update normalization (the reference
@@ -32,6 +34,26 @@ __all__ = ["save_trainer", "load_trainer"]
 #: constructor decides that).  v1 and v2 checkpoints still load.
 _FORMAT_VERSION = 3
 _SUPPORTED_FORMATS = (1, 2, 3)
+#: Manifest fields every supported format carries.
+_MANIFEST_FIELDS = (
+    "format", "num_pipelines", "optimizer_lrs",
+    "alpha", "received", "queue_delay", "queue_now", "queue_visible_at",
+)
+
+
+class CheckpointError(ValueError):
+    """A checkpoint that cannot be loaded: unreadable, damaged, missing a
+    key, or saved by another kind of run.
+
+    ``path`` is the file; ``key`` is the array or manifest field that
+    failed, or None when the file is not a readable archive at all.
+    """
+
+    def __init__(self, path: str | pathlib.Path, key: str | None, reason: str) -> None:
+        self.path = pathlib.Path(path)
+        self.key = key
+        where = "" if key is None else f" key {key!r}:"
+        super().__init__(f"checkpoint {self.path}:{where} {reason}")
 
 
 def _flatten(prefix: str, state: dict) -> dict[str, np.ndarray]:
@@ -84,6 +106,89 @@ def save_trainer(trainer: AvgPipeTrainer, path: str | pathlib.Path) -> None:
         raise
 
 
+def _open_checked(path: pathlib.Path):
+    """The npz archive at ``path``, open, and the shape of every array in
+    it.  Each member is read whole here, one at a time, so that zipfile
+    checks its CRC-32 as the read reaches its end: a damaged byte anywhere
+    in a member fails here, not later as a quietly different array.  Only
+    the shapes are kept, so a load holds no more of the file at once than
+    before this check."""
+    try:
+        data = np.load(path, allow_pickle=False)
+    except Exception as exc:  # a truncated or foreign file fails in any zip or npy check
+        raise CheckpointError(path, None, f"not a readable archive ({exc})") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise CheckpointError(path, None, "not an npz archive")
+    shapes = {}
+    for key in data.files:
+        try:
+            shapes[key] = data[key].shape
+        except Exception as exc:  # damaged bytes surface as any zip or npy error
+            data.close()
+            raise CheckpointError(path, key, f"damaged ({exc})") from exc
+    return data, shapes
+
+
+def _check_arrays(
+    path: pathlib.Path, stored: dict, trainer: AvgPipeTrainer, ckpt_n: int, queued: int
+) -> None:
+    """Every reference, accumulator, queued-delta, model and optimizer
+    array the trainer needs is in ``stored`` (key -> shape) with the
+    trainer's shape, and those sections hold no key the trainer lacks."""
+    reference = trainer.framework.reference
+    shapes = {}
+    for prefix in ["reference", "accumulated"] + [f"queue{j}" for j in range(queued)]:
+        shapes.update((f"{prefix}/{name}", value.shape) for name, value in reference.items())
+    for i in range(ckpt_n):
+        shapes.update(
+            (f"model{i}/{name}", p.shape) for name, p in trainer.models[i].named_parameters()
+        )
+    # opt{i}/{slot}/{field}: slot indexes the optimizer's parameters, and
+    # every non-scalar field has that parameter's shape.
+    slots = {f"opt{i}": [p.shape for p in trainer.optimizers[i].params] for i in range(ckpt_n)}
+    sections = {key.split("/", 1)[0] for key in shapes}
+    for key, shape in shapes.items():
+        if key not in stored:
+            raise CheckpointError(path, key, "missing from the archive")
+        if stored[key] != shape:
+            raise CheckpointError(path, key, f"shape {stored[key]}, trainer has {shape}")
+    for key, stored_shape in stored.items():
+        section, _, rest = key.partition("/")
+        if section in sections and key not in shapes:
+            raise CheckpointError(path, key, "not a key of this trainer")
+        params = slots.get(section)
+        if params is not None:
+            slot = rest.split("/", 1)[0]
+            if not slot.isdigit() or int(slot) >= len(params):
+                raise CheckpointError(path, key, f"optimizer has {len(params)} parameters")
+            if stored_shape and stored_shape != params[int(slot)]:
+                raise CheckpointError(
+                    path, key, f"shape {stored_shape}, parameter has {params[int(slot)]}"
+                )
+
+
+def _check_per_pipeline(
+    path: pathlib.Path, manifest: dict, trainer: AvgPipeTrainer, ckpt_n: int
+) -> None:
+    """One learning rate and (v2 on) one RNG stream list per pipeline,
+    with a stream for every module of the trainer's model that owns one."""
+    lrs = len(manifest["optimizer_lrs"])
+    if lrs != ckpt_n:
+        raise CheckpointError(path, "optimizer_lrs", f"{lrs} entries for {ckpt_n} pipelines")
+    rngs = manifest.get("rng")  # v1 checkpoints carry no RNG streams
+    if rngs is None:
+        return
+    if len(rngs) != ckpt_n:
+        raise CheckpointError(path, "rng", f"{len(rngs)} entries for {ckpt_n} pipelines")
+    for i in range(ckpt_n):
+        modules = len(_rng_modules(trainer.models[i]))
+        if len(rngs[i]) != modules:
+            raise CheckpointError(
+                path, "rng",
+                f"pipeline {i} has {len(rngs[i])} RNG streams, model has {modules} modules",
+            )
+
+
 def load_trainer(
     trainer: AvgPipeTrainer, path: str | pathlib.Path, allow_resize: bool = False
 ) -> AvgPipeTrainer:
@@ -96,27 +201,50 @@ def load_trainer(
     taken after :meth:`~repro.core.trainer.AvgPipeTrainer.evict_pipeline`
     restarts into a freshly-built N-pipeline trainer) — growing is still
     an error, because the extra models' states would be invented.
+
+    Every failure raises :class:`CheckpointError`: a file that is no
+    readable archive, a damaged member, a missing manifest field, model,
+    reference, accumulator or queued-delta array, or a checkpoint saved by
+    another kind of run (an array of another shape, a key the trainer
+    lacks, another number of pipelines or RNG streams).  All of these are
+    found before the trainer is touched.
     """
     path = pathlib.Path(path)
-    with np.load(path, allow_pickle=False) as data:
-        manifest = json.loads(bytes(data["__manifest__"]).decode("utf-8"))
+    data, stored = _open_checked(path)
+    with data:
+        if "__manifest__" not in stored:
+            raise CheckpointError(path, "__manifest__", "missing from the archive")
+        try:
+            manifest = json.loads(bytes(data["__manifest__"]).decode("utf-8"))
+        except ValueError as exc:
+            raise CheckpointError(path, "__manifest__", f"not a JSON manifest ({exc})") from exc
+        for field in _MANIFEST_FIELDS:
+            if field not in manifest:
+                raise CheckpointError(path, field, "missing from the manifest")
         if manifest["format"] not in _SUPPORTED_FORMATS:
-            raise ValueError(f"unsupported checkpoint format {manifest['format']}")
+            raise CheckpointError(
+                path, "format", f"unsupported checkpoint format {manifest['format']}"
+            )
         if manifest.get("update_normalization", "mean") != "mean":
-            raise ValueError(
-                "checkpoint has update_normalization="
-                f"{manifest['update_normalization']!r}; only 'mean' is supported"
+            raise CheckpointError(
+                path, "update_normalization",
+                f"update_normalization={manifest['update_normalization']!r}; "
+                "only 'mean' is supported",
             )
         ckpt_n = manifest["num_pipelines"]
-        if ckpt_n != trainer.num_pipelines:
-            if not (allow_resize and ckpt_n < trainer.num_pipelines):
-                raise ValueError(
-                    f"checkpoint has {ckpt_n} pipelines, "
-                    f"trainer has {trainer.num_pipelines}"
-                )
-            while trainer.num_pipelines > ckpt_n:
-                trainer.evict_pipeline(trainer.num_pipelines - 1)
+        shrink = allow_resize and ckpt_n < trainer.num_pipelines
+        if ckpt_n != trainer.num_pipelines and not shrink:
+            raise CheckpointError(
+                path, "num_pipelines",
+                f"checkpoint has {ckpt_n} pipelines, trainer has {trainer.num_pipelines}",
+            )
         framework = trainer.framework
+        queued = len(manifest["queue_visible_at"])
+        _check_arrays(path, stored, trainer, ckpt_n, queued)
+        _check_per_pipeline(path, manifest, trainer, ckpt_n)
+
+        while trainer.num_pipelines > ckpt_n:
+            trainer.evict_pipeline(trainer.num_pipelines - 1)
 
         def section(prefix: str) -> dict[str, np.ndarray]:
             return {
@@ -128,7 +256,7 @@ def load_trainer(
         framework.load_round_state({
             **manifest,
             "accumulated": section("accumulated/"),
-            "queued": [section(f"queue{j}/") for j in range(len(manifest["queue_visible_at"]))],
+            "queued": [section(f"queue{j}/") for j in range(queued)],
         })
         rngs = manifest.get("rng")  # v1 checkpoints carry no RNG streams
         for i in range(trainer.num_pipelines):

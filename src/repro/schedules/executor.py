@@ -13,10 +13,12 @@ than being hand-coded per schedule.
 
 Consecutive pipelines placed alike move in exact lockstep, so each such
 *lockstep group* (:func:`lockstep_groups`) runs as one process per
-stage whose kernels and transfers count once per member; every member
-still gets its own spans, progress clock, stash and ``comm_sent``
-records, in member order.  docs/simulator.md ("Identical pipelines
-simulated once") gives the argument that the results are the same bits.
+stage whose kernels and transfers count once per member.  Each op is
+one trace record for the whole group, which stands for every member's
+span in member order; every member still gets its own progress clock,
+stash and ``comm_sent`` addition, in member order.  docs/simulator.md
+("Identical pipelines simulated once", "What one simulated op costs")
+gives the argument that the results are the same bits.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from repro.graph.cost_model import LayerCost
 from repro.graph.partitioner import Partition
 from repro.schedules.base import Schedule, StageOp
 from repro.sim.cluster import Cluster
-from repro.sim.events import Event, Simulator
+from repro.sim.events import Simulator, Wake
 from repro.sim.memory import OutOfMemoryError
-from repro.sim.trace import SpanKind, TraceRecorder, _Span
+from repro.sim.trace import SpanKind, TraceRecorder
 
 __all__ = ["StageCosts", "PipelineSimRunner", "SimIterationResult", "lockstep_groups"]
 
@@ -182,8 +184,8 @@ class _TransferTag:
     The link completes the tag as a heap entry (see
     :mod:`repro.sim.events`): it adds the transfer time to the sender's
     ``comm_sent`` once per member it carries, then wakes the receiver if
-    one waits.  The receiver splits its wait at ``started_at`` into
-    BUBBLE and COMM spans.
+    one waits (a :class:`~repro.sim.events.Wake`).  The receiver splits
+    its wait at ``started_at`` into BUBBLE and COMM spans.
     """
 
     __slots__ = ("sim", "comm_sent", "src_stage", "started_at", "arrived", "waiter", "members")
@@ -197,13 +199,16 @@ class _TransferTag:
         self.src_stage = src_stage
         self.started_at: float | None = None
         self.arrived = False
-        self.waiter: Event | None = None
+        self.waiter: Wake | None = None
         #: the sender's members at the send (None until sent)
         self.members: tuple[int, ...] | None = None
 
     def succeed(self, value=None) -> None:
+        elapsed = self.sim.now - self.started_at
+        total = self.comm_sent[self.src_stage]
         for _ in self.members:
-            self.comm_sent[self.src_stage] += self.sim.now - self.started_at
+            total += elapsed
+        self.comm_sent[self.src_stage] = total
         self.arrived = True
         waiter = self.waiter
         if waiter is not None and not waiter.triggered:
@@ -558,7 +563,7 @@ class PipelineSimRunner:
             num_stages=K,
             num_micro=self.num_micro,
             num_pipelines=self.num_pipelines,
-            decomposition=[{"gpu": 0.0, "com": 0.0, "bub": 0.0, "sync": 0.0}] * D,
+            decomposition=[{"gpu": 0.0, "com": 0.0, "bub": 0.0, "sync": 0.0} for _ in range(D)],
             comm_sent_time=[0.0] * K,
             peak_memory=[dev.memory.capacity for dev in self.cluster.devices],
             weight_memory=[0] * D,
@@ -601,10 +606,8 @@ class PipelineSimRunner:
         # Per-stage constants, hoisted out of the event-driven hot loop.
         crashed = self._crashed
         last_progress = self.last_progress
-        trace = self.trace
-        record = trace.record
-        # Without a registry, record() is an append; skip the call.
-        append = trace.spans.append if trace.registry is None else None
+        record_op = self.trace.record_op
+        record_wait = self.trace.record_wait
         memory = device.memory
         execute = device.compute.execute
         submit = device.compute.submit
@@ -619,15 +622,13 @@ class PipelineSimRunner:
             bwd_flops += fwd_flops
         this_dev = self._device_of(lead, stage)
         # Per op kind: the row it waits on and that row's sender, the
-        # kernel and its completion-event name, and the row it sends to
-        # over which link.
-        name = f"{device.compute.name}.p{lead}"
-        fwd = [None, None, fwd_flops, f"{name}.fwd", SpanKind.FWD, None, None, 0.0]
-        bwd = [None, None, bwd_flops, f"{name}.bwd", SpanKind.BWD, None, None, 0.0]
+        # kernel's work, and the row it sends to over which link.
+        fwd = [None, None, fwd_flops, SpanKind.FWD, None, None, 0.0]
+        bwd = [None, None, bwd_flops, SpanKind.BWD, None, None, 0.0]
         if stage < K - 1:
             bwd[0:2] = grad_ready[group][stage], stage + 1
             down_dev = self._device_of(lead, stage + 1)
-            fwd[5:8] = (
+            fwd[4:7] = (
                 act_ready[group][stage + 1],
                 self.cluster.link(this_dev, down_dev),
                 self.costs.act_out_bytes[stage],
@@ -635,7 +636,7 @@ class PipelineSimRunner:
         if stage > 0:
             fwd[0:2] = act_ready[group][stage], stage - 1
             up_dev = self._device_of(lead, stage - 1)
-            bwd[5:8] = (
+            bwd[4:7] = (
                 grad_ready[group][stage - 1],
                 self.cluster.link(this_dev, up_dev),
                 self.costs.act_out_bytes[stage - 1],
@@ -656,7 +657,7 @@ class PipelineSimRunner:
                 self._drain_stage(stage, device, outstanding)
                 return
             base = it * M
-            for (is_fwd, micro, label, wait_row, src, flops, kernel, kind,
+            for (is_fwd, micro, label, wait_row, src, flops, kind,
                  send_row, link, nbytes) in op_seq:
                 if lead in crashed:
                     self._drain_stage(stage, device, outstanding)
@@ -670,7 +671,7 @@ class PipelineSimRunner:
                     wait_start = None
                     if not tag.arrived:
                         wait_start = sim.now
-                        tag.waiter = waiter = Event(sim)
+                        tag.waiter = waiter = Wake()
                         yield waiter
                     if tag.members is not members:
                         members = self._carried(members, tag.members)
@@ -681,22 +682,10 @@ class PipelineSimRunner:
                         arrive = sim.now
                         if arrive > wait_start:
                             # BUBBLE until the sender started, COMM after,
-                            # member by member.
+                            # once per member.
                             xfer_start = arrive if tag.started_at is None else tag.started_at
                             split = min(max(xfer_start, wait_start), arrive)
-                            for _ in members:
-                                if split > wait_start:
-                                    if append is None:
-                                        record(dev_index, wait_start, split, SpanKind.BUBBLE)
-                                    else:
-                                        append(_Span(dev_index, wait_start, split,
-                                                     SpanKind.BUBBLE, ""))
-                                if arrive > split:
-                                    if append is None:
-                                        record(dev_index, split, arrive, SpanKind.COMM)
-                                    else:
-                                        append(_Span(dev_index, split, arrive,
-                                                     SpanKind.COMM, ""))
+                            record_wait(dev_index, wait_start, split, arrive, count)
                         if lead in crashed:  # woken by the abort
                             self._drain_stage(stage, device, outstanding)
                             return
@@ -724,16 +713,12 @@ class PipelineSimRunner:
                     outstanding += 1
                 # -- compute ------------------------------------------------
                 t0 = sim.now
-                done = Event(sim, kernel)
+                done = Wake()
                 submit(flops, demand, done, count)
                 yield done
                 now = sim.now
+                record_op(dev_index, t0, now, kind, label, members, stage, mb)
                 for p in members:
-                    if append is None:
-                        record(dev_index, t0, now, kind, label,
-                               pipeline=p, stage=stage, micro=mb)
-                    elif now > t0:
-                        append(_Span(dev_index, t0, now, kind, label, p, stage, mb))
                     last_progress[p] = now
                 if not is_fwd:
                     memory.free(stash * count, "activations")
@@ -756,8 +741,7 @@ class PipelineSimRunner:
                 if self.with_reference_model:
                     update_flops *= 2  # elastic pull + reference accumulate
                 yield execute(update_flops, demand=0.25, name="opt", count=count)
-                for _ in members:
-                    record(dev_index, t0, sim.now, SpanKind.SYNC, "opt")
+                record_op(dev_index, t0, sim.now, SpanKind.SYNC, "opt", (None,) * count)
                 barrier = stage_done[group][it]
                 if not barrier[stage].triggered:  # abort may have fired it
                     barrier[stage].succeed(members)

@@ -9,6 +9,9 @@
   resumes the generator with the event's value when it fires.  A process
   is itself an event (fires when the generator returns).
 * :class:`AllOf` — barrier over several events.
+* :class:`Wake` — a one-shot wake-up one process waits on without an
+  :class:`Event`: no callbacks list, and its ``succeed`` resumes the
+  process directly.
 
 The engine is deterministic: simultaneous events fire in schedule order
 (heap ties broken by a monotone sequence number), so every experiment is
@@ -29,8 +32,9 @@ The heap holds ``(time, seq, entry)`` triples.  An entry need not be an
 The simulator's own hot entries use this: a resource's completion tick
 and a link's latency gate are ``__slots__`` handles whose ``succeed``
 calls the resource directly, and the pipeline executor's transfer tag
-is the handle a link completes.  Only an :class:`Event` can be waited
-on by a process.  ``_seq`` counts every push, live or later cancelled.
+is the handle a link completes.  A process waits on an :class:`Event`
+or on a :class:`Wake`, which is itself a heap entry.  ``_seq`` counts
+every push, live or later cancelled.
 
 Queue tuning
 ------------
@@ -61,7 +65,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, Iterable
 
-__all__ = ["Simulator", "Event", "Process", "AllOf"]
+__all__ = ["Simulator", "Event", "Process", "AllOf", "Wake"]
 
 # Compact when the heap holds more than this many tombstones AND they are
 # the majority of entries; small heaps are cheaper to drain than rebuild.
@@ -147,8 +151,38 @@ class AllOf(Event):
             self.succeed()
 
 
+class Wake:
+    """A one-shot wake-up for the one process that yields it.
+
+    The process binds itself when it yields the handle (no callbacks
+    list, no :meth:`Event.add_callback`), and :meth:`succeed` resumes it
+    directly.  A handle fires once: a second ``succeed`` raises, so it
+    resumes its process at most once.  Fired before the process yields
+    it (a resource can complete work at or under its finish epsilon
+    inside the submit), it resumes the process at the yield, as an
+    :class:`Event` that already fired does.  It is also a heap entry
+    (see the module docstring).
+    """
+
+    __slots__ = ("triggered", "resume")
+    cancelled = False
+    value = None
+
+    def __init__(self) -> None:
+        self.triggered = False
+        self.resume: Callable[["Wake"], None] | None = None
+
+    def succeed(self, value: Any = None) -> None:
+        if self.triggered:
+            raise RuntimeError("wake-up already fired")
+        self.triggered = True
+        resume = self.resume
+        if resume is not None:
+            resume(self)
+
+
 class Process(Event):
-    """Drives a generator; each yielded Event suspends the process."""
+    """Drives a generator; each yielded Event or Wake suspends the process."""
 
     def __init__(self, sim: "Simulator", gen: Generator[Event, Any, Any], name: str = "") -> None:
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
@@ -161,15 +195,21 @@ class Process(Event):
         start.callbacks = [self._resume_cb]
         sim.schedule(0.0, start)
 
-    def _resume(self, fired: Event) -> None:
+    def _resume(self, fired: Event | Wake) -> None:
         try:
             target = self._send(fired.value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
-        if not isinstance(target, Event):
-            raise TypeError(f"process {self.name} yielded {target!r}, expected Event")
-        target.add_callback(self._resume_cb)
+        if target.__class__ is Wake:
+            if target.triggered:
+                self._resume(target)
+            else:
+                target.resume = self._resume_cb
+        elif isinstance(target, Event):
+            target.add_callback(self._resume_cb)
+        else:
+            raise TypeError(f"process {self.name} yielded {target!r}, expected Event or Wake")
 
 
 class Simulator:

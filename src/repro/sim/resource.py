@@ -39,6 +39,13 @@ pipeline executor's lockstep groups, one task for identical pipelines).
 Wherever demands are summed it counts ``count`` times, added one by one
 in submit order, and its submit records the utilization steps the
 ``count`` separate submits would have: the same floats, in fewer tasks.
+
+The sum of demands is kept, not recomputed: the left fold over the task
+list, each task added ``count`` times in list order.  An appended task
+extends it with exactly the additions a loop over the list would make
+next; a removal recomputes it over the kept list.  A reschedule that
+finishes on a list a nested one replaced (see above) folds that list
+itself.
 """
 
 from __future__ import annotations
@@ -53,6 +60,16 @@ from repro.sim.events import Event, Simulator
 __all__ = ["SharedResource"]
 
 _EPS = 1e-12
+
+
+def _fold(tasks: list["_ActiveTask"]) -> float:
+    """The sum of demands over ``tasks``: each task's demand added
+    ``count`` times, in list order."""
+    total = 0.0
+    for task in tasks:
+        for _ in range(task.count):
+            total += task.demand
+    return total
 
 
 class _ActiveTask:
@@ -88,7 +105,6 @@ class _Tick:
     def succeed(self, value=None) -> None:
         resource = self.resource
         resource._tick = None
-        resource._settle()
         resource._reschedule()
 
 
@@ -103,6 +119,8 @@ class SharedResource:
         self.nominal_capacity = capacity
         self.name = name
         self._active: list[_ActiveTask] = []
+        # _fold(self._active), kept up to date (see module docstring).
+        self._demand = 0.0
         self._last_update = 0.0
         # The one pending completion tick (None while idle or frozen).
         self._tick: _Tick | None = None
@@ -148,52 +166,33 @@ class SharedResource:
         if self._firing is active and work > self._finish_eps:
             # Deferred to the firing reschedule; the clock has not moved
             # since it settled.  Record the steps nested ones would have.
-            if count > 1:
-                self._record_submit_steps(demand, count)
-                active.append(_ActiveTask(work, demand, done, count))
-                return
-            active.append(_ActiveTask(work, demand, done, 1))
-            if self._frozen:
-                util = 0.0
-            else:
-                total = 0.0
-                for task in active:
-                    total += task.demand
-                    if task.count > 1:
-                        for _ in range(task.count - 1):
-                            total += task.demand
-                util = total if total <= 1.0 else 1.0
-            steps = self.utilization_steps
-            if abs(util - steps[-1][1]) > 1e-12:
-                steps.append((self.sim.now, util))
+            self._demand = self._record_submit_steps(demand, count)
+            active.append(_ActiveTask(work, demand, done, count))
             return
-        self._settle()
         if count > 1:
             # The first count - 1 submits' steps; the reschedule records
             # the last one's.
-            self._record_submit_steps(demand, count - 1)
+            self._demand = self._record_submit_steps(demand, count - 1)
         active.append(_ActiveTask(work, demand, done, count))
+        self._demand += demand
         self._reschedule()
 
-    def _record_submit_steps(self, demand: float, submits: int) -> None:
+    def _record_submit_steps(self, demand: float, submits: int) -> float:
         """Record the utilization steps of ``submits`` back-to-back submits
-        of ``demand`` onto the current task list (see module docstring)."""
+        of ``demand`` onto the current task list (see module docstring);
+        returns the demand fold extended by them."""
         steps = self.utilization_steps
-        if self._frozen:
-            if abs(steps[-1][1]) > 1e-12:
-                steps.append((self.sim.now, 0.0))
-            return
-        total = 0.0
-        for task in self._active:
-            total += task.demand
-            if task.count > 1:
-                for _ in range(task.count - 1):
-                    total += task.demand
+        last = steps[-1][1]
+        now = self.sim.now
+        total = self._demand
+        frozen = self._frozen
         for _ in range(submits):
             total += demand
-            util = total if total <= 1.0 else 1.0
-            if abs(util - steps[-1][1]) > 1e-12:
-                steps.append((self.sim.now, util))
+            util = 0.0 if frozen else (total if total <= 1.0 else 1.0)
+            if abs(util - last) > 1e-12:
+                steps.append((now, util))
+                last = util
+        return total
 
     @property
     def current_demand(self) -> float:
@@ -201,8 +200,7 @@ class SharedResource:
         0 while frozen, like :attr:`utilization_steps`."""
         if self._frozen:
             return 0.0
-        total = sum(t.demand for t in self._active for _ in range(t.count))
-        return min(total, 1.0)
+        return min(self._demand, 1.0)
 
     # ------------------------------------------------------------------ #
     # fault hooks (repro.resilience): service-rate changes mid-flight
@@ -220,7 +218,6 @@ class SharedResource:
         """
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        self._settle()
         self.capacity = capacity
         self._finish_eps = _EPS * (capacity if capacity > 1.0 else 1.0)
         self._reschedule()
@@ -233,7 +230,6 @@ class SharedResource:
         """
         if self._frozen:
             return
-        self._settle()
         self._frozen = True
         self._reschedule()
 
@@ -241,31 +237,34 @@ class SharedResource:
         """Resume service after :meth:`freeze`; tasks pick up where frozen."""
         if not self._frozen:
             return
-        self._settle()
         self._frozen = False
         self._reschedule()
 
     # ------------------------------------------------------------------ #
 
-    def _settle(self) -> None:
-        """Decay remaining work by time elapsed at the current rates."""
-        now = self.sim.now
-        dt = now - self._last_update
-        if dt > 0:
-            for task in self._active:
-                task.work_left -= task.rate * dt
-        self._last_update = now
-
     def _reschedule(self) -> None:
-        """Recompute rates, complete any finished tasks, arm next event."""
+        """Settle, recompute rates, complete any finished tasks, and arm
+        the next tick.
+
+        Settling decays each task's remaining work by the time elapsed at
+        its current rate.  That rate is the one the last reschedule set
+        (a capacity change or a freeze takes effect here, from now on);
+        a task appended since then has rate 0.0 and keeps its work.
+        """
+        now = self.sim.now
         active = self._active
+        dt = now - self._last_update
+        self._last_update = now
         if len(active) == 1:
             task = active[0]
+            if dt > 0:
+                task.work_left -= task.rate * dt
             if task.work_left <= self._finish_eps:
-                # Fast path: the lone task just finished.  The general
-                # path's partition without its lists; ``succeed()`` may
-                # submit new tasks, which land in the fresh ``active`` list.
+                # The lone task just finished: the general partition below
+                # without its lists.  ``succeed()`` may submit new tasks,
+                # which land in the fresh ``active`` list.
                 self._active = active = []
+                self._demand = 0.0
                 if not task.done.triggered:
                     firing = self._firing
                     self._firing = active
@@ -273,64 +272,57 @@ class SharedResource:
                         task.done.succeed()
                     finally:
                         self._firing = firing
-            elif task.count == 1:
-                # Fast path: exactly one live, unfinished task — the
-                # overwhelmingly common shape on pipeline compute resources.
-                # Same arithmetic as the general path below (scale is 1.0
-                # since demand <= 1, and ``d * 1.0 * c`` is bitwise
-                # ``d * c``), so results are identical.
-                if self._frozen:
-                    task.rate = 0.0
-                    util = 0.0
-                else:
-                    task.rate = task.demand * self.capacity
-                    util = task.demand
-                steps = self.utilization_steps
-                if abs(util - steps[-1][1]) > 1e-12:
-                    steps.append((self.sim.now, util))
-                if self._tick is not None:
-                    self._tick.cancel()
-                    self._tick = None
-                if not self._frozen:
-                    self._arm(task.work_left / task.rate)
-                return
         else:
+            if dt > 0:
+                for task in active:
+                    task.work_left -= task.rate * dt
             threshold = self._finish_eps
             for task in active:
                 if task.work_left <= threshold:
                     active = self._complete_finished(threshold)
                     break
 
-        total_demand = 0.0
-        for task in active:
-            total_demand += task.demand
-            if task.count > 1:
-                for _ in range(task.count - 1):
-                    total_demand += task.demand
+        total_demand = self._demand if active is self._active else _fold(active)
         frozen = self._frozen
-        util = 0.0 if frozen else (total_demand if total_demand <= 1.0 else 1.0)
         steps = self.utilization_steps
-        if abs(util - steps[-1][1]) > 1e-12 or not active:
-            steps.append((self.sim.now, util))
         if self._tick is not None:
             self._tick.cancel()  # superseded by this membership change
             self._tick = None
-        if frozen:
+        if len(active) == 1 and not frozen:
+            # One unfinished task, of any count: the general path below
+            # without its loops, the overwhelmingly common shape on a
+            # pipeline compute resource.  Same arithmetic.
+            task = active[0]
+            util = total_demand if total_demand <= 1.0 else 1.0
+            if abs(util - steps[-1][1]) > 1e-12:
+                steps.append((now, util))
+            scale = 1.0 if total_demand <= 1.0 else 1.0 / total_demand
+            task.rate = rate = task.demand * scale * self.capacity
+            soonest = task.work_left / rate
+        else:
+            util = 0.0 if frozen else (total_demand if total_demand <= 1.0 else 1.0)
+            if abs(util - steps[-1][1]) > 1e-12 or not active:
+                steps.append((now, util))
+            if frozen:
+                for task in active:
+                    task.rate = 0.0
+                return  # no completion event until unfreeze
+            if not active:
+                return
+            # Rates and the earliest finisher in one pass.
+            scale = 1.0 if total_demand <= 1.0 else 1.0 / total_demand
+            capacity = self.capacity
+            soonest = math.inf
             for task in active:
-                task.rate = 0.0
-            return  # no completion event until unfreeze
-        if not active:
-            return
-        # Rates and the earliest finisher in one pass.
-        scale = 1.0 if total_demand <= 1.0 else 1.0 / total_demand
-        capacity = self.capacity
-        soonest = math.inf
-        for task in active:
-            task.rate = rate = task.demand * scale * capacity
-            left = task.work_left / rate
-            if left < soonest:
-                soonest = left
-        self._arm(soonest if soonest >= 0.0 else 0.0)
+                task.rate = rate = task.demand * scale * capacity
+                left = task.work_left / rate
+                if left < soonest:
+                    soonest = left
+        # The resource's one live completion tick.
+        sim = self.sim
+        tick = self._tick = _Tick(self)
+        sim._seq += 1
+        heapq.heappush(sim._heap, (now + (soonest if soonest >= 0.0 else 0.0), sim._seq, tick))
 
     def _complete_finished(self, threshold: float) -> list[_ActiveTask]:
         """Drop tasks whose work is (numerically) exhausted and fire their
@@ -343,6 +335,7 @@ class SharedResource:
             else:
                 kept.append(task)
         self._active = kept
+        self._demand = _fold(kept)
         firing = self._firing
         self._firing = kept
         try:
@@ -352,13 +345,6 @@ class SharedResource:
         finally:
             self._firing = firing
         return kept
-
-    def _arm(self, delay: float) -> None:
-        """Schedule the resource's one live completion tick."""
-        sim = self.sim
-        tick = self._tick = _Tick(self)
-        sim._seq += 1
-        heapq.heappush(sim._heap, (sim.now + delay, sim._seq, tick))
 
     # ------------------------------------------------------------------ #
 

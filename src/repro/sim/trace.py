@@ -11,7 +11,7 @@ step functions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,9 +59,22 @@ class _Span:
     micro: int | None = None
 
 
-@dataclass
 class TraceRecorder:
     """Collects spans emitted by runtime processes.
+
+    The recorder keeps :attr:`records`, one plain tuple per recorded op,
+
+        (device, start, end, kind, label, pipelines, stage, micro)
+
+    which stands for one span per entry of ``pipelines``, in order, each
+    carrying that entry as its ``pipeline``.  :meth:`record` appends a
+    one-span tuple; :meth:`record_op` records a lockstep group's op once
+    (``pipelines`` is the member tuple, or ``(None,) * count`` for spans
+    without an identity).  A record whose ``kind`` is ``None`` is a
+    receive wait split at ``label`` (:meth:`record_wait`): per entry, a
+    BUBBLE span over ``[start, label)`` then a COMM span over
+    ``[label, end)``, each only if it is non-empty.  :attr:`spans`
+    expands the records into :class:`_Span` objects on first read.
 
     An optional :class:`~repro.obs.registry.MetricRegistry` mirrors every
     span into metric series as it is recorded: a per-(device, component)
@@ -72,9 +85,13 @@ class TraceRecorder:
     default) the hot path is untouched.
     """
 
-    spans: list[_Span] = field(default_factory=list)
-    #: duck-typed MetricRegistry; None (default) disables mirroring.
-    registry: object | None = None
+    def __init__(self, registry: object | None = None) -> None:
+        #: duck-typed MetricRegistry; None (default) disables mirroring.
+        self.registry = registry
+        self.records: list[tuple] = []
+        # The expanded spans, and how many records they cover.
+        self._spans: list[_Span] = []
+        self._expanded = 0
 
     def record(
         self,
@@ -91,7 +108,7 @@ class TraceRecorder:
         if end < start:
             raise ValueError(f"span ends before it starts: {start} > {end} ({label})")
         if end > start:
-            self.spans.append(_Span(device, start, end, kind, label, pipeline, stage, micro))
+            self.records.append((device, start, end, kind, label, (pipeline,), stage, micro))
             if self.registry is not None:
                 duration = end - start
                 self.registry.counter("trace.spans", device=device, kind=kind.value).inc()
@@ -103,6 +120,65 @@ class TraceRecorder:
                     self.registry.counter(
                         "trace.eq1_seconds", device=device, component=component
                     ).inc(duration)
+
+    def record_op(
+        self,
+        device: int,
+        start: float,
+        end: float,
+        kind: SpanKind,
+        label: str,
+        pipelines: tuple,
+        stage: int | None = None,
+        micro: int | None = None,
+    ) -> None:
+        """One span per entry of ``pipelines``, in order, over
+        ``[start, end)`` (``end >= start``): one record, or with a
+        registry attached one :meth:`record` per entry."""
+        if self.registry is not None:
+            for p in pipelines:
+                self.record(device, start, end, kind, label, pipeline=p, stage=stage, micro=micro)
+        elif end > start:
+            self.records.append((device, start, end, kind, label, pipelines, stage, micro))
+
+    def record_wait(self, device: int, start: float, split: float, end: float, count: int) -> None:
+        """``count`` receive waits over ``[start, end)``, each a BUBBLE
+        span up to ``split`` and a COMM span after it
+        (``start <= split <= end``)."""
+        if self.registry is not None:
+            for _ in range(count):
+                self.record(device, start, split, SpanKind.BUBBLE)
+                self.record(device, split, end, SpanKind.COMM)
+        else:
+            self.records.append((device, start, end, None, split, (None,) * count, None, None))
+
+    @property
+    def spans(self) -> list[_Span]:
+        """Every span in recording order.
+
+        Built once from the records and then extended by later ones, so
+        every read returns the same list: an in-place edit of it (see
+        :func:`repro.verify.fuzz.inject_causality_violation`) stays
+        visible to :meth:`compute_spans` and :meth:`render`.
+        """
+        spans = self._spans
+        records = self.records
+        if self._expanded < len(records):
+            append = spans.append
+            for device, start, end, kind, label, pipelines, stage, micro in records[
+                self._expanded:
+            ]:
+                if kind is None:
+                    for _ in pipelines:
+                        if label > start:
+                            append(_Span(device, start, label, SpanKind.BUBBLE, ""))
+                        if end > label:
+                            append(_Span(device, label, end, SpanKind.COMM, ""))
+                else:
+                    for p in pipelines:
+                        append(_Span(device, start, end, kind, label, p, stage, micro))
+            self._expanded = len(records)
+        return spans
 
     def compute_spans(self) -> list[_Span]:
         """FWD/BWD spans carrying a (pipeline, stage, micro) identity."""
@@ -120,17 +196,37 @@ class TraceRecorder:
         return self.time_decomposition_all(device + 1)[device]
 
     def time_decomposition_all(self, num_devices: int) -> list[dict[str, float]]:
-        """Per-device Equation-1 totals in one pass over the span list.
+        """Per-device Equation-1 totals in one pass over the records.
 
-        Accumulates each device's components in span order; this is the
-        one Equation-1 loop (:meth:`time_decomposition` reads one row).
+        Accumulates each device's components in span order, one addition
+        per span a record stands for, so the sums are those of a loop
+        over :attr:`spans`; this is the one Equation-1 loop
+        (:meth:`time_decomposition` reads one row).
         """
         out = [{"gpu": 0.0, "com": 0.0, "bub": 0.0, "sync": 0.0} for _ in range(num_devices)]
         component = EQ1_COMPONENT.get
-        for span in self.spans:
-            name = component(span.kind)  # None for FAULT / RECOVERY
-            if name is not None and span.device < num_devices:
-                out[span.device][name] += span.end - span.start
+        for device, start, end, kind, label, pipelines, _, _ in self.records:
+            if device >= num_devices:
+                continue
+            row = out[device]
+            if kind is None:  # a wait split at ``label``
+                if label > start:
+                    total, span = row["bub"], label - start
+                    for _ in pipelines:
+                        total += span
+                    row["bub"] = total
+                if end > label:
+                    total, span = row["com"], end - label
+                    for _ in pipelines:
+                        total += span
+                    row["com"] = total
+                continue
+            name = component(kind)  # None for FAULT / RECOVERY
+            if name is not None:
+                total, span = row[name], end - start
+                for _ in pipelines:
+                    total += span
+                row[name] = total
         return out
 
     # ------------------------------------------------------------------ #

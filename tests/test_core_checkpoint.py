@@ -1,13 +1,17 @@
 """Checkpoint round-trips: a resumed run must continue bit-identically."""
 
 import dataclasses
+import io
 import json
+import struct
+import zipfile
 
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import load_trainer, save_trainer
+from repro.core.checkpoint import CheckpointError, load_trainer, save_trainer
 from repro.core.trainer import AvgPipeTrainer
+from repro.models.awd_lstm import AWDConfig, build_awd_lstm
 
 from tests.test_core_trainers import tiny_awd_spec
 
@@ -275,3 +279,181 @@ class TestElasticResizeRoundTrip:
         load_trainer(t2, path)
         for i in range(2):
             assert t1.pipeline_state(i)["rng"] == t2.pipeline_state(i)["rng"]
+
+
+class TestDamagedCheckpoints:
+    """Every load failure is one CheckpointError naming the file and the
+    key, and a damaged file never loads a quietly different state."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        """A checkpoint mid-round (a queued delta in flight), its bytes,
+        and the re-save of a clean load of it."""
+        trainer = self._fresh()
+        trainer.train()
+        fw, batches = trainer.framework, iter(trainer.loader)
+        if fw.round_state()["received"] == 0:
+            trainer.step(0, next(batches))
+            fw.end_iteration()
+        trainer.step(1, next(batches))
+        assert len(fw.queue) == 1
+        root = tmp_path_factory.mktemp("ckpt")
+        path = root / "ckpt.npz"
+        save_trainer(trainer, path)
+        clean = self._fresh()
+        load_trainer(clean, path)
+        save_trainer(clean, root / "clean.npz")
+        return path.read_bytes(), (root / "clean.npz").read_bytes()
+
+    @staticmethod
+    def _fresh():
+        return AvgPipeTrainer(
+            tiny_awd_spec(), seed=7, max_epochs=1, num_pipelines=2, queue_delay=1
+        )
+
+    @staticmethod
+    def _positions(size):
+        """Byte offsets spread over every member, the central directory
+        and the end record."""
+        return sorted(set(range(0, size, max(1, size // 48))) | set(range(size - 22, size)))
+
+    def test_truncated_file_raises_checkpoint_error(self, saved, tmp_path):
+        blob, _ = saved
+        path = tmp_path / "cut.npz"
+        for b in self._positions(len(blob)):
+            path.write_bytes(blob[:b])
+            with pytest.raises(CheckpointError) as info:
+                load_trainer(self._fresh(), path)
+            assert info.value.path == path and str(path) in str(info.value), b
+
+    def test_flipped_byte_raises_or_loads_the_same_state(self, saved, tmp_path):
+        blob, clean = saved
+        path, resaved = tmp_path / "flip.npz", tmp_path / "resaved.npz"
+        damaged_keys = set()
+        for b in self._positions(len(blob)):
+            path.write_bytes(blob[:b] + bytes([blob[b] ^ 0xFF]) + blob[b + 1:])
+            trainer = self._fresh()
+            try:
+                load_trainer(trainer, path)
+            except CheckpointError as err:
+                assert err.path == path, b
+                damaged_keys.add(err.key)
+                continue
+            # A flip the archive does not read (a timestamp, say) is harmless.
+            save_trainer(trainer, resaved)
+            assert resaved.read_bytes() == clean, b
+        # Flips inside array data fail their member's CRC-32, by key.
+        assert any(key is not None and key.startswith("model") for key in damaged_keys)
+
+    def test_crc_failure_names_the_member(self, saved, tmp_path):
+        blob, _ = saved
+        with zipfile.ZipFile(io.BytesIO(blob)) as archive:
+            info = next(i for i in archive.infolist() if i.filename.startswith("model1/"))
+        name_len, extra_len = struct.unpack("<HH", blob[info.header_offset + 26:][:4])
+        # The member's last data byte: the npy header parses, the CRC fails.
+        b = info.header_offset + 30 + name_len + extra_len + info.compress_size - 1
+        path = tmp_path / "flip.npz"
+        path.write_bytes(blob[:b] + bytes([blob[b] ^ 0x01]) + blob[b + 1:])
+        with pytest.raises(CheckpointError, match="Bad CRC-32") as info_:
+            load_trainer(self._fresh(), path)
+        assert info_.value.key == info.filename.removesuffix(".npy")
+
+    def test_missing_keys_are_named(self, saved, tmp_path):
+        blob, _ = saved
+        path = tmp_path / "ckpt.npz"
+        path.write_bytes(blob)
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        model_key = next(key for key in arrays if key.startswith("model1/"))
+        manifest = json.loads(bytes(arrays["__manifest__"]).decode("utf-8"))
+        cases = {
+            model_key: {k: v for k, v in arrays.items() if k != model_key},
+            "queue0/" + model_key.split("/", 1)[1]: {
+                k: v for k, v in arrays.items() if not k.startswith("queue0/")
+            },
+            "__manifest__": {k: v for k, v in arrays.items() if k != "__manifest__"},
+            "alpha": {
+                **arrays,
+                "__manifest__": np.frombuffer(json.dumps(
+                    {k: v for k, v in manifest.items() if k != "alpha"}
+                ).encode("utf-8"), dtype=np.uint8),
+            },
+        }
+        for key, kept in cases.items():
+            np.savez(path, **kept)
+            trainer = self._fresh()
+            before = [m.state_dict() for m in trainer.models]
+            with pytest.raises(CheckpointError, match="missing") as info:
+                load_trainer(trainer, path)
+            assert info.value.key == key and info.value.path == path
+            # Found before the trainer was touched.
+            for state, model in zip(before, trainer.models):
+                after = model.state_dict()
+                assert all(np.array_equal(state[k], after[k]) for k in state), key
+
+    @pytest.mark.parametrize("config, key, match", [
+        # Another hidden size: the first array of another shape.
+        (dict(hidden_dim=12), "reference/", "shape"),
+        # One more layer: its layers are named differently.
+        (dict(num_layers=2), "reference/", "missing"),
+    ])
+    def test_checkpoint_of_another_model_is_rejected_untouched(
+        self, tmp_path, config, key, match
+    ):
+        spec = tiny_awd_spec()
+        other = AWDConfig(vocab_size=10, embed_dim=8, hidden_dim=10, num_layers=1, bptt=6,
+                          dropout=0.0, weight_drop=0.0)
+        other = dataclasses.replace(other, **config)
+        spec = dataclasses.replace(spec, build_model=lambda: build_awd_lstm(other))
+        foreign = AvgPipeTrainer(spec, seed=7, max_epochs=1, num_pipelines=2, queue_delay=1)
+        foreign.train()
+        save_trainer(foreign, tmp_path / "foreign.npz")
+        self._assert_rejected_untouched(tmp_path, tmp_path / "foreign.npz", key, match)
+
+    @pytest.mark.parametrize("key, match", [
+        ("model1/extra.weight", "not a key of this trainer"),
+        ("opt1/99/momentum", "optimizer has"),  # no such parameter
+        ("opt1/0/momentum", "shape"),  # not the parameter's shape
+    ])
+    def test_array_the_trainer_lacks_is_rejected_untouched(self, saved, tmp_path, key, match):
+        path = tmp_path / "ckpt.npz"
+        path.write_bytes(saved[0])
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        np.savez(path, **arrays, **{key: np.zeros(3, np.float32)})
+        self._assert_rejected_untouched(tmp_path, path, key, match)
+
+    @pytest.mark.parametrize("field", ["rng", "optimizer_lrs"])
+    def test_per_pipeline_manifest_mismatch_is_rejected_untouched(self, saved, tmp_path, field):
+        path = tmp_path / "ckpt.npz"
+        path.write_bytes(saved[0])
+        with np.load(path) as data:
+            manifest = json.loads(bytes(data["__manifest__"]).decode("utf-8"))
+        if field == "rng":  # one RNG stream fewer for pipeline 1
+            value = [manifest["rng"][0], manifest["rng"][1][:-1]]
+        else:
+            value = manifest["optimizer_lrs"][:1]
+        _rewrite_manifest(path, **{field: value})
+        self._assert_rejected_untouched(tmp_path, path, field, "entries|streams")
+
+    def _assert_rejected_untouched(self, tmp_path, path, key, match):
+        """Loading ``path`` raises CheckpointError for ``key`` (a prefix)
+        and the trainer saves byte-identically before and after."""
+        trainer = self._fresh()
+        trainer.train()
+        save_trainer(trainer, tmp_path / "before.npz")
+        with pytest.raises(CheckpointError, match=match) as info:
+            load_trainer(trainer, path)
+        assert info.value.path == path and info.value.key.startswith(key)
+        save_trainer(trainer, tmp_path / "after.npz")
+        assert (tmp_path / "after.npz").read_bytes() == (tmp_path / "before.npz").read_bytes()
+
+    def test_not_an_archive(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))
+        with pytest.raises(CheckpointError, match="not an npz archive"):
+            load_trainer(self._fresh(), path)
+        with pytest.raises(CheckpointError, match="not a readable archive") as info:
+            load_trainer(self._fresh(), tmp_path / "absent.npz")
+        assert info.value.key is None

@@ -148,6 +148,18 @@ class TestMemoryModel:
         res = run(AFABSchedule(), memory=2 * 2**20, costs=uniform_costs(params=2**20))
         assert res.oom is not None
 
+    @pytest.mark.parametrize("memory, costs", [
+        (2 * 2**20, uniform_costs(params=2**20)),  # the weights overflow
+        (64 * 2**20, uniform_costs(stash=64 * 2**20)),  # a stash overflows mid-run
+    ])
+    def test_oom_decomposition_rows_are_separate_dicts(self, memory, costs):
+        res = run(AFABSchedule(), memory=memory, costs=costs)
+        assert res.oom is not None
+        rows = res.decomposition
+        assert len(rows) == 6
+        rows[0]["gpu"] = 1.0
+        assert all(row == {"gpu": 0.0, "com": 0.0, "bub": 0.0, "sync": 0.0} for row in rows[1:])
+
     def test_optimizer_state_factor_counts(self):
         adam = run(AdvanceFPSchedule(0), optimizer_state_factor=2.0)
         sgd = run(AdvanceFPSchedule(0), optimizer_state_factor=0.0)
