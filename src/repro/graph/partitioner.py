@@ -48,6 +48,9 @@ __all__ = [
 #: (chunk, n-K+1, n-K+1) float arrays, so the chunk bounds its memory
 #: whatever the orbit count (up to 7! = 5040 placements per search).
 _DP_CHUNK = 64
+#: Stage counts up to which the placement search tries every candidate
+#: placement; above it, only the identity.
+_MAX_EXHAUSTIVE = 7
 
 
 @dataclass(frozen=True)
@@ -445,7 +448,6 @@ def search_partition_placement(
     flops_per_sec: float = 1.0,
     comm_weight: float = 0.5,
     layer_memory_bytes: Sequence[float] | None = None,
-    max_exhaustive: int = 7,
 ) -> tuple[Partition, tuple[int, ...], float]:
     """Joint partition + placement search (Luo et al., arXiv:2204.10562).
 
@@ -457,7 +459,7 @@ def search_partition_placement(
     swap interchangeable devices are skipped (see
     :func:`_orbit_placements`): on a uniform cluster every device is
     interchangeable and the search evaluates exactly one placement.
-    Above ``max_exhaustive`` stages only the identity is tried.  The
+    Above ``_MAX_EXHAUSTIVE`` (7) stages only the identity is tried.  The
     candidates go through one batched DP, ``_DP_CHUNK`` at a time.
 
     Returns ``(partition, placement, bottleneck)``.
@@ -466,7 +468,7 @@ def search_partition_placement(
     _check_inputs(len(costs), k, device_speeds, memory_caps)
     if len(bandwidth_matrix) != k or any(len(row) != k for row in bandwidth_matrix):
         raise ValueError(f"bandwidth_matrix must be {k}x{k}")
-    if k <= max_exhaustive:
+    if k <= _MAX_EXHAUSTIVE:
         candidates = list(_orbit_placements(
             _device_groups(device_speeds, bandwidth_matrix, memory_caps)
         ))

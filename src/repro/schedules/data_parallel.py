@@ -52,6 +52,8 @@ class DataParallelSimRunner:
         self.trace = TraceRecorder()
 
     def run(self, iterations: int = 1) -> SimIterationResult:
+        if iterations < 1:
+            raise ValueError(f"iterations must be at least 1, got {iterations}")
         sim = self.cluster.sim
         K = self.cluster.num_devices
         per_device = self.batch_size / K

@@ -16,9 +16,13 @@ Consecutive pipelines placed alike move in exact lockstep, so each such
 stage whose kernels and transfers count once per member.  Each op is
 one trace record for the whole group, which stands for every member's
 span in member order; every member still gets its own progress clock,
-stash and ``comm_sent`` addition, in member order.  docs/simulator.md
-("Identical pipelines simulated once", "What one simulated op costs")
-gives the argument that the results are the same bits.
+stash and ``comm_sent`` addition, in member order.  Pipelines group
+only when no stash allocation can fail: if the weights plus every
+stage's ``stash_bound`` stashes exceed a device's capacity, each
+pipeline is a group of its own.  A group's members therefore stay
+fixed for the whole run.  docs/simulator.md ("Identical pipelines
+simulated once", "What one simulated op costs") gives the argument
+that the results are the same bits.
 """
 
 from __future__ import annotations
@@ -157,56 +161,35 @@ def lockstep_groups(
     return [tuple(g) for g in groups]
 
 
-def _oom_survivors(members, oom_box, group: int, it: int) -> tuple[int, ...]:
-    """The members still running after the start of iteration ``it``,
-    given the failed stash allocations so far.
-
-    One process per pipeline returns at an iteration start once any
-    allocation has failed before it.  Every failure of an earlier event
-    came first for all members.  The exception is the chain that starts
-    this group's iteration (the process starts at time 0, or the batch
-    barrier), where stage 0 allocates its first stash: there pipeline p's
-    processes run before pipeline p + 1's, so a failure of member q came
-    first only for members from q on (``origin`` is ``(group, it, q)``).
-    """
-    first = None
-    for _, origin in oom_box:
-        if origin is None or origin[0] != group or origin[1] != it:
-            return ()
-        first = origin[2] if first is None else min(first, origin[2])
-    return tuple(p for p in members if p < first)
-
-
 class _TransferTag:
     """One stage-to-stage transfer of a lockstep group, from send to
     arrival.
 
     The link completes the tag as a heap entry (see
     :mod:`repro.sim.events`): it adds the transfer time to the sender's
-    ``comm_sent`` once per member it carries, then wakes the receiver if
-    one waits (a :class:`~repro.sim.events.Wake`).  The receiver splits
-    its wait at ``started_at`` into BUBBLE and COMM spans.
+    ``comm_sent`` once per member of the group, then wakes the receiver
+    if one waits (a :class:`~repro.sim.events.Wake`).  The receiver
+    splits its wait at ``started_at`` into BUBBLE and COMM spans.
     """
 
-    __slots__ = ("sim", "comm_sent", "src_stage", "started_at", "arrived", "waiter", "members")
+    __slots__ = ("sim", "comm_sent", "src_stage", "count", "started_at", "arrived", "waiter")
     cancelled = False
     triggered = False  # a link completes each tag once
     value = None
 
-    def __init__(self, sim: Simulator, comm_sent: list[float], src_stage: int) -> None:
+    def __init__(self, sim: Simulator, comm_sent: list[float], src_stage: int, count: int) -> None:
         self.sim = sim
         self.comm_sent = comm_sent
         self.src_stage = src_stage
+        self.count = count
         self.started_at: float | None = None
         self.arrived = False
         self.waiter: Wake | None = None
-        #: the sender's members at the send (None until sent)
-        self.members: tuple[int, ...] | None = None
 
     def succeed(self, value=None) -> None:
         elapsed = self.sim.now - self.started_at
         total = self.comm_sent[self.src_stage]
-        for _ in self.members:
+        for _ in range(self.count):
             total += elapsed
         self.comm_sent[self.src_stage] = total
         self.arrived = True
@@ -298,7 +281,6 @@ class PipelineSimRunner:
         #: fault can crash them mid-run (:meth:`isolate_pipeline`).
         self._isolated: set[int] = set()
         self._groups: list[tuple[int, ...]] = []
-        self._stalled = False
         #: sim time of each pipeline's last completed compute span — the
         #: progress clock heartbeat detectors watch.
         self.last_progress: dict[int, float] = {}
@@ -366,17 +348,6 @@ class PipelineSimRunner:
                 if not ev.triggered:
                     ev.succeed()
 
-    def _carried(self, members: tuple[int, ...], carried) -> tuple[int, ...]:
-        """The members a tag or barrier still carries (``carried`` is None
-        on a crash wake-up).  A member left out waits forever in its own
-        process, so the run can no longer finish: it drains the heap."""
-        if carried is None or carried is members:
-            return members
-        kept = tuple(p for p in members if p in carried)
-        if len(kept) < len(members):
-            self._stalled = True
-        return kept
-
     def _drain_stage(self, stage: int, device, outstanding: int) -> None:
         """Free the ``outstanding`` stashes a crashed pipeline's stage
         still holds."""
@@ -389,6 +360,8 @@ class PipelineSimRunner:
         """Simulate ``iterations`` batches.  One-shot: the trace and the
         cluster keep this run's spans and state, so a second call on the
         same runner raises instead of reporting merged measurements."""
+        if iterations < 1:
+            raise ValueError(f"iterations must be at least 1, got {iterations}")
         if self._ran:
             raise RuntimeError(
                 "PipelineSimRunner.run() called twice: a runner is one-shot "
@@ -408,10 +381,13 @@ class PipelineSimRunner:
 
         start_time = sim.now
         comm_sent = [0.0] * K
-        # (error, origin) per failed stash allocation; see _oom_survivors.
-        oom_box: list[tuple[OutOfMemoryError, tuple[int, int, int] | None]] = []
+        # The failed stash allocations of groups of one.
+        oom_box: list[OutOfMemoryError] = []
 
-        groups = self._groups = lockstep_groups(self.device_map, self._isolated)
+        # Group only when no stash allocation can fail, so that no group
+        # ever loses a member: otherwise every pipeline is its own group.
+        isolated = set(range(N)) if self._stash_may_overflow() else self._isolated
+        groups = self._groups = lockstep_groups(self.device_map, isolated)
         G = len(groups)
         # Transfer tags act_ready[g][k][it*M + i] of group g, grad_ready
         # likewise; each is made by whichever of sender and receiver
@@ -440,13 +416,8 @@ class PipelineSimRunner:
                 processes.append(sim.process(gen, name=f"{name}.stage{k}"))
 
         finish = sim.all_of(processes)
-        self._stalled = False
         try:
             sim.run_until_process(finish)
-            if self._stalled:
-                # A member's own process would still wait: run to the
-                # deadlock it would have met.
-                sim.run_until_process(sim.event())
         except RuntimeError:
             # A stage that died on OOM starves its neighbours of events;
             # the engine reports the resulting deadlock — translate it.
@@ -454,7 +425,7 @@ class PipelineSimRunner:
                 raise
         if oom_box:
             self._free_weights(weight_bytes)
-            return self._oom_result(oom_box[0][0])
+            return self._oom_result(oom_box[0])
         total = sim.now - start_time
         horizon = sim.now
 
@@ -549,6 +520,17 @@ class PipelineSimRunner:
             dev.memory.alloc(nbytes, tag="weights")
         return out, refs
 
+    def _stash_may_overflow(self) -> bool:
+        """Whether some device's ledger, weights allocated, cannot also
+        hold every stage's ``stash_bound`` stashes at once."""
+        K = self.costs.num_stages
+        need = [dev.memory.used for dev in self.cluster.devices]
+        for k in range(K):
+            peak = self.schedule.stash_bound(k, K, self.num_micro) * self._stash_bytes(k)
+            for row in self.device_map:
+                need[row[k]] += peak
+        return any(n > dev.memory.capacity for n, dev in zip(need, self.cluster.devices))
+
     def _free_weights(self, allocated: list[int]) -> None:
         for dev, nbytes in zip(self.cluster.devices, allocated):
             dev.memory.free(nbytes, tag="weights")
@@ -590,10 +572,6 @@ class PipelineSimRunner:
     ):
         K = self.costs.num_stages
         M = self.num_micro
-        # The group's pipelines still running at this stage, in order.  A
-        # member leaves when its stash allocation fails here, or when a
-        # tag or barrier arrives without it (it failed elsewhere); the
-        # tuple is replaced, never mutated, as tags keep the sender's.
         members = self._groups[group]
         count = len(members)
         # Only a group of one can crash (crash_pipeline), so its one
@@ -649,10 +627,7 @@ class PipelineSimRunner:
 
         for it in range(iterations):
             if oom_box:
-                members = _oom_survivors(members, oom_box, group, it)
-                count = len(members)
-                if not count:
-                    return
+                return
             if lead in crashed:
                 self._drain_stage(stage, device, outstanding)
                 return
@@ -667,18 +642,11 @@ class PipelineSimRunner:
                 if wait_row is not None:
                     tag = wait_row[mb]
                     if tag is None:
-                        tag = wait_row[mb] = _TransferTag(sim, comm_sent, src)
-                    wait_start = None
+                        tag = wait_row[mb] = _TransferTag(sim, comm_sent, src, count)
                     if not tag.arrived:
                         wait_start = sim.now
                         tag.waiter = waiter = Wake()
                         yield waiter
-                    if tag.members is not members:
-                        members = self._carried(members, tag.members)
-                        count = len(members)
-                        if not count:
-                            return
-                    if wait_start is not None:
                         arrive = sim.now
                         if arrive > wait_start:
                             # BUBBLE until the sender started, COMM after,
@@ -694,22 +662,15 @@ class PipelineSimRunner:
                     try:
                         # The ledger state of ``count`` equal allocations.
                         memory.alloc(stash * count, "activations")
-                    except OutOfMemoryError:
-                        # Not all fit: the first member that fails and the
-                        # ones after it leave.
-                        for i, p in enumerate(members):
-                            try:
-                                memory.alloc(stash, "activations")
-                            except OutOfMemoryError as oom:
-                                # Stage 0's first allocation runs in the chain
-                                # that starts the iteration (_oom_survivors).
-                                starts = stage == 0 and micro == 0 and (sync or it == 0)
-                                oom_box.append((oom, (group, it, p) if starts else None))
-                                members = members[:i]
-                                break
-                        count = len(members)
-                        if not count:
-                            return
+                    except OutOfMemoryError as oom:
+                        if count > 1:
+                            raise RuntimeError(
+                                f"lockstep group {members} failed a stash allocation "
+                                f"at stage {stage}: the schedule's stash_bound "
+                                "under-reports its in-flight stashes"
+                            ) from oom
+                        oom_box.append(oom)
+                        return
                     outstanding += 1
                 # -- compute ------------------------------------------------
                 t0 = sim.now
@@ -727,9 +688,8 @@ class PipelineSimRunner:
                 if send_row is not None:
                     tag = send_row[mb]
                     if tag is None:
-                        tag = send_row[mb] = _TransferTag(sim, comm_sent, stage)
+                        tag = send_row[mb] = _TransferTag(sim, comm_sent, stage, count)
                     tag.started_at = now
-                    tag.members = members
                     link.transfer(nbytes, done=tag, count=count)
 
             # ---------------- batch boundary -------------------------------
@@ -744,18 +704,12 @@ class PipelineSimRunner:
                 record_op(dev_index, t0, sim.now, SpanKind.SYNC, "opt", (None,) * count)
                 barrier = stage_done[group][it]
                 if not barrier[stage].triggered:  # abort may have fired it
-                    barrier[stage].succeed(members)
+                    barrier[stage].succeed()
                 # All stages of this pipeline join before the next batch —
                 # the semantics of a per-batch optimizer step.
                 yield sim.all_of(barrier)
                 if lead in crashed:
                     self._drain_stage(stage, device, outstanding)
-                    return
-                for ev in barrier:
-                    if ev.value is not members:
-                        members = self._carried(members, ev.value)
-                count = len(members)
-                if not count:
                     return
             # Async schedules (PipeDream) roll straight into the next batch.
             if stage == 0:

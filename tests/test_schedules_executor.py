@@ -216,9 +216,30 @@ class TestAccounting:
         with pytest.raises(RuntimeError, match="called twice: a runner is one-shot"):
             runner.run(iterations=1)
 
+    @pytest.mark.parametrize("iterations", [0, -2])
+    def test_iterations_must_be_positive(self, iterations):
+        """A run of no batches has no batch time: ``iterations`` below 1
+        raises before the runner is marked used."""
+        sim = Simulator()
+        cluster = make_cluster(sim, 6, spec=ClusterSpec(nodes=3, gpus_per_node=2, memory_bytes=4 * GIB))
+        runner = PipelineSimRunner(cluster, AFABSchedule(), uniform_costs(), 4, 8.0)
+        with pytest.raises(ValueError, match=f"iterations must be at least 1, got {iterations}"):
+            runner.run(iterations=iterations)
+        assert runner.run(iterations=1).iterations == 1
+
+    @pytest.mark.parametrize("iterations", [0, -2])
+    def test_profiler_iterations_must_be_positive(self, iterations):
+        from repro.core.simcfg import calibration_for
+
+        profiler = calibration_for("awd").profiler(AdvanceFPSchedule(1))
+        with pytest.raises(ValueError, match="iterations"):
+            profiler.run_setting(4, 2, iterations=iterations)
+        with pytest.raises(ValueError, match="iterations"):
+            profiler.profile(iterations=iterations)
+
 
 class TestDataParallelRunner:
-    def _run(self, **kwargs):
+    def _run(self, iterations=2, **kwargs):
         sim = Simulator()
         from repro.graph import LayerCost
 
@@ -227,7 +248,7 @@ class TestDataParallelRunner:
             for i in range(6)
         ]
         cluster = make_cluster(sim, 6, spec=ClusterSpec(nodes=3, gpus_per_node=2, memory_bytes=4 * GIB))
-        return DataParallelSimRunner(cluster, costs, batch_size=48, **kwargs).run(iterations=2)
+        return DataParallelSimRunner(cluster, costs, batch_size=48, **kwargs).run(iterations=iterations)
 
     def test_runs_and_reports(self):
         res = self._run()
@@ -243,6 +264,11 @@ class TestDataParallelRunner:
         res = DataParallelSimRunner(cluster, costs, batch_size=8).run(iterations=1)
         assert res.oom is None
         assert max(res.peak_memory) > GIB  # over-capacity footprint reported
+
+    @pytest.mark.parametrize("iterations", [0, -2])
+    def test_iterations_must_be_positive(self, iterations):
+        with pytest.raises(ValueError, match=f"iterations must be at least 1, got {iterations}"):
+            self._run(iterations=iterations)
 
     def test_allreduce_inefficiency_slows_comm(self):
         fast = self._run(allreduce_inefficiency=1.0)

@@ -10,9 +10,13 @@ every result field, span, and device and link utilization step.
 
 The draws cover AFAB, 1F1B, Advance-FP and PipeDream; N = 1..4 on a
 straight or permuted placement, mixed within a run; memory from ample
-down to below the weights, so that stash allocations fail for some or
-all members of a group; and device and link faults plus a planned
-pipeline crash.
+down to below the weights; and device and link faults plus a planned
+pipeline crash.  The runner groups pipelines only when the weights plus
+every stage's ``stash_bound`` stashes fit each device, and otherwise
+simulates each pipeline as a group of its own, so the near-OOM memory
+draws test that grouping decision: a run that groups never fails a
+stash allocation, and a run that may fail one matches the singleton
+run by construction.
 """
 
 from __future__ import annotations
@@ -125,6 +129,61 @@ def test_grouping_cuts_heap_pushes(monkeypatch):
         monkeypatch, *job)
     assert grouped == singleton
     assert grouped_pushes <= 0.35 * singleton_pushes
+
+
+def _straight_afab(memory, pipelines=4):
+    sim = Simulator()
+    cluster = make_cluster(
+        sim, spec=ClusterSpec(nodes=2, gpus_per_node=2, memory_bytes=memory)
+    )
+    return PipelineSimRunner(
+        cluster, AFABSchedule(), _costs(K), num_micro=8, mb_size=8.0,
+        num_pipelines=pipelines,
+    )
+
+
+#: Straight AFAB peaks at its bound on every device: weights 4 x 3 MB plus
+#: 4 x 8 stashes of 6 MB.
+AFAB_N4_PEAK = 4 * 3_000_000 + 4 * 8 * 6_000_000
+SINGLETONS = [(0,), (1,), (2,), (3,)]
+
+
+@pytest.mark.parametrize("memory, groups", [
+    (52_000_000, SINGLETONS),  # the oom-edge-n4 budget
+    (8 * GIB, [(0, 1, 2, 3)]),
+    (AFAB_N4_PEAK, [(0, 1, 2, 3)]),
+    (AFAB_N4_PEAK - 1, SINGLETONS),
+])
+def test_pipelines_group_only_when_no_stash_can_overflow(memory, groups):
+    """Four pipelines are one group when the devices hold their stash
+    bound, and run apart, failing a stash allocation, one byte short."""
+    runner = _straight_afab(memory)
+    assert (runner.run(iterations=2).oom is None) == (memory >= AFAB_N4_PEAK)
+    assert runner._groups == groups
+
+
+def test_an_oom_stops_every_pipeline_at_its_next_iteration():
+    """Room for 15 of two pipelines' 16 stage-0 stashes: pipeline 1's
+    eighth forward fails, pipeline 0 finishes its first iteration and
+    stops at the start of the second."""
+    runner = _straight_afab(2 * 3_000_000 + 15 * 6_000_000, pipelines=2)
+    assert runner.run(iterations=2).oom is not None
+    fwd = [sum(s.kind.value == "fwd" and s.pipeline == p for s in runner.trace.spans)
+           for p in range(2)]
+    assert fwd == [K * 8, K * 7]
+
+
+def test_grouped_stash_overflow_names_the_group(monkeypatch):
+    """A stash bound that under-reports by one lets four pipelines group
+    on devices that hold only seven of each stage's eight AFAB stashes;
+    the eighth forward's allocation then fails for the whole group, and
+    the run says so."""
+    bound = AFABSchedule.stash_bound
+    monkeypatch.setattr(
+        AFABSchedule, "stash_bound", lambda self, k, n, m: bound(self, k, n, m) - 1)
+    runner = _straight_afab(AFAB_N4_PEAK - 4 * 6_000_000)
+    with pytest.raises(RuntimeError, match=r"lockstep group \(0, 1, 2, 3\) failed a stash"):
+        runner.run(iterations=2)
 
 
 def test_lockstep_groups():

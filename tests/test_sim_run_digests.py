@@ -189,8 +189,9 @@ CASES = {
             FaultEvent("pipeline_crash", 0.9, 1),
             FaultEvent("device_slowdown", 0.6, 0, duration=0.8, factor=2.0),
         )),
-    # Lockstep groups (executor.lockstep_groups): later members of a
-    # group fail their stash allocation and leave it; a planned crash
+    # Lockstep groups (executor.lockstep_groups): at this budget the
+    # stashes may overflow, so each pipeline is a group of its own and
+    # the later ones fail their stash allocation; a planned crash
     # splits {0, 1} from {2}; two placements give two groups of two.
     "oom-edge-n4": lambda: _pipeline(
         AFABSchedule(), k=4, pipelines=4, costs=_costs(4), memory=52_000_000),
