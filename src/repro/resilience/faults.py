@@ -17,10 +17,8 @@ the ``sim.device`` / ``sim.link`` service rates at the scheduled times:
 * ``link_degrade`` / ``link_partition`` — bandwidth divided by a factor,
   or the link severed entirely, over a window.
 
-Every plan is reproducible: :meth:`FaultPlan.random` derives all draws
-from a seed via the library's tagged RNG streams, and the injector's
-processes ride the deterministic event heap, so a chaos run is exactly
-replayable.
+Every plan is reproducible: the injector's processes ride the
+deterministic event heap, so a chaos run is exactly replayable.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from dataclasses import dataclass, field
 from repro.sim.cluster import Cluster
 from repro.sim.events import Simulator
 from repro.sim.trace import SpanKind, TraceRecorder
-from repro.utils.seeding import derive_rng
 
 __all__ = ["FaultEvent", "FaultPlan", "FaultInjector", "FAULT_KINDS"]
 
@@ -99,52 +96,6 @@ class FaultPlan:
 
     def to_dict(self) -> dict:
         return {"seed": self.seed, "events": [e.to_dict() for e in self.events]}
-
-    @staticmethod
-    def random(
-        seed: int,
-        horizon: float,
-        num_pipelines: int,
-        num_devices: int,
-        num_events: int = 3,
-        kinds: tuple[str, ...] = FAULT_KINDS,
-        mean_duration_frac: float = 0.2,
-    ) -> "FaultPlan":
-        """A seeded random plan over ``[0, horizon)`` simulated seconds."""
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        rng = derive_rng("fault-plan", num_pipelines, num_devices, seed=seed)
-        events = []
-        for _ in range(num_events):
-            kind = kinds[int(rng.integers(len(kinds)))]
-            at = float(rng.uniform(0.05, 0.9) * horizon)
-            duration = float(
-                max(rng.exponential(mean_duration_frac * horizon), 0.01 * horizon)
-            )
-            factor = float(rng.uniform(2.0, 10.0))
-            if kind == "pipeline_crash":
-                events.append(FaultEvent(kind, at, int(rng.integers(num_pipelines))))
-            elif kind == "device_crash":
-                events.append(
-                    FaultEvent(kind, at, int(rng.integers(num_devices)), duration=duration)
-                )
-            elif kind == "device_slowdown":
-                events.append(
-                    FaultEvent(
-                        kind, at, int(rng.integers(num_devices)),
-                        duration=duration, factor=factor,
-                    )
-                )
-            else:  # link_degrade / link_partition
-                src = int(rng.integers(num_devices))
-                dst = int((src + 1 + rng.integers(num_devices - 1)) % num_devices)
-                events.append(
-                    FaultEvent(
-                        kind, at, (src, dst), duration=duration,
-                        factor=factor if kind == "link_degrade" else 1.0,
-                    )
-                )
-        return FaultPlan(events=events, seed=seed)
 
 
 @dataclass

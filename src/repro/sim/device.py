@@ -67,17 +67,10 @@ class Device:
         self.memory = MemoryLedger(capacity=memory_bytes, device_name=f"gpu{index}")
         self.failed = False
         self._slowdown = 1.0
-        self._demand_cache: dict[float, float] = {}
 
     def kernel_demand(self, micro_batch_size: float) -> float:
         """Demand of one kernel at ``micro_batch_size`` (the curve's value)."""
-        # The curve is a pure function of the micro-batch size and kernels
-        # overwhelmingly share one size, so memoize per device.
-        demand = self._demand_cache.get(micro_batch_size)
-        if demand is None:
-            demand = self.curve.demand(micro_batch_size)
-            self._demand_cache[micro_batch_size] = demand
-        return demand
+        return self.curve.demand(micro_batch_size)
 
     def run_kernel(self, flops: float, micro_batch_size: float, name: str = "kernel") -> Event:
         """Submit a compute kernel; returns its completion event."""
@@ -114,23 +107,10 @@ class Device:
     # ------------------------------------------------------------------ #
     # telemetry (repro.obs)
 
-    def telemetry(self) -> dict:
-        """Snapshot of the device's observable state (registry-free)."""
-        return {
-            "device": self.index,
-            "node": self.node,
-            "frozen": self.compute.frozen,
-            "capacity": self.compute.capacity,
-            "nominal_capacity": self.compute.nominal_capacity,
-            "slowdown": self._slowdown,
-            "utilization": self.compute.current_demand,
-            "mem_used": self.memory.used,
-            "mem_peak": self.memory.peak,
-        }
-
     def publish_telemetry(self, registry) -> None:
-        """Mirror :meth:`telemetry` into registry gauges (the gauge
-        catalog is in docs/observability.md)."""
+        """Publish the device's observable state as registry gauges:
+        frozen, capacity, nominal capacity, slowdown and utilization, plus
+        the memory ledger's (the gauge catalog is in docs/observability.md)."""
         registry.gauge("sim.device.frozen", device=self.index).set(
             1.0 if self.compute.frozen else 0.0
         )

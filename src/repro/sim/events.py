@@ -2,9 +2,7 @@
 
 * :class:`Simulator` owns the clock and the event heap.
 * :class:`Event` — one-shot; processes wait on events; ``succeed(value)``
-  wakes all waiters at the current time.  ``cancel()`` tombstones a
-  pending event: it is dropped from the queue without firing and without
-  advancing the clock.
+  wakes all waiters at the current time.
 * :class:`Process` — wraps a generator that yields events; the engine
   resumes the generator with the event's value when it fires.  A process
   is itself an event (fires when the generator returns).
@@ -22,8 +20,8 @@ Heap entries
 The heap holds ``(time, seq, entry)`` triples.  An entry need not be an
 :class:`Event`; the engine reads four things of it:
 
-* ``cancelled`` — true for a tombstone, which is dropped at pop time
-  without touching the clock (and skipped by compaction);
+* ``cancelled`` — true only for a resource's superseded completion tick
+  (see below), which is dropped at pop time without touching the clock;
 * ``triggered`` — true if it already fired elsewhere; then the pop only
   advances the clock;
 * ``value`` — passed to ``succeed``;
@@ -34,30 +32,15 @@ and a link's latency gate are ``__slots__`` handles whose ``succeed``
 calls the resource directly, and the pipeline executor's transfer tag
 is the handle a link completes.  A process waits on an :class:`Event`
 or on a :class:`Wake`, which is itself a heap entry.  ``_seq`` counts
-every push, live or later cancelled.
+every push, live or later superseded.
 
-Queue tuning
-------------
-Cancellation is lazy: a tombstoned event stays in the heap and is skipped
-at pop time, so ``cancel()`` is O(1).  When tombstones outnumber live
-entries the heap is compacted in one linear pass (between pops only —
-never mid-drain), which keeps a cancel-heavy workload from dragging a
-dead heap around.  Events that were *succeeded* elsewhere before their
-scheduled time still advance the clock when popped, exactly as before —
-only ``cancel()`` produces clock-invisible entries.
-
-The main source of tombstones is :class:`~repro.sim.resource.SharedResource`:
-each membership change re-arms the resource's completion tick and cancels
-the superseded one, so superseded ticks never fire.  Before they were
-cancelled they were popped and ignored, but the pop still set ``now``.
-Under :meth:`Simulator.run_until_process` (the executor's and the
-data-parallel runner's loop) that clock value is never observed.  The
-loop exits only inside a live event's ``succeed``, which first sets
-``now`` to its own time, and the one other reader, the ``t > limit``
-check, is skipped for tombstones.  Under :meth:`Simulator.run` the final
-clock is the time of the last *live* event: a superseded tick later than
-it (only a raised ``set_capacity`` or a ``freeze`` leaves one) no longer
-moves the returned clock forward.
+Superseded ticks
+----------------
+A :class:`~repro.sim.resource.SharedResource` re-arms its one completion
+tick on every membership change and flags the pending one ``cancelled``.
+The flagged tick is dropped when it pops, so it never fires and never
+moves the clock: :meth:`Simulator.run` ends at the last live entry.  An
+entry *succeeded* before its time still moves the clock when it pops.
 """
 
 from __future__ import annotations
@@ -67,20 +50,16 @@ from typing import Any, Callable, Generator, Iterable
 
 __all__ = ["Simulator", "Event", "Process", "AllOf", "Wake"]
 
-# Compact when the heap holds more than this many tombstones AND they are
-# the majority of entries; small heaps are cheaper to drain than rebuild.
-_COMPACT_MIN_TOMBSTONES = 64
-
 
 class Event:
     """A one-shot occurrence processes can wait on."""
 
-    __slots__ = ("sim", "triggered", "cancelled", "value", "callbacks", "name")
+    __slots__ = ("sim", "triggered", "value", "callbacks", "name")
+    cancelled = False
 
     def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
         self.triggered = False
-        self.cancelled = False
         self.value: Any = None
         # Lazily allocated: most events never get a callback before firing.
         self.callbacks: list[Callable[["Event"], None]] | None = None
@@ -89,8 +68,6 @@ class Event:
     def succeed(self, value: Any = None) -> "Event":
         if self.triggered:
             raise RuntimeError(f"event {self.name or id(self)} already triggered")
-        if self.cancelled:
-            raise RuntimeError(f"event {self.name or id(self)} was cancelled")
         self.triggered = True
         self.value = value
         callbacks = self.callbacks
@@ -98,22 +75,6 @@ class Event:
             self.callbacks = None
             for cb in callbacks:
                 cb(self)
-        return self
-
-    def cancel(self) -> "Event":
-        """Tombstone a pending event: never fires, never advances the clock.
-
-        Waiters registered via :meth:`add_callback` are discarded — the
-        caller is responsible for not cancelling events a live process
-        still depends on.  Cancelling twice is a no-op; cancelling a
-        triggered event is an error.
-        """
-        if self.triggered:
-            raise RuntimeError(f"cannot cancel fired event {self.name or id(self)}")
-        if not self.cancelled:
-            self.cancelled = True
-            self.callbacks = None
-            self.sim._tombstones += 1
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -125,9 +86,7 @@ class Event:
             self.callbacks.append(callback)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = (
-            "fired" if self.triggered else "cancelled" if self.cancelled else "pending"
-        )
+        state = "fired" if self.triggered else "pending"
         return f"Event({self.name or hex(id(self))}, {state})"
 
 
@@ -219,7 +178,6 @@ class Simulator:
         self.now = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
-        self._tombstones = 0
 
     def schedule(self, delay: float, event: Event) -> Event:
         """Arrange for ``event.succeed()`` at ``now + delay``."""
@@ -243,53 +201,24 @@ class Simulator:
 
     # ------------------------------------------------------------------ #
 
-    def _compact(self) -> None:
-        """Drop tombstoned entries and re-heapify (linear time).
-
-        Only entries whose event was cancelled are removed; entries whose
-        event was succeeded early keep their clock-advancing pop, so
-        compaction is invisible to simulation results.
-        """
-        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
-        heapq.heapify(self._heap)
-        self._tombstones = 0
-
-    # ------------------------------------------------------------------ #
-
     def run(self, until: float | None = None) -> float:
-        """Drain the heap (optionally up to time ``until``); returns the
-        final clock value."""
+        """Drain the heap (optionally up to time ``until``, which must not
+        be in the past); returns the final clock value."""
+        if until is not None and until < self.now:
+            raise ValueError(f"until={until} is before the current time {self.now}")
         heap = self._heap
         pop = heapq.heappop
         while heap:
-            # Compact once tombstones outnumber live entries (checked per pop).
-            if self._tombstones > _COMPACT_MIN_TOMBSTONES and self._tombstones * 2 > len(heap):
-                self._compact()
-                heap = self._heap
-                if not heap:
-                    break
             t = heap[0][0]
             if until is not None and t > until:
                 self.now = until
                 return self.now
             event = pop(heap)[2]
             if event.cancelled:
-                if self._tombstones:
-                    self._tombstones -= 1
-                continue  # dropped without touching the clock
+                continue  # a superseded tick: dropped without touching the clock
             self.now = t
-            if not event.triggered:  # succeeded-early events are skipped
+            if not event.triggered:  # succeeded-early entries only move the clock
                 event.succeed(event.value)
-            # Same-timestamp batch: everything tied at t already passed the
-            # ``until`` check, so drain the tie without re-peeking it.
-            while heap and heap[0][0] == t:
-                event = pop(heap)[2]
-                if event.cancelled:
-                    if self._tombstones:
-                        self._tombstones -= 1
-                    continue
-                if not event.triggered:
-                    event.succeed(event.value)
         return self.now
 
     def run_until_process(self, process: Process, limit: float = 1e12) -> float:
@@ -297,10 +226,6 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         while not process.triggered:
-            # Compact once tombstones outnumber live entries (checked per pop).
-            if self._tombstones > _COMPACT_MIN_TOMBSTONES and self._tombstones * 2 > len(heap):
-                self._compact()
-                heap = self._heap
             if not heap:
                 raise RuntimeError(
                     f"deadlock: process {process.name} never completed "
@@ -308,8 +233,6 @@ class Simulator:
                 )
             t, _, event = pop(heap)
             if event.cancelled:
-                if self._tombstones:
-                    self._tombstones -= 1
                 continue
             if t > limit:
                 raise RuntimeError(f"simulation exceeded time limit {limit}")

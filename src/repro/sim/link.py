@@ -60,8 +60,6 @@ class Link:
         self.pipe = SharedResource(
             sim, capacity=bandwidth_bytes_per_sec, name=name or f"link{src}->{dst}"
         )
-        # Event name for the default transfer label, composed once.
-        self._xfer_done_name = f"{self.pipe.name}.xfer"
 
     # ------------------------------------------------------------------ #
     # fault hooks (repro.resilience)
@@ -95,10 +93,7 @@ class Link:
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
         if done is None:
-            done = Event(
-                self.sim,
-                name=self._xfer_done_name if name == "xfer" else f"{self.pipe.name}.{name}",
-            )
+            done = Event(self.sim, name=f"{self.pipe.name}.{name}")
         if self.latency == 0.0:
             self.pipe.submit(nbytes, 1.0, done, count)
         else:

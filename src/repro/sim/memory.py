@@ -65,10 +65,6 @@ class MemoryLedger:
         self.by_tag[tag] = current - nbytes
         self.used -= nbytes
 
-    def reset_peak(self) -> None:
-        self.peak = self.used
-        self.peak_by_tag = dict(self.by_tag)
-
     def publish(self, registry, **labels) -> None:
         """Mirror current/peak footprints into a metric registry.
 

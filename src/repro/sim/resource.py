@@ -19,8 +19,8 @@ Completion times are recomputed lazily: whenever membership changes, the
 remaining work of every active task is decayed by the elapsed time at the
 old rates and a fresh completion tick is scheduled for the new earliest
 finisher.  A resource holds at most one live tick: arming a new one (or
-going idle / frozen) ``cancel()``s the pending one, an O(1) tombstone the
-event loop drops at pop time, so a superseded tick never fires.
+going idle / frozen) flags the pending one ``cancelled``, and the event
+loop drops it at pop time, so a superseded tick never fires.
 
 One reschedule per instant: a task submitted from inside a completion
 this resource is firing (a stage's next kernel, submitted as its last
@@ -88,7 +88,7 @@ class _ActiveTask:
 
 class _Tick:
     """A resource's completion tick, as a heap entry (see
-    :mod:`repro.sim.events`): it fires once, or is cancelled."""
+    :mod:`repro.sim.events`): it fires once, or is superseded."""
 
     __slots__ = ("resource", "cancelled")
     triggered = False
@@ -100,7 +100,6 @@ class _Tick:
 
     def cancel(self) -> None:
         self.cancelled = True
-        self.resource.sim._tombstones += 1
 
     def succeed(self, value=None) -> None:
         resource = self.resource
@@ -128,9 +127,6 @@ class SharedResource:
         # While a reschedule fires completions: the task list it will
         # finish on (see module docstring); None otherwise.
         self._firing: list[_ActiveTask] | None = None
-        # Completion-event names, composed once per distinct task label:
-        # callers reuse a handful of labels across thousands of submits.
-        self._task_names: dict[str, str] = {}
         self._finish_eps = _EPS * (capacity if capacity > 1.0 else 1.0)
         # (time, total_granted_demand) steps for utilization traces.
         self.utilization_steps: list[tuple[float, float]] = [(0.0, 0.0)]
@@ -144,11 +140,7 @@ class SharedResource:
             raise ValueError(f"negative work {work}")
         if not 0 < demand <= 1.0:
             raise ValueError(f"demand must be in (0, 1], got {demand}")
-        full_name = self._task_names.get(name)
-        if full_name is None:
-            full_name = f"{self.name}.{name}"
-            self._task_names[name] = full_name
-        done = Event(self.sim, full_name)
+        done = Event(self.sim, f"{self.name}.{name}")
         self.submit(work, demand, done, count)
         return done
 

@@ -14,7 +14,8 @@ The first kind is checked here by scanning the stdlib ``ast`` for
 ``ast.Name`` and ``ast.Attribute`` nodes; the other three are the
 :data:`ALLOWLIST` below, one reason per entry.  The scan matches by bare
 name, so it is conservative: a definition whose name is reused anywhere
-counts as reached.
+counts as reached, except as an attribute of a module imported from
+outside ``repro``.
 """
 
 import ast
@@ -78,19 +79,29 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-#: module aliases whose attributes name library calls, never our code
-FOREIGN_MODULES = ("np", "json", "math")
+def foreign_modules(tree) -> set[str]:
+    """Names ``tree`` binds with ``import`` to a module outside ``repro``
+    (``import numpy as np`` binds ``np``, ``import os.path`` binds ``os``)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] != "repro":
+                    names.add(alias.asname or alias.name.split(".")[0])
+    return names
 
 
 def collect_references(tree, path, references) -> None:
     """Append (file, line) of every name and attribute use in ``tree``,
-    except attributes of :data:`FOREIGN_MODULES` (``np.clip`` does not
-    reach ``Tensor.clip``)."""
+    except attributes of a module it imports from outside ``repro``
+    (``np.clip`` does not reach ``Tensor.clip``, nor does
+    ``tracemalloc.reset_peak`` reach a ``reset_peak`` of ours)."""
+    foreign = foreign_modules(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             references[node.id].append((path, node.lineno))
         elif isinstance(node, ast.Attribute):
-            if isinstance(node.value, ast.Name) and node.value.id in FOREIGN_MODULES:
+            if isinstance(node.value, ast.Name) and node.value.id in foreign:
                 continue
             references[node.attr].append((path, node.lineno))
 
@@ -174,3 +185,22 @@ def test_scan_sees_methods_and_own_body_references():
     assert unreferenced({"repro.lonely.lonely": ("lonely", path, 1, 2)}, refs) == {
         "repro.lonely.lonely"
     }
+
+
+def test_scan_ignores_attributes_of_foreign_modules():
+    """An attribute of a module imported from outside ``repro`` is not a
+    use of our name; an attribute of a ``repro`` module or of a plain
+    object still is."""
+    refs = defaultdict(list)
+    source = (
+        "import tracemalloc\n"
+        "import numpy as np\n"
+        "import repro.sim as sim\n"
+        "tracemalloc.reset_peak()\n"
+        "np.clip(x)\n"
+        "sim.make_cluster()\n"
+        "ledger.publish()\n"
+    )
+    collect_references(ast.parse(source), SRC / "caller.py", refs)
+    assert "reset_peak" not in refs and "clip" not in refs
+    assert "make_cluster" in refs and "publish" in refs

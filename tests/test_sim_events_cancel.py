@@ -1,22 +1,23 @@
-"""Event cancellation under lazy tombstoning + heap compaction.
+"""Superseded resource ticks: the heap's only cancelled entries.
 
-`cancel()` tombstones an entry in place: O(1), clock-invisible, dropped
-at pop time.  When tombstones outnumber live entries the heap is rebuilt
-between pops.  These tests pin the semantics the tuned queue must keep:
+A :class:`SharedResource` re-arms its one completion tick on every
+membership change, and a freeze or a capacity change flags the pending
+tick ``cancelled`` in place.  The event loop drops a flagged tick when it
+pops.  These tests pin what that must keep:
 
-* a cancelled event never fires and never advances the clock, whatever
-  its position relative to live entries (cancel-then-pop ordering);
-* cancelling *everything* drains to an empty heap with the clock parked;
-* compaction changes nothing observable — same firing order, same
-  timestamps, same final clock as an untuned queue;
-* succeed-early (superseded) entries still advance the clock — only
-  ``cancel()`` is invisible;
-* cancel of a fired event raises; double-cancel is a no-op.
+* a superseded tick never fires and never advances the clock, wherever
+  it sits relative to live entries, under ``run`` and
+  ``run_until_process`` alike;
+* a heap holding only superseded ticks drains with the clock parked
+  under ``run``, and is a deadlock for ``run_until_process``;
+* an entry succeeded early still advances the clock when it pops;
+* ``run(until=t)`` with ``t`` in the past is rejected, not a clock rewind.
 """
 
 import pytest
 
-from repro.sim.events import _COMPACT_MIN_TOMBSTONES, Event, Simulator
+from repro.sim import SharedResource
+from repro.sim.events import Event, Simulator
 
 
 def _named_timeout(sim, delay, name, fired):
@@ -25,127 +26,79 @@ def _named_timeout(sim, delay, name, fired):
     return ev
 
 
+def _superseded_task(sim, work):
+    """Start ``work`` units on a fresh unit-capacity resource and freeze it
+    at once: its completion tick, due at ``work``, is superseded."""
+    res = SharedResource(sim, capacity=1.0)
+    done = res.execute(work, demand=1.0)
+    res.freeze()
+    return done
+
+
 # --------------------------------------------------------------------- #
-# cancel-then-pop ordering
-
-
-def test_cancelled_event_never_fires_and_never_advances_clock():
-    sim = Simulator()
-    fired = []
-    first = _named_timeout(sim, 1.0, "a", fired)
-    _named_timeout(sim, 2.0, "b", fired)
-    first.cancel()
-    assert sim.run() == 2.0
-    assert fired == [(2.0, "b")]
+# superseded ticks among live entries
 
 
 def test_cancel_ahead_of_earlier_live_event_keeps_order():
-    # The tombstone sits at the *top* of the heap; popping it must not
-    # disturb the live entries behind it.
+    # The superseded tick sits at the *top* of the heap; popping it must
+    # not disturb the live entries behind it.
     sim = Simulator()
     fired = []
-    doomed = _named_timeout(sim, 0.5, "doomed", fired)
+    done = _superseded_task(sim, 0.5)
     _named_timeout(sim, 1.0, "x", fired)
-    _named_timeout(sim, 1.0, "y", fired)  # same-timestamp batch path
+    _named_timeout(sim, 1.0, "y", fired)
     _named_timeout(sim, 3.0, "z", fired)
-    doomed.cancel()
     assert sim.run() == 3.0
     assert fired == [(1.0, "x"), (1.0, "y"), (3.0, "z")]
+    assert not done.triggered
 
 
 def test_cancel_inside_same_timestamp_batch():
-    # Cancel an entry tied at the same instant as live ones: the batch
-    # drain must skip it without re-peeking or firing it.
+    # A superseded tick tied at the same instant as live entries, and
+    # pushed between them, is skipped without firing.
     sim = Simulator()
     fired = []
     _named_timeout(sim, 1.0, "x", fired)
-    mid = _named_timeout(sim, 1.0, "mid", fired)
+    done = _superseded_task(sim, 1.0)
     _named_timeout(sim, 1.0, "y", fired)
-    mid.cancel()
-    sim.run()
+    assert sim.run() == 1.0
     assert fired == [(1.0, "x"), (1.0, "y")]
-
-
-# --------------------------------------------------------------------- #
-# empty-heap drain
+    assert not done.triggered
 
 
 def test_cancelling_everything_drains_with_clock_parked():
     sim = Simulator()
-    events = [sim.timeout(float(i + 1)) for i in range(10)]
-    for ev in events:
-        ev.cancel()
+    dones = [_superseded_task(sim, float(i + 1)) for i in range(10)]
     assert sim.run() == 0.0
-    assert sim._heap == [] or all(e.cancelled for _, _, e in sim._heap)
-    assert all(not ev.triggered for ev in events)
+    assert sim._heap == []
+    assert all(not done.triggered for done in dones)
 
 
-def test_mass_cancel_beyond_compaction_threshold_drains_empty():
-    # Enough tombstones to trip compaction with nothing live behind them.
+def test_run_clock_ignores_superseded_tick_after_freeze():
+    # A frozen resource supersedes its pending completion tick, so run()
+    # ends at the last live event (the freeze at t=1), not at the
+    # superseded tick's t=10.
     sim = Simulator()
-    events = [sim.timeout(float(i)) for i in range(_COMPACT_MIN_TOMBSTONES * 3)]
-    for ev in events:
-        ev.cancel()
-    assert sim.run() == 0.0
+    res = SharedResource(sim, capacity=1.0)
+    res.execute(10.0, demand=1.0)
+    sim.timeout(1.0).add_callback(lambda _: res.freeze())
+    assert sim.run() == 1.0
 
 
-# --------------------------------------------------------------------- #
-# compaction invisibility
-
-
-def test_compaction_is_invisible_to_firing_order_and_clock():
-    """A cancel-heavy run fires the exact same (time, name) sequence as a
-    fresh simulator holding only the surviving events."""
-
-    def build(cancel: bool):
-        sim = Simulator()
-        fired = []
-        doomed = []
-        n = _COMPACT_MIN_TOMBSTONES * 4
-        for i in range(n):
-            ev = _named_timeout(sim, float(i) + 0.5, f"ev{i}", fired)
-            if i % 4 != 0:  # 75% cancelled -> compaction triggers mid-run
-                doomed.append(ev)
-            if not cancel and i % 4 != 0:
-                # The control run never schedules the doomed ones at all.
-                sim._heap.pop()
-                ev.callbacks = None
-        if cancel:
-            for ev in doomed:
-                ev.cancel()
-        end = sim.run()
-        return end, fired
-
-    end_a, fired_a = build(cancel=True)
-    end_b, fired_b = build(cancel=False)
-    assert fired_a == fired_b
-    assert end_a == end_b
-
-
-def test_compaction_keeps_interleaved_cancels_correct():
-    # Cancels interleaved with live events across many timestamps, driven
-    # well past the compaction threshold while the run is in flight.
+def test_run_clock_ignores_superseded_tick_after_raised_capacity():
+    # Raising capacity at t=1 re-arms the completion at 1 + 9/2 = 5.5 and
+    # supersedes the tick at 10: the clock stops at the completion.
     sim = Simulator()
-    fired = []
-    live_times = []
-    seq = 0
-    for round_no in range(8):
-        batch = []
-        for i in range(_COMPACT_MIN_TOMBSTONES):
-            t = float(seq)
-            seq += 1
-            batch.append((_named_timeout(sim, t, f"e{seq}", fired), t))
-        # cancel all but two per round
-        for ev, t in batch[:-2]:
-            ev.cancel()
-        live_times.extend(t for _, t in batch[-2:])
-    sim.run()
-    assert [t for t, _ in fired] == sorted(live_times)
+    res = SharedResource(sim, capacity=1.0)
+    done = res.execute(10.0, demand=1.0)
+    sim.timeout(1.0).add_callback(lambda _: res.set_capacity(2.0))
+    assert sim.run() == 5.5
+    assert done.triggered
 
 
 def test_succeeded_early_events_still_advance_the_clock():
-    # Only cancel() is clock-invisible: an event succeeded before its
-    # scheduled pop still advances `now` when its heap entry drains.
+    # Only a superseded tick is clock-invisible: an event succeeded before
+    # its scheduled pop still advances `now` when its heap entry drains.
     sim = Simulator()
     ev = sim.timeout(5.0, name="late")
     ev.succeed("early")  # fires immediately, entry remains queued
@@ -154,45 +107,30 @@ def test_succeeded_early_events_still_advance_the_clock():
 
 
 # --------------------------------------------------------------------- #
-# cancel state machine
-
-
-def test_cancel_of_fired_event_raises():
-    sim = Simulator()
-    ev = Event(sim, name="done").succeed()
-    with pytest.raises(RuntimeError, match="cannot cancel fired"):
-        ev.cancel()
-
-
-def test_succeed_of_cancelled_event_raises():
-    sim = Simulator()
-    ev = sim.timeout(1.0).cancel()
-    with pytest.raises(RuntimeError, match="cancelled"):
-        ev.succeed()
-
-
-def test_double_cancel_is_a_noop_and_counts_one_tombstone():
-    sim = Simulator()
-    ev = sim.timeout(1.0)
-    before = sim._tombstones
-    ev.cancel()
-    ev.cancel()
-    assert sim._tombstones == before + 1
-    assert sim.run() == 0.0
+# run_until_process
 
 
 def test_run_until_process_skips_tombstones():
+    # Ticks at 10 (superseded at t=1 by a raised capacity) and 5.5
+    # (superseded at t=2 by a freeze): the 5.5 one pops and is dropped
+    # before the job's live timeout at 7.
     sim = Simulator()
-    for i in range(_COMPACT_MIN_TOMBSTONES * 2):
-        sim.timeout(0.25 * i).cancel()
+    res = SharedResource(sim, capacity=1.0)
+    done = res.execute(10.0, demand=1.0)
+    sim.timeout(1.0).add_callback(lambda _: res.set_capacity(2.0))
+    sim.timeout(2.0).add_callback(lambda _: res.freeze())
+    wakes = []
 
     def job():
         yield sim.timeout(7.0)
+        wakes.append(sim.now)
         return "ok"
 
     proc = sim.process(job(), name="job")
     assert sim.run_until_process(proc) == 7.0
     assert proc.value == "ok"
+    assert wakes == [7.0]
+    assert not done.triggered
 
 
 def test_run_until_process_deadlocks_when_only_tombstones_remain():
@@ -203,37 +141,24 @@ def test_run_until_process_deadlocks_when_only_tombstones_remain():
         yield gate
 
     proc = sim.process(job(), name="stuck")
-    sim.timeout(1.0).cancel()
+    _superseded_task(sim, 1.0)
     with pytest.raises(RuntimeError, match="deadlock"):
         sim.run_until_process(proc)
+    assert sim.now == 0.0
 
 
 # --------------------------------------------------------------------- #
-# superseded resource ticks
+# run(until=...)
 
 
-def test_run_clock_ignores_superseded_tick_after_freeze():
-    # A frozen resource cancels its pending completion tick, so run()
-    # ends at the last live event (the freeze at t=1), not at the
-    # superseded tick's t=10 where a popped-and-ignored tick used to
-    # leave the clock.
-    from repro.sim import SharedResource
-
+def test_run_until_in_the_past_raises_and_keeps_the_clock():
     sim = Simulator()
-    res = SharedResource(sim, capacity=1.0)
-    res.execute(10.0, demand=1.0)
-    sim.timeout(1.0).add_callback(lambda _: res.freeze())
-    assert sim.run() == 1.0
-
-
-def test_run_clock_ignores_superseded_tick_after_raised_capacity():
-    # Raising capacity at t=1 re-arms the completion at 1 + 9/2 = 5.5 and
-    # cancels the tick at 10: the clock stops at the completion.
-    from repro.sim import SharedResource
-
-    sim = Simulator()
-    res = SharedResource(sim, capacity=1.0)
-    done = res.execute(10.0, demand=1.0)
-    sim.timeout(1.0).add_callback(lambda _: res.set_capacity(2.0))
-    assert sim.run() == 5.5
-    assert done.triggered
+    fired = []
+    _named_timeout(sim, 5.0, "a", fired)
+    _named_timeout(sim, 10.0, "b", fired)
+    assert sim.run(until=6.0) == 6.0
+    with pytest.raises(ValueError, match="until"):
+        sim.run(until=2.0)
+    assert sim.now == 6.0
+    assert sim.run() == 10.0
+    assert fired == [(5.0, "a"), (10.0, "b")]
